@@ -4,7 +4,7 @@ import argparse
 
 import numpy as np
 
-from evolveq.convergence import refine
+from evolveq.convergence import refine, solve_ladder
 from evolveq.presets import get_preset, preset_names
 
 
@@ -18,7 +18,7 @@ def main() -> None:
 
     counts = [int(tok) for tok in args.ladder.split(",")]
     preset = get_preset(args.preset, load=args.load)
-    study = refine(preset.problem, counts)
+    study = refine(solve_ladder(preset.problem, counts))
 
     print(f"{'n':>6} {'mesh':>12} {'diff_l2V':>12} {'diff_supH':>12} {'order':>7}")
     for i, n in enumerate(study.slab_counts):

@@ -2,15 +2,14 @@
 parabolic evolution problems on a Galerkin-discretized Gelfand triple."""
 
 from .spaces import (DualVector, GalerkinSpace, StructureError, dual_norm,
-                     embedding_constant, h_representation)
+                     h_representation)
 from .forms import (FormConstants, FormFamily, StepForm, Subdivision,
                     average_form, build_step_form, certify_shift,
                     estimate_constants, rescale)
-from .propagator import (ProblemData, SlabPropagator, Trajectory, oracle_solve,
-                         product, slab_step, solve)
+from .propagator import ProblemData, SlabPropagator, Trajectory, oracle_solve, solve
 from .mr import (MRReport, check_chain_rule, check_H_estimate, check_lemma3,
                  check_lemma_indepmax, check_product_rule, mr_norms)
-from .convergence import RefinementStudy, oracle_gap, refine
+from .convergence import RefinementStudy, oracle_gap, refine, solve_ladder
 from .invariance import (ConvexSet, audit_trajectory, check_criterion,
                          check_criterion_symmetric)
 from .presets import get_preset, preset_names

@@ -8,7 +8,6 @@ import argparse
 import configparser
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,10 +16,10 @@ import numpy as np
 from . import convergence as conv
 from . import invariance as inv
 from . import mr
-from .forms import Subdivision, certify_shift, estimate_constants, rescale
+from .forms import FormConstants, certify_shift, estimate_constants, rescale
 from .presets import (PresetProblem, convex_set_for, get_preset,
                       preset_descriptions, resolved_constants)
-from .propagator import ProblemData, oracle_solve, solve
+from .propagator import ProblemData, Trajectory
 
 __all__ = ["ExperimentConfig", "main", "run"]
 
@@ -102,11 +101,16 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.slab_counts is not None:
-            for a, b in zip(self.slab_counts[:-1], self.slab_counts[1:]):
-                if b <= a or b % a != 0:
-                    raise ConfigError(f"slab_counts must be nested dyadic, got {self.slab_counts}")
+            _check_ladder(self.slab_counts, min_points=1)
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+
+
+def _check_ladder(slab_counts, min_points: int) -> None:
+    try:
+        conv.check_ladder(slab_counts, min_points)
+    except ValueError as exc:
+        raise ConfigError(f"slab_counts: {exc}") from None
 
 
 def _fmt(x) -> str:
@@ -129,7 +133,8 @@ class _Prepared:
     config: ExperimentConfig
     preset: PresetProblem
     problem: ProblemData
-    constants: object
+    sampled: FormConstants        # one sample of the family being solved
+    constants: FormConstants      # declared values over that sample
     slab_counts: tuple[int, ...]
     shift: float
 
@@ -138,26 +143,23 @@ def _prepare(config: ExperimentConfig) -> _Prepared:
     preset = get_preset(config.preset, n_cells=config.n_cells,
                         horizon=config.horizon, load=config.load_name,
                         amplitude=config.load_amplitude)
-    constants = resolved_constants(preset)
     problem = preset.problem
-    shift = 0.0
-    if config.omega is not None and config.omega != 0.0:
-        shift = config.omega
-    elif constants.coercivity is not None and constants.coercivity <= 0:
-        shift = certify_shift(problem.family)
+    shift = config.omega or 0.0
+    if shift == 0.0:
+        sampled = estimate_constants(problem.family)
+        if resolved_constants(preset.constants, sampled).coercivity <= 0:
+            shift = certify_shift(problem.family)
     if shift != 0.0:
         problem = ProblemData(rescale(problem.family, shift), problem.u0,
                               load=problem.load, tag=problem.tag + f"+shift{shift:g}")
-        constants = resolved_constants(
-            PresetProblem(preset.name, preset.description, problem,
-                          preset.constants, preset.default_slab_counts))
+        sampled = estimate_constants(problem.family)
+    constants = resolved_constants(preset.constants, sampled)
     counts = config.slab_counts or preset.default_slab_counts
-    return _Prepared(config, preset, problem, constants, counts, shift)
+    return _Prepared(config, preset, problem, sampled, constants, counts, shift)
 
 
 def _run_constants(prep: _Prepared, lines: list[str]) -> int:
-    declared = prep.preset.constants
-    sampled = estimate_constants(prep.problem.family)
+    declared, sampled = prep.preset.constants, prep.sampled
     if not declared.certified_on_samples:
         parts = [f"{k}={v:g}" for k, v in
                  (("M", declared.bound), ("alpha", declared.coercivity),
@@ -167,20 +169,20 @@ def _run_constants(prep: _Prepared, lines: list[str]) -> int:
                  f"L={sampled.lipschitz:.6g} (certified on samples)")
     if prep.shift:
         lines.append(f"rescaled by omega={prep.shift:g} before solving")
-    if sampled.coercivity is not None and sampled.coercivity <= 0:
+    if sampled.coercivity <= 0:
         lines.append("WARNING: family not coercive at the requested shift")
         return 2
     return 0
 
 
-def _run_solve(prep: _Prepared, out: Path, lines: list[str]) -> int:
+def _run_solve(prep: _Prepared, ladder: list[Trajectory], out: Path,
+               lines: list[str]) -> int:
     problem, constants = prep.problem, prep.constants
     space = problem.family.space
     status = 0
     rows = []
-    for n in prep.slab_counts:
-        sub = Subdivision.uniform(problem.horizon, n)
-        traj = solve(problem, sub)
+    for n, traj in zip(prep.slab_counts, ladder):
+        sub = traj.step_form.subdivision
         report = mr.mr_norms(traj)
         res_chain = mr.check_chain_rule(traj)
         res_prod = (mr.check_product_rule(traj)
@@ -188,7 +190,7 @@ def _run_solve(prep: _Prepared, out: Path, lines: list[str]) -> int:
         margin3 = mr.check_lemma3(traj, problem, constants.coercivity)
         margin_sup = (mr.check_lemma_indepmax(traj, constants=constants)
                       if problem.family.symmetric else float("nan"))
-        ratio = mr.check_H_estimate(traj, problem, constants)
+        ratio = mr.check_H_estimate(report, problem, sub)
         rows.append([n, sub.mesh, report.l2V, report.h1H, report.h1Vp, report.supV,
                      report.mr_vvp, report.mr_vh, res_chain, res_prod,
                      margin3, margin_sup, ratio])
@@ -211,27 +213,16 @@ def _run_solve(prep: _Prepared, out: Path, lines: list[str]) -> int:
     return status
 
 
-def _run_converge(prep: _Prepared, out: Path, lines: list[str]) -> int:
-    problem = prep.problem
-    executor = (ThreadPoolExecutor(prep.config.threads)
-                if prep.config.threads > 1 else None)
-    try:
-        study = conv.refine(problem, prep.slab_counts, executor=executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
-    stride = max(1, prep.config.oracle_steps // 1000)
-    ogrid = np.arange(0, prep.config.oracle_steps + 1, stride) \
-        * (problem.horizon / prep.config.oracle_steps)
-    oracle = oracle_solve(problem, prep.config.oracle_steps, output_grid=ogrid)
-    space = problem.family.space
+def _run_converge(prep: _Prepared, ladder: list[Trajectory], out: Path,
+                  lines: list[str]) -> int:
+    study = conv.refine(ladder)
+    oracle = conv.oracle_reference(prep.problem, prep.config.oracle_steps)
     rows = []
-    for i, (n, mesh) in enumerate(zip(study.slab_counts, study.meshes)):
+    for i, (n, mesh, traj) in enumerate(zip(study.slab_counts, study.meshes, ladder)):
         diff_l2v = study.diffs_l2V[i - 1] if i > 0 else float("nan")
         diff_suph = study.diffs_supH[i - 1] if i > 0 else float("nan")
-        gap = float(np.max(space.h_norms(
-            study.trajectories[i].evaluate_many(oracle.grid) - oracle.states)))
-        rows.append([n, mesh, diff_l2v, diff_suph, study.rate, gap])
+        rows.append([n, mesh, diff_l2v, diff_suph, study.rate,
+                     conv.oracle_suph_gap(traj, oracle)])
     write_csv(out / "convergence.csv",
               ["n_slabs", "mesh", "diff_l2V", "diff_supH", "rate_estimate",
                "oracle_gap"], rows)
@@ -241,7 +232,8 @@ def _run_converge(prep: _Prepared, out: Path, lines: list[str]) -> int:
     return 0
 
 
-def _run_invariance(prep: _Prepared, out: Path, lines: list[str]) -> int:
+def _run_invariance(prep: _Prepared, ladder: list[Trajectory], out: Path,
+                    lines: list[str]) -> int:
     problem, config = prep.problem, prep.config
     family = problem.family
     cset = convex_set_for(prep.preset, kind=config.set_kind,
@@ -256,15 +248,11 @@ def _run_invariance(prep: _Prepared, out: Path, lines: list[str]) -> int:
             sym_margin = sym.margin
         except ValueError:
             pass
-    worst = 0.0
-    witness_t = 0.0
-    for n in prep.slab_counts:
-        traj = solve(problem, Subdivision.uniform(problem.horizon, n))
-        violation = inv.audit_trajectory(traj, cset)
-        if violation > worst:
-            worst = violation
-            dists = [cset.distance(traj.states[:, i]) for i in range(traj.grid.size)]
-            witness_t = float(traj.grid[int(np.argmax(dists))])
+    worst = witness_t = 0.0
+    for traj in ladder:
+        violation, t = inv.audit_trajectory(traj, cset)
+        if violation > worst:     # ties keep the coarsest ladder point
+            worst, witness_t = violation, t
     write_csv(out / "invariance.csv",
               ["preset", "set_kind", "metric", "criterion_margin",
                "symmetric_margin", "worst_violation", "witness_t", "witness_norm"],
@@ -285,19 +273,23 @@ def _run_invariance(prep: _Prepared, out: Path, lines: list[str]) -> int:
 
 
 def run(command: str, config: ExperimentConfig) -> int:
+    prep = _prepare(config)
+    if command in ("converge", "all"):
+        _check_ladder(prep.slab_counts, min_points=2)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    prep = _prepare(config)
     lines = [f"preset: {prep.preset.name}", f"seed: {config.seed}"]
     status = 0
     if command in ("constants", "all"):
         status = max(status, _run_constants(prep, lines))
+    ladder = ([] if command == "constants" else
+              conv.solve_ladder(prep.problem, prep.slab_counts, config.threads))
     if command in ("solve", "all"):
-        status = max(status, _run_solve(prep, out, lines))
+        status = max(status, _run_solve(prep, ladder, out, lines))
     if command in ("converge", "all"):
-        status = max(status, _run_converge(prep, out, lines))
+        status = max(status, _run_converge(prep, ladder, out, lines))
     if command in ("invariance", "all"):
-        status = max(status, _run_invariance(prep, out, lines))
+        status = max(status, _run_invariance(prep, ladder, out, lines))
     summary = "\n".join(lines) + "\n"
     sys.stdout.write(summary)
     (out / "summary.txt").write_text(summary)

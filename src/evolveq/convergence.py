@@ -1,12 +1,14 @@
-"""Nested-refinement driver: Cauchy-difference tables and empirical rates.
+"""Nested-refinement driver: the solved ladder, Cauchy-difference tables
+and empirical rates.
 
-Successive trajectories on a dyadic ladder of uniform subdivisions are
-compared on the finest breakpoint grid; the L^2(0,T;V) differences are
-integrated with per-interval Gauss quadrature on the exact within-slab
-solutions of both trajectories.
+A ladder is solved once, one trajectory per uniform subdivision, and
+successive trajectories are compared on the finest breakpoint grid; the
+L^2(0,T;V) differences are integrated with per-interval Gauss quadrature
+on the exact within-slab solutions of both trajectories.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,8 +16,9 @@ import numpy as np
 from .forms import Subdivision, gauss_panels
 from .propagator import ProblemData, Trajectory, oracle_solve, solve
 
-__all__ = ["RefinementStudy", "refine", "oracle_gap", "trajectory_l2v_diff",
-           "trajectory_suph_diff"]
+__all__ = ["RefinementStudy", "check_ladder", "solve_ladder", "refine",
+           "oracle_reference", "oracle_suph_gap", "oracle_gap",
+           "trajectory_l2v_diff", "trajectory_suph_diff"]
 
 
 @dataclass
@@ -34,14 +37,34 @@ class RefinementStudy:
             raise ValueError("refinement differences must be nonnegative")
 
 
-def _check_nested(slab_counts) -> list[int]:
+def check_ladder(slab_counts, min_points: int = 2) -> list[int]:
+    """Validated ladder: positive counts, each strictly dividing the next."""
     counts = [int(n) for n in slab_counts]
-    if len(counts) < 2:
-        raise ValueError("need at least two ladder points")
+    if len(counts) < min_points:
+        raise ValueError(f"need at least {min_points} ladder points, got {counts}")
+    if any(n < 1 for n in counts):
+        raise ValueError(f"ladder counts must be positive, got {counts}")
     for a, b in zip(counts[:-1], counts[1:]):
         if b <= a or b % a != 0:
             raise ValueError(f"ladder counts must be nested: {a} does not divide {b}")
     return counts
+
+
+def solve_ladder(problem: ProblemData, slab_counts,
+                 threads: int = 1) -> list[Trajectory]:
+    """Solve once per ladder point, on uniform slabs, output at its breakpoints.
+
+    Ladder points are independent pure solves; with threads > 1 they are
+    mapped onto a thread pool and collected in ladder order, so the result
+    does not depend on execution order.
+    """
+    def one(n: int) -> Trajectory:
+        return solve(problem, Subdivision.uniform(problem.horizon, n))
+
+    if threads == 1:
+        return [one(n) for n in slab_counts]
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(one, slab_counts))
 
 
 def trajectory_l2v_diff(t1: Trajectory, t2: Trajectory, grid: np.ndarray) -> float:
@@ -72,25 +95,16 @@ def _fit_rate(meshes: np.ndarray, diffs: np.ndarray) -> float:
     return float(slope)
 
 
-def refine(problem: ProblemData, slab_counts, executor=None) -> RefinementStudy:
-    """Solve on a nested dyadic ladder and tabulate successive differences.
+def refine(trajectories: list[Trajectory]) -> RefinementStudy:
+    """Tabulate successive differences along a ladder from `solve_ladder`.
 
-    Ladder points are independent pure solves; an optional executor maps
-    them concurrently, with reduction after collection so the tables do
-    not depend on execution order.
+    Differences are taken on the finest trajectory's breakpoints, where
+    every coarser trajectory is evaluated exactly.
     """
-    counts = _check_nested(slab_counts)
-    horizon = problem.horizon
-    fine = Subdivision.uniform(horizon, counts[-1])
-    common = fine.points
-
-    def one(n: int) -> Trajectory:
-        return solve(problem, Subdivision.uniform(horizon, n), output_grid=common)
-
-    if executor is None:
-        trajectories = [one(n) for n in counts]
-    else:
-        trajectories = list(executor.map(one, counts))
+    finest = trajectories[-1].step_form.subdivision
+    counts = check_ladder(t.step_form.subdivision.n_slabs for t in trajectories)
+    horizon = finest.horizon
+    common = finest.points
 
     diffs_l2v, diffs_suph = [], []
     for coarse, finer in zip(trajectories[:-1], trajectories[1:]):
@@ -102,21 +116,26 @@ def refine(problem: ProblemData, slab_counts, executor=None) -> RefinementStudy:
                            np.array(diffs_suph), rate, trajectories)
 
 
-def oracle_gap(problem: ProblemData, subdivision: Subdivision, n_steps: int,
-               relative: bool = False) -> float:
-    """sup-H gap between the exponential scheme and the implicit-Euler oracle.
-
-    The comparison grid is the oracle's own step times (subsampled to at
-    most ~1000 points); the scheme is evaluated there exactly.
-    """
+def oracle_reference(problem: ProblemData, n_steps: int) -> Trajectory:
+    """Implicit-Euler oracle kept at its own step times, at most ~1000 of them."""
     stride = max(1, n_steps // 1000)
     grid = np.arange(0, n_steps + 1, stride) * (problem.horizon / n_steps)
-    oracle = oracle_solve(problem, n_steps, output_grid=grid)
-    traj = solve(problem, subdivision)
-    space = problem.family.space
-    diff = traj.evaluate_many(oracle.grid) - oracle.states
-    gap = float(np.max(space.h_norms(diff)))
+    return oracle_solve(problem, n_steps, output_grid=grid)
+
+
+def oracle_suph_gap(traj: Trajectory, oracle: Trajectory) -> float:
+    """sup-H gap to the oracle on its grid; the scheme is evaluated there exactly."""
+    space = traj.step_form.space
+    return float(np.max(space.h_norms(traj.evaluate_many(oracle.grid)
+                                      - oracle.states)))
+
+
+def oracle_gap(problem: ProblemData, subdivision: Subdivision, n_steps: int,
+               relative: bool = False) -> float:
+    """sup-H gap between the exponential scheme and the implicit-Euler oracle."""
+    oracle = oracle_reference(problem, n_steps)
+    gap = oracle_suph_gap(solve(problem, subdivision), oracle)
     if relative:
-        scale = float(np.max(space.h_norms(oracle.states)))
+        scale = float(np.max(problem.family.space.h_norms(oracle.states)))
         return gap / scale if scale > 0 else gap
     return gap

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import FormFamily, StepForm, coercivity_lower_bound
+from .forms import FormFamily, coercivity_lower_bound
 from .propagator import ProblemData, Trajectory
 
 __all__ = [
@@ -206,9 +206,12 @@ def check_criterion_symmetric(family: FormFamily, cset: ConvexSet,
     return best
 
 
-def audit_trajectory(traj: Trajectory, cset: ConvexSet) -> float:
-    """Max distance of the computed states from the set, over the output grid."""
-    return max(cset.distance(traj.states[:, i]) for i in range(traj.grid.size))
+def audit_trajectory(traj: Trajectory, cset: ConvexSet) -> tuple[float, float]:
+    """Max distance of the computed states from the set over the output grid,
+    and the first output time that attains it."""
+    dists = [cset.distance(traj.states[:, i]) for i in range(traj.grid.size)]
+    k = int(np.argmax(dists))
+    return dists[k], float(traj.grid[k])
 
 
 def offdiagonal_sign_certificate(a: np.ndarray, tol: float = 0.0) -> bool:
@@ -220,24 +223,3 @@ def offdiagonal_sign_certificate(a: np.ndarray, tol: float = 0.0) -> bool:
     """
     off = a - np.diag(np.diag(a))
     return bool(np.all(off <= tol))
-
-
-def check_step_criterion(step_form: StepForm, family: FormFamily, cset: ConvexSet,
-                         n_vectors: int = 1000, seed: int = 0) -> float:
-    """Sampling-soundness margin: slab-averaged criterion vs within-slab minimum.
-
-    For each slab, the criterion margin of the averaged matrix must not
-    fall below the minimum over sampled times inside the slab.
-    """
-    dim = family.space.dim
-    rng = np.random.default_rng(seed)
-    vs = sample_pool(rng, cset, n_vectors, dim)
-    pvs = cset.project_many(vs)
-    worst = np.inf
-    pts = step_form.subdivision.points
-    for k, a_k in enumerate(step_form.slabs):
-        avg_margin = float(np.min(_margins(a_k, vs, pvs)))
-        inner = min(float(np.min(_margins(family.matrix(t), vs, pvs)))
-                    for t in np.linspace(pts[k], pts[k + 1], 5))
-        worst = min(worst, avg_margin - inner)
-    return float(worst)

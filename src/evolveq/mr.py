@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormConstants, StepForm, gauss_panels
+from .forms import FormConstants, StepForm, Subdivision, gauss_panels
 from .propagator import ProblemData, SlabSolution, Trajectory
 
 __all__ = [
@@ -78,10 +78,15 @@ def _bilinear_exp_integral(mu, c, p, nu, d, q, gram, ta, tb) -> float:
 
 
 class _SlabCalc:
-    """Closed-form (or quadrature) time integrals on one slab."""
+    """Closed-form (or quadrature) time integrals on one slab.
+
+    Modal Grams W^T G W are cached here, so they live only as long as the
+    audit that builds the calculator, not as long as the trajectory.
+    """
 
     def __init__(self, slab: SlabSolution):
         self.slab = slab
+        self._modal_grams: dict[str, np.ndarray] = {}
         prop = slab.propagator
         self.spectral = prop.spectral and np.all(prop.rates > _MIN_RATE)
         if self.spectral:
@@ -93,6 +98,12 @@ class _SlabCalc:
             self.dc = -self.mu * self.c
             self.zero = np.zeros_like(self.mu)
 
+    def _modal_gram(self, key: str, gram: np.ndarray) -> np.ndarray:
+        if key not in self._modal_grams:
+            w = self.slab.propagator.modes
+            self._modal_grams[key] = w.T @ gram @ w
+        return self._modal_grams[key]
+
     def _quad(self, integrand, ta: float, tb: float) -> float:
         nodes, weights = gauss_panels(ta, tb, points=4, panels=8)
         return float(sum(w * integrand(self.slab.t0 + t) for t, w in zip(nodes, weights)))
@@ -101,7 +112,7 @@ class _SlabCalc:
                   deriv: bool = False) -> float:
         """Integral of u^T G u (or du^T G du) over relative times [ta, tb]."""
         if self.spectral:
-            gt = self.slab.gram_in_modes(key, gram)
+            gt = self._modal_gram(key, gram)
             if deriv:
                 return _bilinear_exp_integral(self.mu, self.dc, self.zero,
                                               self.mu, self.dc, self.zero, gt, ta, tb)
@@ -116,7 +127,7 @@ class _SlabCalc:
     def h_cross(self, gram_H: np.ndarray, ta: float, tb: float) -> float:
         """Integral of (du | u)_H over relative times [ta, tb]."""
         if self.spectral:
-            gt = self.slab.gram_in_modes("H", gram_H)
+            gt = self._modal_gram("H", gram_H)
             return _bilinear_exp_integral(self.mu, self.dc, self.zero,
                                           self.mu, self.c, self.p, gt, ta, tb)
         return self._quad(lambda t: self.slab.derivative(t) @ gram_H
@@ -258,14 +269,21 @@ def check_lemma3(traj: Trajectory, problem: ProblemData, alpha: float) -> float:
         pair = space.gram_H @ slab.fbar
         load_density.append(float(pair @ space.dual_gram @ pair))
 
-    sub = traj.step_form.subdivision
+    # Running sums over whole slabs, accumulated slab by slab so that each
+    # entry equals the sum a time-by-time loop would form.
+    lhs_before, load_before = [0.0], [0.0]
+    for calc, slab, density in zip(calcs, slabs, load_density):
+        lhs_before.append(lhs_before[-1]
+                          + calc.quadratic("V", space.gram_V, 0.0, slab.length))
+        load_before.append(load_before[-1] + density * slab.length)
+
+    ends = np.array([slab.t1 for slab in slabs])
     margin = np.inf
     for t in traj.grid:
-        lhs = rhs_load = 0.0
-        for k, slab in enumerate(slabs):
-            if t <= slab.t0:
-                break
-            tb = min(t, slab.t1) - slab.t0
+        k = int(np.searchsorted(ends, t, side="right"))   # slabs ending by t
+        lhs, rhs_load = lhs_before[k], load_before[k]
+        if k < len(slabs) and t > slabs[k].t0:
+            tb = t - slabs[k].t0
             lhs += calcs[k].quadratic("V", space.gram_V, 0.0, tb)
             rhs_load += load_density[k] * tb
         margin = min(margin, c2 * (rhs_load + u0_sq) - lhs)
@@ -286,15 +304,17 @@ def _load_l2h(problem: ProblemData, sub) -> float:
     return float(np.sqrt(max(total, 0.0)))
 
 
-def check_H_estimate(traj: Trajectory, problem: ProblemData,
-                     constants: FormConstants | None = None) -> float:
-    """MR(V,H)-to-data ratio ||u||_MR(V,H) / (||u0||_V + ||f||_{L^2(H)})."""
-    _require_metadata(traj)
+def check_H_estimate(report: MRReport, problem: ProblemData,
+                     subdivision: Subdivision) -> float:
+    """MR(V,H)-to-data ratio ||u||_MR(V,H) / (||u0||_V + ||f||_{L^2(H)}).
+
+    `report` holds the norms of the trajectory solved on `subdivision`.
+    """
     space = problem.family.space
-    denom = space.v_norm(problem.u0) + _load_l2h(problem, traj.step_form.subdivision)
+    denom = space.v_norm(problem.u0) + _load_l2h(problem, subdivision)
     if denom < 1e-300:
         return 0.0
-    return mr_norms(traj).mr_vh / denom
+    return report.mr_vh / denom
 
 
 def check_form_telescoping(traj: Trajectory, step_form: StepForm | None = None,

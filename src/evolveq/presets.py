@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import fem
-from .forms import FormConstants, FormFamily, estimate_constants
+from .forms import FormConstants, FormFamily
 from .invariance import ConvexSet
 from .propagator import ProblemData
 from .spaces import DualVector, GalerkinSpace
@@ -166,18 +166,19 @@ def preset_descriptions() -> list[tuple[str, str]]:
             for name in _BUILDERS]
 
 
-def resolved_constants(preset: PresetProblem) -> FormConstants:
-    """Declared analytic constants, with missing entries certified on samples."""
-    declared = preset.constants
+def resolved_constants(declared: FormConstants, sampled: FormConstants) -> FormConstants:
+    """Declared analytic constants, with missing entries taken from a sample.
+
+    `sampled` is `estimate_constants` of the family being solved.
+    """
     if None not in (declared.bound, declared.coercivity, declared.lipschitz):
         return declared
-    est = estimate_constants(preset.problem.family, shift=declared.shift)
-    return replace(est,
-                   bound=declared.bound if declared.bound is not None else est.bound,
+    return replace(sampled,
+                   bound=declared.bound if declared.bound is not None else sampled.bound,
                    coercivity=declared.coercivity if declared.coercivity is not None
-                   else est.coercivity,
+                   else sampled.coercivity,
                    lipschitz=declared.lipschitz if declared.lipschitz is not None
-                   else est.lipschitz,
+                   else sampled.lipschitz,
                    certified_on_samples=declared.bound is None
                    or declared.coercivity is None)
 
@@ -187,8 +188,7 @@ def convex_set_for(preset: PresetProblem, kind: str = "box",
     """Default audit set for a preset; boxes default to the nonnegativity cone."""
     space = preset.problem.family.space
     if metric == "lumped":
-        gram = np.diag(np.diag(space.gram_H)) if not _is_diagonal(space.gram_H) \
-            else space.gram_H
+        gram = np.diag(np.diag(space.gram_H))
     elif metric == "consistent":
         gram = space.gram_H
     else:
@@ -202,7 +202,3 @@ def convex_set_for(preset: PresetProblem, kind: str = "box",
         center = params.get("center", np.zeros(space.dim))
         return ConvexSet.ball(gram, center, params["radius"])
     raise KeyError(f"unknown convex-set kind {kind!r}")
-
-
-def _is_diagonal(mat: np.ndarray) -> bool:
-    return bool(np.count_nonzero(mat - np.diag(np.diag(mat))) == 0)

@@ -1,4 +1,4 @@
-"""One-slab exponential steps, their ordered products, and the full solver.
+"""One-slab exponential steps, the full solver, and the implicit-Euler oracle.
 
 Each slab carries an autonomous problem with the averaged operator and a
 slab-averaged load; the step is the exact variation-of-constants formula
@@ -6,7 +6,7 @@ exp(-h B) u + h phi1(-h B) fbar with B = gram_H^{-1} A.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,8 +21,6 @@ __all__ = [
     "SlabSolution",
     "Trajectory",
     "ProblemData",
-    "slab_step",
-    "product",
     "solve",
     "oracle_solve",
     "phi1",
@@ -54,7 +52,6 @@ class SlabPropagator:
     rates: np.ndarray | None = None
     modes: np.ndarray | None = None
     generator: np.ndarray | None = None   # dense B for the non-spectral path
-    _cond: float | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, space: GalerkinSpace, matrix: np.ndarray, length: float,
@@ -76,32 +73,7 @@ class SlabPropagator:
     def from_modes(self, y: np.ndarray) -> np.ndarray:
         return self.modes @ y
 
-    @property
-    def conditioning(self) -> float:
-        """Similarity conditioning of the factorization (1 for spectral)."""
-        if self._cond is None:
-            if self.spectral:
-                self._cond = 1.0
-            else:
-                self._cond = float(np.linalg.cond(
-                    np.linalg.eig(self.generator)[1]))
-        return self._cond
-
     # -- actions --------------------------------------------------------
-    def exp_apply(self, h: float, u: np.ndarray) -> np.ndarray:
-        if self.spectral:
-            return self.from_modes(np.exp(-h * self.rates) * self.to_modes(u))
-        return self.exp_matrix(h) @ u
-
-    def exp_matrix(self, h: float) -> np.ndarray:
-        if self.spectral:
-            return self.modes @ (np.exp(-h * self.rates)[:, None]
-                                 * (self.modes.T @ self.space.gram_H))
-        mat = sla.expm(-h * self.generator)
-        if not np.all(np.isfinite(mat)):
-            raise FloatingPointError("matrix exponential overflowed")
-        return mat
-
     def step(self, h: float, u: np.ndarray, fbar: np.ndarray) -> np.ndarray:
         """Variation of constants over duration h with constant load fbar."""
         if h < 0 or h > self.length * (1 + 1e-12):
@@ -126,12 +98,6 @@ class SlabPropagator:
         return self.generator @ u
 
 
-def slab_step(propagator: SlabPropagator, u_in: np.ndarray, fbar: np.ndarray,
-              h: float) -> np.ndarray:
-    return propagator.step(h, np.asarray(u_in, dtype=float),
-                           np.asarray(fbar, dtype=float))
-
-
 @dataclass
 class SlabSolution:
     """Exact autonomous solution on one slab, for dense output and quadrature."""
@@ -141,7 +107,6 @@ class SlabSolution:
     propagator: SlabPropagator
     u_start: np.ndarray
     fbar: np.ndarray              # slab-averaged load, H-coordinates
-    _mode_grams: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def length(self) -> float:
@@ -170,13 +135,6 @@ class SlabSolution:
     def derivative(self, t: float) -> np.ndarray:
         u = self.state(t)
         return self.fbar - self.propagator.apply_generator(u)
-
-    def gram_in_modes(self, key: str, gram: np.ndarray) -> np.ndarray:
-        """Cache W^T G W for the slab's mode basis."""
-        if key not in self._mode_grams:
-            w = self.propagator.modes
-            self._mode_grams[key] = w.T @ gram @ w
-        return self._mode_grams[key]
 
 
 @dataclass
@@ -263,29 +221,6 @@ def _averaged_load(problem: ProblemData, t0: float, t1: float) -> np.ndarray:
     for t, w in zip(nodes, weights):
         acc += w * problem.load_pairings(t)
     return problem.family.space.solve_H(acc / (t1 - t0))
-
-
-def product(step_form: StepForm, a: float, b: float) -> np.ndarray:
-    """Ordered composition of slab exponentials between times a and b."""
-    if a > b:
-        raise ValueError("product requires a <= b")
-    sub = step_form.subdivision
-    if a < 0 or b > sub.horizon:
-        raise ValueError("interval outside [0, T]")
-    result = np.eye(step_form.space.dim)
-    if a == b:
-        return result
-    k = sub.slab_index(a)
-    t = a
-    while t < b:
-        t_next = min(sub.points[k + 1], b)
-        prop = SlabPropagator.build(step_form.space, step_form.slabs[k],
-                                    sub.points[k + 1] - sub.points[k],
-                                    step_form.symmetric)
-        result = prop.exp_matrix(t_next - t) @ result
-        t = t_next
-        k += 1
-    return result
 
 
 def solve(problem: ProblemData, subdivision: Subdivision,

@@ -16,7 +16,6 @@ __all__ = [
     "GalerkinSpace",
     "DualVector",
     "dual_norm",
-    "embedding_constant",
     "h_representation",
 ]
 
@@ -134,10 +133,6 @@ def dual_norm(space: GalerkinSpace, g) -> float:
     coeffs = g.coeffs if isinstance(g, DualVector) else np.asarray(g, dtype=float)
     val = float(coeffs @ space.solve_V(coeffs))
     return float(np.sqrt(max(val, 0.0)))
-
-
-def embedding_constant(space: GalerkinSpace) -> float:
-    return space.embedding_constant
 
 
 def h_representation(space: GalerkinSpace, u) -> DualVector:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from evolveq.convergence import refine
-from evolveq.forms import Subdivision
+from evolveq.convergence import refine, solve_ladder
+from evolveq.forms import Subdivision, estimate_constants
 from evolveq.presets import get_preset, resolved_constants
 from evolveq.propagator import solve
 
@@ -14,7 +14,8 @@ def heat_preset():
 
 @pytest.fixture(scope="session")
 def heat_constants(heat_preset):
-    return resolved_constants(heat_preset)
+    return resolved_constants(heat_preset.constants,
+                              estimate_constants(heat_preset.problem.family))
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +32,7 @@ def heat_traj_64(heat_preset):
 @pytest.fixture(scope="session")
 def heat_study(heat_preset):
     """Dyadic ladder 8 -> 512 with the forcing load; shared by several audits."""
-    return refine(heat_preset.problem, [8, 16, 32, 64, 128, 256, 512])
+    return refine(solve_ladder(heat_preset.problem, [8, 16, 32, 64, 128, 256, 512]))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from evolveq.cli import (ConfigError, ExperimentConfig, build_parser,
                          list_presets, main, run, write_csv)
+from evolveq.forms import estimate_constants
+from evolveq.propagator import SlabPropagator
 
 SCALAR_CFG = """\
 [experiment]
@@ -15,6 +18,14 @@ oracle_steps = 400
 
 [load]
 name = none
+"""
+
+HEAT_CFG = """\
+[experiment]
+preset = heat-1d-lipschitz
+n_cells = 4
+slab_counts = 2 4
+oracle_steps = 100
 """
 
 BROKEN_CFG = """\
@@ -37,6 +48,23 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def count_calls(funcs, thunk):
+    """Run thunk; count calls into each function's code, whatever name it is called by."""
+    codes = {f.__code__: f.__qualname__ for f in funcs}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def hook(frame, event, _arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        result = thunk()
+    finally:
+        sys.setprofile(None)
+    return result, counts
 
 
 class TestConfig:
@@ -141,6 +169,28 @@ class TestMain:
         monkeypatch.setenv("EVOLVEQ_OUT", str(out))
         assert main(["solve", "--config", str(path)]) == 0
         assert (out / "mr.csv").exists()
+
+    @pytest.mark.parametrize("command", ["converge", "all"])
+    def test_one_point_ladder_is_usage_error(self, tmp_path, capsys, command):
+        path = write_cfg(tmp_path, SCALAR_CFG.replace("4 8 16", "8"))
+        out = tmp_path / "results"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("text", [SCALAR_CFG, HEAT_CFG])
+    def test_all_does_each_piece_of_work_once(self, tmp_path, capsys, text):
+        path = write_cfg(tmp_path, text)
+        config = ExperimentConfig.from_file(path)
+        status, counts = count_calls(
+            [SlabPropagator.build.__func__, estimate_constants],
+            lambda: main(["all", "--config", str(path), "--out", str(tmp_path / "o")]))
+        assert status == 0
+        # one solve per ladder point, shared by solve, converge and invariance
+        assert counts["SlabPropagator.build"] == sum(config.slab_counts)
+        assert counts["estimate_constants"] == 1
 
     def test_seed_override(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BROKEN_CFG)

@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from evolveq.convergence import (oracle_gap, refine, trajectory_l2v_diff,
-                                 trajectory_suph_diff)
+from evolveq.convergence import (check_ladder, oracle_gap, refine, solve_ladder,
+                                 trajectory_l2v_diff, trajectory_suph_diff)
 from evolveq.forms import Subdivision
 from evolveq.presets import get_preset
 from evolveq.propagator import solve
 
 
 class TestLadderValidation:
-    def test_non_nested_rejected(self, heat_preset):
-        with pytest.raises(ValueError):
-            refine(heat_preset.problem, [8, 12])
-        with pytest.raises(ValueError):
-            refine(heat_preset.problem, [16, 8])
-        with pytest.raises(ValueError):
-            refine(heat_preset.problem, [8])
+    def test_non_nested_rejected(self):
+        for bad in ([8, 12], [16, 8], [8], [0, 8]):
+            with pytest.raises(ValueError):
+                check_ladder(bad)
+        assert check_ladder([8], min_points=1) == [8]
 
 
 class TestDifferences:
@@ -47,24 +45,23 @@ class TestDifferences:
 class TestRefine:
     def test_scalar_sin_ladder(self):
         preset = get_preset("scalar-sin", load="none")
-        study = refine(preset.problem, [8, 16, 32, 64, 128])
+        study = refine(solve_ladder(preset.problem, [8, 16, 32, 64, 128]))
         assert np.all(np.diff(study.diffs_l2V) < 0)
         assert study.rate >= 0.9
         assert len(study.trajectories) == 5
-        # all trajectories share the finest output grid
+        # each ladder point is output on its own breakpoints
         for traj in study.trajectories:
-            np.testing.assert_array_equal(traj.grid, study.trajectories[-1].grid)
+            np.testing.assert_array_equal(traj.grid,
+                                          traj.step_form.subdivision.points)
 
     def test_autonomous_collapse_small(self):
         preset = get_preset("constant-heat", n_cells=16, load="none")
-        study = refine(preset.problem, [4, 8, 16])
+        study = refine(solve_ladder(preset.problem, [4, 8, 16]))
         assert np.all(study.diffs_l2V <= 1e-11)
 
     def test_executor_matches_serial(self, heat_preset):
-        from concurrent.futures import ThreadPoolExecutor
-        serial = refine(heat_preset.problem, [8, 16, 32])
-        with ThreadPoolExecutor(3) as pool:
-            threaded = refine(heat_preset.problem, [8, 16, 32], executor=pool)
+        serial = refine(solve_ladder(heat_preset.problem, [8, 16, 32]))
+        threaded = refine(solve_ladder(heat_preset.problem, [8, 16, 32], threads=3))
         np.testing.assert_array_equal(serial.diffs_l2V, threaded.diffs_l2V)
         np.testing.assert_array_equal(serial.diffs_supH, threaded.diffs_supH)
 

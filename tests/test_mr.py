@@ -3,11 +3,11 @@ import pytest
 
 from evolveq.fem import heat_matrix, robin_space
 from evolveq.forms import FormConstants, FormFamily, Subdivision
-from evolveq.mr import (ContractError, MRReport, check_chain_rule,
+from evolveq.mr import (ContractError, MRReport, _SlabCalc, check_chain_rule,
                         check_form_telescoping, check_H_estimate, check_lemma3,
                         check_lemma_indepmax, check_product_rule, mr_norms)
-from evolveq.presets import resolved_constants
-from evolveq.propagator import ProblemData, oracle_solve, solve
+from evolveq.presets import get_preset
+from evolveq.propagator import ProblemData, Trajectory, oracle_solve, solve
 from evolveq.spaces import GalerkinSpace
 
 # dim 1, p = 1, u0 = 1, f = 0 on [0, 1]: closed forms
@@ -102,6 +102,34 @@ class TestEstimates:
         margin = check_lemma3(traj, problem, alpha=1.0)
         assert margin == pytest.approx(1.0 - SCALAR_ENERGY_SQ, abs=1e-12)
 
+    def test_lemma3_off_breakpoint_times_match_brute_force(self):
+        # output times inside slabs take the partial-slab branch, which the
+        # CLI (output on breakpoints) never reaches
+        problem = get_preset("heat-1d-lipschitz", n_cells=8).problem
+        grid = np.linspace(0.0, 1.0, 23)
+        traj = solve(problem, Subdivision.uniform(1.0, 8), output_grid=grid)
+        space = problem.family.space
+
+        def brute_force(t):
+            lhs = load = 0.0
+            for slab in traj.slabs:
+                if t <= slab.t0:
+                    break
+                tb = min(t, slab.t1) - slab.t0
+                lhs += _SlabCalc(slab).quadratic("V", space.gram_V, 0.0, tb)
+                pair = space.gram_H @ slab.fbar
+                load += float(pair @ space.dual_gram @ pair) * tb
+            return 4.0 * (load + space.h_norm(problem.u0) ** 2) - lhs
+
+        alpha = 0.5     # c2 = max(1/alpha^2, 1/alpha) = 4
+        for t in grid:
+            one_time = Trajectory(np.array([t]), traj.evaluate_many(np.array([t])),
+                                  slabs=traj.slabs, step_form=traj.step_form)
+            assert check_lemma3(one_time, problem, alpha) == pytest.approx(
+                brute_force(t), rel=1e-13)
+        assert check_lemma3(traj, problem, alpha) == pytest.approx(
+            min(brute_force(t) for t in grid), rel=1e-13)
+
     def test_lemma3_requires_coercivity(self, decay_traj):
         problem, traj = decay_traj
         with pytest.raises(ContractError):
@@ -132,14 +160,16 @@ class TestEstimates:
 
     def test_h_estimate_scalar(self, decay_traj):
         problem, traj = decay_traj
-        assert check_H_estimate(traj, problem) == pytest.approx(
+        assert check_H_estimate(mr_norms(traj), problem,
+                                traj.step_form.subdivision) == pytest.approx(
             np.sqrt(2.0 * SCALAR_ENERGY_SQ), abs=1e-12)
 
     def test_h_estimate_zero_data(self, decay_traj):
         problem, traj = decay_traj
         zero = ProblemData(problem.family, np.array([0.0]))
         ztraj = solve(zero, Subdivision.uniform(1.0, 4))
-        assert check_H_estimate(ztraj, zero) == 0.0
+        assert check_H_estimate(mr_norms(ztraj), zero,
+                                ztraj.step_form.subdivision) == 0.0
 
 
 class TestTelescoping:

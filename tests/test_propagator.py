@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from evolveq.fem import heat_matrix, robin_space
-from evolveq.forms import FormFamily, Subdivision, build_step_form
+from evolveq.forms import FormFamily, Subdivision
 from evolveq.presets import get_preset
 from evolveq.propagator import (ProblemData, SlabPropagator, Trajectory,
-                                oracle_solve, phi1, product, slab_step, solve)
+                                oracle_solve, phi1, solve)
 from evolveq.spaces import DualVector, GalerkinSpace
 
 
@@ -36,7 +35,7 @@ class TestSlabStep:
         prop = SlabPropagator.build(space, np.array([[2.0]]), 0.5, symmetric=True)
         h, u0, f = 0.5, 1.3, 0.7
         expected = np.exp(-2.0 * h) * u0 + h * phi1(np.array([-2.0 * h]))[0] * f
-        got = slab_step(prop, [u0], [f], h)
+        got = prop.step(h, np.array([u0]), np.array([f]))
         assert got[0] == pytest.approx(expected, rel=1e-14)
 
     def test_spectral_and_pade_paths_agree(self, rng):
@@ -49,7 +48,8 @@ class TestSlabStep:
         assert spec.spectral and not pade.spectral
         np.testing.assert_allclose(spec.step(0.25, u, f), pade.step(0.25, u, f),
                                    rtol=1e-11, atol=1e-12)
-        np.testing.assert_allclose(spec.exp_matrix(0.1), pade.exp_matrix(0.1),
+        zero = np.zeros(space.dim)
+        np.testing.assert_allclose(spec.step(0.1, u, zero), pade.step(0.1, u, zero),
                                    rtol=1e-11, atol=1e-12)
 
     def test_step_duration_validated(self):
@@ -65,37 +65,6 @@ class TestSlabStep:
         u = np.sin(np.pi * space.labels)
         np.testing.assert_allclose(prop.apply_generator(u), space.solve_H(a @ u),
                                    rtol=1e-10, atol=1e-12)
-
-
-class TestProduct:
-    def test_empty_interval_is_identity(self):
-        problem = scalar_problem(lambda t: 1.0, 1.0)
-        sf = build_step_form(problem.family, Subdivision.uniform(1.0, 4))
-        np.testing.assert_array_equal(product(sf, 0.5, 0.5), np.eye(1))
-
-    def test_composition_across_breakpoint(self):
-        problem = scalar_problem(lambda t: 1.0 + t, 1.0)
-        sf = build_step_form(problem.family, Subdivision.uniform(1.0, 4))
-        whole = product(sf, 0.0, 1.0)
-        split = product(sf, 0.6, 1.0) @ product(sf, 0.0, 0.6)
-        np.testing.assert_allclose(whole, split, rtol=1e-13)
-
-    def test_autonomous_matches_expm(self, rng):
-        space = robin_space(10)
-        a = heat_matrix(10, 0.0, wobble=0.0)
-        family = FormFamily(space, lambda t: a, 1.0, symmetric=True)
-        sf = build_step_form(family, Subdivision.uniform(1.0, 7))
-        direct = sla.expm(-1.0 * space.solve_H(a))
-        np.testing.assert_allclose(product(sf, 0.0, 1.0), direct,
-                                   rtol=1e-10, atol=1e-12)
-
-    def test_interval_validated(self):
-        problem = scalar_problem(lambda t: 1.0, 1.0)
-        sf = build_step_form(problem.family, Subdivision.uniform(1.0, 2))
-        with pytest.raises(ValueError):
-            product(sf, 0.5, 0.2)
-        with pytest.raises(ValueError):
-            product(sf, 0.0, 2.0)
 
 
 class TestSolve:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from evolveq.fem import dirichlet_space
 from evolveq.spaces import (DualVector, GalerkinSpace, StructureError,
-                            dual_norm, embedding_constant, h_representation)
+                            dual_norm, h_representation)
 
 # frozen by an independent dense solve of gram_V (see test below)
 HAT_SUM_DUAL_NORM = 0.27509006975737504
@@ -37,10 +37,10 @@ class TestDualNorm:
 class TestEmbeddingConstant:
     def test_identical_norms(self):
         g = np.array([[2.0, 0.3], [0.3, 1.0]])
-        assert embedding_constant(GalerkinSpace(g, g)) == pytest.approx(1.0, abs=1e-12)
+        assert GalerkinSpace(g, g).embedding_constant == pytest.approx(1.0, abs=1e-12)
 
     def test_scalar_ratio(self):
-        assert embedding_constant(scalar_space(1.0, 4.0)) == pytest.approx(0.5)
+        assert scalar_space(1.0, 4.0).embedding_constant == pytest.approx(0.5)
 
     def test_dirichlet_poincare_limit(self):
         space = dirichlet_space(64)

@@ -8,7 +8,7 @@ from .forms import (FormConstants, FormFamily, StepForm, Subdivision,
                     estimate_constants, rescale)
 from .propagator import ProblemData, SlabPropagator, Trajectory, oracle_solve, solve
 from .mr import (MRReport, check_chain_rule, check_H_estimate, check_lemma3,
-                 check_lemma_indepmax, check_product_rule, mr_norms)
+                 check_lemma_indepmax, check_product_rule, load_l2h, mr_norms)
 from .convergence import RefinementStudy, oracle_gap, refine, solve_ladder
 from .invariance import (ConvexSet, audit_trajectory, check_criterion,
                          check_criterion_symmetric)

@@ -1,6 +1,7 @@
 """Experiment CLI: configuration ingestion, pipelines, and CSV reports.
 
-Exit codes: 0 success, 1 usage/config error, 2 tolerance or invariant failure.
+Exit codes: 0 success, 1 usage/config error, 2 numerical, tolerance or
+invariant failure.
 """
 from __future__ import annotations
 
@@ -16,10 +17,12 @@ import numpy as np
 from . import convergence as conv
 from . import invariance as inv
 from . import mr
-from .forms import FormConstants, certify_shift, estimate_constants, rescale
+from .forms import (EvaluationError, FormConstants, certify_shift,
+                    estimate_constants, rescale)
 from .presets import (PresetProblem, convex_set_for, get_preset,
                       preset_descriptions, resolved_constants)
 from .propagator import ProblemData, Trajectory
+from .spaces import StructureError
 
 __all__ = ["ExperimentConfig", "main", "run"]
 
@@ -59,8 +62,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: Path) -> "ExperimentConfig":
         parser = configparser.ConfigParser()
-        if not parser.read(path):
-            raise ConfigError(f"cannot read config file {path}")
+        try:
+            if not parser.read(path):
+                raise ConfigError(f"cannot read config file {path}")
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         for section, allowed in (("experiment", _EXPERIMENT_KEYS),
                                  ("load", _LOAD_KEYS), ("convex_set", _SET_KEYS)):
             if parser.has_section(section):
@@ -104,6 +110,12 @@ class ExperimentConfig:
             _check_ladder(self.slab_counts, min_points=1)
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.horizon is not None and not self.horizon > 0:
+            raise ConfigError("horizon must be > 0")
+        if self.n_cells is not None and self.n_cells < 1:
+            raise ConfigError("n_cells must be >= 1")
+        if self.oracle_steps < 1:
+            raise ConfigError("oracle_steps must be >= 1")
 
 
 def _check_ladder(slab_counts, min_points: int) -> None:
@@ -181,24 +193,22 @@ def _run_solve(prep: _Prepared, ladder: list[Trajectory], out: Path,
     space = problem.family.space
     status = 0
     rows = []
+    load_norm = mr.load_l2h(problem, ladder[-1].step_form.subdivision)
     for n, traj in zip(prep.slab_counts, ladder):
-        sub = traj.step_form.subdivision
         report = mr.mr_norms(traj)
         res_chain = mr.check_chain_rule(traj)
-        res_prod = (mr.check_product_rule(traj)
-                    if problem.family.symmetric else float("nan"))
+        res_prod = mr.check_product_rule(traj)
         margin3 = mr.check_lemma3(traj, problem, constants.coercivity)
-        margin_sup = (mr.check_lemma_indepmax(traj, constants=constants)
-                      if problem.family.symmetric else float("nan"))
-        ratio = mr.check_H_estimate(report, problem, sub)
-        rows.append([n, sub.mesh, report.l2V, report.h1H, report.h1Vp, report.supV,
-                     report.mr_vvp, report.mr_vh, res_chain, res_prod,
-                     margin3, margin_sup, ratio])
-        if res_chain > CHAIN_TOL or (np.isfinite(res_prod) and res_prod > PRODUCT_TOL):
+        margin_sup = mr.check_lemma_indepmax(traj, constants=constants)
+        ratio = mr.check_H_estimate(report, problem, load_norm)
+        rows.append([n, traj.step_form.subdivision.mesh, report.l2V, report.h1H,
+                     report.h1Vp, report.supV, report.mr_vvp, report.mr_vh,
+                     res_chain, res_prod, margin3, margin_sup, ratio])
+        if res_chain > CHAIN_TOL or res_prod > PRODUCT_TOL:
             lines.append(f"FAIL identity residual at n={n}: chain={res_chain:.3e} "
                          f"product={res_prod:.3e}")
             status = 2
-        if margin3 < 0 or (np.isfinite(margin_sup) and margin_sup < -MARGIN_TOL):
+        if margin3 < 0 or margin_sup < -MARGIN_TOL:
             lines.append(f"FAIL estimate margin at n={n}: lem3={margin3:.3e} "
                          f"sup={margin_sup:.3e}")
             status = 2
@@ -240,14 +250,11 @@ def _run_invariance(prep: _Prepared, ladder: list[Trajectory], out: Path,
                           metric=config.set_metric, **config.set_params)
     crit = inv.check_criterion(family, cset, n_vectors=10_000, seed=config.seed,
                                load=problem.load)
-    sym_margin = float("nan")
-    if family.symmetric:
-        try:
-            sym = inv.check_criterion_symmetric(family, cset, n_vectors=10_000,
-                                                seed=config.seed)
-            sym_margin = sym.margin
-        except ValueError:
-            pass
+    try:
+        sym_margin = inv.check_criterion_symmetric(family, cset, n_vectors=10_000,
+                                                   seed=config.seed).margin
+    except ValueError:      # not accretive
+        sym_margin = float("nan")
     worst = witness_t = 0.0
     for traj in ladder:
         violation, t = inv.audit_trajectory(traj, cset)
@@ -325,7 +332,7 @@ def main(argv=None) -> int:
         return 1
     try:
         config = ExperimentConfig.from_file(args.config)
-    except (ConfigError, KeyError) as exc:
+    except (KeyError, ValueError) as exc:    # ConfigError or a malformed number
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.seed is not None:
@@ -338,6 +345,10 @@ def main(argv=None) -> int:
     try:
         config.validate()
         return run(args.command, config)
+    except (StructureError, EvaluationError, mr.ContractError,
+            inv.ToleranceError, FloatingPointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

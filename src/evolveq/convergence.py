@@ -72,7 +72,7 @@ def trajectory_l2v_diff(t1: Trajectory, t2: Trajectory, grid: np.ndarray) -> flo
     space = t1.step_form.space
     total = 0.0
     for a, b in zip(grid[:-1], grid[1:]):
-        nodes, weights = gauss_panels(a, b, points=4, panels=1)
+        nodes, weights = gauss_panels(a, b, panels=1)
         d = t1.evaluate_many(nodes) - t2.evaluate_many(nodes)
         total += float(weights @ space.v_norms(d) ** 2)
     return float(np.sqrt(max(total, 0.0)))

@@ -69,7 +69,7 @@ def robin_space(n_cells: int) -> GalerkinSpace:
     """All-nodes space with lumped mass H-Gram and H^1-type V-Gram.
 
     Lumping the H-metric makes nodewise clamping the exact H-projection
-    onto box sets, and keeps the heat generator positivity-preserving.
+    onto box sets, and keeps the heat semigroup positivity-preserving.
     """
     gram_h = lumped_mass(n_cells)
     gram_v = stiffness(n_cells) + gram_h

@@ -31,18 +31,18 @@ __all__ = [
     "gauss_panels",
 ]
 
-GAUSS_POINTS = 4
 GAUSS_PANELS = 4
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
 class EvaluationError(ValueError):
     """A form evaluation produced non-finite entries or broke a declared flag."""
 
 
-def gauss_panels(a: float, b: float, points: int = GAUSS_POINTS,
+def gauss_panels(a: float, b: float,
                  panels: int = GAUSS_PANELS) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(points)
+    """Composite 4-point Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = _GAUSS_X, _GAUSS_W
     edges = np.linspace(a, b, panels + 1)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -1,9 +1,9 @@
 """Maximal-regularity norms and numerical audits of the a-priori estimates.
 
 Time integrals use the closed form of the within-slab solution in the
-slab's spectral basis whenever it is available: the integrands are sums
-of decaying exponentials, so the integrals are exact up to roundoff.
-Non-spectral slabs fall back to composite Gauss quadrature.
+slab's modal basis: the integrands are sums of decaying exponentials, so
+the integrals are exact up to roundoff.  A slab with a rate at or below
+_MIN_RATE has no such closed form and is refused with ContractError.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormConstants, StepForm, Subdivision, gauss_panels
+from .forms import FormConstants, Subdivision, gauss_panels
 from .propagator import ProblemData, SlabSolution, Trajectory
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "check_lemma3",
     "check_H_estimate",
     "check_form_telescoping",
+    "load_l2h",
 ]
 
 _MIN_RATE = 1e-12
@@ -78,25 +79,27 @@ def _bilinear_exp_integral(mu, c, p, nu, d, q, gram, ta, tb) -> float:
 
 
 class _SlabCalc:
-    """Closed-form (or quadrature) time integrals on one slab.
+    """Closed-form time integrals on one slab, in its modal coordinates.
 
-    Modal Grams W^T G W are cached here, so they live only as long as the
-    audit that builds the calculator, not as long as the trajectory.
+    In modes, u(tau) = W (c e^{-mu tau} + p) and u'(tau) = W (dc e^{-mu tau}).
+    The modes are gram_H-orthonormal, so the modal H-Gram is the identity;
+    other modal Grams W^T G W are cached here, so they live only as long
+    as the audit that builds the calculator, not as long as the trajectory.
     """
 
     def __init__(self, slab: SlabSolution):
         self.slab = slab
-        self._modal_grams: dict[str, np.ndarray] = {}
-        prop = slab.propagator
-        self.spectral = prop.spectral and np.all(prop.rates > _MIN_RATE)
-        if self.spectral:
-            self.mu = prop.rates
-            y0 = prop.to_modes(slab.u_start)
-            fhat = prop.to_modes(slab.fbar)
-            self.p = fhat / self.mu
-            self.c = y0 - self.p
-            self.dc = -self.mu * self.c
-            self.zero = np.zeros_like(self.mu)
+        self.mu = slab.propagator.rates
+        if not np.all(self.mu > _MIN_RATE):
+            raise ContractError(
+                f"slab rate {self.mu.min():.3e} <= {_MIN_RATE:g} on "
+                f"[{slab.t0:g}, {slab.t1:g}]: shift the family (omega) so "
+                "that every slab is coercive")
+        self.p = slab.fhat / self.mu
+        self.c = slab.y0 - self.p
+        self.dc = -self.mu * self.c
+        self.zero = np.zeros_like(self.mu)
+        self._modal_grams = {"H": np.eye(self.mu.size)}
 
     def _modal_gram(self, key: str, gram: np.ndarray) -> np.ndarray:
         if key not in self._modal_grams:
@@ -104,44 +107,27 @@ class _SlabCalc:
             self._modal_grams[key] = w.T @ gram @ w
         return self._modal_grams[key]
 
-    def _quad(self, integrand, ta: float, tb: float) -> float:
-        nodes, weights = gauss_panels(ta, tb, points=4, panels=8)
-        return float(sum(w * integrand(self.slab.t0 + t) for t, w in zip(nodes, weights)))
-
     def quadratic(self, key: str, gram: np.ndarray, ta: float, tb: float,
                   deriv: bool = False) -> float:
         """Integral of u^T G u (or du^T G du) over relative times [ta, tb]."""
-        if self.spectral:
-            gt = self._modal_gram(key, gram)
-            if deriv:
-                return _bilinear_exp_integral(self.mu, self.dc, self.zero,
-                                              self.mu, self.dc, self.zero, gt, ta, tb)
-            return _bilinear_exp_integral(self.mu, self.c, self.p,
-                                          self.mu, self.c, self.p, gt, ta, tb)
+        gt = self._modal_gram(key, gram)
         if deriv:
-            return self._quad(lambda t: self.slab.derivative(t) @ gram
-                              @ self.slab.derivative(t), ta, tb)
-        return self._quad(lambda t: self.slab.state(t) @ gram @ self.slab.state(t),
-                          ta, tb)
-
-    def h_cross(self, gram_H: np.ndarray, ta: float, tb: float) -> float:
-        """Integral of (du | u)_H over relative times [ta, tb]."""
-        if self.spectral:
-            gt = self._modal_gram("H", gram_H)
             return _bilinear_exp_integral(self.mu, self.dc, self.zero,
-                                          self.mu, self.c, self.p, gt, ta, tb)
-        return self._quad(lambda t: self.slab.derivative(t) @ gram_H
-                          @ self.slab.state(t), ta, tb)
+                                          self.mu, self.dc, self.zero, gt, ta, tb)
+        return _bilinear_exp_integral(self.mu, self.c, self.p,
+                                      self.mu, self.c, self.p, gt, ta, tb)
+
+    def h_cross(self, ta: float, tb: float) -> float:
+        """Integral of (du | u)_H over relative times [ta, tb]."""
+        return _bilinear_exp_integral(self.mu, self.dc, self.zero,
+                                      self.mu, self.c, self.p,
+                                      self._modal_grams["H"], ta, tb)
 
     def form_rate(self, ta: float, tb: float) -> float:
         """Integral of (A_k u | du)_H over relative times [ta, tb]."""
-        if self.spectral:
-            gt = np.diag(self.mu)
-            return _bilinear_exp_integral(self.mu, self.c, self.p,
-                                          self.mu, self.dc, self.zero, gt, ta, tb)
-        a = self.slab.matrix
-        return self._quad(lambda t: self.slab.derivative(t) @ a
-                          @ self.slab.state(t), ta, tb)
+        return _bilinear_exp_integral(self.mu, self.c, self.p,
+                                      self.mu, self.dc, self.zero,
+                                      np.diag(self.mu), ta, tb)
 
     def sup_v(self, space) -> float:
         taus = self.slab.t0 + np.linspace(0.0, self.slab.length, _SUP_SAMPLES)
@@ -154,11 +140,10 @@ def _require_metadata(traj: Trajectory) -> list[SlabSolution]:
     return traj.slabs
 
 
-def mr_norms(traj: Trajectory, step_form: StepForm | None = None) -> MRReport:
+def mr_norms(traj: Trajectory) -> MRReport:
     """Norm components of eqs. L^2(V), H^1(H), H^1(V') plus the sampled sup-V."""
     slabs = _require_metadata(traj)
-    step_form = step_form or traj.step_form
-    space = step_form.space
+    space = traj.step_form.space
     gram_dual = space.gram_H @ space.dual_gram @ space.gram_H
     l2v = h1h = h1vp = 0.0
     supv = 0.0
@@ -198,7 +183,7 @@ def check_chain_rule(traj: Trajectory) -> float:
 
     def cross(slab, ta, tb):
         calc = calcs.setdefault(id(slab), _SlabCalc(slab))
-        return calc.h_cross(space.gram_H, ta, tb)
+        return calc.h_cross(ta, tb)
 
     residual = 0.0
     for t1, t2 in zip(traj.grid[:-1], traj.grid[1:]):
@@ -208,12 +193,9 @@ def check_chain_rule(traj: Trajectory) -> float:
     return residual
 
 
-def check_product_rule(traj: Trajectory, step_form: StepForm | None = None) -> float:
-    """Per-slab residual of d/dt a_k(u(t)) = 2 (A_k u | du)_H, symmetric forms."""
+def check_product_rule(traj: Trajectory) -> float:
+    """Per-slab residual of d/dt a_k(u(t)) = 2 (A_k u | du)_H."""
     slabs = _require_metadata(traj)
-    step_form = step_form or traj.step_form
-    if not step_form.symmetric:
-        raise ContractError("product-rule check requires a symmetric family")
     residual = 0.0
     for slab in slabs:
         a = slab.matrix
@@ -224,21 +206,18 @@ def check_product_rule(traj: Trajectory, step_form: StepForm | None = None) -> f
     return residual
 
 
-def check_lemma_indepmax(traj: Trajectory, step_form: StepForm | None = None,
+def check_lemma_indepmax(traj: Trajectory,
                          constants: FormConstants | None = None) -> float:
     """Per-slab sup bound: sup ||u||_V^2 <= (M ||u(a)||_V^2 + ||f||^2_{L^2(H)}) / alpha.
 
     Returns the minimum margin (RHS - LHS) over slabs; nonnegative means verified.
     """
     slabs = _require_metadata(traj)
-    step_form = step_form or traj.step_form
-    if not step_form.symmetric:
-        raise ContractError("sup-bound check requires a symmetric family")
     if constants is None or constants.bound is None or constants.coercivity is None:
         raise ContractError("sup-bound check needs certified M and alpha")
     if constants.coercivity <= 0 or constants.shift != 0.0:
         raise ContractError("sup-bound check requires coercivity at shift 0")
-    space = step_form.space
+    space = traj.step_form.space
     big_m, alpha = constants.bound, constants.coercivity
     margin = np.inf
     for slab in slabs:
@@ -290,8 +269,12 @@ def check_lemma3(traj: Trajectory, problem: ProblemData, alpha: float) -> float:
     return float(margin)
 
 
-def _load_l2h(problem: ProblemData, sub) -> float:
-    """||f||_{L^2(0,T;H)} of the true load, by per-slab quadrature."""
+def load_l2h(problem: ProblemData, sub: Subdivision) -> float:
+    """||f||_{L^2(0,T;H)} of the true load, by per-slab quadrature on `sub`.
+
+    It does not depend on the trajectory: a run computes it once, on its
+    finest subdivision, and passes it to every check_H_estimate.
+    """
     if problem.load is None:
         return 0.0
     space = problem.family.space
@@ -305,19 +288,18 @@ def _load_l2h(problem: ProblemData, sub) -> float:
 
 
 def check_H_estimate(report: MRReport, problem: ProblemData,
-                     subdivision: Subdivision) -> float:
+                     load_norm: float) -> float:
     """MR(V,H)-to-data ratio ||u||_MR(V,H) / (||u0||_V + ||f||_{L^2(H)}).
 
-    `report` holds the norms of the trajectory solved on `subdivision`.
+    `load_norm` is ||f||_{L^2(0,T;H)}, from `load_l2h`.
     """
-    space = problem.family.space
-    denom = space.v_norm(problem.u0) + _load_l2h(problem, subdivision)
+    denom = problem.family.space.v_norm(problem.u0) + load_norm
     if denom < 1e-300:
         return 0.0
     return report.mr_vh / denom
 
 
-def check_form_telescoping(traj: Trajectory, step_form: StepForm | None = None,
+def check_form_telescoping(traj: Trajectory,
                            lipschitz: float | None = None) -> float:
     """Worst excess of |a_k(v) - a_{k+1}(v)| over L h ||v||_V^2 at slab junctions.
 
@@ -325,7 +307,7 @@ def check_form_telescoping(traj: Trajectory, step_form: StepForm | None = None,
     means the telescoping inequality holds.
     """
     _require_metadata(traj)
-    step_form = step_form or traj.step_form
+    step_form = traj.step_form
     if lipschitz is None:
         raise ContractError("telescoping check needs a Lipschitz constant")
     if not step_form.subdivision.is_uniform:

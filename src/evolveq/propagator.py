@@ -1,12 +1,13 @@
-"""One-slab exponential steps, the full solver, and the implicit-Euler oracle.
+"""Slab eigendecompositions, the full solver, and the implicit-Euler oracle.
 
 Each slab carries an autonomous problem with the averaged operator and a
-slab-averaged load; the step is the exact variation-of-constants formula
-exp(-h B) u + h phi1(-h B) fbar with B = gram_H^{-1} A.
+slab-averaged load; its solution is the exact variation-of-constants
+formula exp(-tau B) u + tau phi1(-tau B) fbar with B = gram_H^{-1} A,
+evaluated in the modes of the symmetric pencil (A_k, gram_H).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,75 +39,45 @@ def phi1(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SlabPropagator:
-    """Exponential of one frozen generator B = gram_H^{-1} A_k.
+    """Eigendecomposition of one frozen operator B = gram_H^{-1} A_k.
 
-    Symmetric operators get a spectral factorization of the SPD pencil
-    (A_k, gram_H); the general case falls back to scaling-and-squaring.
+    B = modes @ diag(rates) @ modes^T gram_H, with gram_H-orthonormal modes
+    from the symmetric pencil (A_k, gram_H).
     """
 
     space: GalerkinSpace
     matrix: np.ndarray            # A_k, form coefficients
-    length: float                 # slab duration
-    spectral: bool
-    # spectral data: B = modes @ diag(rates) @ modes^T gram_H
-    rates: np.ndarray | None = None
-    modes: np.ndarray | None = None
-    generator: np.ndarray | None = None   # dense B for the non-spectral path
+    rates: np.ndarray
+    modes: np.ndarray
 
     @classmethod
-    def build(cls, space: GalerkinSpace, matrix: np.ndarray, length: float,
-              symmetric: bool) -> "SlabPropagator":
+    def build(cls, space: GalerkinSpace, matrix: np.ndarray) -> "SlabPropagator":
         matrix = np.asarray(matrix, dtype=float)
-        if symmetric:
-            try:
-                rates, modes = sla.eigh(0.5 * (matrix + matrix.T), space.gram_H)
-            except sla.LinAlgError as exc:
-                raise StructureError("slab eigensolve failed") from exc
-            return cls(space, matrix, length, True, rates=rates, modes=modes)
-        generator = space.solve_H(matrix)
-        return cls(space, matrix, length, False, generator=generator)
+        try:
+            rates, modes = sla.eigh(0.5 * (matrix + matrix.T), space.gram_H)
+        except sla.LinAlgError as exc:
+            raise StructureError("slab eigensolve failed") from exc
+        return cls(space, matrix, rates, modes)
 
-    # -- coordinates ----------------------------------------------------
     def to_modes(self, u: np.ndarray) -> np.ndarray:
         return self.modes.T @ (self.space.gram_H @ u)
-
-    def from_modes(self, y: np.ndarray) -> np.ndarray:
-        return self.modes @ y
-
-    # -- actions --------------------------------------------------------
-    def step(self, h: float, u: np.ndarray, fbar: np.ndarray) -> np.ndarray:
-        """Variation of constants over duration h with constant load fbar."""
-        if h < 0 or h > self.length * (1 + 1e-12):
-            raise ValueError(f"step duration {h} outside [0, {self.length}]")
-        if self.spectral:
-            y = self.to_modes(u)
-            fhat = self.to_modes(fbar)
-            out = np.exp(-h * self.rates) * y + h * phi1(-h * self.rates) * fhat
-            return self.from_modes(out)
-        n = self.space.dim
-        aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = -h * self.generator
-        aug[:n, n] = h * fbar
-        exp_aug = sla.expm(aug)
-        if not np.all(np.isfinite(exp_aug)):
-            raise FloatingPointError("matrix exponential overflowed")
-        return exp_aug[:n, :n] @ u + exp_aug[:n, n]
-
-    def apply_generator(self, u: np.ndarray) -> np.ndarray:
-        if self.spectral:
-            return self.from_modes(self.rates * self.to_modes(u))
-        return self.generator @ u
 
 
 @dataclass
 class SlabSolution:
-    """Exact autonomous solution on one slab, for dense output and quadrature."""
+    """Exact autonomous solution on one slab, held by its modal coefficients."""
 
     t0: float
     t1: float
     propagator: SlabPropagator
     u_start: np.ndarray
     fbar: np.ndarray              # slab-averaged load, H-coordinates
+    y0: np.ndarray = field(init=False, repr=False)     # modes of u_start
+    fhat: np.ndarray = field(init=False, repr=False)   # modes of fbar
+
+    def __post_init__(self) -> None:
+        self.y0 = self.propagator.to_modes(self.u_start)
+        self.fhat = self.propagator.to_modes(self.fbar)
 
     @property
     def length(self) -> float:
@@ -117,24 +88,17 @@ class SlabSolution:
         return self.propagator.matrix
 
     def state(self, t: float) -> np.ndarray:
-        return self.propagator.step(t - self.t0, self.u_start, self.fbar)
+        return self.states(np.array([t]))[:, 0]
 
     def states(self, times: np.ndarray) -> np.ndarray:
-        """(dim, m) array of states at the given absolute times."""
-        times = np.asarray(times, dtype=float)
-        taus = times - self.t0
-        prop = self.propagator
-        if prop.spectral:
-            y0 = prop.to_modes(self.u_start)
-            fhat = prop.to_modes(self.fbar)
-            decay = np.exp(-np.outer(prop.rates, taus))
-            drive = taus[None, :] * phi1(-np.outer(prop.rates, taus)) * fhat[:, None]
-            return prop.from_modes(decay * y0[:, None] + drive)
-        return np.column_stack([self.state(t) for t in times])
-
-    def derivative(self, t: float) -> np.ndarray:
-        u = self.state(t)
-        return self.fbar - self.propagator.apply_generator(u)
+        """(dim, m) array of states at the given absolute times in the slab."""
+        taus = np.asarray(times, dtype=float) - self.t0
+        if np.any(taus < 0) or np.any(taus > self.length * (1 + 1e-12)):
+            raise ValueError(f"times outside the slab [{self.t0}, {self.t1}]")
+        rates = self.propagator.rates
+        decay = np.exp(-np.outer(rates, taus))
+        drive = taus[None, :] * phi1(-np.outer(rates, taus)) * self.fhat[:, None]
+        return self.propagator.modes @ (decay * self.y0[:, None] + drive)
 
 
 @dataclass
@@ -142,16 +106,18 @@ class Trajectory:
     """Discrete solution sampled on an output grid, with per-slab metadata."""
 
     grid: np.ndarray
-    states: np.ndarray            # (dim, n_times)
+    states: np.ndarray | None = None   # (dim, n_times); None: evaluate the slabs
     slabs: list[SlabSolution] | None = None
     step_form: StepForm | None = None
     problem_tag: str = ""
 
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=float)
-        self.states = np.asarray(self.states, dtype=float)
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("output grid must be strictly increasing")
+        if self.states is None:
+            self.states = self.evaluate_many(self.grid)
+        self.states = np.asarray(self.states, dtype=float)
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory states must be finite")
 
@@ -159,29 +125,29 @@ class Trajectory:
     def horizon(self) -> float:
         return float(self.grid[-1])
 
-    def _slab_at(self, t: float) -> SlabSolution:
-        if self.slabs is None:
+    def _require_slabs(self) -> list[SlabSolution]:
+        if self.slabs is None or self.step_form is None:
             raise ValueError("trajectory carries no slab metadata")
-        k = self.step_form.subdivision.slab_index(t)
-        return self.slabs[k]
+        return self.slabs
+
+    def _slab_at(self, t: float) -> SlabSolution:
+        return self._require_slabs()[self.step_form.subdivision.slab_index(t)]
 
     def evaluate(self, t: float) -> np.ndarray:
         return self._slab_at(t).state(t)
 
     def evaluate_many(self, times: np.ndarray) -> np.ndarray:
         """Exact within-slab evaluation, vectorized slab by slab."""
+        slabs = self._require_slabs()
         times = np.asarray(times, dtype=float)
-        out = np.empty((self.states.shape[0], times.size))
+        out = np.empty((slabs[0].u_start.size, times.size))
         sub = self.step_form.subdivision
         idx = np.minimum(np.searchsorted(sub.points, times, side="right") - 1,
                          sub.n_slabs - 1)
         for k in np.unique(idx):
             sel = idx == k
-            out[:, sel] = self.slabs[k].states(times[sel])
+            out[:, sel] = slabs[k].states(times[sel])
         return out
-
-    def derivative(self, t: float) -> np.ndarray:
-        return self._slab_at(t).derivative(t)
 
 
 @dataclass
@@ -229,9 +195,13 @@ def solve(problem: ProblemData, subdivision: Subdivision,
     """March the frozen-coefficient scheme across the subdivision.
 
     Within-slab output is evaluated with the exact exponential step from
-    the slab's left breakpoint, never by interpolation.
+    the slab's left breakpoint, never by interpolation.  The family must
+    be declared symmetric; an overflowing exponential raises
+    FloatingPointError instead of returning non-finite states.
     """
     family = problem.family
+    if not family.symmetric:
+        raise StructureError("solve needs a family declared symmetric")
     if abs(subdivision.horizon - family.horizon) > 1e-12 * max(family.horizon, 1.0):
         raise ValueError("subdivision horizon does not match the family")
     if step_form is None:
@@ -245,18 +215,15 @@ def solve(problem: ProblemData, subdivision: Subdivision,
     slabs: list[SlabSolution] = []
     u = problem.u0.copy()
     pts = subdivision.points
-    for k in range(subdivision.n_slabs):
-        t0, t1 = pts[k], pts[k + 1]
-        prop = SlabPropagator.build(family.space, step_form.slabs[k], t1 - t0,
-                                    family.symmetric)
-        fbar = _averaged_load(problem, t0, t1)
-        slabs.append(SlabSolution(t0, t1, prop, u, fbar))
-        u = prop.step(t1 - t0, u, fbar)
-
-    traj = Trajectory(output_grid, np.zeros((family.space.dim, output_grid.size)),
-                      slabs=slabs, step_form=step_form, problem_tag=problem.tag)
-    traj.states = traj.evaluate_many(output_grid)
-    return traj
+    with np.errstate(over="raise"):
+        for k in range(subdivision.n_slabs):
+            t0, t1 = pts[k], pts[k + 1]
+            prop = SlabPropagator.build(family.space, step_form.slabs[k])
+            slabs.append(SlabSolution(t0, t1, prop, u,
+                                      _averaged_load(problem, t0, t1)))
+            u = slabs[-1].state(t1)
+        return Trajectory(output_grid, slabs=slabs, step_form=step_form,
+                          problem_tag=problem.tag)
 
 
 def oracle_solve(problem: ProblemData, n_steps: int,

@@ -17,7 +17,7 @@ from evolveq.forms import Subdivision, estimate_constants, rescale
 from evolveq.invariance import audit_trajectory, check_criterion
 from evolveq.mr import (check_chain_rule, check_form_telescoping,
                         check_H_estimate, check_lemma3, check_lemma_indepmax,
-                        check_product_rule, mr_norms)
+                        check_product_rule, load_l2h, mr_norms)
 from evolveq.presets import convex_set_for, get_preset, resolved_constants
 from evolveq.propagator import ProblemData, solve
 
@@ -121,8 +121,9 @@ def test_criterion_07_identity_residuals():
 
 def test_criterion_08_boundedness_and_telescoping(heat_preset, heat_constants,
                                                   heat_study):
-    ratios = [check_H_estimate(mr_norms(traj), heat_preset.problem,
-                               traj.step_form.subdivision)
+    load_norm = load_l2h(heat_preset.problem,
+                         heat_study.trajectories[-1].step_form.subdivision)
+    ratios = [check_H_estimate(mr_norms(traj), heat_preset.problem, load_norm)
               for traj in heat_study.trajectories]
     spread = (max(ratios) - min(ratios)) / max(ratios)
     excess = max(check_form_telescoping(traj,

@@ -180,6 +180,23 @@ class TestMain:
         assert not out.exists()
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("text, status", [
+        (HEAT_CFG + "omega = -50\n", 2),                     # non-coercive slabs
+        (SCALAR_CFG.replace("oracle_steps", "horizon = -1.0\noracle_steps"), 1),
+        (HEAT_CFG.replace("n_cells = 4", "n_cells = 0"), 1),
+        (HEAT_CFG.replace("n_cells = 4", "n_cells = four"), 1),
+        (SCALAR_CFG.replace("oracle_steps = 400", "oracle_steps = 0"), 1),
+        (SCALAR_CFG.replace("oracle_steps = 400", "seed = 1\nseed = 2\n"
+                            "oracle_steps = 400"), 1),
+    ], ids=["omega", "horizon", "n_cells", "n_cells_text", "oracle_steps",
+            "duplicate"])
+    def test_typed_errors_map_to_exit_codes(self, tmp_path, capsys, text, status):
+        path = write_cfg(tmp_path, text)
+        assert main(["all", "--config", str(path),
+                     "--out", str(tmp_path / "results")]) == status
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("text", [SCALAR_CFG, HEAT_CFG])
     def test_all_does_each_piece_of_work_once(self, tmp_path, capsys, text):
         path = write_cfg(tmp_path, text)

@@ -4,9 +4,10 @@ import pytest
 from evolveq.fem import heat_matrix, robin_space
 from evolveq.forms import FormFamily, Subdivision
 from evolveq.presets import get_preset
-from evolveq.propagator import (ProblemData, SlabPropagator, Trajectory,
-                                oracle_solve, phi1, solve)
-from evolveq.spaces import DualVector, GalerkinSpace
+from evolveq.mr import _SlabCalc
+from evolveq.propagator import (ProblemData, SlabPropagator, SlabSolution,
+                                Trajectory, oracle_solve, phi1, solve)
+from evolveq.spaces import DualVector, GalerkinSpace, StructureError
 
 
 def scalar_problem(p, horizon, u0=1.0, load=None):
@@ -32,39 +33,36 @@ class TestPhi1:
 class TestSlabStep:
     def test_scalar_variation_of_constants(self):
         space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
-        prop = SlabPropagator.build(space, np.array([[2.0]]), 0.5, symmetric=True)
+        prop = SlabPropagator.build(space, np.array([[2.0]]))
         h, u0, f = 0.5, 1.3, 0.7
+        slab = SlabSolution(0.0, h, prop, np.array([u0]), np.array([f]))
         expected = np.exp(-2.0 * h) * u0 + h * phi1(np.array([-2.0 * h]))[0] * f
-        got = prop.step(h, np.array([u0]), np.array([f]))
-        assert got[0] == pytest.approx(expected, rel=1e-14)
-
-    def test_spectral_and_pade_paths_agree(self, rng):
-        space = robin_space(12)
-        a = heat_matrix(12, 0.3)
-        u = rng.standard_normal(space.dim)
-        f = rng.standard_normal(space.dim)
-        spec = SlabPropagator.build(space, a, 0.25, symmetric=True)
-        pade = SlabPropagator.build(space, a, 0.25, symmetric=False)
-        assert spec.spectral and not pade.spectral
-        np.testing.assert_allclose(spec.step(0.25, u, f), pade.step(0.25, u, f),
-                                   rtol=1e-11, atol=1e-12)
-        zero = np.zeros(space.dim)
-        np.testing.assert_allclose(spec.step(0.1, u, zero), pade.step(0.1, u, zero),
-                                   rtol=1e-11, atol=1e-12)
+        assert slab.state(h)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_step_duration_validated(self):
         space = GalerkinSpace(np.eye(1), np.eye(1))
-        prop = SlabPropagator.build(space, np.eye(1), 0.5, symmetric=True)
+        prop = SlabPropagator.build(space, np.eye(1))
+        slab = SlabSolution(0.0, 0.5, prop, np.ones(1), np.zeros(1))
         with pytest.raises(ValueError):
-            prop.step(0.6, np.ones(1), np.zeros(1))
+            slab.state(0.6)
+        with pytest.raises(ValueError):
+            slab.state(-0.1)
 
     def test_generator_action(self):
+        # B = gram_H^{-1} A = modes @ diag(rates) @ modes^T gram_H
         space = robin_space(8)
         a = heat_matrix(8, 0.0)
-        prop = SlabPropagator.build(space, a, 1.0, symmetric=True)
-        u = np.sin(np.pi * space.labels)
-        np.testing.assert_allclose(prop.apply_generator(u), space.solve_H(a @ u),
+        prop = SlabPropagator.build(space, a)
+        generator = prop.modes @ np.diag(prop.rates) @ prop.modes.T @ space.gram_H
+        np.testing.assert_allclose(generator, space.solve_H(a),
                                    rtol=1e-10, atol=1e-12)
+
+    def test_modes_are_gram_h_orthonormal(self):
+        # the MR integrals take the modal H-Gram W^T gram_H W to be the identity
+        space = robin_space(80)
+        prop = SlabPropagator.build(space, heat_matrix(80, 0.7))
+        np.testing.assert_allclose(prop.modes.T @ space.gram_H @ prop.modes,
+                                   np.eye(space.dim), rtol=0.0, atol=1e-13)
 
 
 class TestSolve:
@@ -88,17 +86,31 @@ class TestSolve:
         assert traj.states[0, -1] == pytest.approx(3.0 * (1 - np.exp(-8.0)),
                                                    rel=1e-12)
 
+    def test_non_symmetric_family_rejected(self):
+        space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
+        family = FormFamily(space, lambda t: np.array([[1.0]]), 1.0)
+        with pytest.raises(StructureError):
+            solve(ProblemData(family, np.array([1.0])), Subdivision.uniform(1.0, 4))
+
+    def test_overflow_raises_instead_of_inf_states(self):
+        # A = -1000 grows by e^250 per slab: the fourth slab overflows
+        problem = scalar_problem(lambda t: -1000.0, 1.0)
+        with pytest.raises(FloatingPointError):
+            solve(problem, Subdivision.uniform(1.0, 4))
+
     def test_horizon_mismatch_rejected(self):
         problem = scalar_problem(lambda t: 1.0, 1.0)
         with pytest.raises(ValueError):
             solve(problem, Subdivision.uniform(2.0, 4))
 
     def test_derivative_satisfies_slab_ode(self, heat_traj_64, heat_preset):
+        # the modal derivative u' = W (dc e^{-mu tau}) that the MR integrals use
         space = heat_preset.problem.family.space
         t = 0.37
         slab = heat_traj_64._slab_at(t)
+        calc = _SlabCalc(slab)
         u = heat_traj_64.evaluate(t)
-        du = heat_traj_64.derivative(t)
+        du = slab.propagator.modes @ (calc.dc * np.exp(-calc.mu * (t - slab.t0)))
         residual = space.gram_H @ du + slab.matrix @ u - space.gram_H @ slab.fbar
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(u))
 
@@ -123,6 +135,10 @@ class TestTrajectoryValidation:
         traj = Trajectory(np.array([0.0, 1.0]), np.zeros((1, 2)))
         with pytest.raises(ValueError):
             traj.evaluate(0.5)
+        with pytest.raises(ValueError):
+            traj.evaluate_many(np.array([0.5]))
+        with pytest.raises(ValueError):
+            Trajectory(np.array([0.0, 1.0]))      # no states to evaluate
 
 
 class TestOracle:

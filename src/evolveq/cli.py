@@ -35,11 +35,17 @@ VIOLATION_TOL = 1e-10
 _EXPERIMENT_KEYS = {"preset", "n_cells", "horizon", "slab_counts", "seed",
                     "omega", "oracle_steps", "threads"}
 _LOAD_KEYS = {"name", "amplitude"}
-_SET_KEYS = {"kind", "metric", "lower", "upper", "radius", "offset"}
+_SET_KEYS = {"kind", "metric", "lower", "upper", "radius"}
 
 
 class ConfigError(ValueError):
     pass
+
+
+# Typed errors by exit code: numerical ones 2, usage ones 1.
+_NUMERICAL_ERRORS = (StructureError, EvaluationError, mr.ContractError,
+                     inv.ToleranceError, FloatingPointError)
+_USAGE_ERRORS = (ConfigError, KeyError)
 
 
 @dataclass
@@ -99,7 +105,7 @@ class ExperimentConfig:
             sec = parser["convex_set"]
             cfg.set_kind = sec.get("kind", "box")
             cfg.set_metric = sec.get("metric", "lumped")
-            for key in ("lower", "upper", "radius", "offset"):
+            for key in ("lower", "upper", "radius"):
                 if key in sec:
                     cfg.set_params[key] = sec.getfloat(key)
         cfg.validate()
@@ -116,6 +122,18 @@ class ExperimentConfig:
             raise ConfigError("n_cells must be >= 1")
         if self.oracle_steps < 1:
             raise ConfigError("oracle_steps must be >= 1")
+        if self.set_kind not in ("box", "ball"):
+            raise ConfigError(f"convex_set kind {self.set_kind!r} is not box or ball")
+        if self.set_metric not in ("lumped", "consistent"):
+            raise ConfigError(f"convex_set metric {self.set_metric!r} is not "
+                              "lumped or consistent")
+        params = self.set_params
+        if self.set_kind == "ball" and not params.get("radius", 0.0) > 0:
+            raise ConfigError("a ball needs a radius > 0")
+        # with convex_set_for's box defaults: lower = 0, no upper bound
+        if self.set_kind == "box" and not (params.get("lower", 0.0)
+                                           <= params.get("upper", np.inf)):
+            raise ConfigError("a box needs lower <= upper")
 
 
 def _check_ladder(slab_counts, min_points: int) -> None:
@@ -198,8 +216,8 @@ def _run_solve(prep: _Prepared, ladder: list[Trajectory], out: Path,
         report = mr.mr_norms(traj)
         res_chain = mr.check_chain_rule(traj)
         res_prod = mr.check_product_rule(traj)
-        margin3 = mr.check_lemma3(traj, problem, constants.coercivity)
-        margin_sup = mr.check_lemma_indepmax(traj, constants=constants)
+        margin3 = mr.check_lemma3(report, traj, problem, constants.coercivity)
+        margin_sup = mr.check_lemma_indepmax(report, traj, constants)
         ratio = mr.check_H_estimate(report, problem, load_norm)
         rows.append([n, traj.step_form.subdivision.mesh, report.l2V, report.h1H,
                      report.h1Vp, report.supV, report.mr_vvp, report.mr_vh,
@@ -248,11 +266,10 @@ def _run_invariance(prep: _Prepared, ladder: list[Trajectory], out: Path,
     family = problem.family
     cset = convex_set_for(prep.preset, kind=config.set_kind,
                           metric=config.set_metric, **config.set_params)
-    crit = inv.check_criterion(family, cset, n_vectors=10_000, seed=config.seed,
-                               load=problem.load)
+    pool = inv.sample_pool(np.random.default_rng(config.seed), cset, 10_000)
+    crit = inv.check_criterion(family, pool, load=problem.load)
     try:
-        sym_margin = inv.check_criterion_symmetric(family, cset, n_vectors=10_000,
-                                                   seed=config.seed).margin
+        sym_margin = inv.check_criterion_symmetric(family, pool).margin
     except ValueError:      # not accretive
         sym_margin = float("nan")
     worst = witness_t = 0.0
@@ -280,6 +297,7 @@ def _run_invariance(prep: _Prepared, ladder: list[Trajectory], out: Path,
 
 
 def run(command: str, config: ExperimentConfig) -> int:
+    """Run one pipeline; summary.txt is written even when a typed error ends it."""
     prep = _prepare(config)
     if command in ("converge", "all"):
         _check_ladder(prep.slab_counts, min_points=2)
@@ -287,19 +305,24 @@ def run(command: str, config: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     lines = [f"preset: {prep.preset.name}", f"seed: {config.seed}"]
     status = 0
-    if command in ("constants", "all"):
-        status = max(status, _run_constants(prep, lines))
-    ladder = ([] if command == "constants" else
-              conv.solve_ladder(prep.problem, prep.slab_counts, config.threads))
-    if command in ("solve", "all"):
-        status = max(status, _run_solve(prep, ladder, out, lines))
-    if command in ("converge", "all"):
-        status = max(status, _run_converge(prep, ladder, out, lines))
-    if command in ("invariance", "all"):
-        status = max(status, _run_invariance(prep, ladder, out, lines))
-    summary = "\n".join(lines) + "\n"
-    sys.stdout.write(summary)
-    (out / "summary.txt").write_text(summary)
+    try:
+        if command in ("constants", "all"):
+            status = max(status, _run_constants(prep, lines))
+        ladder = ([] if command == "constants" else
+                  conv.solve_ladder(prep.problem, prep.slab_counts, config.threads))
+        if command in ("solve", "all"):
+            status = max(status, _run_solve(prep, ladder, out, lines))
+        if command in ("converge", "all"):
+            status = max(status, _run_converge(prep, ladder, out, lines))
+        if command in ("invariance", "all"):
+            status = max(status, _run_invariance(prep, ladder, out, lines))
+    except _NUMERICAL_ERRORS + _USAGE_ERRORS as exc:
+        lines.append(f"error: {exc}")      # the line main prints to stderr
+        raise
+    finally:
+        summary = "\n".join(lines) + "\n"
+        sys.stdout.write(summary)
+        (out / "summary.txt").write_text(summary)
     return status
 
 
@@ -345,11 +368,10 @@ def main(argv=None) -> int:
     try:
         config.validate()
         return run(args.command, config)
-    except (StructureError, EvaluationError, mr.ContractError,
-            inv.ToleranceError, FloatingPointError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, KeyError) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

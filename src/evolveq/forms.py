@@ -7,7 +7,7 @@ Gauss-Legendre quadrature.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -118,7 +118,6 @@ class FormFamily:
     eval: Callable[[float], np.ndarray]
     horizon: float
     symmetric: bool = False
-    constants: FormConstants | None = None
 
     def matrix(self, t: float) -> np.ndarray:
         a = np.asarray(self.eval(t), dtype=float)
@@ -140,18 +139,10 @@ class StepForm:
     space: GalerkinSpace
     subdivision: Subdivision
     slabs: list[np.ndarray]
-    symmetric: bool = False
 
     def __post_init__(self) -> None:
         if len(self.slabs) != self.subdivision.n_slabs:
             raise ValueError("one matrix per slab required")
-
-    def lookup(self, t: float) -> np.ndarray:
-        return self.slabs[self.subdivision.slab_index(t)]
-
-    def as_family(self, constants: FormConstants | None = None) -> FormFamily:
-        return FormFamily(self.space, self.lookup, self.subdivision.horizon,
-                          symmetric=self.symmetric, constants=constants)
 
 
 def average_form(family: FormFamily, t0: float, t1: float) -> np.ndarray:
@@ -168,7 +159,7 @@ def average_form(family: FormFamily, t0: float, t1: float) -> np.ndarray:
 def build_step_form(family: FormFamily, subdivision: Subdivision) -> StepForm:
     pts = subdivision.points
     slabs = [average_form(family, pts[k], pts[k + 1]) for k in range(subdivision.n_slabs)]
-    return StepForm(family.space, subdivision, slabs, symmetric=family.symmetric)
+    return StepForm(family.space, subdivision, slabs)
 
 
 def dual_operator_norm(space: GalerkinSpace, a: np.ndarray) -> float:
@@ -222,12 +213,8 @@ def rescale(family: FormFamily, shift: float) -> FormFamily:
     def shifted(t: float) -> np.ndarray:
         return np.asarray(base_eval(t), dtype=float) + shift * gram_H
 
-    constants = None
-    if family.constants is not None:
-        c = family.constants
-        constants = replace(c, shift=c.shift - shift, bound=None)
     return FormFamily(family.space, shifted, family.horizon,
-                      symmetric=family.symmetric, constants=constants)
+                      symmetric=family.symmetric)
 
 
 def certify_shift(family: FormFamily, t_grid: np.ndarray | None = None,

@@ -2,12 +2,14 @@
 
 Projection uses the set's own H-Gram.  Boxes with a diagonal (lumped)
 metric project by exact nodewise clamping; with a full metric a projected
-gradient iteration solves the quadratic program.  Criterion checks sample
-a structured pool of test vectors and report the worst margin.
+gradient iteration solves the quadratic program.  Both criterion checks
+read one structured pool of test vectors and its projections, drawn by
+`sample_pool`, and report the worst margin.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +20,7 @@ __all__ = [
     "ToleranceError",
     "ConvexSet",
     "CriterionReport",
+    "SamplePool",
     "check_criterion",
     "check_criterion_symmetric",
     "audit_trajectory",
@@ -130,9 +133,15 @@ class CriterionReport:
     witness: np.ndarray
 
 
-def sample_pool(rng: np.random.Generator, cset: ConvexSet, n_vectors: int,
-                dim: int) -> np.ndarray:
+class SamplePool(NamedTuple):
+    vectors: np.ndarray        # (m, dim) test vectors v
+    projections: np.ndarray    # their projections Pv onto the set
+
+
+def sample_pool(rng: np.random.Generator, cset: ConvexSet,
+                n_vectors: int) -> SamplePool:
     """Mixed pool: Gaussian, sparse signed spikes, boundary-adjacent vectors."""
+    dim = cset.metric.shape[0]
     n_gauss = n_vectors // 3
     n_spike = n_vectors // 3
     n_near = n_vectors - n_gauss - n_spike
@@ -144,31 +153,24 @@ def sample_pool(rng: np.random.Generator, cset: ConvexSet, n_vectors: int,
         row[idx] = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 3.0, size=k)
     near = cset.project_many(rng.standard_normal((n_near, dim)))
     near += 0.1 * rng.standard_normal((n_near, dim))
-    return np.vstack([gauss, spikes, near])
+    vs = np.vstack([gauss, spikes, near])
+    return SamplePool(vs, cset.project_many(vs))
 
 
-def _margins(a: np.ndarray, vs: np.ndarray, pvs: np.ndarray) -> np.ndarray:
-    """a(Pv, v - Pv) for every row of the sample matrices."""
-    return np.einsum("ij,ij->i", pvs @ a, vs - pvs)
-
-
-def check_criterion(family: FormFamily, cset: ConvexSet,
-                    t_samples: np.ndarray | None = None, n_vectors: int = 1000,
-                    seed: int = 0, load=None) -> CriterionReport:
+def check_criterion(family: FormFamily, pool: SamplePool,
+                    t_samples: np.ndarray | None = None,
+                    load=None) -> CriterionReport:
     """Worst sampled value of a(t; Pv, v - Pv) [minus <f(t), v - Pv> if given].
 
     A negative margin is a finding, not an error; the arg-min witness is
     reported for diagnosis.
     """
-    dim = family.space.dim
     if t_samples is None:
         t_samples = np.linspace(0.0, family.horizon, 9)
-    rng = np.random.default_rng(seed)
-    vs = sample_pool(rng, cset, n_vectors, dim)
-    pvs = cset.project_many(vs)
-    best = CriterionReport(np.inf, 0.0, np.zeros(dim))
+    vs, pvs = pool
+    best = CriterionReport(np.inf, 0.0, np.zeros(family.space.dim))
     for t in np.asarray(t_samples, dtype=float):
-        vals = _margins(family.matrix(t), vs, pvs)
+        vals = np.einsum("ij,ij->i", pvs @ family.matrix(t), vs - pvs)
         if load is not None:
             pair = load(t)
             coeffs = getattr(pair, "coeffs", pair)
@@ -179,9 +181,8 @@ def check_criterion(family: FormFamily, cset: ConvexSet,
     return best
 
 
-def check_criterion_symmetric(family: FormFamily, cset: ConvexSet,
-                              t_samples: np.ndarray | None = None,
-                              n_vectors: int = 1000, seed: int = 0) -> CriterionReport:
+def check_criterion_symmetric(family: FormFamily, pool: SamplePool,
+                              t_samples: np.ndarray | None = None) -> CriterionReport:
     """Worst sampled value of a(t; v, v) - a(t; Pv, Pv) for symmetric accretive forms."""
     if not family.symmetric:
         raise ValueError("symmetric criterion requires a symmetric family")
@@ -191,11 +192,8 @@ def check_criterion_symmetric(family: FormFamily, cset: ConvexSet,
                 for t in np.asarray(t_samples, dtype=float))
     if alpha <= 0:
         raise ValueError("symmetric criterion requires an accretive (coercive) family")
-    dim = family.space.dim
-    rng = np.random.default_rng(seed)
-    vs = sample_pool(rng, cset, n_vectors, dim)
-    pvs = cset.project_many(vs)
-    best = CriterionReport(np.inf, 0.0, np.zeros(dim))
+    vs, pvs = pool
+    best = CriterionReport(np.inf, 0.0, np.zeros(family.space.dim))
     for t in np.asarray(t_samples, dtype=float):
         a = family.matrix(t)
         vals = (np.einsum("ij,ij->i", vs @ a, vs)

@@ -4,6 +4,8 @@ Time integrals use the closed form of the within-slab solution in the
 slab's modal basis: the integrands are sums of decaying exponentials, so
 the integrals are exact up to roundoff.  A slab with a rate at or below
 _MIN_RATE has no such closed form and is refused with ContractError.
+The audits take a trajectory from `solve`, on its breakpoints; the
+estimate audits read the per-slab terms that `mr_norms` reports.
 """
 from __future__ import annotations
 
@@ -45,6 +47,8 @@ class MRReport:
     supV: float         # sup_t ||u(t)||_V (sampled)
     mr_vvp: float       # sqrt(l2V^2 + h1Vp^2)
     mr_vh: float        # sqrt(l2V^2 + h1H^2)
+    l2V_slabs: tuple[float, ...] = ()    # slab k's summand of l2V^2
+    supV_slabs: tuple[float, ...] = ()   # sampled sup of ||u||_V on slab k
 
     def __post_init__(self) -> None:
         vals = (self.l2V, self.h1H, self.h1Vp, self.supV, self.mr_vvp, self.mr_vh)
@@ -134,9 +138,14 @@ class _SlabCalc:
         return float(np.max(space.v_norms(self.slab.states(taus))))
 
 
-def _require_metadata(traj: Trajectory) -> list[SlabSolution]:
+def _require_metadata(traj: Trajectory,
+                      report: MRReport | None = None) -> list[SlabSolution]:
     if traj.slabs is None or traj.step_form is None:
         raise ContractError("trajectory carries no slab metadata; use solve()")
+    if not np.array_equal(traj.grid, traj.step_form.subdivision.points):
+        raise ContractError("trajectory grid is not its subdivision's breakpoints")
+    if report is not None and len(report.supV_slabs) != len(traj.slabs):
+        raise ContractError("MR report is not of this trajectory; use mr_norms()")
     return traj.slabs
 
 
@@ -146,73 +155,54 @@ def mr_norms(traj: Trajectory) -> MRReport:
     space = traj.step_form.space
     gram_dual = space.gram_H @ space.dual_gram @ space.gram_H
     l2v = h1h = h1vp = 0.0
-    supv = 0.0
+    l2v_slabs, supv_slabs = [], []
     for slab in slabs:
         calc = _SlabCalc(slab)
         length = slab.length
-        l2v += calc.quadratic("V", space.gram_V, 0.0, length)
+        l2v_slabs.append(calc.quadratic("V", space.gram_V, 0.0, length))
+        l2v += l2v_slabs[-1]
         h1h += calc.quadratic("H", space.gram_H, 0.0, length, deriv=True)
         h1vp += calc.quadratic("dual", gram_dual, 0.0, length, deriv=True)
-        supv = max(supv, calc.sup_v(space))
+        supv_slabs.append(calc.sup_v(space))
     l2v, h1h, h1vp = (float(np.sqrt(max(x, 0.0))) for x in (l2v, h1h, h1vp))
-    return MRReport(l2V=l2v, h1H=h1h, h1Vp=h1vp, supV=supv,
+    return MRReport(l2V=l2v, h1H=h1h, h1Vp=h1vp, supV=max(supv_slabs),
                     mr_vvp=float(np.hypot(l2v, h1vp)),
-                    mr_vh=float(np.hypot(l2v, h1h)))
-
-
-def _piecewise_integral(traj: Trajectory, per_slab, t1: float, t2: float) -> float:
-    """Sum per-slab integrals of a slab-local functional over [t1, t2]."""
-    sub = traj.step_form.subdivision
-    total = 0.0
-    k = sub.slab_index(t1)
-    t = t1
-    while t < t2 - 1e-15 * max(t2, 1.0):
-        t_next = min(sub.points[k + 1], t2)
-        slab = traj.slabs[k]
-        total += per_slab(slab, t - slab.t0, t_next - slab.t0)
-        t = t_next
-        k += 1
-    return total
+                    mr_vh=float(np.hypot(l2v, h1h)),
+                    l2V_slabs=tuple(l2v_slabs), supV_slabs=tuple(supv_slabs))
 
 
 def check_chain_rule(traj: Trajectory) -> float:
-    """Residual of d/dt ||u||_H^2 = 2 (du | u)_H over output-grid intervals."""
-    _require_metadata(traj)
-    space = traj.step_form.space
-    calcs = {}
-
-    def cross(slab, ta, tb):
-        calc = calcs.setdefault(id(slab), _SlabCalc(slab))
-        return calc.h_cross(ta, tb)
-
+    """Per-slab residual of d/dt ||u||_H^2 = 2 (du | u)_H."""
+    slabs = _require_metadata(traj)
+    h_sq = traj.step_form.space.h_norms(traj.states) ** 2
     residual = 0.0
-    for t1, t2 in zip(traj.grid[:-1], traj.grid[1:]):
-        lhs = space.h_norm(traj.evaluate(t2)) ** 2 - space.h_norm(traj.evaluate(t1)) ** 2
-        rhs = 2.0 * _piecewise_integral(traj, cross, t1, t2)
-        residual = max(residual, abs(lhs - rhs))
-    return residual
+    for k, slab in enumerate(slabs):
+        rhs = 2.0 * _SlabCalc(slab).h_cross(0.0, slab.length)
+        residual = max(residual, abs(h_sq[k + 1] - h_sq[k] - rhs))
+    return float(residual)
 
 
 def check_product_rule(traj: Trajectory) -> float:
     """Per-slab residual of d/dt a_k(u(t)) = 2 (A_k u | du)_H."""
     slabs = _require_metadata(traj)
     residual = 0.0
-    for slab in slabs:
+    for k, slab in enumerate(slabs):
         a = slab.matrix
-        u0, u1 = slab.u_start, slab.state(slab.t1)
+        u0, u1 = traj.states[:, k], traj.states[:, k + 1]
         lhs = float(u1 @ a @ u1 - u0 @ a @ u0)
         rhs = 2.0 * _SlabCalc(slab).form_rate(0.0, slab.length)
         residual = max(residual, abs(lhs - rhs))
     return residual
 
 
-def check_lemma_indepmax(traj: Trajectory,
+def check_lemma_indepmax(report: MRReport, traj: Trajectory,
                          constants: FormConstants | None = None) -> float:
     """Per-slab sup bound: sup ||u||_V^2 <= (M ||u(a)||_V^2 + ||f||^2_{L^2(H)}) / alpha.
 
-    Returns the minimum margin (RHS - LHS) over slabs; nonnegative means verified.
+    The sups are the report's `supV_slabs`.  Returns the minimum margin
+    (RHS - LHS) over slabs; nonnegative means verified.
     """
-    slabs = _require_metadata(traj)
+    slabs = _require_metadata(traj, report)
     if constants is None or constants.bound is None or constants.coercivity is None:
         raise ContractError("sup-bound check needs certified M and alpha")
     if constants.coercivity <= 0 or constants.shift != 0.0:
@@ -220,51 +210,34 @@ def check_lemma_indepmax(traj: Trajectory,
     space = traj.step_form.space
     big_m, alpha = constants.bound, constants.coercivity
     margin = np.inf
-    for slab in slabs:
+    for slab, sup_v in zip(slabs, report.supV_slabs):
         load_sq = slab.length * space.h_norm(slab.fbar) ** 2
         rhs = (big_m * space.v_norm(slab.u_start) ** 2 + load_sq) / alpha
-        lhs = _SlabCalc(slab).sup_v(space) ** 2
-        margin = min(margin, rhs - lhs)
+        margin = min(margin, rhs - sup_v ** 2)
     return float(margin)
 
 
-def check_lemma3(traj: Trajectory, problem: ProblemData, alpha: float) -> float:
+def check_lemma3(report: MRReport, traj: Trajectory, problem: ProblemData,
+                 alpha: float) -> float:
     """Energy bound with the Young-step constant c2 = max(1/alpha^2, 1/alpha).
 
     Verifies int_0^t ||u||_V^2 <= c2 [ int_0^t ||f||_{V'}^2 + ||u0||_H^2 ]
-    at every output-grid time; f is the slab-averaged load the trajectory
-    actually solves with.  Returns the minimum margin.
+    at every breakpoint t, by running sums of the report's `l2V_slabs`;
+    f is the slab-averaged load the trajectory actually solves with.
+    Returns the minimum margin.
     """
-    slabs = _require_metadata(traj)
+    slabs = _require_metadata(traj, report)
     if alpha <= 0:
         raise ContractError("energy bound requires coercivity at shift 0")
     space = problem.family.space
     c2 = max(1.0 / alpha**2, 1.0 / alpha)
     u0_sq = space.h_norm(problem.u0) ** 2
-
-    calcs = [_SlabCalc(s) for s in slabs]
-    load_density = []
-    for slab in slabs:
+    lhs = rhs_load = 0.0
+    margin = c2 * u0_sq                                  # at t = 0
+    for slab, l2v_sq in zip(slabs, report.l2V_slabs):
         pair = space.gram_H @ slab.fbar
-        load_density.append(float(pair @ space.dual_gram @ pair))
-
-    # Running sums over whole slabs, accumulated slab by slab so that each
-    # entry equals the sum a time-by-time loop would form.
-    lhs_before, load_before = [0.0], [0.0]
-    for calc, slab, density in zip(calcs, slabs, load_density):
-        lhs_before.append(lhs_before[-1]
-                          + calc.quadratic("V", space.gram_V, 0.0, slab.length))
-        load_before.append(load_before[-1] + density * slab.length)
-
-    ends = np.array([slab.t1 for slab in slabs])
-    margin = np.inf
-    for t in traj.grid:
-        k = int(np.searchsorted(ends, t, side="right"))   # slabs ending by t
-        lhs, rhs_load = lhs_before[k], load_before[k]
-        if k < len(slabs) and t > slabs[k].t0:
-            tb = t - slabs[k].t0
-            lhs += calcs[k].quadratic("V", space.gram_V, 0.0, tb)
-            rhs_load += load_density[k] * tb
+        lhs += l2v_sq
+        rhs_load += float(pair @ space.dual_gram @ pair) * slab.length
         margin = min(margin, c2 * (rhs_load + u0_sq) - lhs)
     return float(margin)
 
@@ -316,7 +289,7 @@ def check_form_telescoping(traj: Trajectory,
     pts = step_form.subdivision.points
     worst = -np.inf
     for k in range(step_form.subdivision.n_slabs - 1):
-        v = traj.slabs[k].state(pts[k + 1])
+        v = traj.states[:, k + 1]
         gap = abs(float(v @ (step_form.slabs[k] - step_form.slabs[k + 1]) @ v))
         allowance = lipschitz * (pts[k + 1] - pts[k]) * space.v_norm(v) ** 2
         worst = max(worst, gap - allowance)

@@ -196,8 +196,6 @@ def convex_set_for(preset: PresetProblem, kind: str = "box",
     if kind == "box":
         return ConvexSet.box(gram, lower=params.get("lower", 0.0),
                              upper=params.get("upper"))
-    if kind == "halfspace":
-        return ConvexSet.halfspace(gram, params["normal"], params["offset"])
     if kind == "ball":
         center = params.get("center", np.zeros(space.dim))
         return ConvexSet.ball(gram, center, params["radius"])

@@ -103,7 +103,11 @@ class SlabSolution:
 
 @dataclass
 class Trajectory:
-    """Discrete solution sampled on an output grid, with per-slab metadata."""
+    """States on a time grid, with per-slab metadata for a solve.
+
+    A solve's grid is its subdivision's breakpoints; the oracle keeps the
+    steps it is asked for and carries no slabs.
+    """
 
     grid: np.ndarray
     states: np.ndarray | None = None   # (dim, n_times); None: evaluate the slabs
@@ -125,20 +129,11 @@ class Trajectory:
     def horizon(self) -> float:
         return float(self.grid[-1])
 
-    def _require_slabs(self) -> list[SlabSolution]:
-        if self.slabs is None or self.step_form is None:
-            raise ValueError("trajectory carries no slab metadata")
-        return self.slabs
-
-    def _slab_at(self, t: float) -> SlabSolution:
-        return self._require_slabs()[self.step_form.subdivision.slab_index(t)]
-
-    def evaluate(self, t: float) -> np.ndarray:
-        return self._slab_at(t).state(t)
-
     def evaluate_many(self, times: np.ndarray) -> np.ndarray:
         """Exact within-slab evaluation, vectorized slab by slab."""
-        slabs = self._require_slabs()
+        slabs = self.slabs
+        if slabs is None or self.step_form is None:
+            raise ValueError("trajectory carries no slab metadata")
         times = np.asarray(times, dtype=float)
         out = np.empty((slabs[0].u_start.size, times.size))
         sub = self.step_form.subdivision
@@ -189,14 +184,13 @@ def _averaged_load(problem: ProblemData, t0: float, t1: float) -> np.ndarray:
     return problem.family.space.solve_H(acc / (t1 - t0))
 
 
-def solve(problem: ProblemData, subdivision: Subdivision,
-          output_grid: np.ndarray | None = None,
-          step_form: StepForm | None = None) -> Trajectory:
+def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
     """March the frozen-coefficient scheme across the subdivision.
 
-    Within-slab output is evaluated with the exact exponential step from
-    the slab's left breakpoint, never by interpolation.  The family must
-    be declared symmetric; an overflowing exponential raises
+    The trajectory's grid is the subdivision's breakpoints.  Other times
+    are exact through `Trajectory.evaluate_many`, which steps from the
+    slab's left breakpoint, never by interpolation.  The family must be
+    declared symmetric; an overflowing exponential raises
     FloatingPointError instead of returning non-finite states.
     """
     family = problem.family
@@ -204,13 +198,7 @@ def solve(problem: ProblemData, subdivision: Subdivision,
         raise StructureError("solve needs a family declared symmetric")
     if abs(subdivision.horizon - family.horizon) > 1e-12 * max(family.horizon, 1.0):
         raise ValueError("subdivision horizon does not match the family")
-    if step_form is None:
-        step_form = build_step_form(family, subdivision)
-    if output_grid is None:
-        output_grid = subdivision.points
-    output_grid = np.asarray(output_grid, dtype=float)
-    if output_grid[0] != 0.0 or abs(output_grid[-1] - family.horizon) > 1e-12:
-        raise ValueError("output grid must span [0, T]")
+    step_form = build_step_form(family, subdivision)
 
     slabs: list[SlabSolution] = []
     u = problem.u0.copy()
@@ -222,7 +210,7 @@ def solve(problem: ProblemData, subdivision: Subdivision,
             slabs.append(SlabSolution(t0, t1, prop, u,
                                       _averaged_load(problem, t0, t1)))
             u = slabs[-1].state(t1)
-        return Trajectory(output_grid, slabs=slabs, step_form=step_form,
+        return Trajectory(pts, slabs=slabs, step_form=step_form,
                           problem_tag=problem.tag)
 
 

@@ -66,9 +66,6 @@ class GalerkinSpace:
     def dim(self) -> int:
         return self.gram_H.shape[0]
 
-    def h_inner(self, u, v) -> float:
-        return float(np.asarray(u) @ self.gram_H @ np.asarray(v))
-
     def h_norm(self, u) -> float:
         w = self._chol_H.T @ np.asarray(u, dtype=float)
         return float(np.linalg.norm(w))

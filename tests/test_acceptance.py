@@ -14,7 +14,7 @@ import pytest
 from evolveq.convergence import (oracle_gap, refine, solve_ladder,
                                  trajectory_l2v_diff)
 from evolveq.forms import Subdivision, estimate_constants, rescale
-from evolveq.invariance import audit_trajectory, check_criterion
+from evolveq.invariance import audit_trajectory, check_criterion, sample_pool
 from evolveq.mr import (check_chain_rule, check_form_telescoping,
                         check_H_estimate, check_lemma3, check_lemma_indepmax,
                         check_product_rule, load_l2h, mr_norms)
@@ -86,7 +86,8 @@ def test_criterion_05_energy_bound():
         for n in SMALL_LADDER:
             traj = solve(preset.problem,
                          Subdivision.uniform(preset.problem.horizon, n))
-            worst = min(worst, check_lemma3(traj, preset.problem,
+            worst = min(worst, check_lemma3(mr_norms(traj), traj,
+                                            preset.problem,
                                             constants.coercivity))
     report(5, "energy bound", worst >= 0.0,
            f"min margin over presets/ladders {worst:.3e} >= 0")
@@ -100,7 +101,8 @@ def test_criterion_06_per_slab_sup_bound():
         for n in SMALL_LADDER:
             traj = solve(preset.problem,
                          Subdivision.uniform(preset.problem.horizon, n))
-            worst = min(worst, check_lemma_indepmax(traj, constants=constants))
+            worst = min(worst, check_lemma_indepmax(mr_norms(traj), traj,
+                                                    constants=constants))
     report(6, "per-slab sup bound", worst >= -1e-10,
            f"min margin {worst:.3e} >= -1e-10")
 
@@ -138,7 +140,8 @@ def test_criterion_08_boundedness_and_telescoping(heat_preset, heat_constants,
 def test_criterion_09_invariance_both_ways(heat_homogeneous):
     cset = convex_set_for(heat_homogeneous, "box", lower=0.0)
     family = heat_homogeneous.problem.family
-    crit = check_criterion(family, cset, n_vectors=10_000, seed=1234,
+    crit = check_criterion(family,
+                           sample_pool(np.random.default_rng(1234), cset, 10_000),
                            load=heat_homogeneous.problem.load)
     worst_violation = max(
         audit_trajectory(solve(heat_homogeneous.problem,
@@ -147,8 +150,8 @@ def test_criterion_09_invariance_both_ways(heat_homogeneous):
 
     broken = get_preset("broken-coupling", load="none")
     bset = convex_set_for(broken, "box", lower=0.0)
-    bcrit = check_criterion(broken.problem.family, bset, n_vectors=10_000,
-                            seed=1234)
+    bcrit = check_criterion(broken.problem.family,
+                            sample_pool(np.random.default_rng(1234), bset, 10_000))
     bviol = max(
         audit_trajectory(solve(broken.problem,
                                Subdivision.uniform(broken.problem.horizon, n)),

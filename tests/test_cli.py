@@ -8,6 +8,8 @@ import pytest
 from evolveq.cli import (ConfigError, ExperimentConfig, build_parser,
                          list_presets, main, run, write_csv)
 from evolveq.forms import estimate_constants
+from evolveq.invariance import sample_pool
+from evolveq.mr import _SlabCalc
 from evolveq.propagator import SlabPropagator
 
 SCALAR_CFG = """\
@@ -188,26 +190,48 @@ class TestMain:
         (SCALAR_CFG.replace("oracle_steps = 400", "oracle_steps = 0"), 1),
         (SCALAR_CFG.replace("oracle_steps = 400", "seed = 1\nseed = 2\n"
                             "oracle_steps = 400"), 1),
+        (HEAT_CFG + "[convex_set]\nkind = halfspace\n", 1),   # no key for a normal
+        (HEAT_CFG + "[convex_set]\nmetric = euclid\n", 1),
+        (HEAT_CFG + "[convex_set]\nkind = ball\n", 1),
+        (HEAT_CFG + "[convex_set]\nkind = ball\nradius = -1.0\n", 1),
+        (HEAT_CFG + "[convex_set]\nlower = 1.0\nupper = 0.0\n", 1),
     ], ids=["omega", "horizon", "n_cells", "n_cells_text", "oracle_steps",
-            "duplicate"])
+            "duplicate", "set_halfspace", "set_metric", "set_ball_no_radius",
+            "set_negative_radius", "set_inverted_box"])
     def test_typed_errors_map_to_exit_codes(self, tmp_path, capsys, text, status):
         path = write_cfg(tmp_path, text)
-        assert main(["all", "--config", str(path),
-                     "--out", str(tmp_path / "results")]) == status
-        err = capsys.readouterr().err
+        out = tmp_path / "results"
+        assert main(["all", "--config", str(path), "--out", str(out)]) == status
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        if status == 1:
+            # config errors are caught when the config is read, before any work
+            assert not list(out.glob("*.csv"))
+        else:
+            # the account of the failed run is kept, ending with the error line
+            summary = (out / "summary.txt").read_text()
+            assert "WARNING: family not coercive" in summary
+            assert summary.splitlines()[-1] == err.strip()
+            assert captured.out == summary
 
     @pytest.mark.parametrize("text", [SCALAR_CFG, HEAT_CFG])
     def test_all_does_each_piece_of_work_once(self, tmp_path, capsys, text):
         path = write_cfg(tmp_path, text)
         config = ExperimentConfig.from_file(path)
         status, counts = count_calls(
-            [SlabPropagator.build.__func__, estimate_constants],
+            [SlabPropagator.build.__func__, estimate_constants,
+             _SlabCalc.__init__, sample_pool],
             lambda: main(["all", "--config", str(path), "--out", str(tmp_path / "o")]))
         assert status == 0
         # one solve per ladder point, shared by solve, converge and invariance
         assert counts["SlabPropagator.build"] == sum(config.slab_counts)
         assert counts["estimate_constants"] == 1
+        # per slab: one calculator each for mr_norms, the chain rule and the
+        # product rule; the estimate audits read what mr_norms reports
+        assert counts["_SlabCalc.__init__"] == 3 * sum(config.slab_counts)
+        # one sample pool, read by both invariance criteria
+        assert counts["sample_pool"] == 1
 
     def test_seed_override(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BROKEN_CFG)

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evolveq.forms import (EvaluationError, FormConstants, FormFamily,
-                           StepForm, Subdivision, average_form, build_step_form,
-                           certify_shift, coercivity_lower_bound,
-                           dual_operator_norm, estimate_constants, gauss_panels,
-                           rescale)
+from evolveq.forms import (EvaluationError, FormFamily, StepForm, Subdivision,
+                           average_form, build_step_form, certify_shift,
+                           coercivity_lower_bound, dual_operator_norm,
+                           estimate_constants, gauss_panels, rescale)
 from evolveq.presets import get_preset
 from evolveq.spaces import GalerkinSpace, StructureError
 
@@ -80,19 +79,13 @@ class TestStepForm:
         fam = scalar_family(lambda t: 1.0 + t, 1.0)
         sub = Subdivision.uniform(1.0, 2)
         sf = build_step_form(fam, sub)
-        assert sf.lookup(0.1)[0, 0] == pytest.approx(1.25, abs=1e-14)
-        assert sf.lookup(0.5)[0, 0] == pytest.approx(1.75, abs=1e-14)
-        assert sf.lookup(1.0)[0, 0] == pytest.approx(1.75, abs=1e-14)
+        assert sf.slabs[0][0, 0] == pytest.approx(1.25, abs=1e-14)
+        assert sf.slabs[1][0, 0] == pytest.approx(1.75, abs=1e-14)
 
     def test_slab_count_mismatch(self):
         space = GalerkinSpace(np.eye(1), np.eye(1))
         with pytest.raises(ValueError):
             StepForm(space, Subdivision.uniform(1.0, 2), [np.eye(1)])
-
-    def test_as_family_roundtrip(self):
-        fam = scalar_family(lambda t: 2.0, 1.0)
-        sf = build_step_form(fam, Subdivision.uniform(1.0, 3))
-        assert sf.as_family().matrix(0.9)[0, 0] == pytest.approx(2.0)
 
 
 class TestFamilyValidation:
@@ -161,13 +154,6 @@ class TestRescale:
     def test_zero_shift_is_identity(self):
         fam = scalar_family(lambda t: 1.0, 1.0)
         assert rescale(fam, 0.0) is fam
-
-    def test_constants_shift_bookkeeping(self):
-        fam = scalar_family(lambda t: 1.0, 1.0)
-        fam.constants = FormConstants(bound=1.0, coercivity=1.0, shift=0.0)
-        shifted = rescale(fam, 2.0)
-        assert shifted.constants.shift == pytest.approx(-2.0)
-        assert shifted.constants.bound is None
 
 
 class TestCertifyShift:

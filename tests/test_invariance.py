@@ -77,28 +77,31 @@ class TestProjection:
 class TestSamplePool:
     def test_pool_size_and_finiteness(self, rng):
         cset = ConvexSet.box(np.eye(5), lower=0.0)
-        pool = sample_pool(rng, cset, 100, 5)
-        assert pool.shape == (100, 5)
-        assert np.all(np.isfinite(pool))
+        vs, pvs = sample_pool(rng, cset, 100)
+        assert vs.shape == pvs.shape == (100, 5)
+        assert np.all(np.isfinite(vs))
+        np.testing.assert_array_equal(pvs, cset.project_many(vs))
 
     def test_pool_is_seed_deterministic(self):
         cset = ConvexSet.box(np.eye(5), lower=0.0)
-        p1 = sample_pool(np.random.default_rng(7), cset, 60, 5)
-        p2 = sample_pool(np.random.default_rng(7), cset, 60, 5)
-        np.testing.assert_array_equal(p1, p2)
+        p1 = sample_pool(np.random.default_rng(7), cset, 60)
+        p2 = sample_pool(np.random.default_rng(7), cset, 60)
+        np.testing.assert_array_equal(p1.vectors, p2.vectors)
 
 
 class TestCriterion:
     def test_heat_box_margin_nonnegative(self, heat_homogeneous):
         family = heat_homogeneous.problem.family
         cset = convex_set_for(heat_homogeneous, "box", lower=0.0)
-        report = check_criterion(family, cset, n_vectors=2000, seed=3)
+        report = check_criterion(family, sample_pool(np.random.default_rng(3),
+                                                     cset, 2000))
         assert report.margin >= 0.0
 
     def test_symmetric_variant_heat(self, heat_homogeneous):
         family = heat_homogeneous.problem.family
         cset = convex_set_for(heat_homogeneous, "box", lower=0.0)
-        report = check_criterion_symmetric(family, cset, n_vectors=2000, seed=3)
+        report = check_criterion_symmetric(
+            family, sample_pool(np.random.default_rng(3), cset, 2000))
         assert report.margin >= -1e-12
 
     def test_symmetric_variant_rejects_nonsymmetric(self, heat_homogeneous):
@@ -107,13 +110,15 @@ class TestCriterion:
         asym = FormFamily(base.space, base.eval, base.horizon, symmetric=False)
         cset = convex_set_for(heat_homogeneous, "box", lower=0.0)
         with pytest.raises(ValueError):
-            check_criterion_symmetric(asym, cset)
+            check_criterion_symmetric(
+                asym, sample_pool(np.random.default_rng(0), cset, 1000))
 
     def test_broken_coupling_detected_both_ways(self):
         preset = get_preset("broken-coupling")
         family = preset.problem.family
         cset = convex_set_for(preset, "box", lower=0.0)
-        report = check_criterion(family, cset, n_vectors=2000, seed=0)
+        report = check_criterion(family, sample_pool(np.random.default_rng(0),
+                                                     cset, 2000))
         assert report.margin < 0.0
         assert np.isfinite(report.witness).all()
         traj = solve(preset.problem, Subdivision.uniform(preset.problem.horizon, 8))

@@ -3,11 +3,10 @@ import pytest
 
 from evolveq.fem import robin_space, stiffness
 from evolveq.forms import FormConstants, FormFamily, Subdivision
-from evolveq.mr import (ContractError, MRReport, _SlabCalc, check_chain_rule,
+from evolveq.mr import (ContractError, MRReport, check_chain_rule,
                         check_form_telescoping, check_H_estimate, check_lemma3,
                         check_lemma_indepmax, check_product_rule, load_l2h,
                         mr_norms)
-from evolveq.presets import get_preset
 from evolveq.propagator import ProblemData, Trajectory, oracle_solve, solve
 from evolveq.spaces import GalerkinSpace
 
@@ -53,6 +52,22 @@ class TestMRNorms:
         with pytest.raises(ContractError):
             mr_norms(bare)
 
+    def test_requires_breakpoint_grid(self, decay_traj):
+        # the audits read states and per-slab terms on the breakpoints only
+        _, traj = decay_traj
+        off_grid = Trajectory(np.linspace(0.0, 1.0, 9), slabs=traj.slabs,
+                              step_form=traj.step_form)
+        with pytest.raises(ContractError, match="breakpoints"):
+            mr_norms(off_grid)
+        with pytest.raises(ContractError, match="breakpoints"):
+            check_chain_rule(off_grid)
+
+    def test_report_must_match_trajectory(self, decay_traj):
+        problem, traj = decay_traj
+        other = mr_norms(solve(problem, Subdivision.uniform(1.0, 8)))
+        with pytest.raises(ContractError, match="mr_norms"):
+            check_lemma3(other, traj, problem, alpha=1.0)
+
     def test_zero_rate_slab_refused(self, rng):
         # pure-Neumann heat (stiffness only) has a zero rate: no closed form,
         # so the audits refuse it instead of returning an inexact value
@@ -87,62 +102,38 @@ class TestEstimates:
     def test_lemma3_scalar_margin(self, decay_traj):
         problem, traj = decay_traj
         # c2 = 1; tightest at t = T: 1 - (1 - e^-2)/2
-        margin = check_lemma3(traj, problem, alpha=1.0)
+        margin = check_lemma3(mr_norms(traj), traj, problem, alpha=1.0)
         assert margin == pytest.approx(1.0 - SCALAR_ENERGY_SQ, abs=1e-12)
-
-    def test_lemma3_off_breakpoint_times_match_brute_force(self):
-        # output times inside slabs take the partial-slab branch, which the
-        # CLI (output on breakpoints) never reaches
-        problem = get_preset("heat-1d-lipschitz", n_cells=8).problem
-        grid = np.linspace(0.0, 1.0, 23)
-        traj = solve(problem, Subdivision.uniform(1.0, 8), output_grid=grid)
-        space = problem.family.space
-
-        def brute_force(t):
-            lhs = load = 0.0
-            for slab in traj.slabs:
-                if t <= slab.t0:
-                    break
-                tb = min(t, slab.t1) - slab.t0
-                lhs += _SlabCalc(slab).quadratic("V", space.gram_V, 0.0, tb)
-                pair = space.gram_H @ slab.fbar
-                load += float(pair @ space.dual_gram @ pair) * tb
-            return 4.0 * (load + space.h_norm(problem.u0) ** 2) - lhs
-
-        alpha = 0.5     # c2 = max(1/alpha^2, 1/alpha) = 4
-        for t in grid:
-            one_time = Trajectory(np.array([t]), traj.evaluate_many(np.array([t])),
-                                  slabs=traj.slabs, step_form=traj.step_form)
-            assert check_lemma3(one_time, problem, alpha) == pytest.approx(
-                brute_force(t), rel=1e-13)
-        assert check_lemma3(traj, problem, alpha) == pytest.approx(
-            min(brute_force(t) for t in grid), rel=1e-13)
 
     def test_lemma3_requires_coercivity(self, decay_traj):
         problem, traj = decay_traj
         with pytest.raises(ContractError):
-            check_lemma3(traj, problem, alpha=0.0)
+            check_lemma3(mr_norms(traj), traj, problem, alpha=0.0)
 
     def test_indepmax_scalar_is_tight(self, decay_traj):
         _, traj = decay_traj
         constants = FormConstants(bound=1.0, coercivity=1.0)
         # first slab: sup ||u||_V^2 = 1 = M ||u0||_V^2 / alpha exactly
-        margin = check_lemma_indepmax(traj, constants=constants)
+        margin = check_lemma_indepmax(mr_norms(traj), traj, constants=constants)
         assert abs(margin) <= 1e-12
 
     def test_indepmax_needs_constants(self, decay_traj):
         _, traj = decay_traj
+        report = mr_norms(traj)
         with pytest.raises(ContractError):
-            check_lemma_indepmax(traj)
+            check_lemma_indepmax(report, traj)
         with pytest.raises(ContractError):
             check_lemma_indepmax(
-                traj, constants=FormConstants(bound=1.0, coercivity=1.0, shift=0.5))
+                report, traj,
+                constants=FormConstants(bound=1.0, coercivity=1.0, shift=0.5))
 
     def test_heat_margins_nonnegative(self, heat_traj_64, heat_preset,
                                       heat_constants):
-        margin3 = check_lemma3(heat_traj_64, heat_preset.problem,
+        report = mr_norms(heat_traj_64)
+        margin3 = check_lemma3(report, heat_traj_64, heat_preset.problem,
                                heat_constants.coercivity)
-        margin_sup = check_lemma_indepmax(heat_traj_64, constants=heat_constants)
+        margin_sup = check_lemma_indepmax(report, heat_traj_64,
+                                          constants=heat_constants)
         assert margin3 >= 0.0
         assert margin_sup >= -1e-10
 

@@ -75,8 +75,9 @@ class TestSolve:
     def test_within_slab_output_is_exact(self):
         problem = scalar_problem(lambda t: 2.0, 1.0)
         grid = np.linspace(0.0, 1.0, 17)
-        traj = solve(problem, Subdivision.uniform(1.0, 4), output_grid=grid)
-        np.testing.assert_allclose(traj.states[0], np.exp(-2.0 * grid), rtol=1e-13)
+        traj = solve(problem, Subdivision.uniform(1.0, 4))
+        np.testing.assert_allclose(traj.evaluate_many(grid)[0], np.exp(-2.0 * grid),
+                                   rtol=1e-13)
 
     def test_constant_load_steady_state(self):
         load = lambda t: DualVector(np.array([3.0]))
@@ -107,9 +108,9 @@ class TestSolve:
         # the modal derivative u' = W (dc e^{-mu tau}) that the MR integrals use
         space = heat_preset.problem.family.space
         t = 0.37
-        slab = heat_traj_64._slab_at(t)
+        slab = heat_traj_64.slabs[heat_traj_64.step_form.subdivision.slab_index(t)]
         calc = _SlabCalc(slab)
-        u = heat_traj_64.evaluate(t)
+        u = slab.state(t)
         du = slab.propagator.modes @ (calc.dc * np.exp(-calc.mu * (t - slab.t0)))
         residual = space.gram_H @ du + slab.matrix @ u - space.gram_H @ slab.fbar
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(u))
@@ -117,8 +118,10 @@ class TestSolve:
     def test_evaluate_many_matches_pointwise(self, heat_traj_64):
         times = np.array([0.0, 0.11, 0.5, 0.73, 1.0])
         many = heat_traj_64.evaluate_many(times)
+        sub = heat_traj_64.step_form.subdivision
         for i, t in enumerate(times):
-            np.testing.assert_allclose(many[:, i], heat_traj_64.evaluate(t),
+            slab = heat_traj_64.slabs[sub.slab_index(t)]
+            np.testing.assert_allclose(many[:, i], slab.state(t),
                                        rtol=1e-12, atol=1e-14)
 
 
@@ -133,8 +136,6 @@ class TestTrajectoryValidation:
 
     def test_metadata_required_for_evaluate(self):
         traj = Trajectory(np.array([0.0, 1.0]), np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            traj.evaluate(0.5)
         with pytest.raises(ValueError):
             traj.evaluate_many(np.array([0.5]))
         with pytest.raises(ValueError):

@@ -3,13 +3,12 @@ parabolic evolution problems on a Galerkin-discretized Gelfand triple."""
 
 from .spaces import (DualVector, GalerkinSpace, StructureError, dual_norm,
                      h_representation)
-from .forms import (FormConstants, FormFamily, StepForm, Subdivision,
-                    average_form, build_step_form, certify_shift,
-                    estimate_constants, rescale)
+from .forms import (FormConstants, FormFamily, Subdivision, average_form,
+                    build_step_form, certify_shift, estimate_constants, rescale)
 from .propagator import ProblemData, SlabPropagator, Trajectory, oracle_solve, solve
 from .mr import (MRReport, check_chain_rule, check_H_estimate, check_lemma3,
                  check_lemma_indepmax, check_product_rule, load_l2h, mr_norms)
-from .convergence import RefinementStudy, oracle_gap, refine, solve_ladder
+from .convergence import RefinementStudy, refine, solve_ladder
 from .invariance import (ConvexSet, audit_trajectory, check_criterion,
                          check_criterion_symmetric, sample_pool)
 from .presets import get_preset, preset_names

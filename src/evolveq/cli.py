@@ -181,7 +181,7 @@ def _prepare(config: ExperimentConfig) -> _Prepared:
             shift = certify_shift(problem.family)
     if shift != 0.0:
         problem = ProblemData(rescale(problem.family, shift), problem.u0,
-                              load=problem.load, tag=problem.tag + f"+shift{shift:g}")
+                              load=problem.load)
         sampled = estimate_constants(problem.family)
     constants = resolved_constants(preset.constants, sampled)
     counts = config.slab_counts or preset.default_slab_counts
@@ -211,15 +211,15 @@ def _run_solve(prep: _Prepared, ladder: list[Trajectory], out: Path,
     space = problem.family.space
     status = 0
     rows = []
-    load_norm = mr.load_l2h(problem, ladder[-1].step_form.subdivision)
+    load_norm = mr.load_l2h(problem, ladder[-1].subdivision)
     for n, traj in zip(prep.slab_counts, ladder):
         report = mr.mr_norms(traj)
-        res_chain = mr.check_chain_rule(traj)
-        res_prod = mr.check_product_rule(traj)
+        res_chain = mr.check_chain_rule(report, traj)
+        res_prod = mr.check_product_rule(report, traj)
         margin3 = mr.check_lemma3(report, traj, problem, constants.coercivity)
         margin_sup = mr.check_lemma_indepmax(report, traj, constants)
         ratio = mr.check_H_estimate(report, problem, load_norm)
-        rows.append([n, traj.step_form.subdivision.mesh, report.l2V, report.h1H,
+        rows.append([n, traj.subdivision.mesh, report.l2V, report.h1H,
                      report.h1Vp, report.supV, report.mr_vvp, report.mr_vh,
                      res_chain, res_prod, margin3, margin_sup, ratio])
         if res_chain > CHAIN_TOL or res_prod > PRODUCT_TOL:

@@ -9,7 +9,7 @@ on the exact within-slab solutions of both trajectories.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .forms import Subdivision, gauss_panels
 from .propagator import ProblemData, Trajectory, oracle_solve, solve
 
 __all__ = ["RefinementStudy", "check_ladder", "solve_ladder", "refine",
-           "oracle_reference", "oracle_suph_gap", "oracle_gap",
+           "oracle_reference", "oracle_suph_gap",
            "trajectory_l2v_diff", "trajectory_suph_diff"]
 
 
@@ -30,7 +30,6 @@ class RefinementStudy:
     diffs_l2V: np.ndarray       # length len(slab_counts) - 1
     diffs_supH: np.ndarray
     rate: float
-    trajectories: list[Trajectory] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if np.any(self.diffs_l2V < 0) or np.any(self.diffs_supH < 0):
@@ -69,7 +68,7 @@ def solve_ladder(problem: ProblemData, slab_counts,
 
 def trajectory_l2v_diff(t1: Trajectory, t2: Trajectory, grid: np.ndarray) -> float:
     """L^2(0,T;V) norm of the difference, Gauss quadrature per grid interval."""
-    space = t1.step_form.space
+    space = t1.space
     total = 0.0
     for a, b in zip(grid[:-1], grid[1:]):
         nodes, weights = gauss_panels(a, b, panels=1)
@@ -79,7 +78,7 @@ def trajectory_l2v_diff(t1: Trajectory, t2: Trajectory, grid: np.ndarray) -> flo
 
 
 def trajectory_suph_diff(t1: Trajectory, t2: Trajectory, grid: np.ndarray) -> float:
-    space = t1.step_form.space
+    space = t1.space
     d = t1.evaluate_many(grid) - t2.evaluate_many(grid)
     return float(np.max(space.h_norms(d)))
 
@@ -101,8 +100,8 @@ def refine(trajectories: list[Trajectory]) -> RefinementStudy:
     Differences are taken on the finest trajectory's breakpoints, where
     every coarser trajectory is evaluated exactly.
     """
-    finest = trajectories[-1].step_form.subdivision
-    counts = check_ladder(t.step_form.subdivision.n_slabs for t in trajectories)
+    finest = trajectories[-1].subdivision
+    counts = check_ladder(t.subdivision.n_slabs for t in trajectories)
     horizon = finest.horizon
     common = finest.points
 
@@ -113,7 +112,7 @@ def refine(trajectories: list[Trajectory]) -> RefinementStudy:
     meshes = np.array([horizon / n for n in counts])
     rate = _fit_rate(meshes[:-1], np.array(diffs_l2v))
     return RefinementStudy(counts, meshes, np.array(diffs_l2v),
-                           np.array(diffs_suph), rate, trajectories)
+                           np.array(diffs_suph), rate)
 
 
 def oracle_reference(problem: ProblemData, n_steps: int) -> Trajectory:
@@ -125,17 +124,5 @@ def oracle_reference(problem: ProblemData, n_steps: int) -> Trajectory:
 
 def oracle_suph_gap(traj: Trajectory, oracle: Trajectory) -> float:
     """sup-H gap to the oracle on its grid; the scheme is evaluated there exactly."""
-    space = traj.step_form.space
-    return float(np.max(space.h_norms(traj.evaluate_many(oracle.grid)
-                                      - oracle.states)))
-
-
-def oracle_gap(problem: ProblemData, subdivision: Subdivision, n_steps: int,
-               relative: bool = False) -> float:
-    """sup-H gap between the exponential scheme and the implicit-Euler oracle."""
-    oracle = oracle_reference(problem, n_steps)
-    gap = oracle_suph_gap(solve(problem, subdivision), oracle)
-    if relative:
-        scale = float(np.max(problem.family.space.h_norms(oracle.states)))
-        return gap / scale if scale > 0 else gap
-    return gap
+    return float(np.max(traj.space.h_norms(traj.evaluate_many(oracle.grid)
+                                           - oracle.states)))

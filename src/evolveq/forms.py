@@ -20,7 +20,6 @@ __all__ = [
     "FormConstants",
     "FormFamily",
     "Subdivision",
-    "StepForm",
     "average_form",
     "build_step_form",
     "estimate_constants",
@@ -102,12 +101,16 @@ class Subdivision:
         gaps = np.diff(self.points)
         return bool(np.allclose(gaps, gaps[0], rtol=1e-12, atol=0.0))
 
-    def slab_index(self, t: float) -> int:
-        """Right-continuous slab lookup; t = T maps to the last slab."""
-        if t < self.points[0] or t > self.points[-1]:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        k = int(np.searchsorted(self.points, t, side="right")) - 1
-        return min(k, self.n_slabs - 1)
+    def slab_index(self, t):
+        """Right-continuous slab lookup of a time or an array of times.
+
+        t = T maps to the last slab; a time outside [0, T] raises ValueError.
+        """
+        t = np.asarray(t, dtype=float)
+        if np.any(t < self.points[0]) or np.any(t > self.points[-1]):
+            raise ValueError(f"time outside [0, {self.horizon}]")
+        k = np.searchsorted(self.points, t, side="right") - 1
+        return np.minimum(k, self.n_slabs - 1)
 
 
 @dataclass
@@ -132,19 +135,6 @@ class FormFamily:
         return a
 
 
-@dataclass
-class StepForm:
-    """Piecewise-constant family: one averaged matrix per slab."""
-
-    space: GalerkinSpace
-    subdivision: Subdivision
-    slabs: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        if len(self.slabs) != self.subdivision.n_slabs:
-            raise ValueError("one matrix per slab required")
-
-
 def average_form(family: FormFamily, t0: float, t1: float) -> np.ndarray:
     """Integral mean of A over [t0, t1] by composite Gauss-Legendre quadrature."""
     if not t0 < t1:
@@ -156,10 +146,10 @@ def average_form(family: FormFamily, t0: float, t1: float) -> np.ndarray:
     return acc / (t1 - t0)
 
 
-def build_step_form(family: FormFamily, subdivision: Subdivision) -> StepForm:
+def build_step_form(family: FormFamily, subdivision: Subdivision) -> list[np.ndarray]:
+    """The piecewise-constant family: one averaged matrix per slab."""
     pts = subdivision.points
-    slabs = [average_form(family, pts[k], pts[k + 1]) for k in range(subdivision.n_slabs)]
-    return StepForm(family.space, subdivision, slabs)
+    return [average_form(family, pts[k], pts[k + 1]) for k in range(subdivision.n_slabs)]
 
 
 def dual_operator_norm(space: GalerkinSpace, a: np.ndarray) -> float:

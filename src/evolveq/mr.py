@@ -5,7 +5,8 @@ slab's modal basis: the integrands are sums of decaying exponentials, so
 the integrals are exact up to roundoff.  A slab with a rate at or below
 _MIN_RATE has no such closed form and is refused with ContractError.
 The audits take a trajectory from `solve`, on its breakpoints; the
-estimate audits read the per-slab terms that `mr_norms` reports.
+identity and estimate audits read the per-slab terms that `mr_norms`
+computes in its one pass over the slabs.
 """
 from __future__ import annotations
 
@@ -47,8 +48,10 @@ class MRReport:
     supV: float         # sup_t ||u(t)||_V (sampled)
     mr_vvp: float       # sqrt(l2V^2 + h1Vp^2)
     mr_vh: float        # sqrt(l2V^2 + h1H^2)
-    l2V_slabs: tuple[float, ...] = ()    # slab k's summand of l2V^2
-    supV_slabs: tuple[float, ...] = ()   # sampled sup of ||u||_V on slab k
+    l2V_slabs: tuple[float, ...] = ()      # slab k's summand of l2V^2
+    supV_slabs: tuple[float, ...] = ()     # sampled sup of ||u||_V on slab k
+    chain_slabs: tuple[float, ...] = ()    # 2 int_k (u' | u)_H
+    product_slabs: tuple[float, ...] = ()  # 2 int_k (A_k u | u')_H
 
     def __post_init__(self) -> None:
         vals = (self.l2V, self.h1H, self.h1Vp, self.supV, self.mr_vvp, self.mr_vh)
@@ -60,137 +63,112 @@ class MRReport:
             raise ValueError("mr_vh is not the root-sum-square of its parts")
 
 
-def _eint(s: np.ndarray, ta: float, tb: float) -> np.ndarray:
-    """Elementwise integral of e^{-s*tau} over [ta, tb], stable near s = 0."""
+def _eint(s: np.ndarray, length: float) -> np.ndarray:
+    """Elementwise integral of e^{-s*tau} over [0, length], stable near s = 0."""
     s = np.asarray(s, dtype=float)
-    delta = tb - ta
-    z = -s * delta
+    z = -s * length
     small = np.abs(z) < 1e-8
     safe = np.where(small, 1.0, s)
-    core = np.where(small, delta * (1.0 + z / 2.0 + z * z / 6.0),
+    return np.where(small, length * (1.0 + z / 2.0 + z * z / 6.0),
                     -np.expm1(z) / safe)
-    return np.exp(-s * ta) * core
 
 
-def _bilinear_exp_integral(mu, c, p, nu, d, q, gram, ta, tb) -> float:
-    """Integral over [ta, tb] of (e^{-mu t}c + p)^T G (e^{-nu t}d + q)."""
-    cross = _eint(mu[:, None] + nu[None, :], ta, tb)
+def _bilinear_exp_integral(mu, c, p, d, q, gram, length) -> float:
+    """Integral over [0, length] of (e^{-mu t}c + p)^T G (e^{-mu t}d + q)."""
+    cross = _eint(mu[:, None] + mu[None, :], length)
     total = float(np.sum(gram * np.outer(c, d) * cross))
-    total += float((c * _eint(mu, ta, tb)) @ gram @ q)
-    total += float(p @ gram @ (d * _eint(nu, ta, tb)))
-    total += float(p @ gram @ q) * (tb - ta)
+    total += float((c * _eint(mu, length)) @ gram @ q)
+    total += float(p @ gram @ (d * _eint(mu, length)))
+    total += float(p @ gram @ q) * length
     return total
 
 
-class _SlabCalc:
-    """Closed-form time integrals on one slab, in its modal coordinates.
+def _slab_coefficients(slab: SlabSolution):
+    """(mu, c, p, dc) with u(tau) = W (c e^{-mu tau} + p), u'(tau) = W (dc e^{-mu tau}).
 
-    In modes, u(tau) = W (c e^{-mu tau} + p) and u'(tau) = W (dc e^{-mu tau}).
-    The modes are gram_H-orthonormal, so the modal H-Gram is the identity;
-    other modal Grams W^T G W are cached here, so they live only as long
-    as the audit that builds the calculator, not as long as the trajectory.
+    W are the slab's gram_H-orthonormal modes, so the modal H-Gram is the
+    identity.  A rate at or below _MIN_RATE has no such closed form.
     """
-
-    def __init__(self, slab: SlabSolution):
-        self.slab = slab
-        self.mu = slab.propagator.rates
-        if not np.all(self.mu > _MIN_RATE):
-            raise ContractError(
-                f"slab rate {self.mu.min():.3e} <= {_MIN_RATE:g} on "
-                f"[{slab.t0:g}, {slab.t1:g}]: shift the family (omega) so "
-                "that every slab is coercive")
-        self.p = slab.fhat / self.mu
-        self.c = slab.y0 - self.p
-        self.dc = -self.mu * self.c
-        self.zero = np.zeros_like(self.mu)
-        self._modal_grams = {"H": np.eye(self.mu.size)}
-
-    def _modal_gram(self, key: str, gram: np.ndarray) -> np.ndarray:
-        if key not in self._modal_grams:
-            w = self.slab.propagator.modes
-            self._modal_grams[key] = w.T @ gram @ w
-        return self._modal_grams[key]
-
-    def quadratic(self, key: str, gram: np.ndarray, ta: float, tb: float,
-                  deriv: bool = False) -> float:
-        """Integral of u^T G u (or du^T G du) over relative times [ta, tb]."""
-        gt = self._modal_gram(key, gram)
-        if deriv:
-            return _bilinear_exp_integral(self.mu, self.dc, self.zero,
-                                          self.mu, self.dc, self.zero, gt, ta, tb)
-        return _bilinear_exp_integral(self.mu, self.c, self.p,
-                                      self.mu, self.c, self.p, gt, ta, tb)
-
-    def h_cross(self, ta: float, tb: float) -> float:
-        """Integral of (du | u)_H over relative times [ta, tb]."""
-        return _bilinear_exp_integral(self.mu, self.dc, self.zero,
-                                      self.mu, self.c, self.p,
-                                      self._modal_grams["H"], ta, tb)
-
-    def form_rate(self, ta: float, tb: float) -> float:
-        """Integral of (A_k u | du)_H over relative times [ta, tb]."""
-        return _bilinear_exp_integral(self.mu, self.c, self.p,
-                                      self.mu, self.dc, self.zero,
-                                      np.diag(self.mu), ta, tb)
-
-    def sup_v(self, space) -> float:
-        taus = self.slab.t0 + np.linspace(0.0, self.slab.length, _SUP_SAMPLES)
-        return float(np.max(space.v_norms(self.slab.states(taus))))
+    mu = slab.propagator.rates
+    if not np.all(mu > _MIN_RATE):
+        raise ContractError(
+            f"slab rate {mu.min():.3e} <= {_MIN_RATE:g} on "
+            f"[{slab.t0:g}, {slab.t1:g}]: shift the family (omega) so "
+            "that every slab is coercive")
+    p = slab.fhat / mu
+    c = slab.y0 - p
+    return mu, c, p, -mu * c
 
 
 def _require_metadata(traj: Trajectory,
                       report: MRReport | None = None) -> list[SlabSolution]:
-    if traj.slabs is None or traj.step_form is None:
+    if traj.slabs is None:
         raise ContractError("trajectory carries no slab metadata; use solve()")
-    if not np.array_equal(traj.grid, traj.step_form.subdivision.points):
-        raise ContractError("trajectory grid is not its subdivision's breakpoints")
     if report is not None and len(report.supV_slabs) != len(traj.slabs):
         raise ContractError("MR report is not of this trajectory; use mr_norms()")
     return traj.slabs
 
 
 def mr_norms(traj: Trajectory) -> MRReport:
-    """Norm components of eqs. L^2(V), H^1(H), H^1(V') plus the sampled sup-V."""
+    """Norm components of eqs. L^2(V), H^1(H), H^1(V') plus the sampled sup-V.
+
+    One pass per slab: the closed-form coefficients give the norm integrals
+    and the chain- and product-rule terms that the identity audits read.
+    """
     slabs = _require_metadata(traj)
-    space = traj.step_form.space
+    space = traj.space
     gram_dual = space.gram_H @ space.dual_gram @ space.gram_H
     l2v = h1h = h1vp = 0.0
-    l2v_slabs, supv_slabs = [], []
+    l2v_slabs, supv_slabs, chain_slabs, product_slabs = [], [], [], []
     for slab in slabs:
-        calc = _SlabCalc(slab)
-        length = slab.length
-        l2v_slabs.append(calc.quadratic("V", space.gram_V, 0.0, length))
+        mu, c, p, dc = _slab_coefficients(slab)
+        w, length = slab.propagator.modes, slab.length
+        zero, eye = np.zeros_like(mu), np.eye(mu.size)
+        l2v_slabs.append(_bilinear_exp_integral(mu, c, p, c, p,
+                                                w.T @ space.gram_V @ w, length))
         l2v += l2v_slabs[-1]
-        h1h += calc.quadratic("H", space.gram_H, 0.0, length, deriv=True)
-        h1vp += calc.quadratic("dual", gram_dual, 0.0, length, deriv=True)
-        supv_slabs.append(calc.sup_v(space))
+        h1h += _bilinear_exp_integral(mu, dc, zero, dc, zero, eye, length)
+        h1vp += _bilinear_exp_integral(mu, dc, zero, dc, zero,
+                                       w.T @ gram_dual @ w, length)
+        chain_slabs.append(2.0 * _bilinear_exp_integral(mu, dc, zero, c, p,
+                                                        eye, length))
+        product_slabs.append(2.0 * _bilinear_exp_integral(mu, c, p, dc, zero,
+                                                          np.diag(mu), length))
+        taus = slab.t0 + np.linspace(0.0, length, _SUP_SAMPLES)
+        supv_slabs.append(float(np.max(space.v_norms(slab.states(taus)))))
     l2v, h1h, h1vp = (float(np.sqrt(max(x, 0.0))) for x in (l2v, h1h, h1vp))
     return MRReport(l2V=l2v, h1H=h1h, h1Vp=h1vp, supV=max(supv_slabs),
                     mr_vvp=float(np.hypot(l2v, h1vp)),
                     mr_vh=float(np.hypot(l2v, h1h)),
-                    l2V_slabs=tuple(l2v_slabs), supV_slabs=tuple(supv_slabs))
+                    l2V_slabs=tuple(l2v_slabs), supV_slabs=tuple(supv_slabs),
+                    chain_slabs=tuple(chain_slabs),
+                    product_slabs=tuple(product_slabs))
 
 
-def check_chain_rule(traj: Trajectory) -> float:
-    """Per-slab residual of d/dt ||u||_H^2 = 2 (du | u)_H."""
-    slabs = _require_metadata(traj)
-    h_sq = traj.step_form.space.h_norms(traj.states) ** 2
+def check_chain_rule(report: MRReport, traj: Trajectory) -> float:
+    """Per-slab residual of d/dt ||u||_H^2 = 2 (du | u)_H.
+
+    The right side is the report's `chain_slabs`.
+    """
+    _require_metadata(traj, report)
+    h_sq = traj.space.h_norms(traj.states) ** 2
     residual = 0.0
-    for k, slab in enumerate(slabs):
-        rhs = 2.0 * _SlabCalc(slab).h_cross(0.0, slab.length)
+    for k, rhs in enumerate(report.chain_slabs):
         residual = max(residual, abs(h_sq[k + 1] - h_sq[k] - rhs))
     return float(residual)
 
 
-def check_product_rule(traj: Trajectory) -> float:
-    """Per-slab residual of d/dt a_k(u(t)) = 2 (A_k u | du)_H."""
-    slabs = _require_metadata(traj)
+def check_product_rule(report: MRReport, traj: Trajectory) -> float:
+    """Per-slab residual of d/dt a_k(u(t)) = 2 (A_k u | du)_H.
+
+    The right side is the report's `product_slabs`.
+    """
+    slabs = _require_metadata(traj, report)
     residual = 0.0
-    for k, slab in enumerate(slabs):
+    for k, (slab, rhs) in enumerate(zip(slabs, report.product_slabs)):
         a = slab.matrix
         u0, u1 = traj.states[:, k], traj.states[:, k + 1]
         lhs = float(u1 @ a @ u1 - u0 @ a @ u0)
-        rhs = 2.0 * _SlabCalc(slab).form_rate(0.0, slab.length)
         residual = max(residual, abs(lhs - rhs))
     return residual
 
@@ -207,7 +185,7 @@ def check_lemma_indepmax(report: MRReport, traj: Trajectory,
         raise ContractError("sup-bound check needs certified M and alpha")
     if constants.coercivity <= 0 or constants.shift != 0.0:
         raise ContractError("sup-bound check requires coercivity at shift 0")
-    space = traj.step_form.space
+    space = traj.space
     big_m, alpha = constants.bound, constants.coercivity
     margin = np.inf
     for slab, sup_v in zip(slabs, report.supV_slabs):
@@ -254,9 +232,8 @@ def load_l2h(problem: ProblemData, sub: Subdivision) -> float:
     total = 0.0
     for t0, t1 in zip(sub.points[:-1], sub.points[1:]):
         nodes, weights = gauss_panels(t0, t1)
-        for t, w in zip(nodes, weights):
-            pair = problem.load_pairings(t)
-            total += w * float(pair @ space.solve_H(pair))
+        pairs = np.column_stack([problem.load_pairings(t) for t in nodes])
+        total += float(weights @ np.sum(pairs * space.solve_H(pairs), axis=0))
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -279,18 +256,17 @@ def check_form_telescoping(traj: Trajectory,
     v is the computed state at the junction.  Nonpositive (up to slack)
     means the telescoping inequality holds.
     """
-    _require_metadata(traj)
-    step_form = traj.step_form
+    slabs = _require_metadata(traj)
     if lipschitz is None:
         raise ContractError("telescoping check needs a Lipschitz constant")
-    if not step_form.subdivision.is_uniform:
+    if not traj.subdivision.is_uniform:
         raise ContractError("telescoping check assumes a uniform subdivision")
-    space = step_form.space
-    pts = step_form.subdivision.points
+    space = traj.space
+    pts = traj.subdivision.points
     worst = -np.inf
-    for k in range(step_form.subdivision.n_slabs - 1):
+    for k in range(len(slabs) - 1):
         v = traj.states[:, k + 1]
-        gap = abs(float(v @ (step_form.slabs[k] - step_form.slabs[k + 1]) @ v))
+        gap = abs(float(v @ (slabs[k].matrix - slabs[k + 1].matrix) @ v))
         allowance = lipschitz * (pts[k + 1] - pts[k]) * space.v_norm(v) ** 2
         worst = max(worst, gap - allowance)
     return float(worst)

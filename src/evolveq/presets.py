@@ -60,7 +60,7 @@ def _scalar_decay(n_cells, horizon, load, amplitude) -> PresetProblem:
     family = FormFamily(space, lambda t: np.array([[1.0 + 0.5 * t]]), horizon,
                         symmetric=True)
     problem = ProblemData(family, np.array([1.0]),
-                          load=_scalar_load(load, amplitude), tag="scalar-decay")
+                          load=_scalar_load(load, amplitude))
     constants = FormConstants(bound=1.0 + 0.5 * horizon, coercivity=1.0,
                               lipschitz=0.5, certified_on_samples=False)
     return PresetProblem("scalar-decay", "dim 1, p(t) = 1 + t/2, closed-form oracle",
@@ -73,7 +73,7 @@ def _scalar_sin(n_cells, horizon, load, amplitude) -> PresetProblem:
     family = FormFamily(space, lambda t: np.array([[2.0 + np.sin(t)]]), horizon,
                         symmetric=True)
     problem = ProblemData(family, np.array([1.0]),
-                          load=_scalar_load(load, amplitude), tag="scalar-sin")
+                          load=_scalar_load(load, amplitude))
     constants = FormConstants(bound=3.0, coercivity=1.0, lipschitz=1.0,
                               certified_on_samples=False)
     return PresetProblem("scalar-sin", "dim 1, p(t) = 2 + sin t over one period",
@@ -88,8 +88,7 @@ def _constant_heat(n_cells, horizon, load, amplitude) -> PresetProblem:
     family = FormFamily(space, lambda t: matrix, horizon, symmetric=True)
     load = "constant" if load is None else load
     problem = ProblemData(family, np.sin(np.pi * space.labels),
-                          load=_nodal_load(space, load, amplitude),
-                          tag="constant-heat")
+                          load=_nodal_load(space, load, amplitude))
     constants = FormConstants(lipschitz=0.0, certified_on_samples=False)
     return PresetProblem("constant-heat",
                          "autonomous P1 heat flow with Robin boundary, kappa = 1",
@@ -104,8 +103,7 @@ def _heat_lipschitz(n_cells, horizon, load, amplitude) -> PresetProblem:
                         symmetric=True)
     load = "forcing" if load is None else load
     problem = ProblemData(family, np.sin(np.pi * space.labels),
-                          load=_nodal_load(space, load, amplitude),
-                          tag="heat-1d-lipschitz")
+                          load=_nodal_load(space, load, amplitude))
     # |d kappa / dt| = |x cos t| / 2 <= 1/2 and the V-Gram dominates the
     # stiffness part, so L = 1/2 holds analytically.
     constants = FormConstants(lipschitz=0.5, certified_on_samples=False)
@@ -130,8 +128,7 @@ def _broken_coupling(n_cells, horizon, load, amplitude) -> PresetProblem:
     u0 = np.zeros(space.dim)
     u0[m] = 1.0
     u0[m + 1] = 1.0
-    problem = ProblemData(family, u0, load=_nodal_load(space, load, amplitude),
-                          tag="broken-coupling")
+    problem = ProblemData(family, u0, load=_nodal_load(space, load, amplitude))
     constants = FormConstants(lipschitz=0.0, certified_on_samples=False)
     return PresetProblem("broken-coupling",
                          "heat stencil with one coupling sign flipped; "

@@ -13,8 +13,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .forms import (FormFamily, StepForm, Subdivision, build_step_form,
-                    gauss_panels)
+from .forms import FormFamily, Subdivision, build_step_form, gauss_panels
 from .spaces import DualVector, GalerkinSpace, StructureError
 
 __all__ = [
@@ -105,40 +104,45 @@ class SlabSolution:
 class Trajectory:
     """States on a time grid, with per-slab metadata for a solve.
 
-    A solve's grid is its subdivision's breakpoints; the oracle keeps the
-    steps it is asked for and carries no slabs.
+    A solve's grid is its subdivision's breakpoints, one slab per interval;
+    the oracle keeps the steps it is asked for and carries no slabs.
     """
 
     grid: np.ndarray
-    states: np.ndarray | None = None   # (dim, n_times); None: evaluate the slabs
+    states: np.ndarray                 # (dim, n_times)
     slabs: list[SlabSolution] | None = None
-    step_form: StepForm | None = None
-    problem_tag: str = ""
+    subdivision: Subdivision | None = None
 
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=float)
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("output grid must be strictly increasing")
-        if self.states is None:
-            self.states = self.evaluate_many(self.grid)
         self.states = np.asarray(self.states, dtype=float)
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory states must be finite")
+        if (self.slabs is None) != (self.subdivision is None):
+            raise ValueError("slabs and their subdivision come together")
+        if self.slabs is not None:
+            edges = [slab.t0 for slab in self.slabs] + [self.slabs[-1].t1]
+            if not (np.array_equal(self.grid, self.subdivision.points)
+                    and np.array_equal(self.grid, edges)):
+                raise ValueError("trajectory grid is not its slabs' breakpoints")
+
+    def _require_slabs(self) -> list[SlabSolution]:
+        if self.slabs is None:
+            raise ValueError("trajectory carries no slab metadata")
+        return self.slabs
 
     @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
+    def space(self) -> GalerkinSpace:
+        return self._require_slabs()[0].propagator.space
 
     def evaluate_many(self, times: np.ndarray) -> np.ndarray:
         """Exact within-slab evaluation, vectorized slab by slab."""
-        slabs = self.slabs
-        if slabs is None or self.step_form is None:
-            raise ValueError("trajectory carries no slab metadata")
+        slabs = self._require_slabs()
         times = np.asarray(times, dtype=float)
-        out = np.empty((slabs[0].u_start.size, times.size))
-        sub = self.step_form.subdivision
-        idx = np.minimum(np.searchsorted(sub.points, times, side="right") - 1,
-                         sub.n_slabs - 1)
+        out = np.empty((self.states.shape[0], times.size))
+        idx = self.subdivision.slab_index(times)
         for k in np.unique(idx):
             sel = idx == k
             out[:, sel] = slabs[k].states(times[sel])
@@ -152,7 +156,6 @@ class ProblemData:
     family: FormFamily
     u0: np.ndarray
     load: Callable[[float], DualVector] | None = None
-    tag: str = ""
 
     def __post_init__(self) -> None:
         self.u0 = np.asarray(self.u0, dtype=float)
@@ -187,7 +190,8 @@ def _averaged_load(problem: ProblemData, t0: float, t1: float) -> np.ndarray:
 def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
     """March the frozen-coefficient scheme across the subdivision.
 
-    The trajectory's grid is the subdivision's breakpoints.  Other times
+    The trajectory's grid is the subdivision's breakpoints, and its states
+    there are the ones the march hands from slab to slab.  Other times
     are exact through `Trajectory.evaluate_many`, which steps from the
     slab's left breakpoint, never by interpolation.  The family must be
     declared symmetric; an overflowing exponential raises
@@ -198,20 +202,19 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
         raise StructureError("solve needs a family declared symmetric")
     if abs(subdivision.horizon - family.horizon) > 1e-12 * max(family.horizon, 1.0):
         raise ValueError("subdivision horizon does not match the family")
-    step_form = build_step_form(family, subdivision)
+    matrices = build_step_form(family, subdivision)
 
     slabs: list[SlabSolution] = []
-    u = problem.u0.copy()
+    states = [problem.u0.copy()]
     pts = subdivision.points
     with np.errstate(over="raise"):
         for k in range(subdivision.n_slabs):
             t0, t1 = pts[k], pts[k + 1]
-            prop = SlabPropagator.build(family.space, step_form.slabs[k])
-            slabs.append(SlabSolution(t0, t1, prop, u,
+            prop = SlabPropagator.build(family.space, matrices[k])
+            slabs.append(SlabSolution(t0, t1, prop, states[-1],
                                       _averaged_load(problem, t0, t1)))
-            u = slabs[-1].state(t1)
-        return Trajectory(pts, slabs=slabs, step_form=step_form,
-                          problem_tag=problem.tag)
+            states.append(slabs[-1].state(t1))
+    return Trajectory(pts, np.column_stack(states), slabs, subdivision)
 
 
 def oracle_solve(problem: ProblemData, n_steps: int,
@@ -240,7 +243,7 @@ def oracle_solve(problem: ProblemData, n_steps: int,
         states.append(u.copy())
     gram_H = space.gram_H
     for i in range(1, n_steps + 1):
-        t = i * dt
+        t = min(i * dt, horizon)          # i * dt may overshoot T by an ulp
         a = family.matrix(t)
         rhs = gram_H @ u + dt * problem.load_pairings(t)
         try:
@@ -250,5 +253,4 @@ def oracle_solve(problem: ProblemData, n_steps: int,
         if i in keep_set:
             times.append(t)
             states.append(u.copy())
-    return Trajectory(np.array(times), np.column_stack(states),
-                      problem_tag=problem.tag + ":oracle")
+    return Trajectory(np.array(times), np.column_stack(states))

@@ -1,10 +1,24 @@
 import numpy as np
 import pytest
 
-from evolveq.convergence import refine, solve_ladder
+from evolveq.convergence import (oracle_reference, oracle_suph_gap, refine,
+                                 solve_ladder)
 from evolveq.forms import Subdivision, estimate_constants
 from evolveq.presets import get_preset, resolved_constants
 from evolveq.propagator import solve
+
+
+def oracle_gap(problem, subdivision, n_steps, relative=False):
+    """sup-H gap between the exponential scheme and the implicit-Euler oracle.
+
+    With `relative`, divided by the oracle's largest H-norm.
+    """
+    oracle = oracle_reference(problem, n_steps)
+    gap = oracle_suph_gap(solve(problem, subdivision), oracle)
+    if relative:
+        scale = float(np.max(problem.family.space.h_norms(oracle.states)))
+        return gap / scale if scale > 0 else gap
+    return gap
 
 
 @pytest.fixture(scope="session")
@@ -30,9 +44,14 @@ def heat_traj_64(heat_preset):
 
 
 @pytest.fixture(scope="session")
-def heat_study(heat_preset):
+def heat_ladder(heat_preset):
     """Dyadic ladder 8 -> 512 with the forcing load; shared by several audits."""
-    return refine(solve_ladder(heat_preset.problem, [8, 16, 32, 64, 128, 256, 512]))
+    return solve_ladder(heat_preset.problem, [8, 16, 32, 64, 128, 256, 512])
+
+
+@pytest.fixture(scope="session")
+def heat_study(heat_ladder):
+    return refine(heat_ladder)
 
 
 @pytest.fixture(scope="session")

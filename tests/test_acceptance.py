@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evolveq.convergence import (oracle_gap, refine, solve_ladder,
-                                 trajectory_l2v_diff)
+from conftest import oracle_gap
+from evolveq.convergence import solve_ladder, trajectory_l2v_diff
 from evolveq.forms import Subdivision, estimate_constants, rescale
 from evolveq.invariance import audit_trajectory, check_criterion, sample_pool
 from evolveq.mr import (check_chain_rule, check_form_telescoping,
@@ -41,11 +41,10 @@ def report(num, label, passed, detail):
 
 def test_criterion_01_autonomous_collapse():
     preset = get_preset("constant-heat", load="constant")
-    study = refine(solve_ladder(preset.problem, [8, 16, 32, 64]))
-    grid = study.trajectories[-1].grid
+    ladder = solve_ladder(preset.problem, [8, 16, 32, 64])
+    grid = ladder[-1].grid
     worst = max(trajectory_l2v_diff(a, b, grid)
-                for i, a in enumerate(study.trajectories)
-                for b in study.trajectories[i + 1:])
+                for i, a in enumerate(ladder) for b in ladder[i + 1:])
     report(1, "autonomous collapse", worst <= 1e-11,
            f"max pairwise l2V diff {worst:.3e} <= 1e-11")
 
@@ -114,23 +113,23 @@ def test_criterion_07_identity_residuals():
         for n in SMALL_LADDER:
             traj = solve(preset.problem,
                          Subdivision.uniform(preset.problem.horizon, n))
-            worst = max(worst, check_chain_rule(traj))
+            rep = mr_norms(traj)
+            worst = max(worst, check_chain_rule(rep, traj))
             if preset.problem.family.symmetric:
-                worst = max(worst, check_product_rule(traj))
+                worst = max(worst, check_product_rule(rep, traj))
     report(7, "chain/product residuals", worst <= 1e-8,
            f"max residual {worst:.3e} <= 1e-8")
 
 
 def test_criterion_08_boundedness_and_telescoping(heat_preset, heat_constants,
-                                                  heat_study):
-    load_norm = load_l2h(heat_preset.problem,
-                         heat_study.trajectories[-1].step_form.subdivision)
+                                                  heat_ladder):
+    load_norm = load_l2h(heat_preset.problem, heat_ladder[-1].subdivision)
     ratios = [check_H_estimate(mr_norms(traj), heat_preset.problem, load_norm)
-              for traj in heat_study.trajectories]
+              for traj in heat_ladder]
     spread = (max(ratios) - min(ratios)) / max(ratios)
     excess = max(check_form_telescoping(traj,
                                         lipschitz=heat_constants.lipschitz)
-                 for traj in heat_study.trajectories)
+                 for traj in heat_ladder)
     ok = spread <= 0.10 and excess <= 1e-9
     report(8, "boundedness + telescoping", ok,
            f"ratio spread {spread:.3%} <= 10%, telescoping excess "

@@ -9,8 +9,8 @@ from evolveq.cli import (ConfigError, ExperimentConfig, build_parser,
                          list_presets, main, run, write_csv)
 from evolveq.forms import estimate_constants
 from evolveq.invariance import sample_pool
-from evolveq.mr import _SlabCalc
-from evolveq.propagator import SlabPropagator
+from evolveq.mr import _slab_coefficients
+from evolveq.propagator import SlabPropagator, SlabSolution, solve
 
 SCALAR_CFG = """\
 [experiment]
@@ -52,14 +52,29 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     return path
 
 
-def count_calls(funcs, thunk):
-    """Run thunk; count calls into each function's code, whatever name it is called by."""
+def count_calls(funcs, thunk, under=None):
+    """Run thunk; count calls into each function's code, whatever name it is called by.
+
+    `under` maps a function to a caller: its calls count only while that
+    caller runs, under the name "<function> in <caller>".
+    """
     codes = {f.__code__: f.__qualname__ for f in funcs}
+    callers = {}
+    for f, caller in (under or {}).items():
+        codes[f.__code__] = f"{f.__qualname__} in {caller.__qualname__}"
+        callers[f.__code__] = caller.__code__
     counts = dict.fromkeys(codes.values(), 0)
 
+    def runs_under(frame, code):
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        return frame is not None
+
     def hook(frame, event, _arg):
-        if event == "call" and frame.f_code in codes:
-            counts[codes[frame.f_code]] += 1
+        code = frame.f_code
+        if event == "call" and code in codes:
+            if code not in callers or runs_under(frame, callers[code]):
+                counts[codes[code]] += 1
 
     sys.setprofile(hook)
     try:
@@ -221,15 +236,19 @@ class TestMain:
         config = ExperimentConfig.from_file(path)
         status, counts = count_calls(
             [SlabPropagator.build.__func__, estimate_constants,
-             _SlabCalc.__init__, sample_pool],
-            lambda: main(["all", "--config", str(path), "--out", str(tmp_path / "o")]))
+             _slab_coefficients, sample_pool],
+            lambda: main(["all", "--config", str(path), "--out", str(tmp_path / "o")]),
+            under={SlabSolution.states: solve})
         assert status == 0
         # one solve per ladder point, shared by solve, converge and invariance
         assert counts["SlabPropagator.build"] == sum(config.slab_counts)
         assert counts["estimate_constants"] == 1
-        # per slab: one calculator each for mr_norms, the chain rule and the
-        # product rule; the estimate audits read what mr_norms reports
-        assert counts["_SlabCalc.__init__"] == 3 * sum(config.slab_counts)
+        # the march evaluates each slab once, at its right end; the trajectory
+        # keeps those states instead of evaluating the breakpoints again
+        assert counts["SlabSolution.states in solve"] == sum(config.slab_counts)
+        # per slab, one closed-form pass in mr_norms; the identity and
+        # estimate audits read what it reports
+        assert counts["_slab_coefficients"] == sum(config.slab_counts)
         # one sample pool, read by both invariance criteria
         assert counts["sample_pool"] == 1
 

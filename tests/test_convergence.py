@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from evolveq.convergence import (check_ladder, oracle_gap, refine, solve_ladder,
+from conftest import oracle_gap
+from evolveq.convergence import (check_ladder, refine, solve_ladder,
                                  trajectory_l2v_diff, trajectory_suph_diff)
 from evolveq.forms import Subdivision
 from evolveq.presets import get_preset
@@ -45,14 +46,14 @@ class TestDifferences:
 class TestRefine:
     def test_scalar_sin_ladder(self):
         preset = get_preset("scalar-sin", load="none")
-        study = refine(solve_ladder(preset.problem, [8, 16, 32, 64, 128]))
+        ladder = solve_ladder(preset.problem, [8, 16, 32, 64, 128])
+        study = refine(ladder)
         assert np.all(np.diff(study.diffs_l2V) < 0)
         assert study.rate >= 0.9
-        assert len(study.trajectories) == 5
+        assert study.slab_counts == [8, 16, 32, 64, 128]
         # each ladder point is output on its own breakpoints
-        for traj in study.trajectories:
-            np.testing.assert_array_equal(traj.grid,
-                                          traj.step_form.subdivision.points)
+        for traj in ladder:
+            np.testing.assert_array_equal(traj.grid, traj.subdivision.points)
 
     def test_autonomous_collapse_small(self):
         preset = get_preset("constant-heat", n_cells=16, load="none")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evolveq.forms import (EvaluationError, FormFamily, StepForm, Subdivision,
+from evolveq.forms import (EvaluationError, FormFamily, Subdivision,
                            average_form, build_step_form, certify_shift,
                            coercivity_lower_bound, dual_operator_norm,
                            estimate_constants, gauss_panels, rescale)
@@ -39,6 +39,11 @@ class TestSubdivision:
         assert sub.slab_index(1.0) == 1     # horizon maps to the last slab
         with pytest.raises(ValueError):
             sub.slab_index(1.5)
+        # the array form that Trajectory.evaluate_many uses
+        times = np.array([0.0, 0.1, 0.25, 0.6, 1.0])
+        np.testing.assert_array_equal(sub.slab_index(times), [0, 0, 1, 1, 1])
+        with pytest.raises(ValueError):
+            sub.slab_index(np.array([0.5, -0.1]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=40),
@@ -78,14 +83,10 @@ class TestStepForm:
     def test_build_and_lookup(self):
         fam = scalar_family(lambda t: 1.0 + t, 1.0)
         sub = Subdivision.uniform(1.0, 2)
-        sf = build_step_form(fam, sub)
-        assert sf.slabs[0][0, 0] == pytest.approx(1.25, abs=1e-14)
-        assert sf.slabs[1][0, 0] == pytest.approx(1.75, abs=1e-14)
-
-    def test_slab_count_mismatch(self):
-        space = GalerkinSpace(np.eye(1), np.eye(1))
-        with pytest.raises(ValueError):
-            StepForm(space, Subdivision.uniform(1.0, 2), [np.eye(1)])
+        slabs = build_step_form(fam, sub)
+        assert len(slabs) == sub.n_slabs
+        assert slabs[0][0, 0] == pytest.approx(1.25, abs=1e-14)
+        assert slabs[1][0, 0] == pytest.approx(1.75, abs=1e-14)
 
 
 class TestFamilyValidation:

@@ -19,7 +19,7 @@ SCALAR_ENERGY_SQ = (1.0 - np.exp(-2.0)) / 2.0
 def decay_traj():
     space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
     family = FormFamily(space, lambda t: np.array([[1.0]]), 1.0, symmetric=True)
-    problem = ProblemData(family, np.array([1.0]), tag="unit-decay")
+    problem = ProblemData(family, np.array([1.0]))
     return problem, solve(problem, Subdivision.uniform(1.0, 4))
 
 
@@ -53,20 +53,24 @@ class TestMRNorms:
             mr_norms(bare)
 
     def test_requires_breakpoint_grid(self, decay_traj):
-        # the audits read states and per-slab terms on the breakpoints only
+        # the audits read states and per-slab terms on the breakpoints only,
+        # so a trajectory with slabs on another grid is refused when built
         _, traj = decay_traj
-        off_grid = Trajectory(np.linspace(0.0, 1.0, 9), slabs=traj.slabs,
-                              step_form=traj.step_form)
-        with pytest.raises(ContractError, match="breakpoints"):
-            mr_norms(off_grid)
-        with pytest.raises(ContractError, match="breakpoints"):
-            check_chain_rule(off_grid)
+        grid = np.linspace(0.0, 1.0, 9)
+        with pytest.raises(ValueError, match="breakpoints"):
+            Trajectory(grid, traj.evaluate_many(grid), traj.slabs, traj.subdivision)
+        with pytest.raises(ValueError, match="breakpoints"):
+            Trajectory(traj.grid, traj.states, traj.slabs[:-1], traj.subdivision)
 
     def test_report_must_match_trajectory(self, decay_traj):
         problem, traj = decay_traj
         other = mr_norms(solve(problem, Subdivision.uniform(1.0, 8)))
         with pytest.raises(ContractError, match="mr_norms"):
             check_lemma3(other, traj, problem, alpha=1.0)
+        with pytest.raises(ContractError, match="mr_norms"):
+            check_chain_rule(other, traj)
+        with pytest.raises(ContractError, match="mr_norms"):
+            check_product_rule(other, traj)
 
     def test_zero_rate_slab_refused(self, rng):
         # pure-Neumann heat (stiffness only) has a zero rate: no closed form,
@@ -78,24 +82,22 @@ class TestMRNorms:
                      Subdivision.uniform(1.0, 8))
         with pytest.raises(ContractError, match="shift"):
             mr_norms(traj)
-        with pytest.raises(ContractError):
-            check_chain_rule(traj)
 
 
 class TestIdentities:
     def test_chain_rule_scalar(self, decay_traj):
         _, traj = decay_traj
-        assert check_chain_rule(traj) <= 1e-10
+        assert check_chain_rule(mr_norms(traj), traj) <= 1e-10
 
     def test_product_rule_scalar(self, decay_traj):
         _, traj = decay_traj
-        assert check_product_rule(traj) <= 1e-10
+        assert check_product_rule(mr_norms(traj), traj) <= 1e-10
 
     def test_chain_rule_heat(self, heat_traj_64):
-        assert check_chain_rule(heat_traj_64) <= 1e-8
+        assert check_chain_rule(mr_norms(heat_traj_64), heat_traj_64) <= 1e-8
 
     def test_product_rule_heat(self, heat_traj_64):
-        assert check_product_rule(heat_traj_64) <= 1e-8
+        assert check_product_rule(mr_norms(heat_traj_64), heat_traj_64) <= 1e-8
 
 
 class TestEstimates:
@@ -139,7 +141,7 @@ class TestEstimates:
 
     def test_h_estimate_scalar(self, decay_traj):
         problem, traj = decay_traj
-        load_norm = load_l2h(problem, traj.step_form.subdivision)
+        load_norm = load_l2h(problem, traj.subdivision)
         assert check_H_estimate(mr_norms(traj), problem, load_norm) == pytest.approx(
             np.sqrt(2.0 * SCALAR_ENERGY_SQ), abs=1e-12)
 
@@ -147,7 +149,7 @@ class TestEstimates:
         problem, traj = decay_traj
         zero = ProblemData(problem.family, np.array([0.0]))
         ztraj = solve(zero, Subdivision.uniform(1.0, 4))
-        load_norm = load_l2h(zero, ztraj.step_form.subdivision)
+        load_norm = load_l2h(zero, ztraj.subdivision)
         assert check_H_estimate(mr_norms(ztraj), zero, load_norm) == 0.0
 
 

@@ -4,7 +4,7 @@ import pytest
 from evolveq.fem import heat_matrix, robin_space
 from evolveq.forms import FormFamily, Subdivision
 from evolveq.presets import get_preset
-from evolveq.mr import _SlabCalc
+from evolveq.mr import _slab_coefficients
 from evolveq.propagator import (ProblemData, SlabPropagator, SlabSolution,
                                 Trajectory, oracle_solve, phi1, solve)
 from evolveq.spaces import DualVector, GalerkinSpace, StructureError
@@ -14,7 +14,7 @@ def scalar_problem(p, horizon, u0=1.0, load=None):
     space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
     family = FormFamily(space, lambda t: np.array([[p(t)]]), horizon,
                         symmetric=True)
-    return ProblemData(family, np.array([u0]), load=load, tag="test")
+    return ProblemData(family, np.array([u0]), load=load)
 
 
 class TestPhi1:
@@ -87,6 +87,13 @@ class TestSolve:
         assert traj.states[0, -1] == pytest.approx(3.0 * (1 - np.exp(-8.0)),
                                                    rel=1e-12)
 
+    def test_breakpoint_states_are_the_marched_states(self, heat_traj_64):
+        # each slab starts from the state the march handed it, bit for bit
+        starts = np.column_stack([slab.u_start for slab in heat_traj_64.slabs])
+        np.testing.assert_array_equal(heat_traj_64.states[:, :-1], starts)
+        last = heat_traj_64.slabs[-1]
+        np.testing.assert_array_equal(heat_traj_64.states[:, -1], last.state(last.t1))
+
     def test_non_symmetric_family_rejected(self):
         space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
         family = FormFamily(space, lambda t: np.array([[1.0]]), 1.0)
@@ -108,17 +115,17 @@ class TestSolve:
         # the modal derivative u' = W (dc e^{-mu tau}) that the MR integrals use
         space = heat_preset.problem.family.space
         t = 0.37
-        slab = heat_traj_64.slabs[heat_traj_64.step_form.subdivision.slab_index(t)]
-        calc = _SlabCalc(slab)
+        slab = heat_traj_64.slabs[heat_traj_64.subdivision.slab_index(t)]
+        mu, _, _, dc = _slab_coefficients(slab)
         u = slab.state(t)
-        du = slab.propagator.modes @ (calc.dc * np.exp(-calc.mu * (t - slab.t0)))
+        du = slab.propagator.modes @ (dc * np.exp(-mu * (t - slab.t0)))
         residual = space.gram_H @ du + slab.matrix @ u - space.gram_H @ slab.fbar
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(u))
 
     def test_evaluate_many_matches_pointwise(self, heat_traj_64):
         times = np.array([0.0, 0.11, 0.5, 0.73, 1.0])
         many = heat_traj_64.evaluate_many(times)
-        sub = heat_traj_64.step_form.subdivision
+        sub = heat_traj_64.subdivision
         for i, t in enumerate(times):
             slab = heat_traj_64.slabs[sub.slab_index(t)]
             np.testing.assert_allclose(many[:, i], slab.state(t),
@@ -138,8 +145,6 @@ class TestTrajectoryValidation:
         traj = Trajectory(np.array([0.0, 1.0]), np.zeros((1, 2)))
         with pytest.raises(ValueError):
             traj.evaluate_many(np.array([0.5]))
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 1.0]))      # no states to evaluate
 
 
 class TestOracle:
@@ -156,6 +161,17 @@ class TestOracle:
         errs = [abs(oracle_solve(problem, n).states[0, -1] - np.exp(-1.25))
                 for n in (100, 200)]
         assert errs[1] == pytest.approx(errs[0] / 2.0, rel=0.05)
+
+    def test_last_time_is_the_horizon(self):
+        # 25 * (2 pi / 25) overshoots 2 pi by an ulp; the scheme is evaluated
+        # on the oracle's grid, and only inside [0, T]
+        problem = scalar_problem(lambda t: 2.0 + np.sin(t), 2.0 * np.pi)
+        n = 25
+        assert n * (problem.horizon / n) > problem.horizon
+        oracle = oracle_solve(problem, n)
+        assert oracle.grid[-1] == problem.horizon
+        traj = solve(problem, Subdivision.uniform(problem.horizon, 8))
+        assert np.all(np.isfinite(traj.evaluate_many(oracle.grid)))
 
     def test_output_grid_subsampling(self):
         problem = scalar_problem(lambda t: 1.0, 1.0)

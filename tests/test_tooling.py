@@ -1,18 +1,24 @@
-"""The benchmark tracer patches evolveq by name; a rename must fail here."""
+"""Repository tooling: the benchmark tracer's names and the results comparer."""
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+REPO = Path(__file__).resolve().parents[1]
+TRACER = REPO / "perfbench" / "tracer.py"
+COMPARE = REPO / "scripts" / "compare_results.py"
+
+
+def load_script(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def traced_entries():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TRACED
+    return load_script(TRACER, "perfbench_tracer").TRACED
 
 
 @pytest.mark.parametrize("mod, path", traced_entries())
@@ -28,3 +34,37 @@ def test_traced_entry_resolves(mod, path):
             assert callable(raw)
     else:
         assert callable(getattr(module, path))
+
+
+def write_tree(root, files):
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def test_compare_results_reports_each_changed_column(tmp_path, capsys):
+    main = load_script(COMPARE, "compare_results").main
+    old = {"a/mr.csv": "n,x,y\n8,1.0,2.0\n16,4.0,0.0\n",
+           "a/summary.txt": "preset: p\nrate 1.0\n", "b/traj_8.csv": "t\n0\n"}
+    new = dict(old, **{"a/mr.csv": "n,x,y\n8,1.0,2.5\n16,4.0,1e-3\n",
+                       "a/summary.txt": "preset: p\nrate 1.5\n"})
+    write_tree(tmp_path / "old", old)
+    write_tree(tmp_path / "new", new)
+    assert main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "a/mr.csv: y: 2 rows, max abs 5.000e-01, max rel 1.000e+00",
+        "a/summary.txt: line 2 differs: 'rate 1.0' -> 'rate 1.5'",
+        "b/traj_8.csv: identical",
+    ]
+
+
+def test_compare_results_fails_on_different_file_sets(tmp_path, capsys):
+    main = load_script(COMPARE, "compare_results").main
+    write_tree(tmp_path / "old", {"mr.csv": "n\n1\n", "notes.log": "x"})
+    write_tree(tmp_path / "new", {"mr.csv": "n\n1\n", "traj_4.csv": "t\n0\n"})
+    assert main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    out = capsys.readouterr().out
+    assert "traj_4.csv: only in" in out and "mr.csv: identical" in out
+    assert "notes.log" not in out

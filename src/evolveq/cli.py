@@ -163,8 +163,8 @@ class _Prepared:
     config: ExperimentConfig
     preset: PresetProblem
     problem: ProblemData
-    sampled: FormConstants        # one sample of the family being solved
-    constants: FormConstants      # declared values over that sample
+    computed: FormConstants       # estimate_constants of the family being solved
+    constants: FormConstants      # declared values over the computed ones
     slab_counts: tuple[int, ...]
     shift: float
 
@@ -176,30 +176,30 @@ def _prepare(config: ExperimentConfig) -> _Prepared:
     problem = preset.problem
     shift = config.omega or 0.0
     if shift == 0.0:
-        sampled = estimate_constants(problem.family)
-        if resolved_constants(preset.constants, sampled).coercivity <= 0:
+        computed = estimate_constants(problem.family)
+        if resolved_constants(preset.constants, computed).coercivity <= 0:
             shift = certify_shift(problem.family)
     if shift != 0.0:
         problem = ProblemData(rescale(problem.family, shift), problem.u0,
                               load=problem.load)
-        sampled = estimate_constants(problem.family)
-    constants = resolved_constants(preset.constants, sampled)
+        computed = estimate_constants(problem.family)
+    constants = resolved_constants(preset.constants, computed)
     counts = config.slab_counts or preset.default_slab_counts
-    return _Prepared(config, preset, problem, sampled, constants, counts, shift)
+    return _Prepared(config, preset, problem, computed, constants, counts, shift)
 
 
 def _run_constants(prep: _Prepared, lines: list[str]) -> int:
-    declared, sampled = prep.preset.constants, prep.sampled
-    if not declared.certified_on_samples:
-        parts = [f"{k}={v:g}" for k, v in
-                 (("M", declared.bound), ("alpha", declared.coercivity),
-                  ("L", declared.lipschitz)) if v is not None]
+    declared, computed = prep.preset.constants, prep.computed
+    parts = [f"{k}={v:g}" for k, v in
+             (("M", declared.bound), ("alpha", declared.coercivity),
+              ("L", declared.lipschitz)) if v is not None]
+    if parts:
         lines.append("declared: " + " ".join(parts))
-    lines.append(f"sampled: M={sampled.bound:.6g} alpha={sampled.coercivity:.6g} "
-                 f"L={sampled.lipschitz:.6g} (certified on samples)")
+    lines.append(f"{computed.source}: M={computed.bound:.6g} "
+                 f"alpha={computed.coercivity:.6g} L={computed.lipschitz:.6g}")
     if prep.shift:
         lines.append(f"rescaled by omega={prep.shift:g} before solving")
-    if sampled.coercivity <= 0:
+    if computed.coercivity <= 0:
         lines.append("WARNING: family not coercive at the requested shift")
         return 2
     return 0

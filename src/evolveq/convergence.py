@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Subdivision, gauss_panels
+from .forms import Subdivision, gauss_nodes
 from .propagator import ProblemData, Trajectory, oracle_solve, solve
 
 __all__ = ["RefinementStudy", "check_ladder", "solve_ladder", "refine",
@@ -67,13 +67,13 @@ def solve_ladder(problem: ProblemData, slab_counts,
 
 
 def trajectory_l2v_diff(t1: Trajectory, t2: Trajectory, grid: np.ndarray) -> float:
-    """L^2(0,T;V) norm of the difference, Gauss quadrature per grid interval."""
-    space = t1.space
-    total = 0.0
-    for a, b in zip(grid[:-1], grid[1:]):
-        nodes, weights = gauss_panels(a, b, panels=1)
-        d = t1.evaluate_many(nodes) - t2.evaluate_many(nodes)
-        total += float(weights @ space.v_norms(d) ** 2)
+    """L^2(0,T;V) norm of the difference, Gauss quadrature per grid interval.
+
+    Each trajectory is evaluated once, at every node of the grid.
+    """
+    nodes, weights = gauss_nodes(grid)
+    d = t1.evaluate_many(nodes) - t2.evaluate_many(nodes)
+    total = float(weights @ t1.space.v_norms(d) ** 2)
     return float(np.sqrt(max(total, 0.0)))
 
 

@@ -18,6 +18,7 @@ __all__ = [
     "robin_space",
     "dirichlet_space",
     "heat_matrix",
+    "heat_terms",
 ]
 
 
@@ -94,3 +95,15 @@ def heat_matrix(n_cells: int, t: float, wobble: float = 0.5,
     h = 1.0 / n_cells
     cell = h + 0.5 * wobble * np.sin(t) * (x[1:] ** 2 - x[:-1] ** 2)
     return stiffness(n_cells, cell) + robin_boundary(n_cells, beta)
+
+
+def heat_terms(n_cells: int, wobble: float = 0.5,
+               beta: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Affine terms (A0, A1) of heat_matrix(n_cells, t) = A0 + sin(t) A1.
+
+    A0 is the matrix at t = 0; A1 assembles the per-cell integral of
+    wobble*x, the factor of sin(t) in kappa.
+    """
+    x = uniform_nodes(n_cells)
+    a1 = stiffness(n_cells, 0.5 * wobble * (x[1:] ** 2 - x[:-1] ** 2))
+    return heat_matrix(n_cells, 0.0, wobble, beta), a1

@@ -1,14 +1,17 @@
 """Time-dependent bilinear form families, slab averaging and certified constants.
 
 A family evaluates to a square coefficient matrix A(t) with
-a(t; u, v) = u^T A(t) v.  Slab averaging replaces the family on each
-interval of a subdivision by its integral mean, computed with composite
-Gauss-Legendre quadrature.
+a(t; u, v) = u^T A(t) v, either through a callable or through affine terms
+A(t) = A0 + theta(t) A1 with a scalar coefficient theta.  Slab averaging
+replaces the family on each interval of a subdivision by its integral
+mean: A0 + mean(theta) A1 for affine terms, composite Gauss-Legendre
+quadrature for a callable.  Affine terms also give the constants exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import math
+from dataclasses import dataclass, replace
+from typing import Callable, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -16,8 +19,13 @@ import scipy.linalg as sla
 from .spaces import GalerkinSpace, StructureError
 
 __all__ = [
+    "AffineTerms",
+    "Coefficient",
+    "EXACT",
     "EvaluationError",
     "FormConstants",
+    "Harmonic",
+    "Linear",
     "FormFamily",
     "Subdivision",
     "average_form",
@@ -27,6 +35,7 @@ __all__ = [
     "certify_shift",
     "dual_operator_norm",
     "coercivity_lower_bound",
+    "gauss_nodes",
     "gauss_panels",
 ]
 
@@ -38,28 +47,132 @@ class EvaluationError(ValueError):
     """A form evaluation produced non-finite entries or broke a declared flag."""
 
 
-def gauss_panels(a: float, b: float,
-                 panels: int = GAUSS_PANELS) -> tuple[np.ndarray, np.ndarray]:
+def gauss_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """4-point Gauss-Legendre nodes and weights on each interval of `edges`."""
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi) + half * _GAUSS_X).ravel(), (half * _GAUSS_W).ravel()
+
+
+def gauss_panels(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite 4-point Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = _GAUSS_X, _GAUSS_W
-    edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(0.5 * (lo + hi) + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return gauss_nodes(np.linspace(a, b, GAUSS_PANELS + 1))
+
+
+def _sinc(x: float) -> float:
+    return math.sin(x) / x if x != 0.0 else 1.0
+
+
+@dataclass(frozen=True)
+class Linear:
+    """Coefficient theta(t) = c0 + c1 t; c1 = 0 is a constant."""
+
+    c0: float
+    c1: float = 0.0
+
+    def __call__(self, t: float) -> float:
+        return self.c0 + self.c1 * t
+
+    def mean(self, a: float, b: float) -> float:
+        """Mean of theta over [a, b]."""
+        return self.c0 + self.c1 * (0.5 * (a + b))
+
+    def bounds(self, horizon: float) -> tuple[float, float]:
+        """Least and greatest value of theta on [0, horizon]."""
+        ends = (self.c0, self(horizon))
+        return min(ends), max(ends)
+
+    def max_slope(self, horizon: float) -> float:
+        """Greatest |theta'| on [0, horizon]."""
+        return abs(self.c1)
+
+    def square_integral(self, horizon: float) -> float:
+        """Integral of theta^2 over [0, horizon]."""
+        c0, c1 = self.c0, self.c1
+        return horizon * (c0 * c0 + c0 * c1 * horizon + c1 * c1 * horizon**2 / 3.0)
+
+
+@dataclass(frozen=True)
+class Harmonic:
+    """Coefficient theta(t) = c + a cos(omega t) + b sin(omega t), omega > 0.
+
+    With R = hypot(a, b) and phase = atan2(b, a), theta = c + R cos(omega t - phase):
+    its extremes are c -+ R where omega t - phase is a multiple of pi, and
+    |theta'| reaches omega R half a step further on.
+    """
+
+    c: float = 0.0
+    a: float = 0.0
+    b: float = 0.0
+    omega: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.omega > 0:
+            raise ValueError("harmonic coefficient needs omega > 0")
+
+    def _wave(self, t: float) -> float:
+        return self.a * math.cos(self.omega * t) + self.b * math.sin(self.omega * t)
+
+    def __call__(self, t: float) -> float:
+        return self.c + self._wave(t)
+
+    def mean(self, a: float, b: float) -> float:
+        """Mean of theta over [a, b], free of cancellation for short intervals.
+
+        E.g. for sin: (cos a - cos b)/(b - a) = sin((a+b)/2) sinc((b-a)/2).
+        """
+        return self.c + self._wave(0.5 * (a + b)) * _sinc(0.5 * self.omega * (b - a))
+
+    def _turns(self, horizon: float, offset: float) -> range:
+        """Integers k with omega t - phase = offset + k pi for some t in [0, horizon]."""
+        phase = math.atan2(self.b, self.a)
+        return range(math.ceil((-phase - offset) / math.pi),
+                     math.floor((self.omega * horizon - phase - offset) / math.pi) + 1)
+
+    def bounds(self, horizon: float) -> tuple[float, float]:
+        """Least and greatest value of theta on [0, horizon], interior extremes included."""
+        r = math.hypot(self.a, self.b)
+        values = [self(0.0), self(horizon)]
+        values += [self.c + (r if k % 2 == 0 else -r) for k in self._turns(horizon, 0.0)]
+        return min(values), max(values)
+
+    def max_slope(self, horizon: float) -> float:
+        """Greatest |theta'| on [0, horizon]."""
+        w = self.omega
+        if len(self._turns(horizon, 0.5 * math.pi)):
+            return w * math.hypot(self.a, self.b)
+
+        def slope(t: float) -> float:
+            return abs(w * (self.b * math.cos(w * t) - self.a * math.sin(w * t)))
+
+        return max(slope(0.0), slope(horizon))
+
+    def square_integral(self, horizon: float) -> float:
+        """Integral of theta^2 over [0, horizon], by the same sinc means."""
+        c, a, b, wt = self.c, self.a, self.b, self.omega * horizon
+        wave_mean = self._wave(0.5 * horizon) * _sinc(0.5 * wt)
+        # (a cos + b sin)^2 = (a^2 + b^2)/2 + (a^2 - b^2)/2 cos 2wt + ab sin 2wt
+        square_mean = 0.5 * (a * a + b * b) + (0.5 * (a * a - b * b) * math.cos(wt)
+                                               + a * b * math.sin(wt)) * _sinc(wt)
+        return horizon * (c * c + 2.0 * c * wave_mean + square_mean)
+
+
+Coefficient = Union[Linear, Harmonic]
+
+
+EXACT = "exact (affine endpoints)"
 
 
 @dataclass(frozen=True)
 class FormConstants:
-    """Continuity/coercivity/Lipschitz data, either declared or sampled."""
+    """Continuity/coercivity/Lipschitz data and where the computed ones came from."""
 
     bound: float | None = None        # V -> V' operator-norm bound M
     coercivity: float | None = None   # alpha at the given shift
     shift: float = 0.0                # omega used when certifying coercivity
     lipschitz: float | None = None    # L in the time-Lipschitz bound
-    certified_on_samples: bool = True
+    source: str = "declared"          # EXACT, or "sampled on <n> times"
 
 
 @dataclass(frozen=True)
@@ -113,32 +226,81 @@ class Subdivision:
         return np.minimum(k, self.n_slabs - 1)
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise EvaluationError(f"{what} has non-finite entries")
+    return a
+
+
+@dataclass(frozen=True)
+class AffineTerms:
+    """A(t) = a0 + theta(t) a1: two fixed matrices and a scalar coefficient."""
+
+    a0: np.ndarray
+    a1: np.ndarray
+    theta: Coefficient
+
+    def at(self, s: float) -> np.ndarray:
+        """a0 + s a1; a non-finite result raises EvaluationError."""
+        return _finite(self.a0 + s * self.a1, f"form matrix at theta={s}")
+
+    def extremes(self, horizon: float) -> list[np.ndarray]:
+        """The matrices at the ends of theta's range on [0, horizon].
+
+        ||a0 + s a1||_{V->V'} is convex in s and the coercivity lambda_min
+        is concave in s, so both take their extremes over the family here.
+        """
+        lo, hi = self.theta.bounds(horizon)
+        return [self.at(s) for s in sorted({lo, hi})]
+
+
 @dataclass
 class FormFamily:
-    """t -> A(t) on a Galerkin space, with horizon and declared structure."""
+    """t -> A(t) on a Galerkin space, with horizon and declared structure.
+
+    A family is given by exactly one of a callable `eval` or affine `terms`;
+    the terms are checked once here, a callable's matrix at every call.
+    """
 
     space: GalerkinSpace
-    eval: Callable[[float], np.ndarray]
+    eval: Callable[[float], np.ndarray] | None
     horizon: float
     symmetric: bool = False
+    terms: AffineTerms | None = None
 
-    def matrix(self, t: float) -> np.ndarray:
-        a = np.asarray(self.eval(t), dtype=float)
+    def __post_init__(self) -> None:
+        if (self.eval is None) == (self.terms is None):
+            raise ValueError("a form family needs exactly one of a callable "
+                             "and affine terms")
+        if self.terms is not None:
+            self.terms = replace(self.terms,
+                                 a0=self._checked(self.terms.a0, "affine term a0"),
+                                 a1=self._checked(self.terms.a1, "affine term a1"))
+
+    def _checked(self, a, what: str) -> np.ndarray:
+        a = np.asarray(a, dtype=float)
         if a.shape != (self.space.dim, self.space.dim):
-            raise EvaluationError(f"form matrix at t={t} has shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise EvaluationError(f"form matrix at t={t} has non-finite entries")
+            raise EvaluationError(f"{what} has shape {a.shape}")
+        _finite(a, what)
         if self.symmetric:
             scale = max(np.linalg.norm(a), np.finfo(float).tiny)
             if np.linalg.norm(a - a.T) > 1e-12 * scale:
-                raise EvaluationError(f"family declared symmetric but A({t}) is not")
+                raise EvaluationError(f"family declared symmetric but {what} is not")
         return a
+
+    def matrix(self, t: float) -> np.ndarray:
+        if self.terms is not None:
+            return self.terms.at(self.terms.theta(t))
+        return self._checked(self.eval(t), f"form matrix at t={t}")
 
 
 def average_form(family: FormFamily, t0: float, t1: float) -> np.ndarray:
-    """Integral mean of A over [t0, t1] by composite Gauss-Legendre quadrature."""
+    """Integral mean of A over [t0, t1]: closed form for affine terms,
+    composite Gauss-Legendre quadrature for a callable."""
     if not t0 < t1:
         raise ValueError("slab must have positive length")
+    if family.terms is not None:
+        return family.terms.at(family.terms.theta.mean(t0, t1))
     nodes, weights = gauss_panels(t0, t1)
     acc = np.zeros((family.space.dim, family.space.dim))
     for t, w in zip(nodes, weights):
@@ -170,35 +332,62 @@ def coercivity_lower_bound(space: GalerkinSpace, a: np.ndarray, shift: float = 0
     return float(lam[0])
 
 
+def _extremal_matrices(family: FormFamily, t_grid: np.ndarray) -> list[np.ndarray]:
+    """Matrices on which the family's M and alpha are taken: the ends of
+    theta's range for affine terms, else the family at the sample times."""
+    if family.terms is not None:
+        return family.terms.extremes(family.horizon)
+    return [family.matrix(t) for t in t_grid]
+
+
+def _sample_grid(family: FormFamily, t_grid: np.ndarray | None) -> np.ndarray:
+    if t_grid is None:
+        return np.linspace(0.0, family.horizon, 129)
+    return np.asarray(t_grid, dtype=float)
+
+
 def estimate_constants(family: FormFamily, t_grid: np.ndarray | None = None,
                        shift: float = 0.0) -> FormConstants:
-    """Sample-certified continuity, coercivity and Lipschitz constants.
+    """Continuity, coercivity and Lipschitz constants of the family.
 
-    Certification is on the sample grid only; presets ship analytic values
-    for cross-checking where they are known.
+    With affine terms they are exact: M and alpha at the ends of theta's
+    range, L = ||A1||_{V->V'} max|theta'|, and `t_grid` is not read.  A
+    callable family is certified on the sample grid only (a sampled L can
+    fall below the true one); presets ship analytic values for
+    cross-checking where they are known.
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, family.horizon, 129)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size < 33:
+    t_grid = _sample_grid(family, t_grid)
+    if family.terms is None and t_grid.size < 33:
         raise ValueError("constant certification needs at least 33 sample times")
     space = family.space
-    mats = [family.matrix(t) for t in t_grid]
+    mats = _extremal_matrices(family, t_grid)
     bound = max(dual_operator_norm(space, a) for a in mats)
     coercivity = min(coercivity_lower_bound(space, a, shift) for a in mats)
+    if family.terms is not None:
+        lipschitz = (dual_operator_norm(space, family.terms.a1)
+                     * family.terms.theta.max_slope(family.horizon))
+        return FormConstants(bound=bound, coercivity=coercivity, shift=shift,
+                             lipschitz=lipschitz, source=EXACT)
     lipschitz = 0.0
     for (ta, aa), (tb, ab) in zip(zip(t_grid[:-1], mats[:-1]), zip(t_grid[1:], mats[1:])):
         lipschitz = max(lipschitz, dual_operator_norm(space, ab - aa) / (tb - ta))
     return FormConstants(bound=bound, coercivity=coercivity, shift=shift,
-                         lipschitz=lipschitz, certified_on_samples=True)
+                         lipschitz=lipschitz, source=f"sampled on {t_grid.size} times")
 
 
 def rescale(family: FormFamily, shift: float) -> FormFamily:
-    """Shifted family A(t) + shift * gram_H; symmetry is preserved."""
+    """Shifted family A(t) + shift * gram_H; symmetry is preserved.
+
+    Affine terms take the shift into A0.
+    """
     if shift == 0.0:
         return family
-    base_eval = family.eval
     gram_H = family.space.gram_H
+    if family.terms is not None:
+        terms = replace(family.terms, a0=family.terms.a0 + shift * gram_H)
+        return FormFamily(family.space, None, family.horizon,
+                          symmetric=family.symmetric, terms=terms)
+    base_eval = family.eval
 
     def shifted(t: float) -> np.ndarray:
         return np.asarray(base_eval(t), dtype=float) + shift * gram_H
@@ -209,21 +398,20 @@ def rescale(family: FormFamily, shift: float) -> FormFamily:
 
 def certify_shift(family: FormFamily, t_grid: np.ndarray | None = None,
                   declared_shift: float = 0.0, tol: float = 1e-10) -> float:
-    """Smallest sample-certified shift making the family coercive.
+    """Smallest shift making the family coercive, certified on the same
+    matrices as `estimate_constants` (for affine terms, the two ends).
 
     Returns declared_shift when it already certifies; otherwise bisects
     upward within [0, 10*M/c_H^2].
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, family.horizon, 129)
+    mats = _extremal_matrices(family, _sample_grid(family, t_grid))
 
     def alpha_at(shift: float) -> float:
-        return min(coercivity_lower_bound(family.space, family.matrix(t), shift)
-                   for t in t_grid)
+        return min(coercivity_lower_bound(family.space, a, shift) for a in mats)
 
     if alpha_at(declared_shift) > tol:
         return declared_shift
-    bound = max(dual_operator_norm(family.space, family.matrix(t)) for t in t_grid)
+    bound = max(dual_operator_norm(family.space, a) for a in mats)
     hi = 10.0 * bound / family.space.embedding_constant ** 2
     if alpha_at(hi) <= tol:
         raise StructureError("no certifying shift found in [0, 10*M/c_H^2]")

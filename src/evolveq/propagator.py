@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .forms import FormFamily, Subdivision, build_step_form, gauss_panels
+from .forms import Coefficient, FormFamily, Subdivision, build_step_form, gauss_panels
 from .spaces import DualVector, GalerkinSpace, StructureError
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "SlabSolution",
     "Trajectory",
     "ProblemData",
+    "SeparableLoad",
     "solve",
     "oracle_solve",
     "phi1",
@@ -149,6 +150,27 @@ class Trajectory:
         return out
 
 
+@dataclass(frozen=True)
+class SeparableLoad:
+    """The load f(t) = theta(t) g: a scalar coefficient times one pairing vector.
+
+    Its slab means and its L^2(0,T;H) norm have closed forms; any other
+    callable load is integrated by quadrature.
+    """
+
+    theta: Coefficient
+    pairing: np.ndarray
+
+    def __post_init__(self) -> None:
+        pairing = np.asarray(self.pairing, dtype=float)
+        if not np.all(np.isfinite(pairing)):
+            raise ValueError("load pairing has non-finite entries")
+        object.__setattr__(self, "pairing", pairing)
+
+    def __call__(self, t: float) -> DualVector:
+        return DualVector(self.theta(t) * self.pairing)
+
+
 @dataclass
 class ProblemData:
     """Form family, initial state and load defining one evolution problem."""
@@ -176,15 +198,27 @@ class ProblemData:
         return coeffs
 
 
-def _averaged_load(problem: ProblemData, t0: float, t1: float) -> np.ndarray:
-    """Slab mean of the load in H-coordinates (gram_H applied inverse)."""
-    if problem.load is None:
-        return np.zeros(problem.family.space.dim)
-    nodes, weights = gauss_panels(t0, t1)
-    acc = np.zeros(problem.family.space.dim)
-    for t, w in zip(nodes, weights):
-        acc += w * problem.load_pairings(t)
-    return problem.family.space.solve_H(acc / (t1 - t0))
+def _averaged_loads(problem: ProblemData, subdivision: Subdivision) -> list[np.ndarray]:
+    """Slab means of the load in H-coordinates (gram_H applied inverse).
+
+    A separable load takes mean(theta) times one H-solve of its pairing;
+    another load is averaged by quadrature, slab by slab.
+    """
+    space, load = problem.family.space, problem.load
+    slabs = list(zip(subdivision.points[:-1], subdivision.points[1:]))
+    if load is None:
+        return [np.zeros(space.dim) for _ in slabs]
+    if isinstance(load, SeparableLoad):
+        g = space.solve_H(load.pairing)
+        return [load.theta.mean(t0, t1) * g for t0, t1 in slabs]
+    means = []
+    for t0, t1 in slabs:
+        nodes, weights = gauss_panels(t0, t1)
+        acc = np.zeros(space.dim)
+        for t, w in zip(nodes, weights):
+            acc += w * problem.load_pairings(t)
+        means.append(space.solve_H(acc / (t1 - t0)))
+    return means
 
 
 def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
@@ -203,6 +237,7 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
     if abs(subdivision.horizon - family.horizon) > 1e-12 * max(family.horizon, 1.0):
         raise ValueError("subdivision horizon does not match the family")
     matrices = build_step_form(family, subdivision)
+    loads = _averaged_loads(problem, subdivision)
 
     slabs: list[SlabSolution] = []
     states = [problem.u0.copy()]
@@ -211,8 +246,7 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
         for k in range(subdivision.n_slabs):
             t0, t1 = pts[k], pts[k + 1]
             prop = SlabPropagator.build(family.space, matrices[k])
-            slabs.append(SlabSolution(t0, t1, prop, states[-1],
-                                      _averaged_load(problem, t0, t1)))
+            slabs.append(SlabSolution(t0, t1, prop, states[-1], loads[k]))
             states.append(slabs[-1].state(t1))
     return Trajectory(pts, np.column_stack(states), slabs, subdivision)
 

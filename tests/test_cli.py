@@ -1,16 +1,20 @@
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from evolveq import cli, fem
 from evolveq.cli import (ConfigError, ExperimentConfig, build_parser,
                          list_presets, main, run, write_csv)
-from evolveq.forms import estimate_constants
+from evolveq.forms import FormFamily, estimate_constants
 from evolveq.invariance import sample_pool
 from evolveq.mr import _slab_coefficients
-from evolveq.propagator import SlabPropagator, SlabSolution, solve
+from evolveq.presets import get_preset
+from evolveq.propagator import ProblemData, SlabPropagator, SlabSolution, solve
+from evolveq.spaces import GalerkinSpace
 
 SCALAR_CFG = """\
 [experiment]
@@ -167,8 +171,28 @@ class TestMain:
         out = tmp_path / "results"
         assert main(["constants", "--config", str(path), "--out", str(out)]) == 0
         summary = (out / "summary.txt").read_text()
-        assert "declared:" in summary
-        assert "sampled:" in summary
+        assert "declared: M=1.5 alpha=1 L=0.5" in summary
+        assert "exact (affine endpoints): M=1.5 alpha=1 L=0.5" in summary
+
+    def test_constants_line_names_its_source(self, tmp_path, capsys, monkeypatch):
+        path = write_cfg(tmp_path, HEAT_CFG)
+
+        def summary_of(name):
+            assert main(["constants", "--config", str(path),
+                         "--out", str(tmp_path / name)]) == 0
+            return (tmp_path / name / "summary.txt").read_text()
+
+        assert "\nexact (affine endpoints): M=" in summary_of("affine")
+
+        def callable_only(*args, **kwargs):
+            preset = get_preset(*args, **kwargs)
+            fam = preset.problem.family
+            family = FormFamily(fam.space, fam.matrix, fam.horizon, symmetric=True)
+            return replace(preset, problem=ProblemData(family, preset.problem.u0,
+                                                       load=preset.problem.load))
+
+        monkeypatch.setattr(cli, "get_preset", callable_only)
+        assert "\nsampled on 129 times: M=" in summary_of("callable")
 
     def test_broken_invariance_counterexample(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BROKEN_CFG)
@@ -236,7 +260,7 @@ class TestMain:
         config = ExperimentConfig.from_file(path)
         status, counts = count_calls(
             [SlabPropagator.build.__func__, estimate_constants,
-             _slab_coefficients, sample_pool],
+             _slab_coefficients, sample_pool, fem.heat_matrix],
             lambda: main(["all", "--config", str(path), "--out", str(tmp_path / "o")]),
             under={SlabSolution.states: solve})
         assert status == 0
@@ -251,6 +275,9 @@ class TestMain:
         assert counts["_slab_coefficients"] == sum(config.slab_counts)
         # one sample pool, read by both invariance criteria
         assert counts["sample_pool"] == 1
+        # the heat family is assembled once, as its affine terms; slab means,
+        # constants and oracle steps never assemble it again
+        assert counts["heat_matrix"] == (1 if "heat" in config.preset else 0)
 
     def test_seed_override(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BROKEN_CFG)
@@ -268,5 +295,7 @@ class TestParser:
         assert args.threads == 4
 
     def test_preset_listing_text(self):
-        text = list_presets()
+        # the descriptions are stored with the builders: listing builds no problem
+        text, counts = count_calls([GalerkinSpace.__post_init__], list_presets)
         assert "counterexample" in text
+        assert counts["GalerkinSpace.__post_init__"] == 0

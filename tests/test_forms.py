@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evolveq.forms import (EvaluationError, FormFamily, Subdivision,
-                           average_form, build_step_form, certify_shift,
+from evolveq import fem
+from evolveq.forms import (EXACT, AffineTerms, EvaluationError, FormFamily,
+                           Harmonic, Linear, Subdivision, average_form,
+                           build_step_form, certify_shift,
                            coercivity_lower_bound, dual_operator_norm,
-                           estimate_constants, gauss_panels, rescale)
+                           estimate_constants, gauss_nodes, gauss_panels, rescale)
 from evolveq.presets import get_preset
 from evolveq.spaces import GalerkinSpace, StructureError
 
@@ -117,7 +119,7 @@ class TestConstants:
         assert c.bound == pytest.approx(3.0, abs=1e-12)
         assert c.coercivity == pytest.approx(1.0, abs=1e-12)
         assert 0.95 <= c.lipschitz <= 1.0
-        assert c.certified_on_samples
+        assert c.source == "sampled on 129 times"
 
     def test_dual_operator_norm_scalar(self):
         space = GalerkinSpace(np.array([[1.0]]), np.array([[4.0]]))
@@ -176,3 +178,93 @@ class TestCertifyShift:
         fam = FormFamily(space, lambda t: np.diag([1.0, -1.0]), 1.0)
         with pytest.raises(StructureError):
             certify_shift(fam)
+
+
+def rel_err(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b)
+
+
+def heat_pair(n_cells):
+    """The heat preset's affine family and the callable assembling fem.heat_matrix."""
+    fam = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem.family
+    return fam, FormFamily(fam.space, lambda t: fem.heat_matrix(n_cells, t),
+                           fam.horizon, symmetric=True)
+
+
+def scalar_sin_pair():
+    fam = get_preset("scalar-sin").problem.family
+    return fam, scalar_family(lambda t: 2.0 + np.sin(t), fam.horizon)
+
+
+AFFINE_PAIRS = {"heat-16": lambda: heat_pair(16), "heat-80": lambda: heat_pair(80),
+                "scalar-sin": scalar_sin_pair}
+
+
+class TestAffineTerms:
+    @pytest.mark.parametrize("case", sorted(AFFINE_PAIRS))
+    def test_affine_path_matches_callable(self, case):
+        fam, ref = AFFINE_PAIRS[case]()
+        assert fam.terms is not None and ref.terms is None
+        for t in np.linspace(0.0, fam.horizon, 9):
+            assert rel_err(fam.matrix(t), ref.matrix(t)) <= 1e-12
+        sub = Subdivision.uniform(fam.horizon, 16)
+        for exact, quad in zip(build_step_form(fam, sub), build_step_form(ref, sub)):
+            assert rel_err(exact, quad) <= 1e-12
+        exact, sampled = estimate_constants(fam), estimate_constants(ref)
+        assert (exact.source, sampled.source) == (EXACT, "sampled on 129 times")
+        assert exact.bound == pytest.approx(sampled.bound, rel=1e-12)
+        assert exact.coercivity == pytest.approx(sampled.coercivity, rel=1e-12)
+        # a sampled Lipschitz constant is no upper bound; the exact one is
+        assert exact.lipschitz >= sampled.lipschitz
+
+    def test_scalar_sin_range_over_one_period(self):
+        fam, _ = scalar_sin_pair()
+        assert fam.horizon == 2.0 * np.pi
+        assert fam.terms.theta.bounds(fam.horizon) == (-1.0, 1.0)
+        c = estimate_constants(fam)
+        assert (c.bound, c.coercivity, c.lipschitz) == (3.0, 1.0, 1.0)
+
+    def test_coefficient_closed_forms(self):
+        sine = Harmonic(b=1.0)
+        assert sine.bounds(1.0) == (0.0, np.sin(1.0))
+        assert sine.bounds(2.0) == (0.0, 1.0)          # interior maximum at pi/2
+        forcing = Harmonic(c=1.0, a=1.0, omega=2.0)
+        assert forcing.max_slope(0.2) == pytest.approx(2.0 * np.sin(0.4), rel=1e-15)
+        assert forcing.max_slope(1.0) == 2.0
+        assert Linear(1.0, -0.5).bounds(4.0) == (-1.0, 1.0)
+        for theta in (sine, forcing, Linear(1.0, 0.5)):
+            nodes, weights = gauss_nodes(np.linspace(0.3, 2.9, 129))
+            values = np.array([theta(t) for t in nodes])
+            assert theta.mean(0.3, 2.9) == pytest.approx(weights @ values / 2.6, rel=1e-14)
+            nodes, weights = gauss_nodes(np.linspace(0.0, 2.9, 129))
+            values = np.array([theta(t) for t in nodes])
+            assert theta.square_integral(2.9) == pytest.approx(weights @ values**2,
+                                                               rel=1e-14)
+        # no cancellation on a short slab: (cos a - cos b)/(b - a) loses ~7 digits here
+        assert sine.mean(1.0, 1.0 + 1e-9) == pytest.approx(np.sin(1.0 + 5e-10), rel=1e-15)
+
+    def test_terms_checked_when_built(self):
+        space = GalerkinSpace(np.eye(2), np.eye(2))
+        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(EvaluationError):
+            FormFamily(space, None, 1.0, symmetric=True,
+                       terms=AffineTerms(np.eye(2), asym, Harmonic(b=1.0)))
+        with pytest.raises(EvaluationError):
+            FormFamily(space, None, 1.0,
+                       terms=AffineTerms(np.full((2, 2), np.inf), np.eye(2), Linear(0.0)))
+        with pytest.raises(ValueError):      # neither a callable nor terms
+            FormFamily(space, None, 1.0)
+        fam = FormFamily(space, None, 1.0, symmetric=True,
+                         terms=AffineTerms(np.eye(2), np.eye(2), Linear(np.nan)))
+        with pytest.raises(EvaluationError):
+            fam.matrix(0.5)
+
+    def test_rescale_and_certify_shift_on_terms(self):
+        space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
+        fam = FormFamily(space, None, 2.0 * np.pi, symmetric=True,
+                         terms=AffineTerms([[0.0]], [[1.0]], Harmonic(b=1.0)))
+        # theta = sin t dips to -1, so the smallest certifying shift is 1
+        assert certify_shift(fam) == pytest.approx(1.0, abs=1e-6)
+        shifted = rescale(fam, 2.0)
+        assert shifted.terms.a0[0, 0] == 2.0
+        assert shifted.matrix(0.5)[0, 0] == pytest.approx(2.0 + np.sin(0.5), rel=1e-15)

@@ -107,7 +107,7 @@ class TestCriterion:
     def test_symmetric_variant_rejects_nonsymmetric(self, heat_homogeneous):
         from evolveq.forms import FormFamily
         base = heat_homogeneous.problem.family
-        asym = FormFamily(base.space, base.eval, base.horizon, symmetric=False)
+        asym = FormFamily(base.space, base.matrix, base.horizon, symmetric=False)
         cset = convex_set_for(heat_homogeneous, "box", lower=0.0)
         with pytest.raises(ValueError):
             check_criterion_symmetric(

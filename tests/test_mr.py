@@ -7,8 +7,10 @@ from evolveq.mr import (ContractError, MRReport, check_chain_rule,
                         check_form_telescoping, check_H_estimate, check_lemma3,
                         check_lemma_indepmax, check_product_rule, load_l2h,
                         mr_norms)
-from evolveq.propagator import ProblemData, Trajectory, oracle_solve, solve
-from evolveq.spaces import GalerkinSpace
+from evolveq.presets import get_preset
+from evolveq.propagator import (ProblemData, SeparableLoad, Trajectory,
+                                _averaged_loads, oracle_solve, solve)
+from evolveq.spaces import DualVector, GalerkinSpace
 
 # dim 1, p = 1, u0 = 1, f = 0 on [0, 1]: closed forms
 #   l2V^2 = h1H^2 = h1Vp^2 = (1 - e^-2)/2
@@ -168,3 +170,22 @@ class TestTelescoping:
         traj = solve(heat_preset.problem, sub)
         with pytest.raises(ContractError):
             check_form_telescoping(traj, lipschitz=0.5)
+
+
+class TestSeparableLoad:
+    THETA_F = {"constant": lambda t: 1.0, "forcing": lambda t: 1.0 + np.cos(2.0 * t)}
+
+    @pytest.mark.parametrize("name, n_cells", [("heat-1d-lipschitz", 16),
+                                               ("heat-1d-lipschitz", 80),
+                                               ("scalar-sin", None)])
+    @pytest.mark.parametrize("load", sorted(THETA_F))
+    def test_closed_forms_match_quadrature(self, name, n_cells, load):
+        problem = get_preset(name, n_cells=n_cells, load=load).problem
+        assert isinstance(problem.load, SeparableLoad)
+        theta_f, g = self.THETA_F[load], problem.load.pairing
+        quad = ProblemData(problem.family, problem.u0,
+                           load=lambda t: DualVector(theta_f(t) * g))
+        sub = Subdivision.uniform(problem.horizon, 16)
+        for exact, ref in zip(_averaged_loads(problem, sub), _averaged_loads(quad, sub)):
+            np.testing.assert_allclose(exact, ref, rtol=1e-12, atol=0.0)
+        assert load_l2h(problem, sub) == pytest.approx(load_l2h(quad, sub), rel=1e-12)

@@ -142,11 +142,8 @@ class Harmonic:
         w = self.omega
         if len(self._turns(horizon, 0.5 * math.pi)):
             return w * math.hypot(self.a, self.b)
-
-        def slope(t: float) -> float:
-            return abs(w * (self.b * math.cos(w * t) - self.a * math.sin(w * t)))
-
-        return max(slope(0.0), slope(horizon))
+        return max(abs(w * (self.b * math.cos(w * t) - self.a * math.sin(w * t)))
+                   for t in (0.0, horizon))
 
     def square_integral(self, horizon: float) -> float:
         """Integral of theta^2 over [0, horizon], by the same sinc means."""

@@ -97,13 +97,11 @@ def heat_matrix(n_cells: int, t: float, wobble: float = 0.5,
     return stiffness(n_cells, cell) + robin_boundary(n_cells, beta)
 
 
-def heat_terms(n_cells: int, wobble: float = 0.5,
-               beta: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def heat_terms(n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Affine terms (A0, A1) of heat_matrix(n_cells, t) = A0 + sin(t) A1.
 
-    A0 is the matrix at t = 0; A1 assembles the per-cell integral of
-    wobble*x, the factor of sin(t) in kappa.
+    A0 is the matrix at t = 0; A1 assembles the per-cell integral of x/2,
+    the factor of sin(t) in kappa at the default wobble 0.5.
     """
     x = uniform_nodes(n_cells)
-    a1 = stiffness(n_cells, 0.5 * wobble * (x[1:] ** 2 - x[:-1] ** 2))
-    return heat_matrix(n_cells, 0.0, wobble, beta), a1
+    return heat_matrix(n_cells, 0.0), stiffness(n_cells, 0.25 * (x[1:] ** 2 - x[:-1] ** 2))

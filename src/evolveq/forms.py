@@ -134,7 +134,9 @@ class Harmonic:
         """Least and greatest value of theta on [0, horizon], interior extremes included."""
         r = math.hypot(self.a, self.b)
         values = [self(0.0), self(horizon)]
-        values += [self.c + (r if k % 2 == 0 else -r) for k in self._turns(horizon, 0.0)]
+        # even k give the maximum c + r, odd k the minimum c - r; the first
+        # two turns hold every parity there is, whatever the horizon
+        values += [self.c + (r if k % 2 == 0 else -r) for k in self._turns(horizon, 0.0)[:2]]
         return min(values), max(values)
 
     def max_slope(self, horizon: float) -> float:
@@ -338,6 +340,9 @@ def _extremal_matrices(family: FormFamily, t_grid: np.ndarray) -> list[np.ndarra
 
 
 def _sample_grid(family: FormFamily, t_grid: np.ndarray | None) -> np.ndarray:
+    """The sample times of a callable family; a family with terms takes none."""
+    if family.terms is not None and t_grid is not None:
+        raise ValueError("a family with affine terms is not sampled; drop t_grid")
     if t_grid is None:
         return np.linspace(0.0, family.horizon, 129)
     return np.asarray(t_grid, dtype=float)
@@ -348,13 +353,13 @@ def estimate_constants(family: FormFamily, t_grid: np.ndarray | None = None,
     """Continuity, coercivity and Lipschitz constants of the family.
 
     With affine terms they are exact: M and alpha at the ends of theta's
-    range, L = ||A1||_{V->V'} max|theta'|, and `t_grid` is not read.  A
+    range, L = ||A1||_{V->V'} max|theta'|, and passing `t_grid` is an error.  A
     callable family is certified on the sample grid only (a sampled L can
     fall below the true one); presets ship analytic values for
     cross-checking where they are known.
     """
     t_grid = _sample_grid(family, t_grid)
-    if family.terms is None and t_grid.size < 33:
+    if t_grid.size < 33:
         raise ValueError("constant certification needs at least 33 sample times")
     space = family.space
     mats = _extremal_matrices(family, t_grid)

@@ -171,7 +171,8 @@ class TestMain:
         out = tmp_path / "results"
         assert main(["constants", "--config", str(path), "--out", str(out)]) == 0
         summary = (out / "summary.txt").read_text()
-        assert "declared: M=1.5 alpha=1 L=0.5" in summary
+        # the preset declares nothing: its analytic values are the exact ones
+        assert "declared:" not in summary
         assert "exact (affine endpoints): M=1.5 alpha=1 L=0.5" in summary
 
     def test_constants_line_names_its_source(self, tmp_path, capsys, monkeypatch):

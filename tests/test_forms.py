@@ -136,9 +136,10 @@ class TestConstants:
             estimate_constants(fam, t_grid=np.linspace(0, 1, 8))
 
     def test_heat_bound_matches_independent_eig(self, heat_preset):
+        # the exact M of the affine family against a dense generalized
+        # eigensolve at 33 sample times, which include both ends of theta's range
         fam = heat_preset.problem.family
-        c = estimate_constants(fam, t_grid=np.linspace(0, 1, 33))
-        # independent oracle at the worst sample: dense generalized eigensolve
+        c = estimate_constants(fam)
         import scipy.linalg as sla
         worst = max(
             np.max(np.abs(sla.eigvals(
@@ -224,10 +225,28 @@ class TestAffineTerms:
         c = estimate_constants(fam)
         assert (c.bound, c.coercivity, c.lipschitz) == (3.0, 1.0, 1.0)
 
+    def test_scalar_decay_analytic_constants(self):
+        # p(t) = 1 + t/2: M = 1 + T/2, alpha = 1, L = 1/2
+        for horizon in (1.0, 3.0):
+            c = estimate_constants(get_preset("scalar-decay", horizon=horizon).problem.family)
+            assert (c.bound, c.coercivity, c.lipschitz) == (1.0 + 0.5 * horizon, 1.0, 0.5)
+        assert estimate_constants(get_preset("constant-heat").problem.family).lipschitz == 0.0
+
+    def test_sample_grid_refused_for_terms(self):
+        fam, _ = scalar_sin_pair()
+        with pytest.raises(ValueError):
+            estimate_constants(fam, t_grid=np.linspace(0.0, fam.horizon, 33))
+        with pytest.raises(ValueError):
+            certify_shift(fam, t_grid=np.linspace(0.0, fam.horizon, 33))
+
     def test_coefficient_closed_forms(self):
         sine = Harmonic(b=1.0)
         assert sine.bounds(1.0) == (0.0, np.sin(1.0))
         assert sine.bounds(2.0) == (0.0, 1.0)          # interior maximum at pi/2
+        assert sine.bounds(4.0) == (np.sin(4.0), 1.0)  # one turn only, k = 0
+        # O(1) in the horizon: ~3e8 turns are not listed one by one
+        assert sine.bounds(1e9) == (-1.0, 1.0)
+        assert Harmonic(c=1.0, a=1.0, omega=2.0).bounds(1e9) == (0.0, 2.0)
         forcing = Harmonic(c=1.0, a=1.0, omega=2.0)
         assert forcing.max_slope(0.2) == pytest.approx(2.0 * np.sin(0.4), rel=1e-15)
         assert forcing.max_slope(1.0) == 2.0

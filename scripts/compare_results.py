@@ -8,8 +8,10 @@ bytes agree; otherwise, for a CSV, each changed column with its max absolute
 difference and its max relative difference (relative to the larger of the
 two magnitudes), and, for a text file, the first line that differs.
 Exits 1 when the two trees hold different sets of files, 0 otherwise.
+When its reader stops early (`| head -1`), it exits 1 without a traceback.
 """
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -86,4 +88,11 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send the interpreter's last flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

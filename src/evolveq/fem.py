@@ -16,7 +16,6 @@ __all__ = [
     "stiffness",
     "robin_boundary",
     "robin_space",
-    "dirichlet_space",
     "heat_matrix",
     "heat_terms",
 ]
@@ -75,13 +74,6 @@ def robin_space(n_cells: int) -> GalerkinSpace:
     gram_h = lumped_mass(n_cells)
     gram_v = stiffness(n_cells) + gram_h
     return GalerkinSpace(gram_h, gram_v, labels=uniform_nodes(n_cells))
-
-
-def dirichlet_space(n_cells: int) -> GalerkinSpace:
-    """Interior-node space with consistent mass and stiffness-plus-mass V-Gram."""
-    mass = consistent_mass(n_cells)[1:-1, 1:-1]
-    stiff = stiffness(n_cells)[1:-1, 1:-1]
-    return GalerkinSpace(mass, stiff + mass, labels=uniform_nodes(n_cells)[1:-1])
 
 
 def heat_matrix(n_cells: int, t: float, wobble: float = 0.5,

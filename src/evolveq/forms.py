@@ -6,16 +6,19 @@ A(t) = A0 + theta(t) A1 with a scalar coefficient theta.  Slab averaging
 replaces the family on each interval of a subdivision by its integral
 mean: A0 + mean(theta) A1 for affine terms, composite Gauss-Legendre
 quadrature for a callable.  Affine terms also give the constants exactly.
+Tridiagonal terms over a diagonal gram_H are also kept as bands, so that
+the oracle steps and the slab eigensolves cost O(n) storage.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 import scipy.linalg as sla
 
+from . import tridiagonal
 from .spaces import GalerkinSpace, StructureError
 
 __all__ = [
@@ -28,11 +31,13 @@ __all__ = [
     "Linear",
     "FormFamily",
     "Subdivision",
+    "TridiagonalTerms",
     "average_form",
     "build_step_form",
     "estimate_constants",
     "rescale",
     "certify_shift",
+    "extremal_matrices",
     "dual_operator_norm",
     "coercivity_lower_bound",
     "gauss_nodes",
@@ -253,12 +258,26 @@ class AffineTerms:
         return [self.at(s) for s in sorted({lo, hi})]
 
 
+class TridiagonalTerms(NamedTuple):
+    """Band storage of affine terms over a diagonal gram_H."""
+
+    h: np.ndarray         # the diagonal of gram_H
+    a0: np.ndarray        # bands of A0, as `tridiagonal.bands`
+    a1: np.ndarray        # bands of A1
+
+    def at(self, s: float) -> np.ndarray:
+        """Bands of a0 + s a1, entry for entry the bands of `AffineTerms.at(s)`."""
+        return self.a0 + s * self.a1
+
+
 @dataclass
 class FormFamily:
     """t -> A(t) on a Galerkin space, with horizon and declared structure.
 
     A family is given by exactly one of a callable `eval` or affine `terms`;
     the terms are checked once here, a callable's matrix at every call.
+    `tridiagonal` holds the terms' bands when gram_H is diagonal and both
+    terms are tridiagonal (a lumped P1 heat family), else None.
     """
 
     space: GalerkinSpace
@@ -266,6 +285,7 @@ class FormFamily:
     horizon: float
     symmetric: bool = False
     terms: AffineTerms | None = None
+    tridiagonal: TridiagonalTerms | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.eval is None) == (self.terms is None):
@@ -275,6 +295,10 @@ class FormFamily:
             self.terms = replace(self.terms,
                                  a0=self._checked(self.terms.a0, "affine term a0"),
                                  a1=self._checked(self.terms.a1, "affine term a1"))
+            h = self.space.h_diagonal
+            b0, b1 = (tridiagonal.bands(a) for a in (self.terms.a0, self.terms.a1))
+            if h is not None and b0 is not None and b1 is not None:
+                self.tridiagonal = TridiagonalTerms(h, b0, b1)
 
     def _checked(self, a, what: str) -> np.ndarray:
         a = np.asarray(a, dtype=float)
@@ -331,7 +355,7 @@ def coercivity_lower_bound(space: GalerkinSpace, a: np.ndarray, shift: float = 0
     return float(lam[0])
 
 
-def _extremal_matrices(family: FormFamily, t_grid: np.ndarray) -> list[np.ndarray]:
+def extremal_matrices(family: FormFamily, t_grid: np.ndarray) -> list[np.ndarray]:
     """Matrices on which the family's M and alpha are taken: the ends of
     theta's range for affine terms, else the family at the sample times."""
     if family.terms is not None:
@@ -362,7 +386,7 @@ def estimate_constants(family: FormFamily, t_grid: np.ndarray | None = None,
     if t_grid.size < 33:
         raise ValueError("constant certification needs at least 33 sample times")
     space = family.space
-    mats = _extremal_matrices(family, t_grid)
+    mats = extremal_matrices(family, t_grid)
     bound = max(dual_operator_norm(space, a) for a in mats)
     coercivity = min(coercivity_lower_bound(space, a, shift) for a in mats)
     if family.terms is not None:
@@ -406,7 +430,7 @@ def certify_shift(family: FormFamily, t_grid: np.ndarray | None = None,
     Returns declared_shift when it already certifies; otherwise bisects
     upward within [0, 10*M/c_H^2].
     """
-    mats = _extremal_matrices(family, _sample_grid(family, t_grid))
+    mats = extremal_matrices(family, _sample_grid(family, t_grid))
 
     def alpha_at(shift: float) -> float:
         return min(coercivity_lower_bound(family.space, a, shift) for a in mats)

@@ -9,12 +9,13 @@ read one structured pool of test vectors and its projections, drawn by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .forms import FormFamily, coercivity_lower_bound
-from .propagator import ProblemData, Trajectory
+from .forms import (EvaluationError, FormFamily, coercivity_lower_bound,
+                    extremal_matrices)
+from .propagator import SeparableLoad, Trajectory
 
 __all__ = [
     "ToleranceError",
@@ -157,6 +158,62 @@ def sample_pool(rng: np.random.Generator, cset: ConvexSet,
     return SamplePool(vs, cset.project_many(vs))
 
 
+def _rowwise(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, y)
+
+
+def _form_values(family: FormFamily, left: np.ndarray,
+                 right: np.ndarray) -> Callable[[float], np.ndarray]:
+    """t -> a(t; left_i, right_i) for each row pair of the pool.
+
+    Affine terms take the rows' forms of A0 and A1 once, so each time
+    costs O(m); a callable family is evaluated and paired at each time.
+    """
+    terms = family.terms
+    if terms is None:
+        return lambda t: _rowwise(left @ family.matrix(t), right)
+    q0, q1 = (_rowwise(left @ a, right) for a in (terms.a0, terms.a1))
+
+    def values(t: float) -> np.ndarray:
+        s = terms.theta(t)
+        if not np.isfinite(s):
+            raise EvaluationError(f"form coefficient at t={t} is not finite")
+        return q0 + s * q1
+
+    return values
+
+
+def _load_values(load, diffs: np.ndarray) -> Callable[[float], np.ndarray]:
+    """t -> <f(t), diffs_i>: one pass over the pool for a separable load."""
+    if isinstance(load, SeparableLoad):
+        paired = diffs @ load.pairing
+        return lambda t: load.theta(t) * paired
+
+    def values(t: float) -> np.ndarray:
+        pair = load(t)
+        return diffs @ np.asarray(getattr(pair, "coeffs", pair), dtype=float)
+
+    return values
+
+
+def _worst(values: Callable[[float], np.ndarray], vs: np.ndarray,
+           t_samples: np.ndarray) -> CriterionReport:
+    """The least value over the sample times; the first time attaining it wins."""
+    best = CriterionReport(np.inf, 0.0, np.zeros(vs.shape[1]))
+    for t in t_samples:
+        vals = values(t)
+        k = int(np.argmin(vals))
+        if vals[k] < best.margin:
+            best = CriterionReport(float(vals[k]), float(t), vs[k].copy())
+    return best
+
+
+def _times(family: FormFamily, t_samples) -> np.ndarray:
+    if t_samples is None:
+        return np.linspace(0.0, family.horizon, 9)
+    return np.asarray(t_samples, dtype=float)
+
+
 def check_criterion(family: FormFamily, pool: SamplePool,
                     t_samples: np.ndarray | None = None,
                     load=None) -> CriterionReport:
@@ -165,43 +222,31 @@ def check_criterion(family: FormFamily, pool: SamplePool,
     A negative margin is a finding, not an error; the arg-min witness is
     reported for diagnosis.
     """
-    if t_samples is None:
-        t_samples = np.linspace(0.0, family.horizon, 9)
     vs, pvs = pool
-    best = CriterionReport(np.inf, 0.0, np.zeros(family.space.dim))
-    for t in np.asarray(t_samples, dtype=float):
-        vals = np.einsum("ij,ij->i", pvs @ family.matrix(t), vs - pvs)
-        if load is not None:
-            pair = load(t)
-            coeffs = getattr(pair, "coeffs", pair)
-            vals = vals - (vs - pvs) @ np.asarray(coeffs, dtype=float)
-        k = int(np.argmin(vals))
-        if vals[k] < best.margin:
-            best = CriterionReport(float(vals[k]), float(t), vs[k].copy())
-    return best
+    form = _form_values(family, pvs, vs - pvs)
+    if load is None:
+        return _worst(form, vs, _times(family, t_samples))
+    pairing = _load_values(load, vs - pvs)
+    return _worst(lambda t: form(t) - pairing(t), vs, _times(family, t_samples))
 
 
 def check_criterion_symmetric(family: FormFamily, pool: SamplePool,
                               t_samples: np.ndarray | None = None) -> CriterionReport:
-    """Worst sampled value of a(t; v, v) - a(t; Pv, Pv) for symmetric accretive forms."""
+    """Worst sampled value of a(t; v, v) - a(t; Pv, Pv) for symmetric accretive forms.
+
+    Accretivity is checked on the matrices `estimate_constants` reads: the
+    two ends of theta's range for affine terms, else the sample times.
+    """
     if not family.symmetric:
         raise ValueError("symmetric criterion requires a symmetric family")
-    if t_samples is None:
-        t_samples = np.linspace(0.0, family.horizon, 9)
-    alpha = min(coercivity_lower_bound(family.space, family.matrix(t))
-                for t in np.asarray(t_samples, dtype=float))
+    t_samples = _times(family, t_samples)
+    alpha = min(coercivity_lower_bound(family.space, a)
+                for a in extremal_matrices(family, t_samples))
     if alpha <= 0:
         raise ValueError("symmetric criterion requires an accretive (coercive) family")
     vs, pvs = pool
-    best = CriterionReport(np.inf, 0.0, np.zeros(family.space.dim))
-    for t in np.asarray(t_samples, dtype=float):
-        a = family.matrix(t)
-        vals = (np.einsum("ij,ij->i", vs @ a, vs)
-                - np.einsum("ij,ij->i", pvs @ a, pvs))
-        k = int(np.argmin(vals))
-        if vals[k] < best.margin:
-            best = CriterionReport(float(vals[k]), float(t), vs[k].copy())
-    return best
+    outer, inner = _form_values(family, vs, vs), _form_values(family, pvs, pvs)
+    return _worst(lambda t: outer(t) - inner(t), vs, t_samples)
 
 
 def audit_trajectory(traj: Trajectory, cset: ConvexSet) -> tuple[float, float]:

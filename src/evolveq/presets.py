@@ -119,9 +119,7 @@ def _heat_lipschitz(n_cells, horizon, load, amplitude) -> PresetProblem:
     load = "forcing" if load is None else load
     problem = ProblemData(family, np.sin(np.pi * space.labels),
                           load=_nodal_load(space, load, amplitude))
-    # |d kappa / dt| = |x cos t| / 2 <= 1/2 and the V-Gram dominates the
-    # stiffness part, so L = 1/2 holds analytically.
-    return PresetProblem(problem, (8, 16, 32, 64, 128, 256), FormConstants(lipschitz=0.5))
+    return PresetProblem(problem, (8, 16, 32, 64, 128, 256))
 
 
 @_preset("broken-coupling",

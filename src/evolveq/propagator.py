@@ -3,7 +3,11 @@
 Each slab carries an autonomous problem with the averaged operator and a
 slab-averaged load; its solution is the exact variation-of-constants
 formula exp(-tau B) u + tau phi1(-tau B) fbar with B = gram_H^{-1} A,
-evaluated in the modes of the symmetric pencil (A_k, gram_H).
+evaluated in the modes of the symmetric pencil (A_k, gram_H).  A family
+with tridiagonal terms over a diagonal gram_H (`FormFamily.tridiagonal`)
+takes the O(n) routes: the pencil as a symmetric tridiagonal eigenproblem,
+and each oracle step as one LAPACK gtsv call.  Every other family takes
+the dense ones.
 """
 from __future__ import annotations
 
@@ -13,7 +17,9 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .forms import Coefficient, FormFamily, Subdivision, build_step_form, gauss_panels
+from . import tridiagonal
+from .forms import (Coefficient, EvaluationError, FormFamily, Subdivision,
+                    build_step_form, gauss_panels)
 from .spaces import DualVector, GalerkinSpace, StructureError
 
 __all__ = [
@@ -51,10 +57,20 @@ class SlabPropagator:
     modes: np.ndarray
 
     @classmethod
-    def build(cls, space: GalerkinSpace, matrix: np.ndarray) -> "SlabPropagator":
+    def build(cls, space: GalerkinSpace, matrix: np.ndarray,
+              bands: np.ndarray | None = None) -> "SlabPropagator":
+        """Solve the pencil; `bands` are A_k's tridiagonal bands over a
+        diagonal gram_H (from `FormFamily.tridiagonal`).
+
+        With bands, the pencil is a symmetric tridiagonal eigenproblem
+        (`tridiagonal.pencil_eigh`); without, a dense generalized eigensolve.
+        """
         matrix = np.asarray(matrix, dtype=float)
         try:
-            rates, modes = sla.eigh(0.5 * (matrix + matrix.T), space.gram_H)
+            if bands is None:
+                rates, modes = sla.eigh(0.5 * (matrix + matrix.T), space.gram_H)
+            else:
+                rates, modes = tridiagonal.pencil_eigh(bands, space.h_diagonal)
         except sla.LinAlgError as exc:
             raise StructureError("slab eigensolve failed") from exc
         return cls(space, matrix, rates, modes)
@@ -194,7 +210,7 @@ class ProblemData:
         g = self.load(t)
         coeffs = g.coeffs if isinstance(g, DualVector) else np.asarray(g, dtype=float)
         if not np.all(np.isfinite(coeffs)):
-            raise ValueError(f"load at t={t} has non-finite entries")
+            raise EvaluationError(f"load at t={t} has non-finite entries")
         return coeffs
 
 
@@ -238,6 +254,7 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
         raise ValueError("subdivision horizon does not match the family")
     matrices = build_step_form(family, subdivision)
     loads = _averaged_loads(problem, subdivision)
+    tri = family.tridiagonal
 
     slabs: list[SlabSolution] = []
     states = [problem.u0.copy()]
@@ -245,22 +262,66 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
     with np.errstate(over="raise"):
         for k in range(subdivision.n_slabs):
             t0, t1 = pts[k], pts[k + 1]
-            prop = SlabPropagator.build(family.space, matrices[k])
+            bands = None if tri is None else tri.at(family.terms.theta.mean(t0, t1))
+            prop = SlabPropagator.build(family.space, matrices[k], bands)
             slabs.append(SlabSolution(t0, t1, prop, states[-1], loads[k]))
             states.append(slabs[-1].state(t1))
     return Trajectory(pts, np.column_stack(states), slabs, subdivision)
+
+
+def _dense_step(problem: ProblemData, dt: float) -> Callable:
+    """u -> the implicit-Euler step to t: one dense solve of gram_H + dt A(t)."""
+    family, gram_H = problem.family, problem.family.space.gram_H
+
+    def step(t: float, u: np.ndarray) -> np.ndarray:
+        rhs = gram_H @ u + dt * problem.load_pairings(t)
+        try:
+            return np.linalg.solve(gram_H + dt * family.matrix(t), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise StructureError("oracle linear solve failed") from exc
+
+    return step
+
+
+def _tridiagonal_step(problem: ProblemData, dt: float) -> Callable:
+    """u -> the implicit-Euler step to t: one O(n) gtsv call on
+    h + dt (A0 + theta(t) A1), from bands stored once."""
+    family, load = problem.family, problem.load
+    h, b0, b1 = family.tridiagonal
+    base, slope = dt * b0, dt * b1
+    base[1] += h
+    theta = family.terms.theta
+    separable = isinstance(load, SeparableLoad)
+    g = dt * load.pairing if separable else None
+
+    def step(t: float, u: np.ndarray) -> np.ndarray:
+        bands = base + theta(t) * slope
+        if not np.isfinite(bands).all():
+            raise EvaluationError(f"oracle step matrix at t={t} has non-finite entries")
+        if separable:
+            rhs = h * u + load.theta(t) * g
+            if not np.isfinite(rhs).all():
+                raise EvaluationError(f"load at t={t} has non-finite entries")
+        else:
+            rhs = h * u + dt * problem.load_pairings(t)
+        return tridiagonal.solve(bands, rhs)
+
+    return step
 
 
 def oracle_solve(problem: ProblemData, n_steps: int,
                  output_grid: np.ndarray | None = None) -> Trajectory:
     """Implicit-Euler reference with the operator taken at step right endpoints.
 
-    Independent of the exponential machinery: one dense solve per step.
+    Independent of the exponential machinery: each step solves
+    (gram_H + dt A(t)) u_new = gram_H u + dt f(t).  A family with
+    `tridiagonal` bands takes one O(n) gtsv call per step on bands stored
+    once, a separable load its pairing as theta_f(t) g; any other family
+    takes one dense solve per step.
     """
     if n_steps < 1:
         raise ValueError("oracle needs at least one step")
     family = problem.family
-    space = family.space
     horizon = family.horizon
     dt = horizon / n_steps
     if output_grid is None:
@@ -269,21 +330,16 @@ def oracle_solve(problem: ProblemData, n_steps: int,
         keep = np.unique(np.clip(np.rint(np.asarray(output_grid) / dt).astype(int),
                                  0, n_steps))
     keep_set = set(keep.tolist())
+    step = (_dense_step if family.tridiagonal is None else _tridiagonal_step)(problem, dt)
 
     u = problem.u0.copy()
     times, states = [], []
     if 0 in keep_set:
         times.append(0.0)
         states.append(u.copy())
-    gram_H = space.gram_H
     for i in range(1, n_steps + 1):
         t = min(i * dt, horizon)          # i * dt may overshoot T by an ulp
-        a = family.matrix(t)
-        rhs = gram_H @ u + dt * problem.load_pairings(t)
-        try:
-            u = np.linalg.solve(gram_H + dt * a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise StructureError("oracle linear solve failed") from exc
+        u = step(t, u)
         if i in keep_set:
             times.append(t)
             states.append(u.copy())

@@ -15,8 +15,6 @@ __all__ = [
     "StructureError",
     "GalerkinSpace",
     "DualVector",
-    "dual_norm",
-    "h_representation",
 ]
 
 
@@ -43,11 +41,16 @@ def _checked_spd(name: str, mat) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class GalerkinSpace:
-    """Two SPD Gram matrices on one basis: the H-metric and the V-metric."""
+    """Two SPD Gram matrices on one basis: the H-metric and the V-metric.
+
+    `h_diagonal` is the diagonal of gram_H when gram_H is diagonal (a
+    lumped mass), else None; it is found once, when the space is built.
+    """
 
     gram_H: np.ndarray
     gram_V: np.ndarray
     labels: np.ndarray | None = None
+    h_diagonal: np.ndarray | None = field(default=None, init=False)
 
     _chol_H: np.ndarray = field(init=False, repr=False)
     _chol_V: np.ndarray = field(init=False, repr=False)
@@ -59,6 +62,9 @@ class GalerkinSpace:
         self.gram_V, self._chol_V = _checked_spd("gram_V", self.gram_V)
         if self.gram_H.shape != self.gram_V.shape:
             raise StructureError("gram_H and gram_V must have matching shapes")
+        diag = np.diag(self.gram_H)
+        if np.count_nonzero(self.gram_H) == np.count_nonzero(diag):
+            self.h_diagonal = diag.copy()
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=float)
 
@@ -123,15 +129,3 @@ class DualVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-
-
-def dual_norm(space: GalerkinSpace, g) -> float:
-    """V'-norm of a dual vector: sqrt(g^T gram_V^{-1} g)."""
-    coeffs = g.coeffs if isinstance(g, DualVector) else np.asarray(g, dtype=float)
-    val = float(coeffs @ space.solve_V(coeffs))
-    return float(np.sqrt(max(val, 0.0)))
-
-
-def h_representation(space: GalerkinSpace, u) -> DualVector:
-    """The functional (u | .)_H as a dual vector."""
-    return DualVector(space.gram_H @ np.asarray(u, dtype=float))

@@ -1,0 +1,54 @@
+"""Tridiagonal band storage and its two O(n) solvers.
+
+Bands are held in LAPACK's (1, 1) banded layout, a (3, n) array: row 0 is
+the superdiagonal shifted right by one, row 1 the diagonal, row 2 the
+subdiagonal; the two unused corners hold zeros.  Linear combinations of
+band arrays are the bands of the same combinations of the matrices.
+"""
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg as sla
+from scipy.linalg.lapack import dgtsv
+
+from .spaces import StructureError
+
+__all__ = ["bands", "solve", "pencil_eigh"]
+
+
+def bands(a: np.ndarray) -> np.ndarray | None:
+    """The bands of a square matrix, or None when it has entries off them."""
+    out = np.zeros((3, a.shape[0]))
+    out[0, 1:] = np.diagonal(a, 1)
+    out[1] = np.diagonal(a)
+    out[2, :-1] = np.diagonal(a, -1)
+    return out if np.count_nonzero(a) == np.count_nonzero(out) else None
+
+
+def solve(b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One LAPACK gtsv call; a singular matrix raises StructureError.
+
+    Both arguments are scratch that gtsv overwrites.  At dim 1 the wrapper
+    refuses the empty off-diagonals, so the pivot divides instead.
+    """
+    if rhs.size == 1:
+        pivot = b[1, 0]
+        x, info = (rhs / pivot, 0) if pivot != 0.0 else (rhs, 1)
+    else:
+        _, _, _, x, info = dgtsv(b[2, :-1], b[1], b[0, 1:], rhs, True, True, True, True)
+    if info != 0:
+        raise StructureError(f"tridiagonal solve failed (gtsv info {info})")
+    return x
+
+
+def pencil_eigh(b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the pencil (sym(A), diag(h)) for the bands b of A.
+
+    The symmetric tridiagonal h^{-1/2} sym(A) h^{-1/2} = Q diag(rates) Q^T
+    is solved by MRRR (`scipy.linalg.eigh_tridiagonal`); the modes
+    h^{-1/2} Q are diag(h)-orthonormal.  A failed solve raises LinAlgError.
+    """
+    s = 1.0 / np.sqrt(h)
+    off = 0.5 * (b[0, 1:] + b[2, :-1]) * s[:-1] * s[1:]
+    rates, q = sla.eigh_tridiagonal(b[1] / h, off)
+    return rates, s[:, None] * q

@@ -3,9 +3,28 @@ import pytest
 
 from evolveq.convergence import (oracle_reference, oracle_suph_gap, refine,
                                  solve_ladder)
-from evolveq.forms import Subdivision, estimate_constants
+from evolveq.fem import consistent_mass, stiffness, uniform_nodes
+from evolveq.forms import FormFamily, Subdivision, estimate_constants
 from evolveq.presets import get_preset, resolved_constants
 from evolveq.propagator import solve
+from evolveq.spaces import GalerkinSpace
+
+
+def dirichlet_space(n_cells):
+    """Interior-node space with consistent mass and stiffness-plus-mass V-Gram.
+
+    Its gram_H is not diagonal, so families on it take the dense paths.
+    """
+    mass = consistent_mass(n_cells)[1:-1, 1:-1]
+    stiff = stiffness(n_cells)[1:-1, 1:-1]
+    return GalerkinSpace(mass, stiff + mass, labels=uniform_nodes(n_cells)[1:-1])
+
+
+def callable_family(family):
+    """The same A(t) as a callable family: the reference for the routes that
+    affine terms and band storage take."""
+    return FormFamily(family.space, family.matrix, family.horizon,
+                      symmetric=family.symmetric)
 
 
 def oracle_gap(problem, subdivision, n_steps, relative=False):

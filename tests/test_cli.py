@@ -1,19 +1,22 @@
+import inspect
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from evolveq import cli, fem
 from evolveq.cli import (ConfigError, ExperimentConfig, build_parser,
                          list_presets, main, run, write_csv)
-from evolveq.forms import FormFamily, estimate_constants
+from evolveq.forms import AffineTerms, FormFamily, Linear, estimate_constants
 from evolveq.invariance import sample_pool
 from evolveq.mr import _slab_coefficients
 from evolveq.presets import get_preset
-from evolveq.propagator import ProblemData, SlabPropagator, SlabSolution, solve
+from evolveq.propagator import (ProblemData, SlabPropagator, SlabSolution,
+                                oracle_solve, solve)
 from evolveq.spaces import GalerkinSpace
 
 SCALAR_CFG = """\
@@ -263,7 +266,9 @@ class TestMain:
             [SlabPropagator.build.__func__, estimate_constants,
              _slab_coefficients, sample_pool, fem.heat_matrix],
             lambda: main(["all", "--config", str(path), "--out", str(tmp_path / "o")]),
-            under={SlabSolution.states: solve})
+            under={SlabSolution.states: solve,
+                   inspect.unwrap(np.linalg.solve): oracle_solve,
+                   inspect.unwrap(sla.eigh): SlabPropagator.build.__func__})
         assert status == 0
         # one solve per ladder point, shared by solve, converge and invariance
         assert counts["SlabPropagator.build"] == sum(config.slab_counts)
@@ -279,6 +284,40 @@ class TestMain:
         # the heat family is assembled once, as its affine terms; slab means,
         # constants and oracle steps never assemble it again
         assert counts["heat_matrix"] == (1 if "heat" in config.preset else 0)
+        # lumped mass and tridiagonal terms (1 x 1 for the scalar preset): the
+        # oracle steps through gtsv and the slabs are tridiagonal eigensolves
+        assert counts["solve in oracle_solve"] == 0
+        assert counts["eigh in SlabPropagator.build"] == 0
+
+    @pytest.mark.parametrize("failure", ["singular_step", "nonfinite_theta"])
+    def test_oracle_failures_exit_2(self, tmp_path, capsys, monkeypatch, failure):
+        # scalar-decay with A(t) = a0 + theta(t): its oracle step
+        # 1 + dt (a0 + 1) at dt = 1/256, after the config's omega = 1
+        @dataclass(frozen=True)
+        class NanAfterStart(Linear):
+            """theta = 0 at t = 0 and on average; not finite at the oracle's steps."""
+            def __call__(self, t):
+                return 0.0 if t == 0.0 else np.nan
+
+        a0, theta, message = {
+            "singular_step": (-257.0, Linear(0.0), "tridiagonal solve failed"),
+            "nonfinite_theta": (1.0, NanAfterStart(0.0), "oracle step matrix at t=")}[failure]
+
+        def failing(*args, **kwargs):
+            preset = get_preset(*args, **kwargs)
+            fam = preset.problem.family
+            family = FormFamily(fam.space, None, fam.horizon, symmetric=True,
+                                terms=AffineTerms([[a0]], [[1.0]], theta))
+            return replace(preset, problem=ProblemData(family, preset.problem.u0))
+
+        monkeypatch.setattr(cli, "get_preset", failing)
+        path = write_cfg(tmp_path, SCALAR_CFG.replace("oracle_steps = 400",
+                                                      "oracle_steps = 256\nomega = 1"))
+        out = tmp_path / "results"
+        assert main(["converge", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and len(err.splitlines()) == 1
+        assert (out / "summary.txt").read_text().splitlines()[-1] == err.strip()
 
     def test_seed_override(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BROKEN_CFG)

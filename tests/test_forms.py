@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evolveq import fem
+from conftest import dirichlet_space
+from evolveq import fem, tridiagonal
 from evolveq.forms import (EXACT, AffineTerms, EvaluationError, FormFamily,
                            Harmonic, Linear, Subdivision, average_form,
                            build_step_form, certify_shift,
@@ -231,6 +232,42 @@ class TestAffineTerms:
             c = estimate_constants(get_preset("scalar-decay", horizon=horizon).problem.family)
             assert (c.bound, c.coercivity, c.lipschitz) == (1.0 + 0.5 * horizon, 1.0, 0.5)
         assert estimate_constants(get_preset("constant-heat").problem.family).lipschitz == 0.0
+        # heat: |d kappa/dt| = |x cos t|/2 <= 1/2 and the V-Gram dominates the
+        # stiffness, so 1/2 bounds the exact L from above
+        heat = estimate_constants(get_preset("heat-1d-lipschitz").problem.family)
+        assert heat.lipschitz == pytest.approx(0.496035, abs=1e-6)
+        assert heat.lipschitz <= 0.5
+
+    def test_tridiagonal_storage_detected(self):
+        # every preset: a diagonal gram_H and tridiagonal terms (1 x 1 for scalars)
+        for name in ("scalar-decay", "scalar-sin", "constant-heat",
+                     "heat-1d-lipschitz", "broken-coupling"):
+            fam = get_preset(name).problem.family
+            tri = fam.tridiagonal
+            assert tri is not None
+            np.testing.assert_array_equal(tri.h, np.diag(fam.space.gram_H))
+            # the bands of A0 + s A1, bit for bit
+            np.testing.assert_array_equal(tri.at(0.3), tridiagonal.bands(fam.terms.at(0.3)))
+            np.testing.assert_array_equal(rescale(fam, 2.0).tridiagonal.at(0.3),
+                                          tridiagonal.bands(fam.terms.at(0.3)
+                                                            + 2.0 * fam.space.gram_H))
+        a = fem.heat_matrix(8, 0.4)
+        bands = tridiagonal.bands(a)
+        np.testing.assert_array_equal(bands[1], np.diag(a))
+        np.testing.assert_array_equal(bands[0, 1:], np.diag(a, 1))
+        np.testing.assert_array_equal(bands[2, :-1], np.diag(a, -1))
+        assert bands[0, 0] == bands[2, -1] == 0.0
+        a[0, 2] = 1e-300
+        assert tridiagonal.bands(a) is None
+        # a callable, a consistent mass, a full term: no band storage
+        heat = get_preset("heat-1d-lipschitz", n_cells=8).problem.family
+        assert FormFamily(heat.space, heat.matrix, 1.0).tridiagonal is None
+        assert FormFamily(heat.space, None, 1.0,
+                          terms=AffineTerms(heat.terms.a0, a, Linear(0.0))).tridiagonal is None
+        space = dirichlet_space(8)
+        a0 = heat.terms.a0[1:-1, 1:-1]
+        assert FormFamily(space, None, 1.0,
+                          terms=AffineTerms(a0, a0, Linear(0.0))).tridiagonal is None
 
     def test_sample_grid_refused_for_terms(self):
         fam, _ = scalar_sin_pair()

@@ -3,12 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evolveq.forms import Subdivision
-from evolveq.invariance import (ConvexSet, ToleranceError, audit_trajectory,
-                                check_criterion, check_criterion_symmetric,
+from conftest import callable_family
+from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
+                           Linear, Subdivision)
+from evolveq.invariance import (ConvexSet, SamplePool, ToleranceError,
+                                audit_trajectory, check_criterion,
+                                check_criterion_symmetric,
                                 offdiagonal_sign_certificate, sample_pool)
 from evolveq.presets import convex_set_for, get_preset
 from evolveq.propagator import solve
+from evolveq.spaces import GalerkinSpace
+
+
+def assert_same_report(got, ref):
+    # the affine route sums the same terms in another order: roundoff only
+    assert got.margin == pytest.approx(ref.margin, rel=1e-12, abs=1e-12)
+    assert got.witness_t == ref.witness_t
+    np.testing.assert_array_equal(got.witness, ref.witness)
 
 
 def spd_metric(rng, n, offdiag=0.3):
@@ -104,6 +115,28 @@ class TestCriterion:
             family, sample_pool(np.random.default_rng(3), cset, 2000))
         assert report.margin >= -1e-12
 
+    def test_affine_criteria_match_callable(self):
+        # over one period theta = sin t changes sign, and in a pool of vectors
+        # above the box's upper bound every value has a nonzero A0 and A1 part
+        preset = get_preset("heat-1d-lipschitz", n_cells=16, horizon=2.0 * np.pi)
+        family, load = preset.problem.family, preset.problem.load
+        ref = callable_family(family)
+        cset = convex_set_for(preset, "box", lower=0.0, upper=0.5)
+        vs, pvs = sample_pool(np.random.default_rng(3), cset, 2000)
+        above = np.any(vs > 0.5, axis=1)
+        pool = SamplePool(vs[above], pvs[above])
+        got = check_criterion(family, pool)
+        assert_same_report(got, check_criterion(ref, pool))
+        assert got.witness_t not in (0.0, np.pi, 2.0 * np.pi)   # theta != 0 there
+        # the forcing load: separable, and as a plain callable
+        expected = check_criterion(ref, pool, load=load)
+        assert_same_report(check_criterion(family, pool, load=load), expected)
+        assert_same_report(check_criterion(family, pool, load=lambda t: load(t)),
+                           expected)
+        got = check_criterion_symmetric(family, pool)
+        assert_same_report(got, check_criterion_symmetric(ref, pool))
+        assert got.witness_t not in (0.0, np.pi, 2.0 * np.pi)
+
     def test_symmetric_variant_rejects_nonsymmetric(self, heat_homogeneous):
         from evolveq.forms import FormFamily
         base = heat_homogeneous.problem.family
@@ -125,6 +158,25 @@ class TestCriterion:
         violation, witness_t = audit_trajectory(traj, cset)
         assert violation > 0.0
         assert witness_t in traj.grid
+
+    def test_symmetric_variant_rejects_non_accretive(self):
+        # 0.97 + sin t dips below 0 only near 3 pi / 2 = 4.71, between the
+        # sample times 4.375 and 5.0: the ends of theta's range catch it
+        space = GalerkinSpace(np.eye(1), np.eye(1))
+        family = FormFamily(space, None, 5.0, symmetric=True,
+                            terms=AffineTerms([[0.97]], [[1.0]], Harmonic(b=1.0)))
+        pool = sample_pool(np.random.default_rng(0), ConvexSet.box(np.eye(1), 0.0), 30)
+        with pytest.raises(ValueError):
+            check_criterion_symmetric(family, pool)
+        assert check_criterion_symmetric(callable_family(family), pool).margin >= 0.0
+
+    def test_nonfinite_coefficient_raises(self):
+        space = GalerkinSpace(np.eye(1), np.eye(1))
+        family = FormFamily(space, None, 1.0, symmetric=True,
+                            terms=AffineTerms([[1.0]], [[1.0]], Linear(np.nan)))
+        pool = sample_pool(np.random.default_rng(0), ConvexSet.box(np.eye(1), 0.0), 30)
+        with pytest.raises(EvaluationError):
+            check_criterion(family, pool)
 
     def test_audit_heat_trajectory_zero(self, heat_homogeneous):
         cset = convex_set_for(heat_homogeneous, "box", lower=0.0)

@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from evolveq.fem import heat_matrix, robin_space
-from evolveq.forms import FormFamily, Subdivision
+from conftest import callable_family, dirichlet_space
+from evolveq import tridiagonal
+from evolveq.fem import heat_matrix, heat_terms, robin_space
+from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
+                           Linear, Subdivision)
 from evolveq.presets import get_preset
 from evolveq.mr import _slab_coefficients
 from evolveq.propagator import (ProblemData, SlabPropagator, SlabSolution,
@@ -15,6 +21,25 @@ def scalar_problem(p, horizon, u0=1.0, load=None):
     family = FormFamily(space, lambda t: np.array([[p(t)]]), horizon,
                         symmetric=True)
     return ProblemData(family, np.array([u0]), load=load)
+
+
+def as_callable(problem, load=None):
+    """The problem with its family as a callable: the dense routes' reference."""
+    return ProblemData(callable_family(problem.family), problem.u0,
+                       load=problem.load if load is None else load)
+
+
+def consistent_mass_problem(n_cells, horizon=1.0):
+    """Tridiagonal affine terms over a consistent (non-diagonal) gram_H."""
+    space = dirichlet_space(n_cells)
+    a0, a1 = (a[1:-1, 1:-1] for a in heat_terms(n_cells))
+    family = FormFamily(space, None, horizon, symmetric=True,
+                        terms=AffineTerms(a0, a1, Harmonic(b=1.0)))
+    return ProblemData(family, np.sin(np.pi * space.labels))
+
+
+def rel_diff(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 class TestPhi1:
@@ -58,19 +83,46 @@ class TestSlabStep:
                                    rtol=1e-10, atol=1e-12)
 
     def test_modes_are_gram_h_orthonormal(self):
-        # the MR integrals take the modal H-Gram W^T gram_H W to be the identity
+        # the MR integrals take the modal H-Gram W^T gram_H W to be the identity;
+        # on the lumped space both the dense and the tridiagonal route
         space = robin_space(80)
-        prop = SlabPropagator.build(space, heat_matrix(80, 0.7))
+        a = heat_matrix(80, 0.7)
+        for bands in (None, tridiagonal.bands(a)):
+            prop = SlabPropagator.build(space, a, bands)
+            np.testing.assert_allclose(prop.modes.T @ space.gram_H @ prop.modes,
+                                       np.eye(space.dim), rtol=0.0, atol=1e-13)
+        # a consistent mass has no diagonal gram_H: the dense route only
+        space = dirichlet_space(80)
+        assert space.h_diagonal is None
+        prop = SlabPropagator.build(space, heat_matrix(80, 0.7)[1:-1, 1:-1])
         np.testing.assert_allclose(prop.modes.T @ space.gram_H @ prop.modes,
                                    np.eye(space.dim), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n_cells", [16, 80, 512])
+    def test_tridiagonal_pencil_matches_dense(self, n_cells):
+        # whole spectra, not rate by rate: the dense pencil solve loses
+        # ~1e-11 relative accuracy on the smallest rate at 512 cells
+        space = robin_space(n_cells)
+        a = heat_matrix(n_cells, 0.7)
+        tri = SlabPropagator.build(space, a, tridiagonal.bands(a))
+        dense = SlabPropagator.build(space, a)
+        top = dense.rates[-1]
+        assert np.max(np.abs(tri.rates - dense.rates)) <= 1e-12 * top
+        # the modes solve the pencil: A W = gram_H W diag(rates)
+        residual = a @ tri.modes - space.gram_H @ tri.modes * tri.rates
+        assert np.max(np.abs(residual)) <= 1e-12 * top * np.max(np.abs(tri.modes))
 
 
 class TestSolve:
     def test_scalar_decay_closed_form(self):
         problem = scalar_problem(lambda t: 1.0 + 0.5 * t, 1.0)
+        # the preset's 1 x 1 affine terms take the tridiagonal route
+        preset = get_preset("scalar-decay", load="none").problem
+        assert preset.family.tridiagonal is not None
         for n in (1, 3, 16):
-            traj = solve(problem, Subdivision.uniform(1.0, n))
-            assert traj.states[0, -1] == pytest.approx(np.exp(-1.25), abs=1e-13)
+            for prob in (problem, preset):
+                traj = solve(prob, Subdivision.uniform(1.0, n))
+                assert traj.states[0, -1] == pytest.approx(np.exp(-1.25), abs=1e-13)
 
     def test_within_slab_output_is_exact(self):
         problem = scalar_problem(lambda t: 2.0, 1.0)
@@ -161,6 +213,63 @@ class TestOracle:
         errs = [abs(oracle_solve(problem, n).states[0, -1] - np.exp(-1.25))
                 for n in (100, 200)]
         assert errs[1] == pytest.approx(errs[0] / 2.0, rel=0.05)
+        # the preset's 1 x 1 affine terms: the tridiagonal route at dim 1
+        preset = get_preset("scalar-decay", load="none").problem
+        for n in (100, 200):
+            assert rel_diff(oracle_solve(preset, n).states,
+                            oracle_solve(problem, n).states) <= 1e-14
+
+    @pytest.mark.parametrize("n_cells", [16, 64])
+    def test_tridiagonal_oracle_matches_dense(self, n_cells):
+        problem = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem
+        reference = as_callable(problem)
+        assert problem.family.tridiagonal is not None
+        assert reference.family.tridiagonal is None
+        dense = oracle_solve(reference, 500).states
+        assert rel_diff(oracle_solve(problem, 500).states, dense) <= 1e-12
+        # a load that is not a SeparableLoad is paired at each step
+        other = ProblemData(problem.family, problem.u0, load=lambda t: problem.load(t))
+        assert rel_diff(oracle_solve(other, 500).states, dense) <= 1e-12
+
+    def test_consistent_mass_takes_the_dense_routes(self):
+        problem = consistent_mass_problem(16)
+        assert problem.family.tridiagonal is None
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as dense_solve, \
+                mock.patch.object(sla, "eigh", wraps=sla.eigh) as dense_eigh:
+            oracle = oracle_solve(problem, 2000)
+            traj = solve(problem, Subdivision.uniform(1.0, 32))
+        assert dense_solve.call_count == 2000
+        assert dense_eigh.call_count == 32
+        # the two schemes agree to their first-order errors (7e-4 relative here)
+        gap = np.max(problem.family.space.h_norms(traj.evaluate_many(oracle.grid)
+                                                  - oracle.states))
+        assert gap <= 2e-3 * np.max(problem.family.space.h_norms(oracle.states))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_singular_step_raises(self, dim):
+        # gram_H + dt A0 = 0 at the first step, on both routes
+        space = GalerkinSpace(np.eye(dim), np.eye(dim))
+        terms = AffineTerms(-4.0 * np.eye(dim), np.zeros((dim, dim)), Linear(0.0))
+        family = FormFamily(space, None, 1.0, symmetric=True, terms=terms)
+        problem = ProblemData(family, np.ones(dim))
+        assert family.tridiagonal is not None
+        for prob in (problem, as_callable(problem)):
+            with pytest.raises(StructureError):
+                oracle_solve(prob, 4)
+
+    def test_nonfinite_coefficient_or_load_raises(self):
+        problem = get_preset("heat-1d-lipschitz", n_cells=8).problem
+        family = problem.family
+        bad_theta = FormFamily(family.space, None, family.horizon, symmetric=True,
+                               terms=AffineTerms(family.terms.a0, family.terms.a1,
+                                                 Linear(np.nan)))
+        assert bad_theta.tridiagonal is not None
+        nan_load = lambda t: DualVector(np.full(family.space.dim, np.nan))
+        for prob in (ProblemData(bad_theta, problem.u0),
+                     ProblemData(family, problem.u0, load=nan_load),
+                     as_callable(problem, load=nan_load)):
+            with pytest.raises(EvaluationError):
+                oracle_solve(prob, 10)
 
     def test_last_time_is_the_horizon(self):
         # 25 * (2 pi / 25) overshoots 2 pi by an ulp; the scheme is evaluated

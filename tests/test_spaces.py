@@ -3,12 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evolveq.fem import dirichlet_space
-from evolveq.spaces import (DualVector, GalerkinSpace, StructureError,
-                            dual_norm, h_representation)
+from conftest import dirichlet_space
+from evolveq.spaces import DualVector, GalerkinSpace, StructureError
 
 # frozen by an independent dense solve of gram_V (see test below)
 HAT_SUM_DUAL_NORM = 0.27509006975737504
+
+
+def dual_norm(space, g):
+    """V'-norm of a dual vector: sqrt(g^T gram_V^{-1} g)."""
+    coeffs = g.coeffs if isinstance(g, DualVector) else np.asarray(g, dtype=float)
+    return float(np.sqrt(max(float(coeffs @ space.solve_V(coeffs)), 0.0)))
+
+
+def h_representation(space, u):
+    """The functional (u | .)_H as a dual vector."""
+    return DualVector(space.gram_H @ np.asarray(u, dtype=float))
 
 
 def scalar_space(gh, gv):

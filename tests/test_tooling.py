@@ -1,6 +1,9 @@
 """Repository tooling: the benchmark tracer's names and the results comparer."""
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,21 @@ def test_compare_results_fails_on_different_file_sets(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "traj_4.csv: only in" in out and "mr.csv: identical" in out
     assert "notes.log" not in out
+
+
+def test_compare_results_stops_quietly_when_its_reader_does(tmp_path):
+    # `compare_results.py OLD NEW | head -1`: the pipe closes before the output
+    # is flushed; the reader is closed here before the script starts
+    files = {f"traj_{n}.csv": "t\n0\n" for n in range(50)}
+    write_tree(tmp_path / "old", files)
+    write_tree(tmp_path / "new", files)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, str(COMPARE), str(tmp_path / "old"),
+                               str(tmp_path / "new")],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 1

@@ -4,7 +4,7 @@ import argparse
 
 import numpy as np
 
-from evolveq.convergence import refine, solve_ladder
+from evolveq.convergence import check_ladder, refine, solve_ladder
 from evolveq.presets import get_preset, preset_names
 
 
@@ -13,10 +13,14 @@ def main() -> None:
     parser.add_argument("preset", choices=preset_names())
     parser.add_argument("--ladder", default="8,16,32,64,128,256",
                         help="comma-separated nested slab counts")
-    parser.add_argument("--load", default=None)
+    parser.add_argument("--load", choices=["none", "constant", "forcing"],
+                        help="load preset (default: the preset's own)")
     args = parser.parse_args()
 
-    counts = [int(tok) for tok in args.ladder.split(",")]
+    try:
+        counts = check_ladder(args.ladder.split(","))
+    except ValueError as exc:
+        parser.error(f"--ladder: {exc}")
     preset = get_preset(args.preset, load=args.load)
     study = refine(solve_ladder(preset.problem, counts))
 

@@ -1,7 +1,7 @@
 """Frozen-coefficient solver and verification harness for non-autonomous
 parabolic evolution problems on a Galerkin-discretized Gelfand triple."""
 
-from .spaces import DualVector, GalerkinSpace, StructureError
+from .spaces import GalerkinSpace, StructureError
 from .forms import (FormConstants, FormFamily, Subdivision, average_form,
                     build_step_form, certify_shift, estimate_constants, rescale)
 from .propagator import ProblemData, SlabPropagator, Trajectory, oracle_solve, solve

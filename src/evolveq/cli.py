@@ -116,8 +116,12 @@ class ExperimentConfig:
             _check_ladder(self.slab_counts, min_points=1)
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ConfigError("horizon must be > 0")
+        if self.horizon is not None and not 0 < self.horizon < np.inf:
+            raise ConfigError("horizon must be finite and > 0")
+        if self.omega is not None and not np.isfinite(self.omega):
+            raise ConfigError("omega must be finite")
+        if not np.isfinite(self.load_amplitude):
+            raise ConfigError("[load] amplitude must be finite")
         if self.n_cells is not None and self.n_cells < 1:
             raise ConfigError("n_cells must be >= 1")
         if self.oracle_steps < 1:
@@ -131,9 +135,12 @@ class ExperimentConfig:
         if self.set_kind == "ball" and not params.get("radius", 0.0) > 0:
             raise ConfigError("a ball needs a radius > 0")
         # with convex_set_for's box defaults: lower = 0, no upper bound
-        if self.set_kind == "box" and not (params.get("lower", 0.0)
-                                           <= params.get("upper", np.inf)):
-            raise ConfigError("a box needs lower <= upper")
+        if self.set_kind == "box":
+            lower, upper = params.get("lower", 0.0), params.get("upper", np.inf)
+            if not lower <= upper:
+                raise ConfigError("a box needs lower <= upper")
+            if not (lower < np.inf and upper > -np.inf):
+                raise ConfigError("a box needs lower < inf and upper > -inf")
 
 
 def _check_ladder(slab_counts, min_points: int) -> None:

@@ -20,6 +20,9 @@ __all__ = [
     "heat_terms",
 ]
 
+_WOBBLE = 0.5   # kappa(t, x) = 1 + _WOBBLE x sin(t)
+_ROBIN = 1.0    # Robin coefficient at both ends
+
 
 def uniform_nodes(n_cells: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_cells + 1)
@@ -57,11 +60,11 @@ def stiffness(n_cells: int, cell_integrals: np.ndarray | None = None) -> np.ndar
     return k
 
 
-def robin_boundary(n_cells: int, beta: float = 1.0) -> np.ndarray:
+def robin_boundary(n_cells: int) -> np.ndarray:
     n = n_cells + 1
     b = np.zeros((n, n))
-    b[0, 0] = beta
-    b[-1, -1] = beta
+    b[0, 0] = _ROBIN
+    b[-1, -1] = _ROBIN
     return b
 
 
@@ -76,24 +79,24 @@ def robin_space(n_cells: int) -> GalerkinSpace:
     return GalerkinSpace(gram_h, gram_v, labels=uniform_nodes(n_cells))
 
 
-def heat_matrix(n_cells: int, t: float, wobble: float = 0.5,
-                beta: float = 1.0) -> np.ndarray:
-    """Form matrix of int kappa(t,x) u' v' + Robin terms, kappa = 1 + wobble*x*sin(t).
+def heat_matrix(n_cells: int, t: float) -> np.ndarray:
+    """Form matrix of int kappa(t,x) u' v' + Robin terms, kappa = 1 + x sin(t)/2.
 
     The per-cell integral of kappa is computed in closed form, so the
-    assembly is exact in x.
+    assembly is exact in x; at t = 0 it is the kappa = 1 matrix bit for bit.
     """
     x = uniform_nodes(n_cells)
     h = 1.0 / n_cells
-    cell = h + 0.5 * wobble * np.sin(t) * (x[1:] ** 2 - x[:-1] ** 2)
-    return stiffness(n_cells, cell) + robin_boundary(n_cells, beta)
+    cell = h + 0.5 * _WOBBLE * np.sin(t) * (x[1:] ** 2 - x[:-1] ** 2)
+    return stiffness(n_cells, cell) + robin_boundary(n_cells)
 
 
 def heat_terms(n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Affine terms (A0, A1) of heat_matrix(n_cells, t) = A0 + sin(t) A1.
 
     A0 is the matrix at t = 0; A1 assembles the per-cell integral of x/2,
-    the factor of sin(t) in kappa at the default wobble 0.5.
+    the factor of sin(t) in kappa.
     """
     x = uniform_nodes(n_cells)
-    return heat_matrix(n_cells, 0.0), stiffness(n_cells, 0.25 * (x[1:] ** 2 - x[:-1] ** 2))
+    a1 = stiffness(n_cells, 0.5 * _WOBBLE * (x[1:] ** 2 - x[:-1] ** 2))
+    return heat_matrix(n_cells, 0.0), a1

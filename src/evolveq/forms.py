@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 GAUSS_PANELS = 4
+_SAMPLE_TIMES = 129    # uniform sample times of a callable family's constants
+_SHIFT_TOL = 1e-10     # coercivity a certified shift must exceed
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
@@ -147,7 +149,7 @@ class Harmonic:
     def max_slope(self, horizon: float) -> float:
         """Greatest |theta'| on [0, horizon]."""
         w = self.omega
-        if len(self._turns(horizon, 0.5 * math.pi)):
+        if self._turns(horizon, 0.5 * math.pi):
             return w * math.hypot(self.a, self.b)
         return max(abs(w * (self.b * math.cos(w * t) - self.a * math.sin(w * t)))
                    for t in (0.0, horizon))
@@ -363,41 +365,28 @@ def extremal_matrices(family: FormFamily, t_grid: np.ndarray) -> list[np.ndarray
     return [family.matrix(t) for t in t_grid]
 
 
-def _sample_grid(family: FormFamily, t_grid: np.ndarray | None) -> np.ndarray:
-    """The sample times of a callable family; a family with terms takes none."""
-    if family.terms is not None and t_grid is not None:
-        raise ValueError("a family with affine terms is not sampled; drop t_grid")
-    if t_grid is None:
-        return np.linspace(0.0, family.horizon, 129)
-    return np.asarray(t_grid, dtype=float)
-
-
-def estimate_constants(family: FormFamily, t_grid: np.ndarray | None = None,
-                       shift: float = 0.0) -> FormConstants:
+def estimate_constants(family: FormFamily) -> FormConstants:
     """Continuity, coercivity and Lipschitz constants of the family.
 
     With affine terms they are exact: M and alpha at the ends of theta's
-    range, L = ||A1||_{V->V'} max|theta'|, and passing `t_grid` is an error.  A
-    callable family is certified on the sample grid only (a sampled L can
-    fall below the true one); presets ship analytic values for
-    cross-checking where they are known.
+    range and L = ||A1||_{V->V'} max|theta'|.  A callable family is
+    certified on 129 uniform sample times only, and a sampled L can fall
+    below the true one.
     """
-    t_grid = _sample_grid(family, t_grid)
-    if t_grid.size < 33:
-        raise ValueError("constant certification needs at least 33 sample times")
+    t_grid = np.linspace(0.0, family.horizon, _SAMPLE_TIMES)
     space = family.space
     mats = extremal_matrices(family, t_grid)
     bound = max(dual_operator_norm(space, a) for a in mats)
-    coercivity = min(coercivity_lower_bound(space, a, shift) for a in mats)
+    coercivity = min(coercivity_lower_bound(space, a) for a in mats)
     if family.terms is not None:
         lipschitz = (dual_operator_norm(space, family.terms.a1)
                      * family.terms.theta.max_slope(family.horizon))
-        return FormConstants(bound=bound, coercivity=coercivity, shift=shift,
+        return FormConstants(bound=bound, coercivity=coercivity,
                              lipschitz=lipschitz, source=EXACT)
     lipschitz = 0.0
     for (ta, aa), (tb, ab) in zip(zip(t_grid[:-1], mats[:-1]), zip(t_grid[1:], mats[1:])):
         lipschitz = max(lipschitz, dual_operator_norm(space, ab - aa) / (tb - ta))
-    return FormConstants(bound=bound, coercivity=coercivity, shift=shift,
+    return FormConstants(bound=bound, coercivity=coercivity,
                          lipschitz=lipschitz, source=f"sampled on {t_grid.size} times")
 
 
@@ -422,29 +411,28 @@ def rescale(family: FormFamily, shift: float) -> FormFamily:
                       symmetric=family.symmetric)
 
 
-def certify_shift(family: FormFamily, t_grid: np.ndarray | None = None,
-                  declared_shift: float = 0.0, tol: float = 1e-10) -> float:
+def certify_shift(family: FormFamily) -> float:
     """Smallest shift making the family coercive, certified on the same
     matrices as `estimate_constants` (for affine terms, the two ends).
 
-    Returns declared_shift when it already certifies; otherwise bisects
-    upward within [0, 10*M/c_H^2].
+    Returns 0 when the family already certifies; otherwise bisects upward
+    within [0, 10*M/c_H^2] for a shifted coercivity above 1e-10.
     """
-    mats = extremal_matrices(family, _sample_grid(family, t_grid))
+    mats = extremal_matrices(family, np.linspace(0.0, family.horizon, _SAMPLE_TIMES))
 
     def alpha_at(shift: float) -> float:
         return min(coercivity_lower_bound(family.space, a, shift) for a in mats)
 
-    if alpha_at(declared_shift) > tol:
-        return declared_shift
+    if alpha_at(0.0) > _SHIFT_TOL:
+        return 0.0
     bound = max(dual_operator_norm(family.space, a) for a in mats)
     hi = 10.0 * bound / family.space.embedding_constant ** 2
-    if alpha_at(hi) <= tol:
+    if alpha_at(hi) <= _SHIFT_TOL:
         raise StructureError("no certifying shift found in [0, 10*M/c_H^2]")
-    lo = max(declared_shift, 0.0)
+    lo = 0.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if alpha_at(mid) > tol:
+        if alpha_at(mid) > _SHIFT_TOL:
             hi = mid
         else:
             lo = mid

@@ -31,6 +31,7 @@ __all__ = [
 
 _QP_TOL = 1e-10
 _QP_MAX_ITER = 20000
+_CRITERION_TIMES = 9    # uniform sample times of both criteria
 
 
 class ToleranceError(RuntimeError):
@@ -39,14 +40,12 @@ class ToleranceError(RuntimeError):
 
 @dataclass
 class ConvexSet:
-    """One of box / halfspace / ball, with the H-Gram used for projection."""
+    """A box or a ball, with the H-Gram used for projection."""
 
     kind: str
     metric: np.ndarray
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    normal: np.ndarray | None = None
-    offset: float = 0.0
     center: np.ndarray | None = None
     radius: float = 0.0
     _step: float | None = field(default=None, init=False, repr=False)
@@ -62,11 +61,6 @@ class ConvexSet:
         if np.any(lo > hi):
             raise ValueError("box bounds are inverted")
         return cls("box", metric, lower=lo, upper=hi)
-
-    @classmethod
-    def halfspace(cls, metric, normal, offset: float) -> "ConvexSet":
-        return cls("halfspace", np.asarray(metric, dtype=float),
-                   normal=np.asarray(normal, dtype=float), offset=float(offset))
 
     @classmethod
     def ball(cls, metric, center, radius: float) -> "ConvexSet":
@@ -102,12 +96,6 @@ class ConvexSet:
             if self.diagonal_metric:
                 return np.clip(x, self.lower, self.upper)
             return self._box_qp(x)
-        if self.kind == "halfspace":
-            val = float(self.normal @ self.metric @ x) - self.offset
-            if val <= 0:
-                return x.copy()
-            nsq = float(self.normal @ self.metric @ self.normal)
-            return x - (val / nsq) * self.normal
         if self.kind == "ball":
             d = x - self.center
             r = self.metric_norm(d)
@@ -190,8 +178,7 @@ def _load_values(load, diffs: np.ndarray) -> Callable[[float], np.ndarray]:
         return lambda t: load.theta(t) * paired
 
     def values(t: float) -> np.ndarray:
-        pair = load(t)
-        return diffs @ np.asarray(getattr(pair, "coeffs", pair), dtype=float)
+        return diffs @ np.asarray(load(t), dtype=float)
 
     return values
 
@@ -208,38 +195,33 @@ def _worst(values: Callable[[float], np.ndarray], vs: np.ndarray,
     return best
 
 
-def _times(family: FormFamily, t_samples) -> np.ndarray:
-    if t_samples is None:
-        return np.linspace(0.0, family.horizon, 9)
-    return np.asarray(t_samples, dtype=float)
-
-
 def check_criterion(family: FormFamily, pool: SamplePool,
-                    t_samples: np.ndarray | None = None,
                     load=None) -> CriterionReport:
-    """Worst sampled value of a(t; Pv, v - Pv) [minus <f(t), v - Pv> if given].
+    """Worst value of a(t; Pv, v - Pv) [minus <f(t), v - Pv> if given] over
+    9 uniform sample times.
 
     A negative margin is a finding, not an error; the arg-min witness is
     reported for diagnosis.
     """
     vs, pvs = pool
+    t_samples = np.linspace(0.0, family.horizon, _CRITERION_TIMES)
     form = _form_values(family, pvs, vs - pvs)
     if load is None:
-        return _worst(form, vs, _times(family, t_samples))
+        return _worst(form, vs, t_samples)
     pairing = _load_values(load, vs - pvs)
-    return _worst(lambda t: form(t) - pairing(t), vs, _times(family, t_samples))
+    return _worst(lambda t: form(t) - pairing(t), vs, t_samples)
 
 
-def check_criterion_symmetric(family: FormFamily, pool: SamplePool,
-                              t_samples: np.ndarray | None = None) -> CriterionReport:
-    """Worst sampled value of a(t; v, v) - a(t; Pv, Pv) for symmetric accretive forms.
+def check_criterion_symmetric(family: FormFamily, pool: SamplePool) -> CriterionReport:
+    """Worst value of a(t; v, v) - a(t; Pv, Pv) over the same 9 sample times,
+    for symmetric accretive forms.
 
     Accretivity is checked on the matrices `estimate_constants` reads: the
     two ends of theta's range for affine terms, else the sample times.
     """
     if not family.symmetric:
         raise ValueError("symmetric criterion requires a symmetric family")
-    t_samples = _times(family, t_samples)
+    t_samples = np.linspace(0.0, family.horizon, _CRITERION_TIMES)
     alpha = min(coercivity_lower_bound(family.space, a)
                 for a in extremal_matrices(family, t_samples))
     if alpha <= 0:
@@ -257,12 +239,12 @@ def audit_trajectory(traj: Trajectory, cset: ConvexSet) -> tuple[float, float]:
     return dists[k], float(traj.grid[k])
 
 
-def offdiagonal_sign_certificate(a: np.ndarray, tol: float = 0.0) -> bool:
-    """True when all off-diagonal entries are <= tol.
+def offdiagonal_sign_certificate(a: np.ndarray) -> bool:
+    """True when all off-diagonal entries are <= 0.
 
     For box sets under a diagonal metric this upgrades the sampled clamp
     criterion to a certificate: every term of a(Pv, v - Pv) is then a
     product of nonnegative factors.
     """
     off = a - np.diag(np.diag(a))
-    return bool(np.all(off <= tol))
+    return bool(np.all(off <= 0.0))

@@ -103,7 +103,7 @@ def _constant_heat(n_cells, horizon, load, amplitude) -> PresetProblem:
     n_cells = 64 if n_cells is None else n_cells
     horizon = 1.0 if horizon is None else horizon
     space = fem.robin_space(n_cells)
-    family = _constant_family(space, fem.heat_matrix(n_cells, 0.0, wobble=0.0), horizon)
+    family = _constant_family(space, fem.heat_matrix(n_cells, 0.0), horizon)
     load = "constant" if load is None else load
     problem = ProblemData(family, np.sin(np.pi * space.labels),
                           load=_nodal_load(space, load, amplitude))
@@ -128,7 +128,7 @@ def _broken_coupling(n_cells, horizon, load, amplitude) -> PresetProblem:
     n_cells = 16 if n_cells is None else n_cells
     horizon = 0.5 if horizon is None else horizon
     space = fem.robin_space(n_cells)
-    matrix = fem.heat_matrix(n_cells, 0.0, wobble=0.0)
+    matrix = fem.heat_matrix(n_cells, 0.0)
     # Flipping the sign of one coupling pair is a similarity by a diagonal
     # sign matrix: the spectrum (hence the form constants) is unchanged,
     # but the off-diagonal sign condition for positivity fails.

@@ -20,7 +20,7 @@ import scipy.linalg as sla
 from . import tridiagonal
 from .forms import (Coefficient, EvaluationError, FormFamily, Subdivision,
                     build_step_form, gauss_panels)
-from .spaces import DualVector, GalerkinSpace, StructureError
+from .spaces import GalerkinSpace, StructureError
 
 __all__ = [
     "SlabPropagator",
@@ -183,8 +183,8 @@ class SeparableLoad:
             raise ValueError("load pairing has non-finite entries")
         object.__setattr__(self, "pairing", pairing)
 
-    def __call__(self, t: float) -> DualVector:
-        return DualVector(self.theta(t) * self.pairing)
+    def __call__(self, t: float) -> np.ndarray:
+        return self.theta(t) * self.pairing
 
 
 @dataclass
@@ -193,7 +193,7 @@ class ProblemData:
 
     family: FormFamily
     u0: np.ndarray
-    load: Callable[[float], DualVector] | None = None
+    load: Callable[[float], np.ndarray] | None = None   # t -> pairings of f(t)
 
     def __post_init__(self) -> None:
         self.u0 = np.asarray(self.u0, dtype=float)
@@ -207,11 +207,10 @@ class ProblemData:
     def load_pairings(self, t: float) -> np.ndarray:
         if self.load is None:
             return np.zeros(self.family.space.dim)
-        g = self.load(t)
-        coeffs = g.coeffs if isinstance(g, DualVector) else np.asarray(g, dtype=float)
-        if not np.all(np.isfinite(coeffs)):
+        pairings = np.asarray(self.load(t), dtype=float)
+        if not np.all(np.isfinite(pairings)):
             raise EvaluationError(f"load at t={t} has non-finite entries")
-        return coeffs
+        return pairings
 
 
 def _averaged_loads(problem: ProblemData, subdivision: Subdivision) -> list[np.ndarray]:

@@ -14,7 +14,6 @@ import scipy.linalg as sla
 __all__ = [
     "StructureError",
     "GalerkinSpace",
-    "DualVector",
 ]
 
 
@@ -119,13 +118,3 @@ class GalerkinSpace:
                 raise StructureError("generalized eigensolve for c_H failed") from exc
             self._c_H = float(np.sqrt(lam[-1]))
         return self._c_H
-
-
-@dataclass(frozen=True)
-class DualVector:
-    """Element of V' stored as pairings against the coefficient basis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))

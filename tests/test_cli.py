@@ -238,9 +238,14 @@ class TestMain:
         (HEAT_CFG + "[convex_set]\nkind = ball\n", 1),
         (HEAT_CFG + "[convex_set]\nkind = ball\nradius = -1.0\n", 1),
         (HEAT_CFG + "[convex_set]\nlower = 1.0\nupper = 0.0\n", 1),
+        (HEAT_CFG + "horizon = inf\n", 1),
+        (HEAT_CFG + "[load]\namplitude = nan\n", 1),
+        (HEAT_CFG + "omega = nan\n", 1),
+        (HEAT_CFG + "[convex_set]\nlower = inf\n", 1),
     ], ids=["omega", "horizon", "n_cells", "n_cells_text", "oracle_steps",
             "duplicate", "set_halfspace", "set_metric", "set_ball_no_radius",
-            "set_negative_radius", "set_inverted_box"])
+            "set_negative_radius", "set_inverted_box", "horizon_inf",
+            "amplitude_nan", "omega_nan", "set_lower_inf"])
     def test_typed_errors_map_to_exit_codes(self, tmp_path, capsys, text, status):
         path = write_cfg(tmp_path, text)
         out = tmp_path / "results"

@@ -47,11 +47,6 @@ class TestProjection:
                            options={"ftol": 1e-15, "gtol": 1e-12}).x
             np.testing.assert_allclose(got, ref, atol=1e-6)
 
-    def test_halfspace_projection(self):
-        cset = ConvexSet.halfspace(np.eye(2), np.array([1.0, 0.0]), 1.0)
-        np.testing.assert_allclose(cset.project([3.0, 5.0]), [1.0, 5.0])
-        np.testing.assert_array_equal(cset.project([0.5, -2.0]), [0.5, -2.0])
-
     def test_ball_projection(self):
         cset = ConvexSet.ball(np.eye(2), np.zeros(2), 1.0)
         np.testing.assert_allclose(cset.project([3.0, 4.0]), [0.6, 0.8])
@@ -69,11 +64,8 @@ class TestProjection:
         rng = np.random.default_rng(seed)
         n = 4
         metric = spd_metric(rng, n)
-        kind = rng.choice(["box", "halfspace", "ball"])
-        if kind == "box":
+        if rng.choice(["box", "ball"]) == "box":
             cset = ConvexSet.box(metric, lower=-1.0, upper=1.0)
-        elif kind == "halfspace":
-            cset = ConvexSet.halfspace(metric, rng.standard_normal(n), 0.5)
         else:
             cset = ConvexSet.ball(metric, rng.standard_normal(n), 1.0)
         x = 3.0 * rng.standard_normal(n)

@@ -10,7 +10,7 @@ from evolveq.mr import (ContractError, MRReport, check_chain_rule,
 from evolveq.presets import get_preset
 from evolveq.propagator import (ProblemData, SeparableLoad, Trajectory,
                                 _averaged_loads, oracle_solve, solve)
-from evolveq.spaces import DualVector, GalerkinSpace
+from evolveq.spaces import GalerkinSpace
 
 # dim 1, p = 1, u0 = 1, f = 0 on [0, 1]: closed forms
 #   l2V^2 = h1H^2 = h1Vp^2 = (1 - e^-2)/2
@@ -184,7 +184,7 @@ class TestSeparableLoad:
         assert isinstance(problem.load, SeparableLoad)
         theta_f, g = self.THETA_F[load], problem.load.pairing
         quad = ProblemData(problem.family, problem.u0,
-                           load=lambda t: DualVector(theta_f(t) * g))
+                           load=lambda t: theta_f(t) * g)
         sub = Subdivision.uniform(problem.horizon, 16)
         for exact, ref in zip(_averaged_loads(problem, sub), _averaged_loads(quad, sub)):
             np.testing.assert_allclose(exact, ref, rtol=1e-12, atol=0.0)

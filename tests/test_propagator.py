@@ -13,7 +13,7 @@ from evolveq.presets import get_preset
 from evolveq.mr import _slab_coefficients
 from evolveq.propagator import (ProblemData, SlabPropagator, SlabSolution,
                                 Trajectory, oracle_solve, phi1, solve)
-from evolveq.spaces import DualVector, GalerkinSpace, StructureError
+from evolveq.spaces import GalerkinSpace, StructureError
 
 
 def scalar_problem(p, horizon, u0=1.0, load=None):
@@ -132,7 +132,7 @@ class TestSolve:
                                    rtol=1e-13)
 
     def test_constant_load_steady_state(self):
-        load = lambda t: DualVector(np.array([3.0]))
+        load = lambda t: np.array([3.0])
         problem = scalar_problem(lambda t: 1.0, 8.0, u0=0.0, load=load)
         traj = solve(problem, Subdivision.uniform(8.0, 8))
         # u' + u = 3, u(0) = 0: u(T) = 3 (1 - e^{-T}), exact for the scheme
@@ -264,7 +264,7 @@ class TestOracle:
                                terms=AffineTerms(family.terms.a0, family.terms.a1,
                                                  Linear(np.nan)))
         assert bad_theta.tridiagonal is not None
-        nan_load = lambda t: DualVector(np.full(family.space.dim, np.nan))
+        nan_load = lambda t: np.full(family.space.dim, np.nan)
         for prob in (ProblemData(bad_theta, problem.u0),
                      ProblemData(family, problem.u0, load=nan_load),
                      as_callable(problem, load=nan_load)):

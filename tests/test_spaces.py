@@ -4,21 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dirichlet_space
-from evolveq.spaces import DualVector, GalerkinSpace, StructureError
+from evolveq.spaces import GalerkinSpace, StructureError
 
 # frozen by an independent dense solve of gram_V (see test below)
 HAT_SUM_DUAL_NORM = 0.27509006975737504
 
 
 def dual_norm(space, g):
-    """V'-norm of a dual vector: sqrt(g^T gram_V^{-1} g)."""
-    coeffs = g.coeffs if isinstance(g, DualVector) else np.asarray(g, dtype=float)
-    return float(np.sqrt(max(float(coeffs @ space.solve_V(coeffs)), 0.0)))
+    """V'-norm of a functional given by its pairings g: sqrt(g^T gram_V^{-1} g)."""
+    g = np.asarray(g, dtype=float)
+    return float(np.sqrt(max(float(g @ space.solve_V(g)), 0.0)))
 
 
 def h_representation(space, u):
-    """The functional (u | .)_H as a dual vector."""
-    return DualVector(space.gram_H @ np.asarray(u, dtype=float))
+    """The pairings of the functional (u | .)_H."""
+    return space.gram_H @ np.asarray(u, dtype=float)
 
 
 def scalar_space(gh, gv):
@@ -28,7 +28,7 @@ def scalar_space(gh, gv):
 class TestDualNorm:
     def test_scalar_closed_form(self):
         space = scalar_space(1.0, 2.0)
-        assert dual_norm(space, DualVector(np.array([1.0]))) == pytest.approx(
+        assert dual_norm(space, np.array([1.0])) == pytest.approx(
             1.0 / np.sqrt(2.0), abs=1e-15)
 
     def test_zero_functional(self):
@@ -40,7 +40,7 @@ class TestDualNorm:
         g = h_representation(space, np.ones(space.dim))
         assert dual_norm(space, g) == pytest.approx(HAT_SUM_DUAL_NORM, abs=1e-12)
         # independent oracle: plain dense solve instead of the Cholesky path
-        direct = np.sqrt(g.coeffs @ np.linalg.solve(space.gram_V, g.coeffs))
+        direct = np.sqrt(g @ np.linalg.solve(space.gram_V, g))
         assert dual_norm(space, g) == pytest.approx(direct, rel=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""Repository tooling: the benchmark tracer's names and the results comparer."""
+"""Repository tooling: the benchmark tracer's names, the results comparer and the rate table."""
 import importlib
 import importlib.util
 import os
@@ -11,6 +11,7 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 TRACER = REPO / "perfbench" / "tracer.py"
 COMPARE = REPO / "scripts" / "compare_results.py"
+RATE_TABLE = REPO / "scripts" / "rate_table.py"
 
 
 def load_script(path, name):
@@ -89,3 +90,18 @@ def test_compare_results_stops_quietly_when_its_reader_does(tmp_path):
         os.close(write_end)
     assert done.stderr == b""
     assert done.returncode == 1
+
+
+@pytest.mark.parametrize("args, status, text", [
+    (["--ladder", "4,8,16", "--load", "constant"], 0, "fitted rate"),
+    (["--ladder", "8,12"], 2, "error: --ladder: ladder counts must be nested"),
+    (["--ladder", "8,x"], 2, "error: --ladder: invalid literal"),
+    (["--load", "bogus"], 2, "error: argument --load: invalid choice: 'bogus'"),
+], ids=["valid", "not_nested", "not_integer", "unknown_load"])
+def test_rate_table_rejects_bad_arguments_with_usage(args, status, text):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, str(RATE_TABLE), "scalar-decay", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == status
+    assert "Traceback" not in done.stderr
+    assert text in (done.stdout if status == 0 else done.stderr.splitlines()[-1])

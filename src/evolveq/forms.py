@@ -137,19 +137,26 @@ class Harmonic:
         return range(math.ceil((-phase - offset) / math.pi),
                      math.floor((self.omega * horizon - phase - offset) / math.pi) + 1)
 
+    def _full_period(self, horizon: float) -> bool:
+        """Whether [0, horizon] holds a whole period (an infinite omega * horizon
+        included), so that theta takes every value of c + R cos there."""
+        return self.omega * horizon >= 2.0 * math.pi
+
     def bounds(self, horizon: float) -> tuple[float, float]:
         """Least and greatest value of theta on [0, horizon], interior extremes included."""
         r = math.hypot(self.a, self.b)
+        if self._full_period(horizon):
+            return self.c - r, self.c + r
         values = [self(0.0), self(horizon)]
-        # even k give the maximum c + r, odd k the minimum c - r; the first
-        # two turns hold every parity there is, whatever the horizon
-        values += [self.c + (r if k % 2 == 0 else -r) for k in self._turns(horizon, 0.0)[:2]]
+        # within one period: at most two turns, even k at the maximum c + r
+        # and odd k at the minimum c - r
+        values += [self.c + (r if k % 2 == 0 else -r) for k in self._turns(horizon, 0.0)]
         return min(values), max(values)
 
     def max_slope(self, horizon: float) -> float:
         """Greatest |theta'| on [0, horizon]."""
         w = self.omega
-        if self._turns(horizon, 0.5 * math.pi):
+        if self._full_period(horizon) or self._turns(horizon, 0.5 * math.pi):
             return w * math.hypot(self.a, self.b)
         return max(abs(w * (self.b * math.cos(w * t) - self.a * math.sin(w * t)))
                    for t in (0.0, horizon))
@@ -175,8 +182,7 @@ class FormConstants:
     """Continuity/coercivity/Lipschitz data and where the computed ones came from."""
 
     bound: float | None = None        # V -> V' operator-norm bound M
-    coercivity: float | None = None   # alpha at the given shift
-    shift: float = 0.0                # omega used when certifying coercivity
+    coercivity: float | None = None   # coercivity constant alpha
     lipschitz: float | None = None    # L in the time-Lipschitz bound
     source: str = "declared"          # EXACT, or "sampled on <n> times"
 

@@ -13,6 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import tridiagonal
 from .forms import (EvaluationError, FormFamily, coercivity_lower_bound,
                     extremal_matrices)
 from .propagator import SeparableLoad, Trajectory
@@ -32,6 +33,7 @@ __all__ = [
 _QP_TOL = 1e-10
 _QP_MAX_ITER = 20000
 _CRITERION_TIMES = 9    # uniform sample times of both criteria
+_SPIKE_MAX = 3          # most nonzeros of a spike vector
 
 
 class ToleranceError(RuntimeError):
@@ -127,6 +129,28 @@ class SamplePool(NamedTuple):
     projections: np.ndarray    # their projections Pv onto the set
 
 
+def _spikes(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
+    """Sparse signed spikes: each row has k ~ U{1..min(3, dim)} nonzeros at a
+    uniform k-subset of positions, with +-1 signs and U(0.5, 3) magnitudes.
+
+    Positions come from sequential sampling without replacement: column j
+    is uniform over the dim - j indices still free, shifted past the row's
+    earlier picks taken in ascending order.  Entries past the k-th are zero.
+    """
+    width = min(_SPIKE_MAX, dim)
+    k = rng.integers(1, width + 1, size=rows)
+    picks = rng.integers(0, dim - np.arange(width), size=(rows, width))
+    for j in range(1, width):
+        for earlier in np.sort(picks[:, :j], axis=1).T:
+            picks[:, j] += picks[:, j] >= earlier
+    values = (rng.choice([-1.0, 1.0], size=(rows, width))
+              * rng.uniform(0.5, 3.0, size=(rows, width)))
+    spikes = np.zeros((rows, dim))
+    spikes[np.arange(rows)[:, None], picks] = np.where(
+        np.arange(width) < k[:, None], values, 0.0)
+    return spikes
+
+
 def sample_pool(rng: np.random.Generator, cset: ConvexSet,
                 n_vectors: int) -> SamplePool:
     """Mixed pool: Gaussian, sparse signed spikes, boundary-adjacent vectors."""
@@ -135,11 +159,7 @@ def sample_pool(rng: np.random.Generator, cset: ConvexSet,
     n_spike = n_vectors // 3
     n_near = n_vectors - n_gauss - n_spike
     gauss = rng.standard_normal((n_gauss, dim))
-    spikes = np.zeros((n_spike, dim))
-    for row in spikes:
-        k = rng.integers(1, min(4, dim + 1))
-        idx = rng.choice(dim, size=k, replace=False)
-        row[idx] = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 3.0, size=k)
+    spikes = _spikes(rng, n_spike, dim)
     near = cset.project_many(rng.standard_normal((n_near, dim)))
     near += 0.1 * rng.standard_normal((n_near, dim))
     vs = np.vstack([gauss, spikes, near])
@@ -154,13 +174,18 @@ def _form_values(family: FormFamily, left: np.ndarray,
                  right: np.ndarray) -> Callable[[float], np.ndarray]:
     """t -> a(t; left_i, right_i) for each row pair of the pool.
 
-    Affine terms take the rows' forms of A0 and A1 once, so each time
-    costs O(m); a callable family is evaluated and paired at each time.
+    Affine terms take the rows' forms of A0 and A1 once, through their
+    bands when the family keeps them, so each time costs O(m); a callable
+    family is evaluated and paired at each time.
     """
     terms = family.terms
     if terms is None:
         return lambda t: _rowwise(left @ family.matrix(t), right)
-    q0, q1 = (_rowwise(left @ a, right) for a in (terms.a0, terms.a1))
+    if family.tridiagonal is not None:
+        q0, q1 = (tridiagonal.pair_rows(b, left, right)
+                  for b in (family.tridiagonal.a0, family.tridiagonal.a1))
+    else:
+        q0, q1 = (_rowwise(left @ a, right) for a in (terms.a0, terms.a1))
 
     def values(t: float) -> np.ndarray:
         s = terms.theta(t)

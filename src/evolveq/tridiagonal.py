@@ -1,4 +1,4 @@
-"""Tridiagonal band storage and its two O(n) solvers.
+"""Tridiagonal band storage, its two O(n) solvers and row-wise pairing.
 
 Bands are held in LAPACK's (1, 1) banded layout, a (3, n) array: row 0 is
 the superdiagonal shifted right by one, row 1 the diagonal, row 2 the
@@ -13,7 +13,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .spaces import StructureError
 
-__all__ = ["bands", "solve", "pencil_eigh"]
+__all__ = ["bands", "pair_rows", "solve", "pencil_eigh"]
 
 
 def bands(a: np.ndarray) -> np.ndarray | None:
@@ -23,6 +23,17 @@ def bands(a: np.ndarray) -> np.ndarray | None:
     out[1] = np.diagonal(a)
     out[2, :-1] = np.diagonal(a, -1)
     return out if np.count_nonzero(a) == np.count_nonzero(out) else None
+
+
+def pair_rows(b: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left_i^T A right_i for each row pair of two (m, n) arrays, in O(m n).
+
+    b are the bands of A: row 0 pairs left_{j-1} with right_j, row 1
+    left_j with right_j and row 2 left_{j+1} with right_j.
+    """
+    return (np.einsum("ij,ij,j->i", left, right, b[1])
+            + np.einsum("ij,ij,j->i", left[:, :-1], right[:, 1:], b[0, 1:])
+            + np.einsum("ij,ij,j->i", left[:, 1:], right[:, :-1], b[2, :-1]))
 
 
 def solve(b: np.ndarray, rhs: np.ndarray) -> np.ndarray:

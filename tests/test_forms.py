@@ -278,6 +278,9 @@ class TestAffineTerms:
         # more turns than a range can count with len()
         assert sine.bounds(1e308) == (-1.0, 1.0)
         assert sine.max_slope(1e308) == 1.0
+        # omega * horizon overflows to inf: still one full period or more
+        assert forcing.bounds(1e308) == (0.0, 2.0)
+        assert forcing.max_slope(1e308) == 2.0
         assert Linear(1.0, -0.5).bounds(4.0) == (-1.0, 1.0)
         for theta in (sine, forcing, Linear(1.0, 0.5)):
             nodes, weights = gauss_nodes(np.linspace(0.3, 2.9, 129))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,31 @@ def assert_same_report(got, ref):
     assert got.margin == pytest.approx(ref.margin, rel=1e-12, abs=1e-12)
     assert got.witness_t == ref.witness_t
     np.testing.assert_array_equal(got.witness, ref.witness)
+
+
+def spike_rows(dim, n_vectors, seed=0):
+    """The middle third of a pool over a box in R^dim: its sparse spikes."""
+    pool = sample_pool(np.random.default_rng(seed),
+                       ConvexSet.box(np.eye(dim), lower=0.0), n_vectors)
+    third = n_vectors // 3
+    return pool.vectors[third:2 * third]
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the calls made to its methods."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 def spd_metric(rng, n, offdiag=0.3):
@@ -91,6 +118,39 @@ class TestSamplePool:
         p2 = sample_pool(np.random.default_rng(7), cset, 60)
         np.testing.assert_array_equal(p1.vectors, p2.vectors)
 
+    @pytest.mark.parametrize("dim", [1, 2, 81])
+    def test_spike_rows_have_one_to_three_distinct_nonzeros(self, dim):
+        spikes = spike_rows(dim, 3000)
+        counts = np.count_nonzero(spikes, axis=1)
+        assert set(counts) == set(range(1, min(3, dim) + 1))
+        magnitudes = np.abs(spikes[spikes != 0.0])
+        assert magnitudes.min() >= 0.5 and magnitudes.max() < 3.0
+
+    def test_spike_law_is_uniform(self):
+        # k ~ U{1, 2, 3} at a uniform k-subset of 4 positions: each position
+        # is hit with probability E[k]/4 = 1/2, each pair of a 2-spike with 1/6
+        spikes = spike_rows(4, 30_000)
+        hit = spikes != 0.0
+        counts = hit.sum(axis=1)
+        for k in (1, 2, 3):
+            assert np.mean(counts == k) == pytest.approx(1 / 3, abs=0.03)
+        np.testing.assert_allclose(hit.mean(axis=0), 0.5, atol=0.03)
+        pairs = hit[counts == 2]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                share = np.mean(pairs[:, i] & pairs[:, j])
+                assert share == pytest.approx(1 / 6, abs=0.03)
+        assert np.mean(spikes[hit] > 0.0) == pytest.approx(0.5, abs=0.03)
+
+    def test_generator_calls_do_not_grow_with_the_pool(self):
+        cset = ConvexSet.box(np.eye(5), lower=0.0)
+        calls = []
+        for n_vectors in (100, 1000, 10_000):
+            rng = CountingGenerator(0)
+            sample_pool(rng, cset, n_vectors)
+            calls.append(rng.calls)
+        assert calls[0] == calls[1] == calls[2]
+
 
 class TestCriterion:
     def test_heat_box_margin_nonnegative(self, heat_homogeneous):
@@ -120,6 +180,13 @@ class TestCriterion:
         got = check_criterion(family, pool)
         assert_same_report(got, check_criterion(ref, pool))
         assert got.witness_t not in (0.0, np.pi, 2.0 * np.pi)   # theta != 0 there
+        # the pool paired through the bands against A0 and A1 paired densely
+        assert family.tridiagonal is not None
+        dense = copy.copy(family)
+        dense.tridiagonal = None
+        assert_same_report(got, check_criterion(dense, pool))
+        assert_same_report(check_criterion_symmetric(family, pool),
+                           check_criterion_symmetric(dense, pool))
         # the forcing load: separable, and as a plain callable
         expected = check_criterion(ref, pool, load=load)
         assert_same_report(check_criterion(family, pool, load=load), expected)

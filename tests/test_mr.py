@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import consistent_mass_problem, reference_mr_terms
 from evolveq.fem import robin_space, stiffness
 from evolveq.forms import FormConstants, FormFamily, Subdivision
 from evolveq.mr import (ContractError, MRReport, check_chain_rule,
@@ -15,6 +16,20 @@ from evolveq.spaces import GalerkinSpace
 # dim 1, p = 1, u0 = 1, f = 0 on [0, 1]: closed forms
 #   l2V^2 = h1H^2 = h1Vp^2 = (1 - e^-2)/2
 SCALAR_ENERGY_SQ = (1.0 - np.exp(-2.0)) / 2.0
+
+
+def consistent_mass_heat(n_cells):
+    """`consistent_mass_problem` with a constant load: the dense pencil route."""
+    problem = consistent_mass_problem(n_cells)
+    pairing = problem.family.space.gram_H @ np.ones(problem.family.space.dim)
+    return ProblemData(problem.family, problem.u0, load=lambda t: pairing)
+
+
+MR_PROBLEMS = {
+    "heat-16": lambda: get_preset("heat-1d-lipschitz", n_cells=16).problem,
+    "heat-80": lambda: get_preset("heat-1d-lipschitz", n_cells=80).problem,
+    "consistent-mass-16": lambda: consistent_mass_heat(16),
+}
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +53,17 @@ class TestMRNorms:
         # the frozen decimal from the derivation notes (sqrt(1 - e^-2))
         assert rep.mr_vh == pytest.approx(0.9300, abs=5e-4)
         assert rep.mr_vh == pytest.approx(0.9298734950321939, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(MR_PROBLEMS))
+    def test_one_kernel_pass_matches_general_form(self, name):
+        problem = MR_PROBLEMS[name]()
+        traj = solve(problem, Subdivision.uniform(problem.horizon, 16))
+        report, ref = mr_norms(traj), reference_mr_terms(traj)
+        for key in ("l2V_slabs", "chain_slabs", "product_slabs"):
+            np.testing.assert_allclose(getattr(report, key), ref[key],
+                                       rtol=1e-12, atol=0.0, err_msg=key)
+        assert report.h1H == pytest.approx(ref["h1H"], rel=1e-12, abs=0.0)
+        assert report.h1Vp == pytest.approx(ref["h1Vp"], rel=1e-12, abs=0.0)
 
     def test_report_validates_hypot(self):
         with pytest.raises(ValueError):
@@ -126,10 +152,6 @@ class TestEstimates:
         report = mr_norms(traj)
         with pytest.raises(ContractError):
             check_lemma_indepmax(report, traj)
-        with pytest.raises(ContractError):
-            check_lemma_indepmax(
-                report, traj,
-                constants=FormConstants(bound=1.0, coercivity=1.0, shift=0.5))
 
     def test_heat_margins_nonnegative(self, heat_traj_64, heat_preset,
                                       heat_constants):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import callable_family, dirichlet_space
+from conftest import callable_family, consistent_mass_problem, dirichlet_space
 from evolveq import tridiagonal
-from evolveq.fem import heat_matrix, heat_terms, robin_space
-from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
-                           Linear, Subdivision)
+from evolveq.fem import heat_matrix, robin_space
+from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Linear,
+                           Subdivision)
 from evolveq.presets import get_preset
 from evolveq.mr import _slab_coefficients
 from evolveq.propagator import (ProblemData, SlabPropagator, SlabSolution,
@@ -27,15 +27,6 @@ def as_callable(problem, load=None):
     """The problem with its family as a callable: the dense routes' reference."""
     return ProblemData(callable_family(problem.family), problem.u0,
                        load=problem.load if load is None else load)
-
-
-def consistent_mass_problem(n_cells, horizon=1.0):
-    """Tridiagonal affine terms over a consistent (non-diagonal) gram_H."""
-    space = dirichlet_space(n_cells)
-    a0, a1 = (a[1:-1, 1:-1] for a in heat_terms(n_cells))
-    family = FormFamily(space, None, horizon, symmetric=True,
-                        terms=AffineTerms(a0, a1, Harmonic(b=1.0)))
-    return ProblemData(family, np.sin(np.pi * space.labels))
 
 
 def rel_diff(a, b):

@@ -218,7 +218,7 @@ def _run_solve(prep: _Prepared, ladder: list[Trajectory], out: Path,
     space = problem.family.space
     status = 0
     rows = []
-    load_norm = mr.load_l2h(problem, ladder[-1].subdivision)
+    load_norm = mr.load_l2h(problem)
     for n, traj in zip(prep.slab_counts, ladder):
         report = mr.mr_norms(traj)
         res_chain = mr.check_chain_rule(report, traj)
@@ -276,7 +276,8 @@ def _run_invariance(prep: _Prepared, ladder: list[Trajectory], out: Path,
     pool = inv.sample_pool(np.random.default_rng(config.seed), cset, 10_000)
     crit = inv.check_criterion(family, pool, load=problem.load)
     try:
-        sym_margin = inv.check_criterion_symmetric(family, pool).margin
+        sym_margin = inv.check_criterion_symmetric(family, pool,
+                                                   prep.computed.coercivity).margin
     except ValueError:      # not accretive
         sym_margin = float("nan")
     worst = witness_t = 0.0

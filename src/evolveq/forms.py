@@ -1,11 +1,10 @@
 """Time-dependent bilinear form families, slab averaging and certified constants.
 
-A family evaluates to a square coefficient matrix A(t) with
-a(t; u, v) = u^T A(t) v, either through a callable or through affine terms
-A(t) = A0 + theta(t) A1 with a scalar coefficient theta.  Slab averaging
-replaces the family on each interval of a subdivision by its integral
-mean: A0 + mean(theta) A1 for affine terms, composite Gauss-Legendre
-quadrature for a callable.  Affine terms also give the constants exactly.
+A family is given by affine terms A(t) = A0 + theta(t) A1 with a scalar
+coefficient theta, and a(t; u, v) = u^T A(t) v.  Slab averaging replaces
+the family on each interval of a subdivision by its integral mean,
+A0 + mean(theta) A1, and the constants M, alpha and L are exact: they are
+read at the ends of theta's range and from the largest |theta'|.
 Tridiagonal terms over a diagonal gram_H are also kept as bands, so that
 the oracle steps and the slab eigensolves cost O(n) storage.
 """
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -37,15 +36,11 @@ __all__ = [
     "estimate_constants",
     "rescale",
     "certify_shift",
-    "extremal_matrices",
     "dual_operator_norm",
     "coercivity_lower_bound",
     "gauss_nodes",
-    "gauss_panels",
 ]
 
-GAUSS_PANELS = 4
-_SAMPLE_TIMES = 129    # uniform sample times of a callable family's constants
 _SHIFT_TOL = 1e-10     # coercivity a certified shift must exceed
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
@@ -60,11 +55,6 @@ def gauss_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = edges[:-1, None], edges[1:, None]
     half = 0.5 * (hi - lo)
     return (0.5 * (lo + hi) + half * _GAUSS_X).ravel(), (half * _GAUSS_W).ravel()
-
-
-def gauss_panels(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 4-point Gauss-Legendre nodes and weights on [a, b]."""
-    return gauss_nodes(np.linspace(a, b, GAUSS_PANELS + 1))
 
 
 def _sinc(x: float) -> float:
@@ -184,7 +174,7 @@ class FormConstants:
     bound: float | None = None        # V -> V' operator-norm bound M
     coercivity: float | None = None   # coercivity constant alpha
     lipschitz: float | None = None    # L in the time-Lipschitz bound
-    source: str = "declared"          # EXACT, or "sampled on <n> times"
+    source: str = "declared"          # EXACT when estimate_constants computed them
 
 
 @dataclass(frozen=True)
@@ -280,33 +270,28 @@ class TridiagonalTerms(NamedTuple):
 
 @dataclass
 class FormFamily:
-    """t -> A(t) on a Galerkin space, with horizon and declared structure.
+    """t -> A(t) = A0 + theta(t) A1 on a Galerkin space, with horizon and
+    declared structure.
 
-    A family is given by exactly one of a callable `eval` or affine `terms`;
-    the terms are checked once here, a callable's matrix at every call.
-    `tridiagonal` holds the terms' bands when gram_H is diagonal and both
-    terms are tridiagonal (a lumped P1 heat family), else None.
+    The terms are checked once, when the family is built.  `tridiagonal`
+    holds their bands when gram_H is diagonal and both terms are
+    tridiagonal (a lumped P1 heat family), else None.
     """
 
     space: GalerkinSpace
-    eval: Callable[[float], np.ndarray] | None
+    terms: AffineTerms
     horizon: float
     symmetric: bool = False
-    terms: AffineTerms | None = None
     tridiagonal: TridiagonalTerms | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if (self.eval is None) == (self.terms is None):
-            raise ValueError("a form family needs exactly one of a callable "
-                             "and affine terms")
-        if self.terms is not None:
-            self.terms = replace(self.terms,
-                                 a0=self._checked(self.terms.a0, "affine term a0"),
-                                 a1=self._checked(self.terms.a1, "affine term a1"))
-            h = self.space.h_diagonal
-            b0, b1 = (tridiagonal.bands(a) for a in (self.terms.a0, self.terms.a1))
-            if h is not None and b0 is not None and b1 is not None:
-                self.tridiagonal = TridiagonalTerms(h, b0, b1)
+        self.terms = replace(self.terms,
+                             a0=self._checked(self.terms.a0, "affine term a0"),
+                             a1=self._checked(self.terms.a1, "affine term a1"))
+        h = self.space.h_diagonal
+        b0, b1 = (tridiagonal.bands(a) for a in (self.terms.a0, self.terms.a1))
+        if h is not None and b0 is not None and b1 is not None:
+            self.tridiagonal = TridiagonalTerms(h, b0, b1)
 
     def _checked(self, a, what: str) -> np.ndarray:
         a = np.asarray(a, dtype=float)
@@ -320,23 +305,14 @@ class FormFamily:
         return a
 
     def matrix(self, t: float) -> np.ndarray:
-        if self.terms is not None:
-            return self.terms.at(self.terms.theta(t))
-        return self._checked(self.eval(t), f"form matrix at t={t}")
+        return self.terms.at(self.terms.theta(t))
 
 
 def average_form(family: FormFamily, t0: float, t1: float) -> np.ndarray:
-    """Integral mean of A over [t0, t1]: closed form for affine terms,
-    composite Gauss-Legendre quadrature for a callable."""
+    """Integral mean of A over [t0, t1]: A0 + mean(theta) A1."""
     if not t0 < t1:
         raise ValueError("slab must have positive length")
-    if family.terms is not None:
-        return family.terms.at(family.terms.theta.mean(t0, t1))
-    nodes, weights = gauss_panels(t0, t1)
-    acc = np.zeros((family.space.dim, family.space.dim))
-    for t, w in zip(nodes, weights):
-        acc += w * family.matrix(t)
-    return acc / (t1 - t0)
+    return family.terms.at(family.terms.theta.mean(t0, t1))
 
 
 def build_step_form(family: FormFamily, subdivision: Subdivision) -> list[np.ndarray]:
@@ -363,68 +339,36 @@ def coercivity_lower_bound(space: GalerkinSpace, a: np.ndarray, shift: float = 0
     return float(lam[0])
 
 
-def extremal_matrices(family: FormFamily, t_grid: np.ndarray) -> list[np.ndarray]:
-    """Matrices on which the family's M and alpha are taken: the ends of
-    theta's range for affine terms, else the family at the sample times."""
-    if family.terms is not None:
-        return family.terms.extremes(family.horizon)
-    return [family.matrix(t) for t in t_grid]
-
-
 def estimate_constants(family: FormFamily) -> FormConstants:
-    """Continuity, coercivity and Lipschitz constants of the family.
-
-    With affine terms they are exact: M and alpha at the ends of theta's
-    range and L = ||A1||_{V->V'} max|theta'|.  A callable family is
-    certified on 129 uniform sample times only, and a sampled L can fall
-    below the true one.
+    """Continuity, coercivity and Lipschitz constants of the family, exactly:
+    M and alpha at the ends of theta's range and L = ||A1||_{V->V'} max|theta'|.
     """
-    t_grid = np.linspace(0.0, family.horizon, _SAMPLE_TIMES)
-    space = family.space
-    mats = extremal_matrices(family, t_grid)
+    space, terms = family.space, family.terms
+    mats = terms.extremes(family.horizon)
     bound = max(dual_operator_norm(space, a) for a in mats)
     coercivity = min(coercivity_lower_bound(space, a) for a in mats)
-    if family.terms is not None:
-        lipschitz = (dual_operator_norm(space, family.terms.a1)
-                     * family.terms.theta.max_slope(family.horizon))
-        return FormConstants(bound=bound, coercivity=coercivity,
-                             lipschitz=lipschitz, source=EXACT)
-    lipschitz = 0.0
-    for (ta, aa), (tb, ab) in zip(zip(t_grid[:-1], mats[:-1]), zip(t_grid[1:], mats[1:])):
-        lipschitz = max(lipschitz, dual_operator_norm(space, ab - aa) / (tb - ta))
+    lipschitz = dual_operator_norm(space, terms.a1) * terms.theta.max_slope(family.horizon)
     return FormConstants(bound=bound, coercivity=coercivity,
-                         lipschitz=lipschitz, source=f"sampled on {t_grid.size} times")
+                         lipschitz=lipschitz, source=EXACT)
 
 
 def rescale(family: FormFamily, shift: float) -> FormFamily:
-    """Shifted family A(t) + shift * gram_H; symmetry is preserved.
-
-    Affine terms take the shift into A0.
-    """
+    """Shifted family A(t) + shift * gram_H, the shift folded into A0;
+    symmetry is preserved."""
     if shift == 0.0:
         return family
-    gram_H = family.space.gram_H
-    if family.terms is not None:
-        terms = replace(family.terms, a0=family.terms.a0 + shift * gram_H)
-        return FormFamily(family.space, None, family.horizon,
-                          symmetric=family.symmetric, terms=terms)
-    base_eval = family.eval
-
-    def shifted(t: float) -> np.ndarray:
-        return np.asarray(base_eval(t), dtype=float) + shift * gram_H
-
-    return FormFamily(family.space, shifted, family.horizon,
-                      symmetric=family.symmetric)
+    terms = replace(family.terms, a0=family.terms.a0 + shift * family.space.gram_H)
+    return FormFamily(family.space, terms, family.horizon, symmetric=family.symmetric)
 
 
 def certify_shift(family: FormFamily) -> float:
     """Smallest shift making the family coercive, certified on the same
-    matrices as `estimate_constants` (for affine terms, the two ends).
+    matrices as `estimate_constants`: the two ends of theta's range.
 
     Returns 0 when the family already certifies; otherwise bisects upward
     within [0, 10*M/c_H^2] for a shifted coercivity above 1e-10.
     """
-    mats = extremal_matrices(family, np.linspace(0.0, family.horizon, _SAMPLE_TIMES))
+    mats = family.terms.extremes(family.horizon)
 
     def alpha_at(shift: float) -> float:
         return min(coercivity_lower_bound(family.space, a, shift) for a in mats)

@@ -14,8 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import tridiagonal
-from .forms import (EvaluationError, FormFamily, coercivity_lower_bound,
-                    extremal_matrices)
+from .forms import EvaluationError, FormFamily
 from .propagator import SeparableLoad, Trajectory
 
 __all__ = [
@@ -174,13 +173,10 @@ def _form_values(family: FormFamily, left: np.ndarray,
                  right: np.ndarray) -> Callable[[float], np.ndarray]:
     """t -> a(t; left_i, right_i) for each row pair of the pool.
 
-    Affine terms take the rows' forms of A0 and A1 once, through their
-    bands when the family keeps them, so each time costs O(m); a callable
-    family is evaluated and paired at each time.
+    The rows' forms of A0 and A1 are taken once, through their bands when
+    the family keeps them, so each time costs O(m).
     """
     terms = family.terms
-    if terms is None:
-        return lambda t: _rowwise(left @ family.matrix(t), right)
     if family.tridiagonal is not None:
         q0, q1 = (tridiagonal.pair_rows(b, left, right)
                   for b in (family.tridiagonal.a0, family.tridiagonal.a1))
@@ -192,18 +188,6 @@ def _form_values(family: FormFamily, left: np.ndarray,
         if not np.isfinite(s):
             raise EvaluationError(f"form coefficient at t={t} is not finite")
         return q0 + s * q1
-
-    return values
-
-
-def _load_values(load, diffs: np.ndarray) -> Callable[[float], np.ndarray]:
-    """t -> <f(t), diffs_i>: one pass over the pool for a separable load."""
-    if isinstance(load, SeparableLoad):
-        paired = diffs @ load.pairing
-        return lambda t: load.theta(t) * paired
-
-    def values(t: float) -> np.ndarray:
-        return diffs @ np.asarray(load(t), dtype=float)
 
     return values
 
@@ -221,36 +205,37 @@ def _worst(values: Callable[[float], np.ndarray], vs: np.ndarray,
 
 
 def check_criterion(family: FormFamily, pool: SamplePool,
-                    load=None) -> CriterionReport:
+                    load: SeparableLoad | None = None) -> CriterionReport:
     """Worst value of a(t; Pv, v - Pv) [minus <f(t), v - Pv> if given] over
     9 uniform sample times.
 
+    The load theta_f(t) g is paired with the pool once, as (v - Pv) . g.
     A negative margin is a finding, not an error; the arg-min witness is
     reported for diagnosis.
     """
     vs, pvs = pool
+    diffs = vs - pvs
     t_samples = np.linspace(0.0, family.horizon, _CRITERION_TIMES)
-    form = _form_values(family, pvs, vs - pvs)
+    form = _form_values(family, pvs, diffs)
     if load is None:
         return _worst(form, vs, t_samples)
-    pairing = _load_values(load, vs - pvs)
-    return _worst(lambda t: form(t) - pairing(t), vs, t_samples)
+    paired = diffs @ load.pairing
+    return _worst(lambda t: form(t) - load.theta(t) * paired, vs, t_samples)
 
 
-def check_criterion_symmetric(family: FormFamily, pool: SamplePool) -> CriterionReport:
+def check_criterion_symmetric(family: FormFamily, pool: SamplePool,
+                              alpha: float) -> CriterionReport:
     """Worst value of a(t; v, v) - a(t; Pv, Pv) over the same 9 sample times,
     for symmetric accretive forms.
 
-    Accretivity is checked on the matrices `estimate_constants` reads: the
-    two ends of theta's range for affine terms, else the sample times.
+    `alpha` is the family's coercivity constant, as `estimate_constants`
+    gives it; the family is accretive when it is positive.
     """
     if not family.symmetric:
         raise ValueError("symmetric criterion requires a symmetric family")
-    t_samples = np.linspace(0.0, family.horizon, _CRITERION_TIMES)
-    alpha = min(coercivity_lower_bound(family.space, a)
-                for a in extremal_matrices(family, t_samples))
     if alpha <= 0:
         raise ValueError("symmetric criterion requires an accretive (coercive) family")
+    t_samples = np.linspace(0.0, family.horizon, _CRITERION_TIMES)
     vs, pvs = pool
     outer, inner = _form_values(family, vs, vs), _form_values(family, pvs, pvs)
     return _worst(lambda t: outer(t) - inner(t), vs, t_samples)

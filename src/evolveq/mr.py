@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormConstants, Subdivision, gauss_panels
-from .propagator import ProblemData, SeparableLoad, SlabSolution, Trajectory
+from .forms import FormConstants
+from .propagator import ProblemData, SlabSolution, Trajectory
 
 __all__ = [
     "ContractError",
@@ -216,28 +216,18 @@ def check_lemma3(report: MRReport, traj: Trajectory, problem: ProblemData,
     return float(margin)
 
 
-def load_l2h(problem: ProblemData, sub: Subdivision) -> float:
-    """||f||_{L^2(0,T;H)} of the true load.
+def load_l2h(problem: ProblemData) -> float:
+    """||f||_{L^2(0,T;H)} of the true load theta(t) g, in closed form:
+    sqrt(int_0^T theta^2 dt * g^T gram_H^{-1} g).
 
-    A separable load theta(t) g has it in closed form,
-    sqrt(int_0^T theta^2 dt * g^T gram_H^{-1} g); another load is
-    integrated by per-slab quadrature on `sub`.  It does not depend on the
-    trajectory: a run computes it once, on its finest subdivision, and
+    It does not depend on the trajectory: a run computes it once and
     passes it to every check_H_estimate.
     """
     load = problem.load
     if load is None:
         return 0.0
-    space = problem.family.space
-    if isinstance(load, SeparableLoad):
-        g = load.pairing
-        total = load.theta.square_integral(problem.horizon) * float(g @ space.solve_H(g))
-        return float(np.sqrt(max(total, 0.0)))
-    total = 0.0
-    for t0, t1 in zip(sub.points[:-1], sub.points[1:]):
-        nodes, weights = gauss_panels(t0, t1)
-        pairs = np.column_stack([problem.load_pairings(t) for t in nodes])
-        total += float(weights @ np.sum(pairs * space.solve_H(pairs), axis=0))
+    space, g = problem.family.space, load.pairing
+    total = load.theta.square_integral(problem.horizon) * float(g @ space.solve_H(g))
     return float(np.sqrt(max(total, 0.0)))
 
 

@@ -69,8 +69,7 @@ def _nodal_load(space: GalerkinSpace, kind: str | None,
 
 
 def _family(space, a0, a1, theta, horizon) -> FormFamily:
-    return FormFamily(space, None, horizon, symmetric=True,
-                      terms=AffineTerms(a0, a1, theta))
+    return FormFamily(space, AffineTerms(a0, a1, theta), horizon, symmetric=True)
 
 
 def _constant_family(space, matrix, horizon) -> FormFamily:

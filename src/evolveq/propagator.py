@@ -3,7 +3,9 @@
 Each slab carries an autonomous problem with the averaged operator and a
 slab-averaged load; its solution is the exact variation-of-constants
 formula exp(-tau B) u + tau phi1(-tau B) fbar with B = gram_H^{-1} A,
-evaluated in the modes of the symmetric pencil (A_k, gram_H).  A family
+evaluated in the modes of the symmetric pencil (A_k, gram_H).  The load
+is separable, f(t) = theta_f(t) g, or absent, so its slab means are
+mean(theta_f) gram_H^{-1} g in closed form.  A family
 with tridiagonal terms over a diagonal gram_H (`FormFamily.tridiagonal`)
 takes the O(n) routes: the pencil as a symmetric tridiagonal eigenproblem,
 and each oracle step as one LAPACK gtsv call.  Every other family takes
@@ -18,8 +20,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import tridiagonal
-from .forms import (Coefficient, EvaluationError, FormFamily, Subdivision,
-                    build_step_form, gauss_panels)
+from .forms import (Coefficient, EvaluationError, FormFamily, Linear,
+                    Subdivision, build_step_form)
 from .spaces import GalerkinSpace, StructureError
 
 __all__ = [
@@ -170,8 +172,7 @@ class Trajectory:
 class SeparableLoad:
     """The load f(t) = theta(t) g: a scalar coefficient times one pairing vector.
 
-    Its slab means and its L^2(0,T;H) norm have closed forms; any other
-    callable load is integrated by quadrature.
+    Its slab means and its L^2(0,T;H) norm have closed forms.
     """
 
     theta: Coefficient
@@ -183,9 +184,6 @@ class SeparableLoad:
             raise ValueError("load pairing has non-finite entries")
         object.__setattr__(self, "pairing", pairing)
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.theta(t) * self.pairing
-
 
 @dataclass
 class ProblemData:
@@ -193,47 +191,36 @@ class ProblemData:
 
     family: FormFamily
     u0: np.ndarray
-    load: Callable[[float], np.ndarray] | None = None   # t -> pairings of f(t)
+    load: SeparableLoad | None = None
 
     def __post_init__(self) -> None:
+        dim = self.family.space.dim
         self.u0 = np.asarray(self.u0, dtype=float)
-        if self.u0.shape != (self.family.space.dim,):
+        if self.u0.shape != (dim,):
             raise ValueError("initial state dimension mismatch")
+        match self.load:
+            case None:
+                pass
+            case SeparableLoad(pairing=g) if g.shape == (dim,):
+                pass
+            case _:
+                raise ValueError(f"the load must be None or a SeparableLoad "
+                                 f"whose pairing has shape ({dim},)")
 
     @property
     def horizon(self) -> float:
         return self.family.horizon
 
-    def load_pairings(self, t: float) -> np.ndarray:
-        if self.load is None:
-            return np.zeros(self.family.space.dim)
-        pairings = np.asarray(self.load(t), dtype=float)
-        if not np.all(np.isfinite(pairings)):
-            raise EvaluationError(f"load at t={t} has non-finite entries")
-        return pairings
-
 
 def _averaged_loads(problem: ProblemData, subdivision: Subdivision) -> list[np.ndarray]:
-    """Slab means of the load in H-coordinates (gram_H applied inverse).
-
-    A separable load takes mean(theta) times one H-solve of its pairing;
-    another load is averaged by quadrature, slab by slab.
-    """
+    """Slab means of the load in H-coordinates: mean(theta_f) times one
+    H-solve of its pairing."""
     space, load = problem.family.space, problem.load
     slabs = list(zip(subdivision.points[:-1], subdivision.points[1:]))
     if load is None:
         return [np.zeros(space.dim) for _ in slabs]
-    if isinstance(load, SeparableLoad):
-        g = space.solve_H(load.pairing)
-        return [load.theta.mean(t0, t1) * g for t0, t1 in slabs]
-    means = []
-    for t0, t1 in slabs:
-        nodes, weights = gauss_panels(t0, t1)
-        acc = np.zeros(space.dim)
-        for t, w in zip(nodes, weights):
-            acc += w * problem.load_pairings(t)
-        means.append(space.solve_H(acc / (t1 - t0)))
-    return means
+    g = space.solve_H(load.pairing)
+    return [load.theta.mean(t0, t1) * g for t0, t1 in slabs]
 
 
 def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
@@ -268,14 +255,33 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
     return Trajectory(pts, np.column_stack(states), slabs, subdivision)
 
 
+def _step_rhs(problem: ProblemData, dt: float) -> Callable:
+    """(t, Hu) -> Hu + theta_f(t) dt g, the right-hand side of the
+    implicit-Euler step to t; a non-finite one raises EvaluationError."""
+    load = problem.load
+    if load is None:
+        theta_f, g = Linear(0.0), np.zeros(problem.family.space.dim)
+    else:
+        theta_f, g = load.theta, dt * load.pairing
+
+    def rhs(t: float, hu: np.ndarray) -> np.ndarray:
+        out = hu + theta_f(t) * g
+        if not np.isfinite(out).all():
+            raise EvaluationError(f"oracle right-hand side at t={t} has non-finite entries")
+        return out
+
+    return rhs
+
+
 def _dense_step(problem: ProblemData, dt: float) -> Callable:
     """u -> the implicit-Euler step to t: one dense solve of gram_H + dt A(t)."""
     family, gram_H = problem.family, problem.family.space.gram_H
+    rhs = _step_rhs(problem, dt)
 
     def step(t: float, u: np.ndarray) -> np.ndarray:
-        rhs = gram_H @ u + dt * problem.load_pairings(t)
+        b = rhs(t, gram_H @ u)
         try:
-            return np.linalg.solve(gram_H + dt * family.matrix(t), rhs)
+            return np.linalg.solve(gram_H + dt * family.matrix(t), b)
         except np.linalg.LinAlgError as exc:
             raise StructureError("oracle linear solve failed") from exc
 
@@ -285,25 +291,17 @@ def _dense_step(problem: ProblemData, dt: float) -> Callable:
 def _tridiagonal_step(problem: ProblemData, dt: float) -> Callable:
     """u -> the implicit-Euler step to t: one O(n) gtsv call on
     h + dt (A0 + theta(t) A1), from bands stored once."""
-    family, load = problem.family, problem.load
-    h, b0, b1 = family.tridiagonal
+    h, b0, b1 = problem.family.tridiagonal
     base, slope = dt * b0, dt * b1
     base[1] += h
-    theta = family.terms.theta
-    separable = isinstance(load, SeparableLoad)
-    g = dt * load.pairing if separable else None
+    theta = problem.family.terms.theta
+    rhs = _step_rhs(problem, dt)
 
     def step(t: float, u: np.ndarray) -> np.ndarray:
         bands = base + theta(t) * slope
         if not np.isfinite(bands).all():
             raise EvaluationError(f"oracle step matrix at t={t} has non-finite entries")
-        if separable:
-            rhs = h * u + load.theta(t) * g
-            if not np.isfinite(rhs).all():
-                raise EvaluationError(f"load at t={t} has non-finite entries")
-        else:
-            rhs = h * u + dt * problem.load_pairings(t)
-        return tridiagonal.solve(bands, rhs)
+        return tridiagonal.solve(bands, rhs(t, h * u))
 
     return step
 
@@ -313,10 +311,9 @@ def oracle_solve(problem: ProblemData, n_steps: int,
     """Implicit-Euler reference with the operator taken at step right endpoints.
 
     Independent of the exponential machinery: each step solves
-    (gram_H + dt A(t)) u_new = gram_H u + dt f(t).  A family with
+    (gram_H + dt A(t)) u_new = gram_H u + theta_f(t) dt g.  A family with
     `tridiagonal` bands takes one O(n) gtsv call per step on bands stored
-    once, a separable load its pairing as theta_f(t) g; any other family
-    takes one dense solve per step.
+    once; any other family takes one dense solve per step.
     """
     if n_steps < 1:
         raise ValueError("oracle needs at least one step")

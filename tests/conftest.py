@@ -1,11 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 
 from evolveq.convergence import (oracle_reference, oracle_suph_gap, refine,
                                  solve_ladder)
 from evolveq.fem import consistent_mass, heat_terms, stiffness, uniform_nodes
-from evolveq.forms import (AffineTerms, FormFamily, Harmonic, Subdivision,
-                           estimate_constants)
+from evolveq.forms import (AffineTerms, FormConstants, FormFamily, Harmonic,
+                           Subdivision, coercivity_lower_bound,
+                           dual_operator_norm, estimate_constants, gauss_nodes)
+from evolveq.invariance import CriterionReport
 from evolveq.mr import _eint, _slab_coefficients
 from evolveq.presets import get_preset, resolved_constants
 from evolveq.propagator import ProblemData, solve
@@ -26,16 +30,116 @@ def consistent_mass_problem(n_cells, horizon=1.0):
     """Tridiagonal affine terms over a consistent (non-diagonal) gram_H."""
     space = dirichlet_space(n_cells)
     a0, a1 = (a[1:-1, 1:-1] for a in heat_terms(n_cells))
-    family = FormFamily(space, None, horizon, symmetric=True,
-                        terms=AffineTerms(a0, a1, Harmonic(b=1.0)))
+    family = FormFamily(space, AffineTerms(a0, a1, Harmonic(b=1.0)), horizon,
+                        symmetric=True)
     return ProblemData(family, np.sin(np.pi * space.labels))
 
 
-def callable_family(family):
-    """The same A(t) as a callable family: the reference for the routes that
-    affine terms and band storage take."""
-    return FormFamily(family.space, family.matrix, family.horizon,
-                      symmetric=family.symmetric)
+def dense_family(family):
+    """The same terms without band storage: the reference for the band routes."""
+    dense = copy.copy(family)
+    dense.tridiagonal = None
+    return dense
+
+
+# References for the closed forms: quadrature and sampling of t -> A(t) and
+# t -> f(t), given as plain callables.
+
+GAUSS_PANELS = 4
+SAMPLE_TIMES = 129
+CRITERION_TIMES = 9
+
+
+def gauss_panels(a, b):
+    """Composite 4-point Gauss-Legendre nodes and weights on [a, b]."""
+    return gauss_nodes(np.linspace(a, b, GAUSS_PANELS + 1))
+
+
+def _slab_quadrature(func, sub, zero):
+    """Per slab of `sub`: the Gauss-panel nodes, weights and sum of w func(t)."""
+    for t0, t1 in zip(sub.points[:-1], sub.points[1:]):
+        nodes, weights = gauss_panels(t0, t1)
+        acc = zero.copy()
+        for t, w in zip(nodes, weights):
+            acc += w * func(t)
+        yield t0, t1, acc
+
+
+def quadrature_slab_means(matrix_at, dim, sub):
+    """Gauss-panel slab means of t -> A(t) on each slab of `sub`."""
+    return [acc / (t1 - t0)
+            for t0, t1, acc in _slab_quadrature(matrix_at, sub, np.zeros((dim, dim)))]
+
+
+def quadrature_load_means(space, load_at, sub):
+    """Gauss-panel slab means of the pairings t -> f(t), in H-coordinates."""
+    return [space.solve_H(acc / (t1 - t0))
+            for t0, t1, acc in _slab_quadrature(load_at, sub, np.zeros(space.dim))]
+
+
+def quadrature_load_l2h(space, load_at, sub):
+    """||f||_{L^2(0,T;H)} by Gauss panels on each slab of `sub`."""
+    total = 0.0
+    for t0, t1 in zip(sub.points[:-1], sub.points[1:]):
+        nodes, weights = gauss_panels(t0, t1)
+        pairs = np.column_stack([load_at(t) for t in nodes])
+        total += float(weights @ np.sum(pairs * space.solve_H(pairs), axis=0))
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def sampled_constants(space, matrix_at, horizon):
+    """M, alpha and L of t -> A(t) on 129 uniform sample times.
+
+    M and alpha hold at the sample times only, and the sampled L, the
+    largest difference quotient, can fall below the true one.
+    """
+    t_grid = np.linspace(0.0, horizon, SAMPLE_TIMES)
+    mats = [matrix_at(t) for t in t_grid]
+    lipschitz = 0.0
+    for (ta, aa), (tb, ab) in zip(zip(t_grid[:-1], mats[:-1]), zip(t_grid[1:], mats[1:])):
+        lipschitz = max(lipschitz, dual_operator_norm(space, ab - aa) / (tb - ta))
+    return FormConstants(bound=max(dual_operator_norm(space, a) for a in mats),
+                         coercivity=min(coercivity_lower_bound(space, a) for a in mats),
+                         lipschitz=lipschitz, source=f"sampled on {t_grid.size} times")
+
+
+def _rowwise(x, y):
+    return np.einsum("ij,ij->i", x, y)
+
+
+def _pointwise_worst(values, vs, horizon):
+    """The least of values(t) over the criteria's 9 uniform times; the first
+    time attaining it wins."""
+    best = CriterionReport(np.inf, 0.0, np.zeros(vs.shape[1]))
+    for t in np.linspace(0.0, horizon, CRITERION_TIMES):
+        vals = values(t)
+        k = int(np.argmin(vals))
+        if vals[k] < best.margin:
+            best = CriterionReport(float(vals[k]), float(t), vs[k].copy())
+    return best
+
+
+def pointwise_criterion(matrix_at, horizon, pool, load_at=None):
+    """`check_criterion` by a dense pairing of the pool with A(t), and with
+    the pairings f(t), at each sample time."""
+    vs, pvs = pool
+
+    def values(t):
+        vals = _rowwise(pvs @ matrix_at(t), vs - pvs)
+        return vals if load_at is None else vals - (vs - pvs) @ load_at(t)
+
+    return _pointwise_worst(values, vs, horizon)
+
+
+def pointwise_criterion_symmetric(matrix_at, horizon, pool):
+    """`check_criterion_symmetric` by a dense pairing with A(t) at each sample time."""
+    vs, pvs = pool
+
+    def values(t):
+        a = matrix_at(t)
+        return _rowwise(vs @ a, vs) - _rowwise(pvs @ a, pvs)
+
+    return _pointwise_worst(values, vs, horizon)
 
 
 def _bilinear_exp_integral(mu, c, p, d, q, gram, length):

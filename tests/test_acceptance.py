@@ -28,7 +28,7 @@ COERCIVE_PRESETS = ("scalar-decay", "scalar-sin", "constant-heat",
 SMALL_LADDER = (8, 32, 128)
 
 
-def sampled_constants(preset):
+def preset_constants(preset):
     return resolved_constants(preset.constants,
                               estimate_constants(preset.problem.family))
 
@@ -80,7 +80,7 @@ def test_criterion_05_energy_bound():
     worst = np.inf
     for name in COERCIVE_PRESETS:
         preset = get_preset(name, load="none")
-        constants = sampled_constants(preset)
+        constants = preset_constants(preset)
         assert constants.coercivity > 0
         for n in SMALL_LADDER:
             traj = solve(preset.problem,
@@ -96,7 +96,7 @@ def test_criterion_06_per_slab_sup_bound():
     worst = np.inf
     for name in COERCIVE_PRESETS:
         preset = get_preset(name, load="none")
-        constants = sampled_constants(preset)
+        constants = preset_constants(preset)
         for n in SMALL_LADDER:
             traj = solve(preset.problem,
                          Subdivision.uniform(preset.problem.horizon, n))
@@ -123,7 +123,7 @@ def test_criterion_07_identity_residuals():
 
 def test_criterion_08_boundedness_and_telescoping(heat_preset, heat_constants,
                                                   heat_ladder):
-    load_norm = load_l2h(heat_preset.problem, heat_ladder[-1].subdivision)
+    load_norm = load_l2h(heat_preset.problem)
     ratios = [check_H_estimate(mr_norms(traj), heat_preset.problem, load_norm)
               for traj in heat_ladder]
     spread = (max(ratios) - min(ratios)) / max(ratios)

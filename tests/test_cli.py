@@ -11,8 +11,9 @@ import scipy.linalg as sla
 from evolveq import cli, fem
 from evolveq.cli import (ConfigError, ExperimentConfig, build_parser,
                          list_presets, main, run, write_csv)
-from evolveq.forms import AffineTerms, FormFamily, Linear, estimate_constants
-from evolveq.invariance import sample_pool
+from evolveq.forms import (AffineTerms, FormFamily, Linear, coercivity_lower_bound,
+                           estimate_constants)
+from evolveq.invariance import check_criterion_symmetric, sample_pool
 from evolveq.mr import _slab_coefficients
 from evolveq.presets import get_preset
 from evolveq.propagator import (ProblemData, SlabPropagator, SlabSolution,
@@ -178,25 +179,11 @@ class TestMain:
         assert "declared:" not in summary
         assert "exact (affine endpoints): M=1.5 alpha=1 L=0.5" in summary
 
-    def test_constants_line_names_its_source(self, tmp_path, capsys, monkeypatch):
+    def test_constants_line_names_its_source(self, tmp_path, capsys):
         path = write_cfg(tmp_path, HEAT_CFG)
-
-        def summary_of(name):
-            assert main(["constants", "--config", str(path),
-                         "--out", str(tmp_path / name)]) == 0
-            return (tmp_path / name / "summary.txt").read_text()
-
-        assert "\nexact (affine endpoints): M=" in summary_of("affine")
-
-        def callable_only(*args, **kwargs):
-            preset = get_preset(*args, **kwargs)
-            fam = preset.problem.family
-            family = FormFamily(fam.space, fam.matrix, fam.horizon, symmetric=True)
-            return replace(preset, problem=ProblemData(family, preset.problem.u0,
-                                                       load=preset.problem.load))
-
-        monkeypatch.setattr(cli, "get_preset", callable_only)
-        assert "\nsampled on 129 times: M=" in summary_of("callable")
+        out = tmp_path / "results"
+        assert main(["constants", "--config", str(path), "--out", str(out)]) == 0
+        assert "\nexact (affine endpoints): M=" in (out / "summary.txt").read_text()
 
     def test_broken_invariance_counterexample(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BROKEN_CFG)
@@ -273,7 +260,8 @@ class TestMain:
             lambda: main(["all", "--config", str(path), "--out", str(tmp_path / "o")]),
             under={SlabSolution.states: solve,
                    inspect.unwrap(np.linalg.solve): oracle_solve,
-                   inspect.unwrap(sla.eigh): SlabPropagator.build.__func__})
+                   inspect.unwrap(sla.eigh): SlabPropagator.build.__func__,
+                   coercivity_lower_bound: check_criterion_symmetric})
         assert status == 0
         # one solve per ladder point, shared by solve, converge and invariance
         assert counts["SlabPropagator.build"] == sum(config.slab_counts)
@@ -284,8 +272,10 @@ class TestMain:
         # per slab, one closed-form pass in mr_norms; the identity and
         # estimate audits read what it reports
         assert counts["_slab_coefficients"] == sum(config.slab_counts)
-        # one sample pool, read by both invariance criteria
+        # one sample pool, read by both invariance criteria; the symmetric
+        # one reads alpha from the constants instead of solving for it again
         assert counts["sample_pool"] == 1
+        assert counts["coercivity_lower_bound in check_criterion_symmetric"] == 0
         # the heat family is assembled once, as its affine terms; slab means,
         # constants and oracle steps never assemble it again
         assert counts["heat_matrix"] == (1 if "heat" in config.preset else 0)
@@ -311,8 +301,8 @@ class TestMain:
         def failing(*args, **kwargs):
             preset = get_preset(*args, **kwargs)
             fam = preset.problem.family
-            family = FormFamily(fam.space, None, fam.horizon, symmetric=True,
-                                terms=AffineTerms([[a0]], [[1.0]], theta))
+            family = FormFamily(fam.space, AffineTerms([[a0]], [[1.0]], theta),
+                                fam.horizon, symmetric=True)
             return replace(preset, problem=ProblemData(family, preset.problem.u0))
 
         monkeypatch.setattr(cli, "get_preset", failing)

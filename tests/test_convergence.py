@@ -28,11 +28,11 @@ class TestDifferences:
         # the states is computable in closed form
         preset1 = get_preset("scalar-decay", load="none")
         problem = preset1.problem
-        from evolveq.forms import FormFamily
+        from evolveq.forms import AffineTerms, FormFamily, Linear
         from evolveq.propagator import ProblemData
         space = problem.family.space
-        fam1 = FormFamily(space, lambda t: np.array([[1.0]]), 1.0, symmetric=True)
-        fam2 = FormFamily(space, lambda t: np.array([[2.0]]), 1.0, symmetric=True)
+        fam1, fam2 = (FormFamily(space, AffineTerms([[p]], [[0.0]], Linear(0.0)), 1.0,
+                                 symmetric=True) for p in (1.0, 2.0))
         t1 = solve(ProblemData(fam1, np.array([1.0])), Subdivision.uniform(1.0, 1))
         t2 = solve(ProblemData(fam2, np.array([1.0])), Subdivision.uniform(1.0, 1))
         grid = np.linspace(0.0, 1.0, 65)
@@ -71,11 +71,12 @@ class TestOracleGap:
     def test_scalar_gap_shrinks_with_oracle_steps(self):
         # autonomous scalar: the scheme is exact at every time, so the gap
         # is purely the oracle's own first-order error
-        from evolveq.forms import FormFamily
+        from evolveq.forms import AffineTerms, FormFamily, Linear
         from evolveq.propagator import ProblemData
         from evolveq.spaces import GalerkinSpace
         space = GalerkinSpace(np.eye(1), np.eye(1))
-        family = FormFamily(space, lambda t: np.eye(1), 1.0, symmetric=True)
+        family = FormFamily(space, AffineTerms(np.eye(1), np.zeros((1, 1)), Linear(0.0)),
+                            1.0, symmetric=True)
         problem = ProblemData(family, np.array([1.0]))
         sub = Subdivision.uniform(1.0, 8)
         gaps = [oracle_gap(problem, sub, n) for n in (500, 2000)]

@@ -3,21 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dirichlet_space
+from conftest import (dirichlet_space, gauss_panels, quadrature_slab_means,
+                      sampled_constants)
 from evolveq import fem, tridiagonal
 from evolveq.forms import (EXACT, AffineTerms, EvaluationError, FormFamily,
                            Harmonic, Linear, Subdivision, average_form,
                            build_step_form, certify_shift,
                            coercivity_lower_bound, dual_operator_norm,
-                           estimate_constants, gauss_nodes, gauss_panels, rescale)
+                           estimate_constants, gauss_nodes, rescale)
 from evolveq.presets import get_preset
 from evolveq.spaces import GalerkinSpace, StructureError
 
 
-def scalar_family(p, horizon, symmetric=True):
+def scalar_family(a0, horizon, a1=0.0, theta=Linear(0.0)):
+    """dim 1, A(t) = a0 + theta(t) a1."""
     space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
-    return FormFamily(space, lambda t: np.array([[p(t)]]), horizon,
-                      symmetric=symmetric)
+    return FormFamily(space, AffineTerms([[a0]], [[a1]], theta), horizon,
+                      symmetric=True)
 
 
 class TestSubdivision:
@@ -73,18 +75,18 @@ class TestQuadrature:
         assert w @ nodes**7 == pytest.approx(1.0 / 8.0, rel=1e-13)
 
     def test_average_of_linear_coefficient(self):
-        fam = scalar_family(lambda t: 1.0 + 0.5 * t, 1.0)
+        fam = scalar_family(1.0, 1.0, a1=0.5, theta=Linear(0.0, 1.0))
         assert average_form(fam, 0.0, 1.0)[0, 0] == pytest.approx(1.25, abs=1e-15)
 
     def test_average_rejects_empty_slab(self):
-        fam = scalar_family(lambda t: 1.0, 1.0)
+        fam = scalar_family(1.0, 1.0)
         with pytest.raises(ValueError):
             average_form(fam, 0.5, 0.5)
 
 
 class TestStepForm:
     def test_build_and_lookup(self):
-        fam = scalar_family(lambda t: 1.0 + t, 1.0)
+        fam = scalar_family(1.0, 1.0, a1=1.0, theta=Linear(0.0, 1.0))
         sub = Subdivision.uniform(1.0, 2)
         slabs = build_step_form(fam, sub)
         assert len(slabs) == sub.n_slabs
@@ -93,34 +95,32 @@ class TestStepForm:
 
 
 class TestFamilyValidation:
+    # the terms are checked once, when the family is built
     def test_symmetry_enforced(self):
         space = GalerkinSpace(np.eye(2), np.eye(2))
-        fam = FormFamily(space, lambda t: np.array([[1.0, 0.5], [0.0, 1.0]]),
-                         1.0, symmetric=True)
+        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(EvaluationError):
-            fam.matrix(0.0)
+            FormFamily(space, AffineTerms(asym, np.zeros((2, 2)), Linear(0.0)), 1.0,
+                       symmetric=True)
 
     def test_nonfinite_rejected(self):
-        fam = scalar_family(lambda t: np.inf, 1.0)
         with pytest.raises(EvaluationError):
-            fam.matrix(0.5)
+            scalar_family(1.0, 1.0, a1=np.inf)
 
     def test_shape_rejected(self):
         space = GalerkinSpace(np.eye(2), np.eye(2))
-        fam = FormFamily(space, lambda t: np.eye(3), 1.0)
         with pytest.raises(EvaluationError):
-            fam.matrix(0.0)
+            FormFamily(space, AffineTerms(np.eye(3), np.eye(3), Linear(0.0)), 1.0)
 
 
 class TestConstants:
     def test_scalar_sin_sampled_values(self):
-        fam = scalar_family(lambda t: 2.0 + np.sin(t), 2.0 * np.pi)
-        c = estimate_constants(fam)
-        # the default 129-point grid contains both pi/2 and 3 pi/2
+        # the sampled reference: its 129-point grid contains both pi/2 and 3 pi/2
+        fam = scalar_family(2.0, 2.0 * np.pi, a1=1.0, theta=Harmonic(b=1.0))
+        c = sampled_constants(fam.space, fam.matrix, fam.horizon)
         assert c.bound == pytest.approx(3.0, abs=1e-12)
         assert c.coercivity == pytest.approx(1.0, abs=1e-12)
         assert 0.95 <= c.lipschitz <= 1.0
-        assert c.source == "sampled on 129 times"
 
     def test_dual_operator_norm_scalar(self):
         space = GalerkinSpace(np.array([[1.0]]), np.array([[4.0]]))
@@ -146,24 +146,24 @@ class TestConstants:
 
 class TestRescale:
     def test_shifted_matrix(self):
-        fam = scalar_family(lambda t: -1.0, 1.0)
+        fam = scalar_family(-1.0, 1.0)
         shifted = rescale(fam, 2.0)
         assert shifted.matrix(0.3)[0, 0] == pytest.approx(1.0)
         assert shifted.symmetric
 
     def test_zero_shift_is_identity(self):
-        fam = scalar_family(lambda t: 1.0, 1.0)
+        fam = scalar_family(1.0, 1.0)
         assert rescale(fam, 0.0) is fam
 
 
 class TestCertifyShift:
     def test_already_coercive(self):
-        fam = scalar_family(lambda t: 2.0 + np.sin(t), 2.0 * np.pi)
+        fam = scalar_family(2.0, 2.0 * np.pi, a1=1.0, theta=Harmonic(b=1.0))
         assert certify_shift(fam) == 0.0
 
     def test_bisection_finds_minimal_shift(self):
         # p(t) = sin t dips to -1, so the smallest certifying shift is 1
-        fam = scalar_family(lambda t: np.sin(t), 2.0 * np.pi)
+        fam = scalar_family(0.0, 2.0 * np.pi, a1=1.0, theta=Harmonic(b=1.0))
         shift = certify_shift(fam)
         assert shift == pytest.approx(1.0, abs=1e-6)
         assert coercivity_lower_bound(fam.space, fam.matrix(1.5 * np.pi), shift) > 0
@@ -172,7 +172,8 @@ class TestCertifyShift:
         # the negative direction is nearly invisible to gram_H, so no shift
         # within the searched bracket can certify coercivity
         space = GalerkinSpace(np.diag([1.0, 1e-3]), np.eye(2))
-        fam = FormFamily(space, lambda t: np.diag([1.0, -1.0]), 1.0)
+        fam = FormFamily(space, AffineTerms(np.diag([1.0, -1.0]), np.zeros((2, 2)),
+                                            Linear(0.0)), 1.0)
         with pytest.raises(StructureError):
             certify_shift(fam)
 
@@ -184,13 +185,12 @@ def rel_err(a, b):
 def heat_pair(n_cells):
     """The heat preset's affine family and the callable assembling fem.heat_matrix."""
     fam = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem.family
-    return fam, FormFamily(fam.space, lambda t: fem.heat_matrix(n_cells, t),
-                           fam.horizon, symmetric=True)
+    return fam, lambda t: fem.heat_matrix(n_cells, t)
 
 
 def scalar_sin_pair():
     fam = get_preset("scalar-sin").problem.family
-    return fam, scalar_family(lambda t: 2.0 + np.sin(t), fam.horizon)
+    return fam, lambda t: np.array([[2.0 + np.sin(t)]])
 
 
 AFFINE_PAIRS = {"heat-16": lambda: heat_pair(16), "heat-80": lambda: heat_pair(80),
@@ -200,15 +200,18 @@ AFFINE_PAIRS = {"heat-16": lambda: heat_pair(16), "heat-80": lambda: heat_pair(8
 class TestAffineTerms:
     @pytest.mark.parametrize("case", sorted(AFFINE_PAIRS))
     def test_affine_path_matches_callable(self, case):
+        # the callable assembles A(t) at each time; its references are
+        # Gauss-panel slab means and constants sampled on 129 times
         fam, ref = AFFINE_PAIRS[case]()
-        assert fam.terms is not None and ref.terms is None
         for t in np.linspace(0.0, fam.horizon, 9):
-            assert rel_err(fam.matrix(t), ref.matrix(t)) <= 1e-12
+            assert rel_err(fam.matrix(t), ref(t)) <= 1e-12
         sub = Subdivision.uniform(fam.horizon, 16)
-        for exact, quad in zip(build_step_form(fam, sub), build_step_form(ref, sub)):
+        for exact, quad in zip(build_step_form(fam, sub),
+                               quadrature_slab_means(ref, fam.space.dim, sub)):
             assert rel_err(exact, quad) <= 1e-12
-        exact, sampled = estimate_constants(fam), estimate_constants(ref)
-        assert (exact.source, sampled.source) == (EXACT, "sampled on 129 times")
+        exact = estimate_constants(fam)
+        sampled = sampled_constants(fam.space, ref, fam.horizon)
+        assert exact.source == EXACT
         assert exact.bound == pytest.approx(sampled.bound, rel=1e-12)
         assert exact.coercivity == pytest.approx(sampled.coercivity, rel=1e-12)
         # a sampled Lipschitz constant is no upper bound; the exact one is
@@ -254,15 +257,13 @@ class TestAffineTerms:
         assert bands[0, 0] == bands[2, -1] == 0.0
         a[0, 2] = 1e-300
         assert tridiagonal.bands(a) is None
-        # a callable, a consistent mass, a full term: no band storage
+        # a consistent mass, a full term: no band storage
         heat = get_preset("heat-1d-lipschitz", n_cells=8).problem.family
-        assert FormFamily(heat.space, heat.matrix, 1.0).tridiagonal is None
-        assert FormFamily(heat.space, None, 1.0,
-                          terms=AffineTerms(heat.terms.a0, a, Linear(0.0))).tridiagonal is None
+        assert FormFamily(heat.space, AffineTerms(heat.terms.a0, a, Linear(0.0)),
+                          1.0).tridiagonal is None
         space = dirichlet_space(8)
         a0 = heat.terms.a0[1:-1, 1:-1]
-        assert FormFamily(space, None, 1.0,
-                          terms=AffineTerms(a0, a0, Linear(0.0))).tridiagonal is None
+        assert FormFamily(space, AffineTerms(a0, a0, Linear(0.0)), 1.0).tridiagonal is None
 
     def test_coefficient_closed_forms(self):
         sine = Harmonic(b=1.0)
@@ -297,22 +298,20 @@ class TestAffineTerms:
         space = GalerkinSpace(np.eye(2), np.eye(2))
         asym = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(EvaluationError):
-            FormFamily(space, None, 1.0, symmetric=True,
-                       terms=AffineTerms(np.eye(2), asym, Harmonic(b=1.0)))
+            FormFamily(space, AffineTerms(np.eye(2), asym, Harmonic(b=1.0)), 1.0,
+                       symmetric=True)
         with pytest.raises(EvaluationError):
-            FormFamily(space, None, 1.0,
-                       terms=AffineTerms(np.full((2, 2), np.inf), np.eye(2), Linear(0.0)))
-        with pytest.raises(ValueError):      # neither a callable nor terms
-            FormFamily(space, None, 1.0)
-        fam = FormFamily(space, None, 1.0, symmetric=True,
-                         terms=AffineTerms(np.eye(2), np.eye(2), Linear(np.nan)))
+            FormFamily(space, AffineTerms(np.full((2, 2), np.inf), np.eye(2), Linear(0.0)),
+                       1.0)
+        fam = FormFamily(space, AffineTerms(np.eye(2), np.eye(2), Linear(np.nan)), 1.0,
+                         symmetric=True)
         with pytest.raises(EvaluationError):
             fam.matrix(0.5)
 
     def test_rescale_and_certify_shift_on_terms(self):
         space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
-        fam = FormFamily(space, None, 2.0 * np.pi, symmetric=True,
-                         terms=AffineTerms([[0.0]], [[1.0]], Harmonic(b=1.0)))
+        fam = FormFamily(space, AffineTerms([[0.0]], [[1.0]], Harmonic(b=1.0)),
+                         2.0 * np.pi, symmetric=True)
         # theta = sin t dips to -1, so the smallest certifying shift is 1
         assert certify_shift(fam) == pytest.approx(1.0, abs=1e-6)
         shifted = rescale(fam, 2.0)

@@ -1,13 +1,12 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import callable_family
+from conftest import (dense_family, pointwise_criterion,
+                      pointwise_criterion_symmetric)
 from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
-                           Linear, Subdivision)
+                           Linear, Subdivision, estimate_constants)
 from evolveq.invariance import (ConvexSet, SamplePool, ToleranceError,
                                 audit_trajectory, check_criterion,
                                 check_criterion_symmetric,
@@ -164,7 +163,8 @@ class TestCriterion:
         family = heat_homogeneous.problem.family
         cset = convex_set_for(heat_homogeneous, "box", lower=0.0)
         report = check_criterion_symmetric(
-            family, sample_pool(np.random.default_rng(3), cset, 2000))
+            family, sample_pool(np.random.default_rng(3), cset, 2000),
+            estimate_constants(family).coercivity)
         assert report.margin >= -1e-12
 
     def test_affine_criteria_match_callable(self):
@@ -172,38 +172,37 @@ class TestCriterion:
         # above the box's upper bound every value has a nonzero A0 and A1 part
         preset = get_preset("heat-1d-lipschitz", n_cells=16, horizon=2.0 * np.pi)
         family, load = preset.problem.family, preset.problem.load
-        ref = callable_family(family)
+        alpha, horizon = estimate_constants(family).coercivity, family.horizon
         cset = convex_set_for(preset, "box", lower=0.0, upper=0.5)
         vs, pvs = sample_pool(np.random.default_rng(3), cset, 2000)
         above = np.any(vs > 0.5, axis=1)
         pool = SamplePool(vs[above], pvs[above])
         got = check_criterion(family, pool)
-        assert_same_report(got, check_criterion(ref, pool))
+        # the callable reference pairs the pool with A(t) at each sample time
+        assert_same_report(got, pointwise_criterion(family.matrix, horizon, pool))
         assert got.witness_t not in (0.0, np.pi, 2.0 * np.pi)   # theta != 0 there
         # the pool paired through the bands against A0 and A1 paired densely
         assert family.tridiagonal is not None
-        dense = copy.copy(family)
-        dense.tridiagonal = None
+        dense = dense_family(family)
         assert_same_report(got, check_criterion(dense, pool))
-        assert_same_report(check_criterion_symmetric(family, pool),
-                           check_criterion_symmetric(dense, pool))
-        # the forcing load: separable, and as a plain callable
-        expected = check_criterion(ref, pool, load=load)
+        assert_same_report(check_criterion_symmetric(family, pool, alpha),
+                           check_criterion_symmetric(dense, pool, alpha))
+        # the forcing load, paired with the pool once
+        expected = pointwise_criterion(family.matrix, horizon, pool,
+                                       load_at=lambda t: load.theta(t) * load.pairing)
         assert_same_report(check_criterion(family, pool, load=load), expected)
-        assert_same_report(check_criterion(family, pool, load=lambda t: load(t)),
-                           expected)
-        got = check_criterion_symmetric(family, pool)
-        assert_same_report(got, check_criterion_symmetric(ref, pool))
+        got = check_criterion_symmetric(family, pool, alpha)
+        assert_same_report(got, pointwise_criterion_symmetric(family.matrix, horizon, pool))
         assert got.witness_t not in (0.0, np.pi, 2.0 * np.pi)
 
     def test_symmetric_variant_rejects_nonsymmetric(self, heat_homogeneous):
         from evolveq.forms import FormFamily
         base = heat_homogeneous.problem.family
-        asym = FormFamily(base.space, base.matrix, base.horizon, symmetric=False)
+        asym = FormFamily(base.space, base.terms, base.horizon, symmetric=False)
         cset = convex_set_for(heat_homogeneous, "box", lower=0.0)
         with pytest.raises(ValueError):
             check_criterion_symmetric(
-                asym, sample_pool(np.random.default_rng(0), cset, 1000))
+                asym, sample_pool(np.random.default_rng(0), cset, 1000), 1.0)
 
     def test_broken_coupling_detected_both_ways(self):
         preset = get_preset("broken-coupling")
@@ -222,17 +221,18 @@ class TestCriterion:
         # 0.97 + sin t dips below 0 only near 3 pi / 2 = 4.71, between the
         # sample times 4.375 and 5.0: the ends of theta's range catch it
         space = GalerkinSpace(np.eye(1), np.eye(1))
-        family = FormFamily(space, None, 5.0, symmetric=True,
-                            terms=AffineTerms([[0.97]], [[1.0]], Harmonic(b=1.0)))
+        family = FormFamily(space, AffineTerms([[0.97]], [[1.0]], Harmonic(b=1.0)), 5.0,
+                            symmetric=True)
         pool = sample_pool(np.random.default_rng(0), ConvexSet.box(np.eye(1), 0.0), 30)
+        alpha = estimate_constants(family).coercivity
+        assert alpha < 0.0
         with pytest.raises(ValueError):
-            check_criterion_symmetric(family, pool)
-        assert check_criterion_symmetric(callable_family(family), pool).margin >= 0.0
+            check_criterion_symmetric(family, pool, alpha)
 
     def test_nonfinite_coefficient_raises(self):
         space = GalerkinSpace(np.eye(1), np.eye(1))
-        family = FormFamily(space, None, 1.0, symmetric=True,
-                            terms=AffineTerms([[1.0]], [[1.0]], Linear(np.nan)))
+        family = FormFamily(space, AffineTerms([[1.0]], [[1.0]], Linear(np.nan)), 1.0,
+                            symmetric=True)
         pool = sample_pool(np.random.default_rng(0), ConvexSet.box(np.eye(1), 0.0), 30)
         with pytest.raises(EvaluationError):
             check_criterion(family, pool)

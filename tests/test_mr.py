@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import consistent_mass_problem, reference_mr_terms
+from conftest import (consistent_mass_problem, quadrature_load_l2h,
+                      quadrature_load_means, reference_mr_terms)
 from evolveq.fem import robin_space, stiffness
-from evolveq.forms import FormConstants, FormFamily, Subdivision
+from evolveq.forms import (AffineTerms, FormConstants, FormFamily, Linear,
+                           Subdivision)
 from evolveq.mr import (ContractError, MRReport, check_chain_rule,
                         check_form_telescoping, check_H_estimate, check_lemma3,
                         check_lemma_indepmax, check_product_rule, load_l2h,
@@ -22,7 +24,8 @@ def consistent_mass_heat(n_cells):
     """`consistent_mass_problem` with a constant load: the dense pencil route."""
     problem = consistent_mass_problem(n_cells)
     pairing = problem.family.space.gram_H @ np.ones(problem.family.space.dim)
-    return ProblemData(problem.family, problem.u0, load=lambda t: pairing)
+    return ProblemData(problem.family, problem.u0,
+                       load=SeparableLoad(Linear(1.0), pairing))
 
 
 MR_PROBLEMS = {
@@ -35,7 +38,8 @@ MR_PROBLEMS = {
 @pytest.fixture(scope="module")
 def decay_traj():
     space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
-    family = FormFamily(space, lambda t: np.array([[1.0]]), 1.0, symmetric=True)
+    family = FormFamily(space, AffineTerms([[1.0]], [[0.0]], Linear(0.0)), 1.0,
+                        symmetric=True)
     problem = ProblemData(family, np.array([1.0]))
     return problem, solve(problem, Subdivision.uniform(1.0, 4))
 
@@ -105,7 +109,8 @@ class TestMRNorms:
         # so the audits refuse it instead of returning an inexact value
         space = robin_space(32)
         a = stiffness(32)
-        family = FormFamily(space, lambda t: a, 1.0, symmetric=True)
+        family = FormFamily(space, AffineTerms(a, np.zeros_like(a), Linear(0.0)), 1.0,
+                            symmetric=True)
         traj = solve(ProblemData(family, rng.standard_normal(space.dim)),
                      Subdivision.uniform(1.0, 8))
         with pytest.raises(ContractError, match="shift"):
@@ -165,7 +170,7 @@ class TestEstimates:
 
     def test_h_estimate_scalar(self, decay_traj):
         problem, traj = decay_traj
-        load_norm = load_l2h(problem, traj.subdivision)
+        load_norm = load_l2h(problem)
         assert check_H_estimate(mr_norms(traj), problem, load_norm) == pytest.approx(
             np.sqrt(2.0 * SCALAR_ENERGY_SQ), abs=1e-12)
 
@@ -173,7 +178,7 @@ class TestEstimates:
         problem, traj = decay_traj
         zero = ProblemData(problem.family, np.array([0.0]))
         ztraj = solve(zero, Subdivision.uniform(1.0, 4))
-        load_norm = load_l2h(zero, ztraj.subdivision)
+        load_norm = load_l2h(zero)
         assert check_H_estimate(mr_norms(ztraj), zero, load_norm) == 0.0
 
 
@@ -205,9 +210,10 @@ class TestSeparableLoad:
         problem = get_preset(name, n_cells=n_cells, load=load).problem
         assert isinstance(problem.load, SeparableLoad)
         theta_f, g = self.THETA_F[load], problem.load.pairing
-        quad = ProblemData(problem.family, problem.u0,
-                           load=lambda t: theta_f(t) * g)
+        space = problem.family.space
         sub = Subdivision.uniform(problem.horizon, 16)
-        for exact, ref in zip(_averaged_loads(problem, sub), _averaged_loads(quad, sub)):
+        for exact, ref in zip(_averaged_loads(problem, sub),
+                              quadrature_load_means(space, lambda t: theta_f(t) * g, sub)):
             np.testing.assert_allclose(exact, ref, rtol=1e-12, atol=0.0)
-        assert load_l2h(problem, sub) == pytest.approx(load_l2h(quad, sub), rel=1e-12)
+        assert load_l2h(problem) == pytest.approx(
+            quadrature_load_l2h(space, lambda t: theta_f(t) * g, sub), rel=1e-12)

@@ -4,28 +4,30 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import callable_family, consistent_mass_problem, dirichlet_space
+from conftest import consistent_mass_problem, dense_family, dirichlet_space
 from evolveq import tridiagonal
 from evolveq.fem import heat_matrix, robin_space
-from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Linear,
-                           Subdivision)
+from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
+                           Linear, Subdivision)
 from evolveq.presets import get_preset
 from evolveq.mr import _slab_coefficients
-from evolveq.propagator import (ProblemData, SlabPropagator, SlabSolution,
-                                Trajectory, oracle_solve, phi1, solve)
+from evolveq.propagator import (ProblemData, SeparableLoad, SlabPropagator,
+                                SlabSolution, Trajectory, oracle_solve, phi1,
+                                solve)
 from evolveq.spaces import GalerkinSpace, StructureError
 
 
-def scalar_problem(p, horizon, u0=1.0, load=None):
+def scalar_problem(a0, horizon, a1=0.0, theta=Linear(0.0), u0=1.0, load=None):
+    """dim 1, A(t) = a0 + theta(t) a1."""
     space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
-    family = FormFamily(space, lambda t: np.array([[p(t)]]), horizon,
+    family = FormFamily(space, AffineTerms([[a0]], [[a1]], theta), horizon,
                         symmetric=True)
     return ProblemData(family, np.array([u0]), load=load)
 
 
-def as_callable(problem, load=None):
-    """The problem with its family as a callable: the dense routes' reference."""
-    return ProblemData(callable_family(problem.family), problem.u0,
+def as_dense(problem, load=None):
+    """The problem without band storage: the dense routes' reference."""
+    return ProblemData(dense_family(problem.family), problem.u0,
                        load=problem.load if load is None else load)
 
 
@@ -106,7 +108,7 @@ class TestSlabStep:
 
 class TestSolve:
     def test_scalar_decay_closed_form(self):
-        problem = scalar_problem(lambda t: 1.0 + 0.5 * t, 1.0)
+        problem = as_dense(scalar_problem(1.0, 1.0, a1=0.5, theta=Linear(0.0, 1.0)))
         # the preset's 1 x 1 affine terms take the tridiagonal route
         preset = get_preset("scalar-decay", load="none").problem
         assert preset.family.tridiagonal is not None
@@ -116,15 +118,15 @@ class TestSolve:
                 assert traj.states[0, -1] == pytest.approx(np.exp(-1.25), abs=1e-13)
 
     def test_within_slab_output_is_exact(self):
-        problem = scalar_problem(lambda t: 2.0, 1.0)
+        problem = scalar_problem(2.0, 1.0)
         grid = np.linspace(0.0, 1.0, 17)
         traj = solve(problem, Subdivision.uniform(1.0, 4))
         np.testing.assert_allclose(traj.evaluate_many(grid)[0], np.exp(-2.0 * grid),
                                    rtol=1e-13)
 
     def test_constant_load_steady_state(self):
-        load = lambda t: np.array([3.0])
-        problem = scalar_problem(lambda t: 1.0, 8.0, u0=0.0, load=load)
+        load = SeparableLoad(Linear(1.0), np.array([3.0]))
+        problem = scalar_problem(1.0, 8.0, u0=0.0, load=load)
         traj = solve(problem, Subdivision.uniform(8.0, 8))
         # u' + u = 3, u(0) = 0: u(T) = 3 (1 - e^{-T}), exact for the scheme
         assert traj.states[0, -1] == pytest.approx(3.0 * (1 - np.exp(-8.0)),
@@ -139,18 +141,18 @@ class TestSolve:
 
     def test_non_symmetric_family_rejected(self):
         space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
-        family = FormFamily(space, lambda t: np.array([[1.0]]), 1.0)
+        family = FormFamily(space, AffineTerms([[1.0]], [[0.0]], Linear(0.0)), 1.0)
         with pytest.raises(StructureError):
             solve(ProblemData(family, np.array([1.0])), Subdivision.uniform(1.0, 4))
 
     def test_overflow_raises_instead_of_inf_states(self):
         # A = -1000 grows by e^250 per slab: the fourth slab overflows
-        problem = scalar_problem(lambda t: -1000.0, 1.0)
+        problem = scalar_problem(-1000.0, 1.0)
         with pytest.raises(FloatingPointError):
             solve(problem, Subdivision.uniform(1.0, 4))
 
     def test_horizon_mismatch_rejected(self):
-        problem = scalar_problem(lambda t: 1.0, 1.0)
+        problem = scalar_problem(1.0, 1.0)
         with pytest.raises(ValueError):
             solve(problem, Subdivision.uniform(2.0, 4))
 
@@ -193,14 +195,14 @@ class TestTrajectoryValidation:
 class TestOracle:
     def test_implicit_euler_closed_form(self):
         # constant p = 1: the oracle recursion is exactly u / (1 + dt)
-        problem = scalar_problem(lambda t: 1.0, 1.0)
+        problem = scalar_problem(1.0, 1.0)
         n = 64
         traj = oracle_solve(problem, n)
         assert traj.states[0, -1] == pytest.approx((1.0 + 1.0 / n) ** (-n),
                                                    rel=1e-13)
 
     def test_first_order_consistency(self):
-        problem = scalar_problem(lambda t: 1.0 + 0.5 * t, 1.0)
+        problem = as_dense(scalar_problem(1.0, 1.0, a1=0.5, theta=Linear(0.0, 1.0)))
         errs = [abs(oracle_solve(problem, n).states[0, -1] - np.exp(-1.25))
                 for n in (100, 200)]
         assert errs[1] == pytest.approx(errs[0] / 2.0, rel=0.05)
@@ -213,14 +215,11 @@ class TestOracle:
     @pytest.mark.parametrize("n_cells", [16, 64])
     def test_tridiagonal_oracle_matches_dense(self, n_cells):
         problem = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem
-        reference = as_callable(problem)
+        reference = as_dense(problem)
         assert problem.family.tridiagonal is not None
         assert reference.family.tridiagonal is None
         dense = oracle_solve(reference, 500).states
         assert rel_diff(oracle_solve(problem, 500).states, dense) <= 1e-12
-        # a load that is not a SeparableLoad is paired at each step
-        other = ProblemData(problem.family, problem.u0, load=lambda t: problem.load(t))
-        assert rel_diff(oracle_solve(other, 500).states, dense) <= 1e-12
 
     def test_consistent_mass_takes_the_dense_routes(self):
         problem = consistent_mass_problem(16)
@@ -241,31 +240,32 @@ class TestOracle:
         # gram_H + dt A0 = 0 at the first step, on both routes
         space = GalerkinSpace(np.eye(dim), np.eye(dim))
         terms = AffineTerms(-4.0 * np.eye(dim), np.zeros((dim, dim)), Linear(0.0))
-        family = FormFamily(space, None, 1.0, symmetric=True, terms=terms)
+        family = FormFamily(space, terms, 1.0, symmetric=True)
         problem = ProblemData(family, np.ones(dim))
         assert family.tridiagonal is not None
-        for prob in (problem, as_callable(problem)):
+        for prob in (problem, as_dense(problem)):
             with pytest.raises(StructureError):
                 oracle_solve(prob, 4)
 
     def test_nonfinite_coefficient_or_load_raises(self):
         problem = get_preset("heat-1d-lipschitz", n_cells=8).problem
         family = problem.family
-        bad_theta = FormFamily(family.space, None, family.horizon, symmetric=True,
-                               terms=AffineTerms(family.terms.a0, family.terms.a1,
-                                                 Linear(np.nan)))
+        bad_theta = FormFamily(family.space,
+                               AffineTerms(family.terms.a0, family.terms.a1,
+                                           Linear(np.nan)),
+                               family.horizon, symmetric=True)
         assert bad_theta.tridiagonal is not None
-        nan_load = lambda t: np.full(family.space.dim, np.nan)
+        nan_load = SeparableLoad(Linear(np.nan), problem.load.pairing)
         for prob in (ProblemData(bad_theta, problem.u0),
                      ProblemData(family, problem.u0, load=nan_load),
-                     as_callable(problem, load=nan_load)):
+                     as_dense(problem, load=nan_load)):
             with pytest.raises(EvaluationError):
                 oracle_solve(prob, 10)
 
     def test_last_time_is_the_horizon(self):
         # 25 * (2 pi / 25) overshoots 2 pi by an ulp; the scheme is evaluated
         # on the oracle's grid, and only inside [0, T]
-        problem = scalar_problem(lambda t: 2.0 + np.sin(t), 2.0 * np.pi)
+        problem = scalar_problem(2.0, 2.0 * np.pi, a1=1.0, theta=Harmonic(b=1.0))
         n = 25
         assert n * (problem.horizon / n) > problem.horizon
         oracle = oracle_solve(problem, n)
@@ -274,6 +274,20 @@ class TestOracle:
         assert np.all(np.isfinite(traj.evaluate_many(oracle.grid)))
 
     def test_output_grid_subsampling(self):
-        problem = scalar_problem(lambda t: 1.0, 1.0)
+        problem = scalar_problem(1.0, 1.0)
         traj = oracle_solve(problem, 100, output_grid=np.array([0.0, 0.5, 1.0]))
         np.testing.assert_allclose(traj.grid, [0.0, 0.5, 1.0], atol=1e-12)
+
+
+class TestProblemData:
+    @pytest.mark.parametrize("load", [
+        SeparableLoad(Linear(1.0), np.ones((5, 1))),
+        SeparableLoad(Linear(1.0), np.ones(6)),
+        lambda t: np.ones(5),
+    ], ids=["column", "too_long", "callable"])
+    def test_load_of_the_wrong_kind_is_refused(self, load):
+        # a (dim, 1) pairing would broadcast each oracle step to (dim, dim)
+        family = get_preset("heat-1d-lipschitz", n_cells=4).problem.family
+        assert family.space.dim == 5
+        with pytest.raises(ValueError, match="SeparableLoad"):
+            ProblemData(family, np.zeros(5), load=load)

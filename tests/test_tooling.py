@@ -2,11 +2,14 @@
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import evolveq
 
 REPO = Path(__file__).resolve().parents[1]
 TRACER = REPO / "perfbench" / "tracer.py"
@@ -38,6 +41,19 @@ def test_traced_entry_resolves(mod, path):
             assert callable(raw)
     else:
         assert callable(getattr(module, path))
+
+
+# every module but __main__, which runs the CLI when it is imported
+MODULES = ["evolveq"] + sorted(f"evolveq.{m.name}"
+                              for m in pkgutil.iter_modules(evolveq.__path__)
+                              if not m.name.startswith("_"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
+    assert not missing, f"{name}.__all__ names what it does not define: {missing}"
 
 
 def write_tree(root, files):

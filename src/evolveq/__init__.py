@@ -2,8 +2,8 @@
 parabolic evolution problems on a Galerkin-discretized Gelfand triple."""
 
 from .spaces import GalerkinSpace, StructureError
-from .forms import (FormConstants, FormFamily, Subdivision, average_form,
-                    build_step_form, certify_shift, estimate_constants, rescale)
+from .forms import (FormConstants, FormFamily, Subdivision, build_step_form,
+                    certify_shift, estimate_constants, rescale)
 from .propagator import ProblemData, SlabPropagator, Trajectory, oracle_solve, solve
 from .mr import (MRReport, check_chain_rule, check_H_estimate, check_lemma3,
                  check_lemma_indepmax, check_product_rule, load_l2h, mr_norms)

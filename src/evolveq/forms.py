@@ -3,16 +3,17 @@
 A family is given by affine terms A(t) = A0 + theta(t) A1 with a scalar
 coefficient theta, and a(t; u, v) = u^T A(t) v.  Slab averaging replaces
 the family on each interval of a subdivision by its integral mean,
-A0 + mean(theta) A1, and the constants M, alpha and L are exact: they are
-read at the ends of theta's range and from the largest |theta'|.
-Tridiagonal terms over a diagonal gram_H are also kept as bands, so that
-the oracle steps and the slab eigensolves cost O(n) storage.
+A0 + mean(theta) A1, one scalar per slab, and the constants M, alpha and L
+are exact: they are read at the ends of theta's range and from the largest
+|theta'|.  Only the family knows how its terms are stored: tridiagonal terms
+over a diagonal gram_H are also kept as bands, and its pencils, products,
+pool pairings and oracle steps then cost O(n).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,7 +32,6 @@ __all__ = [
     "FormFamily",
     "Subdivision",
     "TridiagonalTerms",
-    "average_form",
     "build_step_form",
     "estimate_constants",
     "rescale",
@@ -227,6 +227,14 @@ class Subdivision:
         k = np.searchsorted(self.points, t, side="right") - 1
         return np.minimum(k, self.n_slabs - 1)
 
+    def means(self, theta: Coefficient) -> np.ndarray:
+        """The (n_slabs,) means of a coefficient; a non-finite one raises EvaluationError."""
+        pts = self.points
+        means = np.array([theta.mean(t0, t1) for t0, t1 in zip(pts[:-1], pts[1:])])
+        if not np.isfinite(means).all():
+            raise EvaluationError(f"slab mean of {theta} is not finite")
+        return means
+
 
 def _finite(a: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
@@ -275,7 +283,8 @@ class FormFamily:
 
     The terms are checked once, when the family is built.  `tridiagonal`
     holds their bands when gram_H is diagonal and both terms are
-    tridiagonal (a lumped P1 heat family), else None.
+    tridiagonal (a lumped P1 heat family), else None; `pencil`, `apply`,
+    `pair` and `implicit_step` choose between the bands and the dense terms.
     """
 
     space: GalerkinSpace
@@ -307,18 +316,74 @@ class FormFamily:
     def matrix(self, t: float) -> np.ndarray:
         return self.terms.at(self.terms.theta(t))
 
+    def pencil(self, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """Rates and gram_H-orthonormal modes of the pencil (sym(A0 + s A1),
+        gram_H): from the bands by `tridiagonal.pencil_eigh`, else by a dense
+        generalized eigensolve.  A failed solve raises StructureError."""
+        try:
+            if self.tridiagonal is None:
+                a = self.terms.at(s)
+                return sla.eigh(0.5 * (a + a.T), self.space.gram_H)
+            return tridiagonal.pencil_eigh(self.tridiagonal.at(s), self.tridiagonal.h)
+        except sla.LinAlgError as exc:
+            raise StructureError("slab eigensolve failed") from exc
 
-def average_form(family: FormFamily, t0: float, t1: float) -> np.ndarray:
-    """Integral mean of A over [t0, t1]: A0 + mean(theta) A1."""
-    if not t0 < t1:
-        raise ValueError("slab must have positive length")
-    return family.terms.at(family.terms.theta.mean(t0, t1))
+    def apply(self, x: np.ndarray, s) -> np.ndarray:
+        """(A0 + s A1) x for a vector x, or for an (n, m) block with one s per
+        column: row by row from each column's bands (`tridiagonal.matvec`),
+        else A0 x + s (A1 x)."""
+        if self.tridiagonal is None:
+            return self.terms.a0 @ x + s * (self.terms.a1 @ x)
+        a0, a1 = self.tridiagonal.a0, self.tridiagonal.a1
+        if np.ndim(x) == 2:
+            a0, a1 = a0[..., None], a1[..., None]
+        return tridiagonal.matvec(a0 + s * a1, x)
+
+    def pair(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(left_i^T A0 right_i, left_i^T A1 right_i) for the row pairs of two
+        (m, n) arrays, through the bands in O(m n) when the family keeps them."""
+        if (tri := self.tridiagonal) is not None:
+            return tuple(tridiagonal.pair_rows(b, left, right) for b in (tri.a0, tri.a1))
+        terms = self.terms
+        return tuple(np.einsum("ij,ij->i", left @ a, right) for a in (terms.a0, terms.a1))
+
+    def implicit_step(self, dt: float) -> Callable:
+        """(t, u, f) -> x with (gram_H + dt A(t)) x = gram_H u + f, the
+        implicit-Euler step to t: one O(n) gtsv call on bands formed once, or
+        one dense solve.  A non-finite step raises EvaluationError, a singular
+        one StructureError."""
+        tri, theta = self.tridiagonal, self.terms.theta
+        if tri is None:
+            gram_H = self.space.gram_H
+
+            def step(t: float, u: np.ndarray, f) -> np.ndarray:
+                rhs = gram_H @ u + f
+                if not np.isfinite(rhs).all():
+                    raise EvaluationError(f"oracle right-hand side at t={t} is not finite")
+                try:
+                    return np.linalg.solve(gram_H + dt * self.matrix(t), rhs)
+                except np.linalg.LinAlgError as exc:
+                    raise StructureError("oracle linear solve failed") from exc
+
+            return step
+        h, base, slope = tri.h, dt * tri.a0, dt * tri.a1
+        base[1] += h
+
+        def step(t: float, u: np.ndarray, f) -> np.ndarray:
+            bands, rhs = base + theta(t) * slope, h * u + f
+            if not np.isfinite(bands).all():
+                raise EvaluationError(f"oracle step matrix at t={t} has non-finite entries")
+            if not np.isfinite(rhs).all():
+                raise EvaluationError(f"oracle right-hand side at t={t} is not finite")
+            return tridiagonal.solve(bands, rhs)
+
+        return step
 
 
-def build_step_form(family: FormFamily, subdivision: Subdivision) -> list[np.ndarray]:
-    """The piecewise-constant family: one averaged matrix per slab."""
-    pts = subdivision.points
-    return [average_form(family, pts[k], pts[k + 1]) for k in range(subdivision.n_slabs)]
+def build_step_form(family: FormFamily, subdivision: Subdivision) -> np.ndarray:
+    """The piecewise-constant family: the (n_slabs,) means of theta, slab k
+    standing for A0 + mean_k(theta) A1."""
+    return subdivision.means(family.terms.theta)
 
 
 def dual_operator_norm(space: GalerkinSpace, a: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import tridiagonal
 from .forms import EvaluationError, FormFamily
 from .propagator import SeparableLoad, Trajectory
 
@@ -165,26 +164,18 @@ def sample_pool(rng: np.random.Generator, cset: ConvexSet,
     return SamplePool(vs, cset.project_many(vs))
 
 
-def _rowwise(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", x, y)
-
-
 def _form_values(family: FormFamily, left: np.ndarray,
                  right: np.ndarray) -> Callable[[float], np.ndarray]:
     """t -> a(t; left_i, right_i) for each row pair of the pool.
 
-    The rows' forms of A0 and A1 are taken once, through their bands when
-    the family keeps them, so each time costs O(m).
+    The rows' forms of A0 and A1 are taken once (`FormFamily.pair`), so
+    each time costs O(m).
     """
-    terms = family.terms
-    if family.tridiagonal is not None:
-        q0, q1 = (tridiagonal.pair_rows(b, left, right)
-                  for b in (family.tridiagonal.a0, family.tridiagonal.a1))
-    else:
-        q0, q1 = (_rowwise(left @ a, right) for a in (terms.a0, terms.a1))
+    theta = family.terms.theta
+    q0, q1 = family.pair(left, right)
 
     def values(t: float) -> np.ndarray:
-        s = terms.theta(t)
+        s = theta(t)
         if not np.isfinite(s):
             raise EvaluationError(f"form coefficient at t={t} is not finite")
         return q0 + s * q1

@@ -1,27 +1,22 @@
 """Slab eigendecompositions, the full solver, and the implicit-Euler oracle.
 
-Each slab carries an autonomous problem with the averaged operator and a
-slab-averaged load; its solution is the exact variation-of-constants
-formula exp(-tau B) u + tau phi1(-tau B) fbar with B = gram_H^{-1} A,
-evaluated in the modes of the symmetric pencil (A_k, gram_H).  The load
-is separable, f(t) = theta_f(t) g, or absent, so its slab means are
-mean(theta_f) gram_H^{-1} g in closed form.  A family
-with tridiagonal terms over a diagonal gram_H (`FormFamily.tridiagonal`)
-takes the O(n) routes: the pencil as a symmetric tridiagonal eigenproblem,
-and each oracle step as one LAPACK gtsv call.  Every other family takes
-the dense ones.
+Each slab carries an autonomous problem with the averaged operator
+A_k = A0 + mean_k(theta) A1, held as its scalar mean, and a slab-averaged
+load; its solution is the exact variation-of-constants formula
+exp(-tau B) u + tau phi1(-tau B) fbar with B = gram_H^{-1} A_k, evaluated in
+the modes of the symmetric pencil (A_k, gram_H), which `FormFamily.pencil`
+solves.  The load is separable, f(t) = theta_f(t) g, or absent, so its slab
+means are mean(theta_f) gram_H^{-1} g in closed form.  The oracle takes its
+steps from `FormFamily.implicit_step`.  The family chooses the band or the
+dense route for both.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
-from . import tridiagonal
-from .forms import (Coefficient, EvaluationError, FormFamily, Linear,
-                    Subdivision, build_step_form)
+from .forms import Coefficient, FormFamily, Linear, Subdivision, build_step_form
 from .spaces import GalerkinSpace, StructureError
 
 __all__ = [
@@ -49,36 +44,23 @@ def phi1(z: np.ndarray) -> np.ndarray:
 class SlabPropagator:
     """Eigendecomposition of one frozen operator B = gram_H^{-1} A_k.
 
+    A_k = A0 + theta A1 is held as the family and its slab mean theta.
     B = modes @ diag(rates) @ modes^T gram_H, with gram_H-orthonormal modes
     from the symmetric pencil (A_k, gram_H).
     """
 
-    space: GalerkinSpace
-    matrix: np.ndarray            # A_k, form coefficients
+    family: FormFamily
+    theta: float                  # the slab mean of the form coefficient
     rates: np.ndarray
     modes: np.ndarray
 
     @classmethod
-    def build(cls, space: GalerkinSpace, matrix: np.ndarray,
-              bands: np.ndarray | None = None) -> "SlabPropagator":
-        """Solve the pencil; `bands` are A_k's tridiagonal bands over a
-        diagonal gram_H (from `FormFamily.tridiagonal`).
-
-        With bands, the pencil is a symmetric tridiagonal eigenproblem
-        (`tridiagonal.pencil_eigh`); without, a dense generalized eigensolve.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        try:
-            if bands is None:
-                rates, modes = sla.eigh(0.5 * (matrix + matrix.T), space.gram_H)
-            else:
-                rates, modes = tridiagonal.pencil_eigh(bands, space.h_diagonal)
-        except sla.LinAlgError as exc:
-            raise StructureError("slab eigensolve failed") from exc
-        return cls(space, matrix, rates, modes)
+    def build(cls, family: FormFamily, theta: float) -> "SlabPropagator":
+        """Solve the pencil of A0 + theta A1 by `FormFamily.pencil`."""
+        return cls(family, theta, *family.pencil(theta))
 
     def to_modes(self, u: np.ndarray) -> np.ndarray:
-        return self.modes.T @ (self.space.gram_H @ u)
+        return self.modes.T @ (self.family.space.gram_H @ u)
 
 
 @dataclass
@@ -100,10 +82,6 @@ class SlabSolution:
     @property
     def length(self) -> float:
         return self.t1 - self.t0
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.propagator.matrix
 
     def state(self, t: float) -> np.ndarray:
         return self.states(np.array([t]))[:, 0]
@@ -154,7 +132,7 @@ class Trajectory:
 
     @property
     def space(self) -> GalerkinSpace:
-        return self._require_slabs()[0].propagator.space
+        return self._require_slabs()[0].propagator.family.space
 
     def evaluate_many(self, times: np.ndarray) -> np.ndarray:
         """Exact within-slab evaluation, vectorized slab by slab."""
@@ -216,11 +194,10 @@ def _averaged_loads(problem: ProblemData, subdivision: Subdivision) -> list[np.n
     """Slab means of the load in H-coordinates: mean(theta_f) times one
     H-solve of its pairing."""
     space, load = problem.family.space, problem.load
-    slabs = list(zip(subdivision.points[:-1], subdivision.points[1:]))
     if load is None:
-        return [np.zeros(space.dim) for _ in slabs]
+        return [np.zeros(space.dim) for _ in range(subdivision.n_slabs)]
     g = space.solve_H(load.pairing)
-    return [load.theta.mean(t0, t1) * g for t0, t1 in slabs]
+    return [m * g for m in subdivision.means(load.theta)]
 
 
 def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
@@ -238,9 +215,8 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
         raise StructureError("solve needs a family declared symmetric")
     if abs(subdivision.horizon - family.horizon) > 1e-12 * max(family.horizon, 1.0):
         raise ValueError("subdivision horizon does not match the family")
-    matrices = build_step_form(family, subdivision)
+    thetas = build_step_form(family, subdivision)
     loads = _averaged_loads(problem, subdivision)
-    tri = family.tridiagonal
 
     slabs: list[SlabSolution] = []
     states = [problem.u0.copy()]
@@ -248,62 +224,10 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
     with np.errstate(over="raise"):
         for k in range(subdivision.n_slabs):
             t0, t1 = pts[k], pts[k + 1]
-            bands = None if tri is None else tri.at(family.terms.theta.mean(t0, t1))
-            prop = SlabPropagator.build(family.space, matrices[k], bands)
+            prop = SlabPropagator.build(family, thetas[k])
             slabs.append(SlabSolution(t0, t1, prop, states[-1], loads[k]))
             states.append(slabs[-1].state(t1))
     return Trajectory(pts, np.column_stack(states), slabs, subdivision)
-
-
-def _step_rhs(problem: ProblemData, dt: float) -> Callable:
-    """(t, Hu) -> Hu + theta_f(t) dt g, the right-hand side of the
-    implicit-Euler step to t; a non-finite one raises EvaluationError."""
-    load = problem.load
-    if load is None:
-        theta_f, g = Linear(0.0), np.zeros(problem.family.space.dim)
-    else:
-        theta_f, g = load.theta, dt * load.pairing
-
-    def rhs(t: float, hu: np.ndarray) -> np.ndarray:
-        out = hu + theta_f(t) * g
-        if not np.isfinite(out).all():
-            raise EvaluationError(f"oracle right-hand side at t={t} has non-finite entries")
-        return out
-
-    return rhs
-
-
-def _dense_step(problem: ProblemData, dt: float) -> Callable:
-    """u -> the implicit-Euler step to t: one dense solve of gram_H + dt A(t)."""
-    family, gram_H = problem.family, problem.family.space.gram_H
-    rhs = _step_rhs(problem, dt)
-
-    def step(t: float, u: np.ndarray) -> np.ndarray:
-        b = rhs(t, gram_H @ u)
-        try:
-            return np.linalg.solve(gram_H + dt * family.matrix(t), b)
-        except np.linalg.LinAlgError as exc:
-            raise StructureError("oracle linear solve failed") from exc
-
-    return step
-
-
-def _tridiagonal_step(problem: ProblemData, dt: float) -> Callable:
-    """u -> the implicit-Euler step to t: one O(n) gtsv call on
-    h + dt (A0 + theta(t) A1), from bands stored once."""
-    h, b0, b1 = problem.family.tridiagonal
-    base, slope = dt * b0, dt * b1
-    base[1] += h
-    theta = problem.family.terms.theta
-    rhs = _step_rhs(problem, dt)
-
-    def step(t: float, u: np.ndarray) -> np.ndarray:
-        bands = base + theta(t) * slope
-        if not np.isfinite(bands).all():
-            raise EvaluationError(f"oracle step matrix at t={t} has non-finite entries")
-        return tridiagonal.solve(bands, rhs(t, h * u))
-
-    return step
 
 
 def oracle_solve(problem: ProblemData, n_steps: int,
@@ -311,9 +235,9 @@ def oracle_solve(problem: ProblemData, n_steps: int,
     """Implicit-Euler reference with the operator taken at step right endpoints.
 
     Independent of the exponential machinery: each step solves
-    (gram_H + dt A(t)) u_new = gram_H u + theta_f(t) dt g.  A family with
-    `tridiagonal` bands takes one O(n) gtsv call per step on bands stored
-    once; any other family takes one dense solve per step.
+    (gram_H + dt A(t)) u_new = gram_H u + theta_f(t) dt g by
+    `FormFamily.implicit_step`, one O(n) gtsv call on bands or one dense
+    solve.
     """
     if n_steps < 1:
         raise ValueError("oracle needs at least one step")
@@ -326,7 +250,9 @@ def oracle_solve(problem: ProblemData, n_steps: int,
         keep = np.unique(np.clip(np.rint(np.asarray(output_grid) / dt).astype(int),
                                  0, n_steps))
     keep_set = set(keep.tolist())
-    step = (_dense_step if family.tridiagonal is None else _tridiagonal_step)(problem, dt)
+    step = family.implicit_step(dt)
+    load = problem.load
+    theta_f, g = (Linear(0.0), 0.0) if load is None else (load.theta, dt * load.pairing)
 
     u = problem.u0.copy()
     times, states = [], []
@@ -335,7 +261,7 @@ def oracle_solve(problem: ProblemData, n_steps: int,
         states.append(u.copy())
     for i in range(1, n_steps + 1):
         t = min(i * dt, horizon)          # i * dt may overshoot T by an ulp
-        u = step(t, u)
+        u = step(t, u, theta_f(t) * g)
         if i in keep_set:
             times.append(t)
             states.append(u.copy())

@@ -1,4 +1,4 @@
-"""Tridiagonal band storage, its two O(n) solvers and row-wise pairing.
+"""Tridiagonal band storage, its two O(n) solvers, products and row-wise pairing.
 
 Bands are held in LAPACK's (1, 1) banded layout, a (3, n) array: row 0 is
 the superdiagonal shifted right by one, row 1 the diagonal, row 2 the
@@ -13,7 +13,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .spaces import StructureError
 
-__all__ = ["bands", "pair_rows", "solve", "pencil_eigh"]
+__all__ = ["bands", "matvec", "pair_rows", "solve", "pencil_eigh"]
 
 
 def bands(a: np.ndarray) -> np.ndarray | None:
@@ -23,6 +23,15 @@ def bands(a: np.ndarray) -> np.ndarray | None:
     out[1] = np.diagonal(a)
     out[2, :-1] = np.diagonal(a, -1)
     return out if np.count_nonzero(a) == np.count_nonzero(out) else None
+
+
+def matvec(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x row by row, in O(n), for the (3, n) bands b of A and a vector x,
+    or for (3, n, m) bands, one A per column, and an (n, m) block x."""
+    y = b[1] * x
+    y[:-1] += b[0, 1:] * x[1:]
+    y[1:] += b[2, :-1] * x[:-1]
+    return y
 
 
 def pair_rows(b: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -177,6 +177,33 @@ def reference_mr_terms(traj):
     return terms
 
 
+def _slab_matrices(traj):
+    """Each slab's dense A_k = A0 + mean_k(theta) A1."""
+    terms = traj.slabs[0].propagator.family.terms
+    return [terms.at(slab.propagator.theta) for slab in traj.slabs]
+
+
+def reference_product_rule(report, traj):
+    """`check_product_rule` slab by slab, as u1.A_k u1 - u0.A_k u0 with a
+    dense A_k: the reference for the one vectorised product."""
+    residual = 0.0
+    for k, (a, rhs) in enumerate(zip(_slab_matrices(traj), report.product_slabs)):
+        u0, u1 = traj.states[:, k], traj.states[:, k + 1]
+        residual = max(residual, abs(float(u1 @ a @ u1 - u0 @ a @ u0) - rhs))
+    return residual
+
+
+def reference_telescoping(traj, lipschitz):
+    """`check_form_telescoping` junction by junction with dense A_k."""
+    mats, pts = _slab_matrices(traj), traj.subdivision.points
+    worst = -np.inf
+    for k in range(len(mats) - 1):
+        v = traj.states[:, k + 1]
+        gap = abs(float(v @ (mats[k] - mats[k + 1]) @ v))
+        worst = max(worst, gap - lipschitz * (pts[k + 1] - pts[k]) * traj.space.v_norm(v) ** 2)
+    return worst
+
+
 def oracle_gap(problem, subdivision, n_steps, relative=False):
     """sup-H gap between the exponential scheme and the implicit-Euler oracle.
 

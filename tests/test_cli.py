@@ -261,7 +261,8 @@ class TestMain:
             under={SlabSolution.states: solve,
                    inspect.unwrap(np.linalg.solve): oracle_solve,
                    inspect.unwrap(sla.eigh): SlabPropagator.build.__func__,
-                   coercivity_lower_bound: check_criterion_symmetric})
+                   coercivity_lower_bound: check_criterion_symmetric,
+                   AffineTerms.at: solve})
         assert status == 0
         # one solve per ladder point, shared by solve, converge and invariance
         assert counts["SlabPropagator.build"] == sum(config.slab_counts)
@@ -283,6 +284,8 @@ class TestMain:
         # oracle steps through gtsv and the slabs are tridiagonal eigensolves
         assert counts["solve in oracle_solve"] == 0
         assert counts["eigh in SlabPropagator.build"] == 0
+        # each slab is its coefficient mean: the band route forms no dense A_k
+        assert counts["AffineTerms.at in solve"] == 0
 
     @pytest.mark.parametrize("failure", ["singular_step", "nonfinite_theta"])
     def test_oracle_failures_exit_2(self, tmp_path, capsys, monkeypatch, failure):

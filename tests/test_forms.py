@@ -7,8 +7,8 @@ from conftest import (dirichlet_space, gauss_panels, quadrature_slab_means,
                       sampled_constants)
 from evolveq import fem, tridiagonal
 from evolveq.forms import (EXACT, AffineTerms, EvaluationError, FormFamily,
-                           Harmonic, Linear, Subdivision, average_form,
-                           build_step_form, certify_shift,
+                           Harmonic, Linear, Subdivision, build_step_form,
+                           certify_shift,
                            coercivity_lower_bound, dual_operator_norm,
                            estimate_constants, gauss_nodes, rescale)
 from evolveq.presets import get_preset
@@ -76,22 +76,31 @@ class TestQuadrature:
 
     def test_average_of_linear_coefficient(self):
         fam = scalar_family(1.0, 1.0, a1=0.5, theta=Linear(0.0, 1.0))
-        assert average_form(fam, 0.0, 1.0)[0, 0] == pytest.approx(1.25, abs=1e-15)
+        (mean,) = build_step_form(fam, Subdivision.uniform(1.0, 1))
+        assert mean == 0.5
+        assert fam.apply(np.ones(1), mean)[0] == pytest.approx(1.25, abs=1e-15)
 
     def test_average_rejects_empty_slab(self):
+        # an empty slab never reaches the averaging: the subdivision refuses it
         fam = scalar_family(1.0, 1.0)
-        with pytest.raises(ValueError):
-            average_form(fam, 0.5, 0.5)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_step_form(fam, Subdivision(np.array([0.0, 0.5, 0.5, 1.0])))
 
 
 class TestStepForm:
     def test_build_and_lookup(self):
         fam = scalar_family(1.0, 1.0, a1=1.0, theta=Linear(0.0, 1.0))
         sub = Subdivision.uniform(1.0, 2)
-        slabs = build_step_form(fam, sub)
-        assert len(slabs) == sub.n_slabs
-        assert slabs[0][0, 0] == pytest.approx(1.25, abs=1e-14)
-        assert slabs[1][0, 0] == pytest.approx(1.75, abs=1e-14)
+        means = build_step_form(fam, sub)
+        assert means.shape == (sub.n_slabs,)
+        assert fam.apply(np.ones(1), means[0])[0] == pytest.approx(1.25, abs=1e-14)
+        assert fam.apply(np.ones(1), means[1])[0] == pytest.approx(1.75, abs=1e-14)
+        # one A_k per column of a block
+        np.testing.assert_allclose(fam.apply(np.ones((1, 2)), means), [[1.25, 1.75]],
+                                   rtol=0.0, atol=1e-14)
+        bad = scalar_family(1.0, 1.0, a1=1.0, theta=Linear(np.nan))
+        with pytest.raises(EvaluationError, match="slab mean"):
+            build_step_form(bad, sub)
 
 
 class TestFamilyValidation:
@@ -206,9 +215,9 @@ class TestAffineTerms:
         for t in np.linspace(0.0, fam.horizon, 9):
             assert rel_err(fam.matrix(t), ref(t)) <= 1e-12
         sub = Subdivision.uniform(fam.horizon, 16)
-        for exact, quad in zip(build_step_form(fam, sub),
-                               quadrature_slab_means(ref, fam.space.dim, sub)):
-            assert rel_err(exact, quad) <= 1e-12
+        for mean, quad in zip(build_step_form(fam, sub),
+                              quadrature_slab_means(ref, fam.space.dim, sub)):
+            assert rel_err(fam.terms.at(mean), quad) <= 1e-12
         exact = estimate_constants(fam)
         sampled = sampled_constants(fam.space, ref, fam.horizon)
         assert exact.source == EXACT
@@ -249,12 +258,34 @@ class TestAffineTerms:
             np.testing.assert_array_equal(rescale(fam, 2.0).tridiagonal.at(0.3),
                                           tridiagonal.bands(fam.terms.at(0.3)
                                                             + 2.0 * fam.space.gram_H))
+            # products through the bands against the dense matrices, for a
+            # vector and for a block with one theta per column
+            x = np.random.default_rng(1).standard_normal((fam.space.dim, 3))
+            thetas = np.array([-0.4, 0.3, 1.7])
+            dense = np.column_stack([fam.terms.at(s) @ col for s, col in zip(thetas, x.T)])
+            np.testing.assert_allclose(fam.apply(x, thetas), dense, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(fam.apply(x[:, 0], 0.3), fam.terms.at(0.3) @ x[:, 0],
+                                       rtol=1e-14, atol=1e-14)
         a = fem.heat_matrix(8, 0.4)
         bands = tridiagonal.bands(a)
         np.testing.assert_array_equal(bands[1], np.diag(a))
         np.testing.assert_array_equal(bands[0, 1:], np.diag(a, 1))
         np.testing.assert_array_equal(bands[2, :-1], np.diag(a, -1))
         assert bands[0, 0] == bands[2, -1] == 0.0
+        # matvec reads the bands row by row, as a @ x does
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 81):
+            mats = [np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), 1)
+                    + np.diag(rng.standard_normal(n - 1), -1) for _ in range(3)]
+            x = rng.standard_normal((n, 3))
+            for m, col in zip(mats, x.T):
+                np.testing.assert_allclose(tridiagonal.matvec(tridiagonal.bands(m), col),
+                                           m @ col, rtol=1e-14, atol=1e-14)
+            block = np.stack([tridiagonal.bands(m) for m in mats], axis=-1)
+            np.testing.assert_allclose(
+                tridiagonal.matvec(block, x),
+                np.column_stack([m @ col for m, col in zip(mats, x.T)]),
+                rtol=1e-14, atol=1e-14)
         a[0, 2] = 1e-300
         assert tridiagonal.bands(a) is None
         # a consistent mass, a full term: no band storage

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import (consistent_mass_problem, quadrature_load_l2h,
-                      quadrature_load_means, reference_mr_terms)
+                      quadrature_load_means, reference_mr_terms,
+                      reference_product_rule, reference_telescoping)
 from evolveq.fem import robin_space, stiffness
 from evolveq.forms import (AffineTerms, FormConstants, FormFamily, Linear,
-                           Subdivision)
+                           Subdivision, estimate_constants)
 from evolveq.mr import (ContractError, MRReport, check_chain_rule,
                         check_form_telescoping, check_H_estimate, check_lemma3,
                         check_lemma_indepmax, check_product_rule, load_l2h,
@@ -131,6 +132,20 @@ class TestIdentities:
 
     def test_product_rule_heat(self, heat_traj_64):
         assert check_product_rule(mr_norms(heat_traj_64), heat_traj_64) <= 1e-8
+
+    @pytest.mark.parametrize("name", sorted(MR_PROBLEMS))
+    def test_vectorised_audits_match_slab_by_slab(self, name):
+        # A_k v for every breakpoint at once, from the slab means, against
+        # one dense A_k per slab; the band and the dense route
+        problem = MR_PROBLEMS[name]()
+        traj = solve(problem, Subdivision.uniform(problem.horizon, 16))
+        report = mr_norms(traj)
+        scale = max(abs(x) for x in report.product_slabs)
+        assert check_product_rule(report, traj) == pytest.approx(
+            reference_product_rule(report, traj), rel=0.0, abs=1e-13 * scale)
+        lipschitz = estimate_constants(problem.family).lipschitz
+        assert check_form_telescoping(traj, lipschitz) == pytest.approx(
+            reference_telescoping(traj, lipschitz), rel=0.0, abs=1e-12)
 
 
 class TestEstimates:

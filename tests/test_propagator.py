@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import consistent_mass_problem, dense_family, dirichlet_space
-from evolveq import tridiagonal
-from evolveq.fem import heat_matrix, robin_space
+from conftest import consistent_mass_problem, dense_family
 from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
                            Linear, Subdivision)
 from evolveq.presets import get_preset
@@ -48,18 +46,22 @@ class TestPhi1:
         assert np.allclose(vals, 1.0 + z / 2.0, atol=1e-15)
 
 
+def heat_family(n_cells):
+    """The heat preset's family: tridiagonal terms over a lumped gram_H."""
+    return get_preset("heat-1d-lipschitz", n_cells=n_cells).problem.family
+
+
 class TestSlabStep:
     def test_scalar_variation_of_constants(self):
-        space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
-        prop = SlabPropagator.build(space, np.array([[2.0]]))
+        family = scalar_problem(2.0, 1.0).family
+        prop = SlabPropagator.build(family, 0.0)
         h, u0, f = 0.5, 1.3, 0.7
         slab = SlabSolution(0.0, h, prop, np.array([u0]), np.array([f]))
         expected = np.exp(-2.0 * h) * u0 + h * phi1(np.array([-2.0 * h]))[0] * f
         assert slab.state(h)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_step_duration_validated(self):
-        space = GalerkinSpace(np.eye(1), np.eye(1))
-        prop = SlabPropagator.build(space, np.eye(1))
+        prop = SlabPropagator.build(scalar_problem(1.0, 1.0).family, 0.0)
         slab = SlabSolution(0.0, 0.5, prop, np.ones(1), np.zeros(1))
         with pytest.raises(ValueError):
             slab.state(0.6)
@@ -67,43 +69,48 @@ class TestSlabStep:
             slab.state(-0.1)
 
     def test_generator_action(self):
-        # B = gram_H^{-1} A = modes @ diag(rates) @ modes^T gram_H
-        space = robin_space(8)
-        a = heat_matrix(8, 0.0)
-        prop = SlabPropagator.build(space, a)
-        generator = prop.modes @ np.diag(prop.rates) @ prop.modes.T @ space.gram_H
-        np.testing.assert_allclose(generator, space.solve_H(a),
-                                   rtol=1e-10, atol=1e-12)
+        # B = gram_H^{-1} A = modes @ diag(rates) @ modes^T gram_H, at theta = 0,
+        # on the dense and the tridiagonal route
+        family = heat_family(8)
+        space, a = family.space, family.terms.at(0.0)
+        for fam in (dense_family(family), family):
+            rates, modes = fam.pencil(0.0)
+            generator = modes @ np.diag(rates) @ modes.T @ space.gram_H
+            np.testing.assert_allclose(generator, space.solve_H(a),
+                                       rtol=1e-10, atol=1e-12)
 
     def test_modes_are_gram_h_orthonormal(self):
         # the MR integrals take the modal H-Gram W^T gram_H W to be the identity;
         # on the lumped space both the dense and the tridiagonal route
-        space = robin_space(80)
-        a = heat_matrix(80, 0.7)
-        for bands in (None, tridiagonal.bands(a)):
-            prop = SlabPropagator.build(space, a, bands)
-            np.testing.assert_allclose(prop.modes.T @ space.gram_H @ prop.modes,
-                                       np.eye(space.dim), rtol=0.0, atol=1e-13)
+        s = np.sin(0.7)
+        family = heat_family(80)
+        gram_H = family.space.gram_H
+        for fam in (family, dense_family(family)):
+            _, modes = fam.pencil(s)
+            np.testing.assert_allclose(modes.T @ gram_H @ modes,
+                                       np.eye(gram_H.shape[0]), rtol=0.0, atol=1e-13)
         # a consistent mass has no diagonal gram_H: the dense route only
-        space = dirichlet_space(80)
-        assert space.h_diagonal is None
-        prop = SlabPropagator.build(space, heat_matrix(80, 0.7)[1:-1, 1:-1])
-        np.testing.assert_allclose(prop.modes.T @ space.gram_H @ prop.modes,
-                                   np.eye(space.dim), rtol=0.0, atol=1e-13)
+        family = consistent_mass_problem(80).family
+        assert family.space.h_diagonal is None and family.tridiagonal is None
+        _, modes = family.pencil(s)
+        gram_H = family.space.gram_H
+        np.testing.assert_allclose(modes.T @ gram_H @ modes,
+                                   np.eye(gram_H.shape[0]), rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("n_cells", [16, 80, 512])
     def test_tridiagonal_pencil_matches_dense(self, n_cells):
         # whole spectra, not rate by rate: the dense pencil solve loses
         # ~1e-11 relative accuracy on the smallest rate at 512 cells
-        space = robin_space(n_cells)
-        a = heat_matrix(n_cells, 0.7)
-        tri = SlabPropagator.build(space, a, tridiagonal.bands(a))
-        dense = SlabPropagator.build(space, a)
-        top = dense.rates[-1]
-        assert np.max(np.abs(tri.rates - dense.rates)) <= 1e-12 * top
+        s = np.sin(0.7)
+        family = heat_family(n_cells)
+        assert family.tridiagonal is not None
+        rates, modes = family.pencil(s)
+        dense_rates, _ = dense_family(family).pencil(s)
+        top = dense_rates[-1]
+        assert np.max(np.abs(rates - dense_rates)) <= 1e-12 * top
         # the modes solve the pencil: A W = gram_H W diag(rates)
-        residual = a @ tri.modes - space.gram_H @ tri.modes * tri.rates
-        assert np.max(np.abs(residual)) <= 1e-12 * top * np.max(np.abs(tri.modes))
+        residual = family.terms.at(s) @ modes - family.space.gram_H @ modes * rates
+        assert np.max(np.abs(residual)) <= 1e-12 * top * np.max(np.abs(modes))
 
 
 class TestSolve:
@@ -164,7 +171,8 @@ class TestSolve:
         mu, _, _, dc = _slab_coefficients(slab)
         u = slab.state(t)
         du = slab.propagator.modes @ (dc * np.exp(-mu * (t - slab.t0)))
-        residual = space.gram_H @ du + slab.matrix @ u - space.gram_H @ slab.fbar
+        a_u = heat_preset.problem.family.apply(u, slab.propagator.theta)
+        residual = space.gram_H @ du + a_u - space.gram_H @ slab.fbar
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(u))
 
     def test_evaluate_many_matches_pointwise(self, heat_traj_64):
@@ -261,6 +269,9 @@ class TestOracle:
                      as_dense(problem, load=nan_load)):
             with pytest.raises(EvaluationError):
                 oracle_solve(prob, 10)
+            # the slab means are checked as well: no untyped error from the march
+            with pytest.raises(EvaluationError):
+                solve(prob, Subdivision.uniform(prob.horizon, 4))
 
     def test_last_time_is_the_horizon(self):
         # 25 * (2 pi / 25) overshoots 2 pi by an ulp; the scheme is evaluated

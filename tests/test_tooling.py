@@ -1,4 +1,5 @@
 """Repository tooling: the benchmark tracer's names, the results comparer and the rate table."""
+import ast
 import importlib
 import importlib.util
 import os
@@ -54,6 +55,23 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
     assert not missing, f"{name}.__all__ names what it does not define: {missing}"
+
+
+def test_only_forms_knows_the_storage_route():
+    # the family chooses between its bands and its dense terms; no other
+    # module imports the band module or reads a family's band storage
+    readers = set()
+    for path in sorted((REPO / "src" / "evolveq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            imports = (isinstance(node, ast.ImportFrom)
+                       and (node.module == "tridiagonal"
+                            or any(alias.name == "tridiagonal" for alias in node.names)))
+            imports |= (isinstance(node, ast.Import)
+                        and any(alias.name.endswith("tridiagonal") for alias in node.names))
+            reads = isinstance(node, ast.Attribute) and node.attr == "tridiagonal"
+            if imports or reads:
+                readers.add(path.name)
+    assert readers <= {"forms.py"}, sorted(readers - {"forms.py"})
 
 
 def write_tree(root, files):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -284,7 +284,7 @@ class FormFamily:
     The terms are checked once, when the family is built.  `tridiagonal`
     holds their bands when gram_H is diagonal and both terms are
     tridiagonal (a lumped P1 heat family), else None; `pencil`, `apply`,
-    `pair` and `implicit_step` choose between the bands and the dense terms.
+    `pair` and `implicit_steps` choose between the bands and the dense terms.
     """
 
     space: GalerkinSpace
@@ -347,37 +347,64 @@ class FormFamily:
         terms = self.terms
         return tuple(np.einsum("ij,ij->i", left @ a, right) for a in (terms.a0, terms.a1))
 
-    def implicit_step(self, dt: float) -> Callable:
-        """(t, u, f) -> x with (gram_H + dt A(t)) x = gram_H u + f, the
-        implicit-Euler step to t: one O(n) gtsv call on bands formed once, or
-        one dense solve.  A non-finite step raises EvaluationError, a singular
-        one StructureError."""
-        tri, theta = self.tridiagonal, self.terms.theta
-        if tri is None:
-            gram_H = self.space.gram_H
+    def implicit_steps(self, u: np.ndarray, dt: float, times: list[float],
+                       loads: np.ndarray) -> np.ndarray:
+        """The (m, n) states of implicit-Euler steps from u to each of the m
+        `times`, the operator taken at each step's right end: step i solves
+        (gram_H + dt A(t_i)) x = gram_H u + loads[i].
 
-            def step(t: float, u: np.ndarray, f) -> np.ndarray:
-                rhs = gram_H @ u + f
-                if not np.isfinite(rhs).all():
-                    raise EvaluationError(f"oracle right-hand side at t={t} is not finite")
-                try:
-                    return np.linalg.solve(gram_H + dt * self.matrix(t), rhs)
-                except np.linalg.LinAlgError as exc:
-                    raise StructureError("oracle linear solve failed") from exc
-
-            return step
-        h, base, slope = tri.h, dt * tri.a0, dt * tri.a1
-        base[1] += h
-
-        def step(t: float, u: np.ndarray, f) -> np.ndarray:
-            bands, rhs = base + theta(t) * slope, h * u + f
-            if not np.isfinite(bands).all():
+        theta is called once per step.  On bands, the m step matrices
+        h + dt (A0 + theta_i A1) are formed and checked at once, and each
+        step is one O(n) gtsv call (`tridiagonal.march`).  A block with a
+        non-finite band, load or state, or a singular step, is stepped again
+        with each step checked, so that its first failing step raises.  The
+        dense route checks and solves step by step.  A non-finite step
+        raises EvaluationError, a singular one StructureError.
+        """
+        if self.tridiagonal is None:
+            return self._dense_steps(u, dt, times, loads)
+        h = self.tridiagonal.h
+        thetas = np.array([self.terms.theta(t) for t in times])
+        bands = self._step_bands(dt, thetas)
+        if np.isfinite(u).all() and np.isfinite(loads).all() and np.isfinite(bands).all():
+            try:
+                states = tridiagonal.march(h, bands, loads, u)
+                if np.isfinite(states[:-1]).all():
+                    return states
+            except StructureError:
+                pass
+        # gtsv overwrote the bands: form them again for the checked steps
+        bands, states = self._step_bands(dt, thetas), np.empty_like(loads)
+        for i, t in enumerate(times):
+            if not np.isfinite(bands[i]).all():
                 raise EvaluationError(f"oracle step matrix at t={t} has non-finite entries")
+            if not np.isfinite(h * u + loads[i]).all():
+                raise EvaluationError(f"oracle right-hand side at t={t} is not finite")
+            states[i] = u = tridiagonal.march(h, bands[i:i + 1], loads[i:i + 1], u)[0]
+        return states
+
+    def _step_bands(self, dt: float, thetas: np.ndarray) -> np.ndarray:
+        """(m, 3, n) bands of h + dt (A0 + theta_i A1), one per step."""
+        tri = self.tridiagonal
+        base = dt * tri.a0
+        base[1] += tri.h
+        bands = thetas[:, None, None] * (dt * tri.a1)
+        bands += base
+        return bands
+
+    def _dense_steps(self, u: np.ndarray, dt: float, times: list[float],
+                     loads: np.ndarray) -> np.ndarray:
+        gram_H = self.space.gram_H
+        states = np.empty_like(loads)
+        for i, t in enumerate(times):
+            rhs = gram_H @ u + loads[i]
             if not np.isfinite(rhs).all():
                 raise EvaluationError(f"oracle right-hand side at t={t} is not finite")
-            return tridiagonal.solve(bands, rhs)
-
-        return step
+            try:
+                states[i] = u = np.linalg.solve(gram_H + dt * self.matrix(t), rhs)
+            except np.linalg.LinAlgError as exc:
+                raise StructureError("oracle linear solve failed") from exc
+        return states
 
 
 def build_step_form(family: FormFamily, subdivision: Subdivision) -> np.ndarray:

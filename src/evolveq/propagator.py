@@ -6,17 +6,24 @@ load; its solution is the exact variation-of-constants formula
 exp(-tau B) u + tau phi1(-tau B) fbar with B = gram_H^{-1} A_k, evaluated in
 the modes of the symmetric pencil (A_k, gram_H), which `FormFamily.pencil`
 solves.  The load is separable, f(t) = theta_f(t) g, or absent, so its slab
-means are mean(theta_f) gram_H^{-1} g in closed form.  The oracle takes its
-steps from `FormFamily.implicit_step`.  The family chooses the band or the
-dense route for both.
+means are mean(theta_f) gram_H^{-1} g in closed form.
+
+Dense output is one kernel, `_modal_coefficients`: it forms the modal
+coefficients of any (slab, time) pairs at once from the slabs' stacked
+rates and modal data, and each slab only multiplies its pairs by its modes.
+The march, `Trajectory.evaluate_many` and the MR audits' sup-V samples all
+go through it.  The oracle takes its steps in blocks from
+`FormFamily.implicit_steps`.  The family chooses the band or the dense
+route for both the pencils and the oracle steps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .forms import Coefficient, FormFamily, Linear, Subdivision, build_step_form
+from .forms import Coefficient, FormFamily, Subdivision, build_step_form
 from .spaces import GalerkinSpace, StructureError
 
 __all__ = [
@@ -30,14 +37,36 @@ __all__ = [
     "phi1",
 ]
 
+_STEP_BLOCK = 256     # oracle steps formed and checked at once
+
 
 def phi1(z: np.ndarray) -> np.ndarray:
     """phi1(z) = (e^z - 1)/z with the removable singularity filled in."""
     z = np.asarray(z, dtype=float)
-    out = np.ones_like(z)
     nz = np.abs(z) > 1e-300
-    out[nz] = np.expm1(z[nz]) / z[nz]
+    out = np.expm1(z)
+    np.divide(out, z, out=out, where=nz)
+    out[~nz] = 1.0
     return out
+
+
+def _modal_coefficients(rates: np.ndarray, y0: np.ndarray, fhat: np.ndarray,
+                        slab_idx: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """e^{-mu tau} y0 + tau phi1(-mu tau) fhat for slab slab_idx[j] a time
+    taus[j] after its left end: the (n, m) modal coefficients, one column
+    per pair, from the (n, K) rates mu, y0 and fhat of K slabs, one column
+    per slab.  It works in place: at most three (n, m) arrays at a time.
+    """
+    z = rates[:, slab_idx]
+    z *= taus
+    np.negative(z, out=z)
+    drive = phi1(z)
+    coef = np.exp(z, out=z)
+    coef *= y0[:, slab_idx]
+    drive *= taus
+    drive *= fhat[:, slab_idx]
+    coef += drive
+    return coef
 
 
 @dataclass
@@ -65,7 +94,11 @@ class SlabPropagator:
 
 @dataclass
 class SlabSolution:
-    """Exact autonomous solution on one slab, held by its modal coefficients."""
+    """Exact autonomous solution on one slab, held by its modal coefficients.
+
+    `states` evaluates the slab alone through the dense-output kernel; a
+    trajectory evaluates many slabs at once through the same kernel.
+    """
 
     t0: float
     t1: float
@@ -91,10 +124,10 @@ class SlabSolution:
         taus = np.asarray(times, dtype=float) - self.t0
         if np.any(taus < 0) or np.any(taus > self.length * (1 + 1e-12)):
             raise ValueError(f"times outside the slab [{self.t0}, {self.t1}]")
-        rates = self.propagator.rates
-        decay = np.exp(-np.outer(rates, taus))
-        drive = taus[None, :] * phi1(-np.outer(rates, taus)) * self.fhat[:, None]
-        return self.propagator.modes @ (decay * self.y0[:, None] + drive)
+        prop = self.propagator
+        return prop.modes @ _modal_coefficients(
+            prop.rates[:, None], self.y0[:, None], self.fhat[:, None],
+            np.zeros(taus.size, dtype=int), taus)
 
 
 @dataclass
@@ -134,15 +167,38 @@ class Trajectory:
     def space(self) -> GalerkinSpace:
         return self._require_slabs()[0].propagator.family.space
 
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, ...]:
+        """Slab left ends and lengths, and the (dim, n_slabs) rates, y0 and
+        fhat, one column per slab."""
+        pts = self.subdivision.points
+        columns = zip(*((s.propagator.rates, s.y0, s.fhat) for s in self._require_slabs()))
+        return (pts[:-1], np.diff(pts), *map(np.column_stack, columns))
+
     def evaluate_many(self, times: np.ndarray) -> np.ndarray:
-        """Exact within-slab evaluation, vectorized slab by slab."""
+        """Exact within-slab evaluation at any times in [0, T], each in the
+        slab that `Subdivision.slab_index` finds for it."""
+        self._require_slabs()
+        return self.evaluate_in_slabs(self.subdivision.slab_index(times), times)
+
+    def evaluate_in_slabs(self, slab_idx: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """The (dim, m) states of slab slab_idx[j] at times[j].
+
+        One `_modal_coefficients` call serves every time; per slab, only the
+        product with its modes is left.  A time outside its slab raises
+        ValueError.
+        """
         slabs = self._require_slabs()
-        times = np.asarray(times, dtype=float)
-        out = np.empty((self.states.shape[0], times.size))
-        idx = self.subdivision.slab_index(times)
-        for k in np.unique(idx):
-            sel = idx == k
-            out[:, sel] = slabs[k].states(times[sel])
+        t0, lengths, rates, y0, fhat = self._stacked
+        slab_idx, times = np.asarray(slab_idx), np.asarray(times, dtype=float)
+        taus = times - t0[slab_idx]
+        if np.any(taus < 0) or np.any(taus > lengths[slab_idx] * (1 + 1e-12)):
+            raise ValueError("times outside their slabs")
+        coef = _modal_coefficients(rates, y0, fhat, slab_idx, taus)
+        out = np.empty(coef.shape)
+        for k in np.unique(slab_idx):
+            sel = slab_idx == k
+            out[:, sel] = slabs[k].propagator.modes @ coef[:, sel]
         return out
 
 
@@ -234,14 +290,16 @@ def oracle_solve(problem: ProblemData, n_steps: int,
                  output_grid: np.ndarray | None = None) -> Trajectory:
     """Implicit-Euler reference with the operator taken at step right endpoints.
 
-    Independent of the exponential machinery: each step solves
-    (gram_H + dt A(t)) u_new = gram_H u + theta_f(t) dt g by
-    `FormFamily.implicit_step`, one O(n) gtsv call on bands or one dense
-    solve.
+    Independent of the exponential machinery: step i solves
+    (gram_H + dt A(t_i)) u_new = gram_H u + theta_f(t_i) dt g.  The steps
+    go in blocks of _STEP_BLOCK through `FormFamily.implicit_steps`, one
+    O(n) gtsv call per step on bands or one dense solve; each block's load
+    rows are formed at once, and memory stays O(_STEP_BLOCK n).  The
+    output grid is rounded to step indices.
     """
     if n_steps < 1:
         raise ValueError("oracle needs at least one step")
-    family = problem.family
+    family, load = problem.family, problem.load
     horizon = family.horizon
     dt = horizon / n_steps
     if output_grid is None:
@@ -249,20 +307,21 @@ def oracle_solve(problem: ProblemData, n_steps: int,
     else:
         keep = np.unique(np.clip(np.rint(np.asarray(output_grid) / dt).astype(int),
                                  0, n_steps))
-    keep_set = set(keep.tolist())
-    step = family.implicit_step(dt)
-    load = problem.load
-    theta_f, g = (Linear(0.0), 0.0) if load is None else (load.theta, dt * load.pairing)
+    g = None if load is None else dt * load.pairing
 
     u = problem.u0.copy()
-    times, states = [], []
-    if 0 in keep_set:
-        times.append(0.0)
-        states.append(u.copy())
-    for i in range(1, n_steps + 1):
-        t = min(i * dt, horizon)          # i * dt may overshoot T by an ulp
-        u = step(t, u, theta_f(t) * g)
-        if i in keep_set:
-            times.append(t)
-            states.append(u.copy())
-    return Trajectory(np.array(times), np.column_stack(states))
+    times, states = ([0.0], [u[None, :]]) if 0 in keep else ([], [])
+    for first in range(1, n_steps + 1, _STEP_BLOCK):
+        stop = min(first + _STEP_BLOCK, n_steps + 1)
+        # i * dt may overshoot T by an ulp
+        step_times = np.minimum(np.arange(first, stop) * dt, horizon).tolist()
+        if g is None:
+            loads = np.zeros((stop - first, u.size))
+        else:
+            loads = np.array([load.theta(t) for t in step_times])[:, None] * g
+        block = family.implicit_steps(u, dt, step_times, loads)
+        u = block[-1]
+        rows = keep[(keep >= first) & (keep < stop)] - first
+        times += [step_times[r] for r in rows]
+        states.append(block[rows])
+    return Trajectory(np.array(times), np.concatenate(states).T.copy())

@@ -80,8 +80,9 @@ class GalerkinSpace:
         return float(np.linalg.norm(w))
 
     def v_norms(self, states: np.ndarray) -> np.ndarray:
-        """Column-wise V-norms of a (dim, m) array of coefficient vectors."""
-        return np.linalg.norm(self._chol_V.T @ states, axis=0)
+        """Column-wise V-norms of a (dim, m) array of coefficient vectors, or
+        of a (k, dim, m) stack of them, one matrix product per (dim, m) block."""
+        return np.linalg.norm(self._chol_V.T @ states, axis=-2)
 
     def h_norms(self, states: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self._chol_H.T @ states, axis=0)

@@ -13,7 +13,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .spaces import StructureError
 
-__all__ = ["bands", "matvec", "pair_rows", "solve", "pencil_eigh"]
+__all__ = ["bands", "matvec", "pair_rows", "march", "pencil_eigh"]
 
 
 def bands(a: np.ndarray) -> np.ndarray | None:
@@ -45,20 +45,30 @@ def pair_rows(b: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
             + np.einsum("ij,ij,j->i", left[:, 1:], right[:, :-1], b[2, :-1]))
 
 
-def solve(b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One LAPACK gtsv call; a singular matrix raises StructureError.
+def march(h: np.ndarray, bands: np.ndarray, loads: np.ndarray,
+          u: np.ndarray) -> np.ndarray:
+    """The (m, n) chain x_i with B_i x_i = h x_{i-1} + loads_i, x_{-1} = u,
+    for the (m, 3, n) bands of B_i: one LAPACK gtsv call per step.
 
-    Both arguments are scratch that gtsv overwrites.  At dim 1 the wrapper
-    refuses the empty off-diagonals, so the pivot divides instead.
+    The bands are scratch that gtsv overwrites, and each right-hand side is
+    formed in its row of the result, where gtsv solves in place.  At dim 1
+    the wrapper refuses the empty off-diagonals, so the pivot divides
+    instead.  A singular step raises StructureError.
     """
-    if rhs.size == 1:
-        pivot = b[1, 0]
-        x, info = (rhs / pivot, 0) if pivot != 0.0 else (rhs, 1)
-    else:
-        _, _, _, x, info = dgtsv(b[2, :-1], b[1], b[0, 1:], rhs, True, True, True, True)
-    if info != 0:
-        raise StructureError(f"tridiagonal solve failed (gtsv info {info})")
-    return x
+    states = np.empty_like(loads)
+    if u.size == 1:
+        for pivot, load, x in zip(bands[:, 1, 0], loads, states):
+            if pivot == 0.0:
+                raise StructureError("tridiagonal solve failed (gtsv info 1)")
+            x[:] = u = (h * u + load) / pivot
+        return states
+    for sub, diag, sup, load, x in zip(bands[:, 2, :-1], bands[:, 1], bands[:, 0, 1:],
+                                       loads, states):
+        np.add(np.multiply(h, u, out=x), load, out=x)
+        _, _, _, u, info = dgtsv(sub, diag, sup, x, True, True, True, True)
+        if info != 0:
+            raise StructureError(f"tridiagonal solve failed (gtsv info {info})")
+    return states
 
 
 def pencil_eigh(b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,17 +2,18 @@ import copy
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from evolveq.convergence import (oracle_reference, oracle_suph_gap, refine,
                                  solve_ladder)
 from evolveq.fem import consistent_mass, heat_terms, stiffness, uniform_nodes
 from evolveq.forms import (AffineTerms, FormConstants, FormFamily, Harmonic,
-                           Subdivision, coercivity_lower_bound,
+                           Linear, Subdivision, coercivity_lower_bound,
                            dual_operator_norm, estimate_constants, gauss_nodes)
 from evolveq.invariance import CriterionReport
 from evolveq.mr import _eint, _slab_coefficients
 from evolveq.presets import get_preset, resolved_constants
-from evolveq.propagator import ProblemData, solve
+from evolveq.propagator import ProblemData, Trajectory, solve
 from evolveq.spaces import GalerkinSpace
 
 
@@ -202,6 +203,87 @@ def reference_telescoping(traj, lipschitz):
         gap = abs(float(v @ (mats[k] - mats[k + 1]) @ v))
         worst = max(worst, gap - lipschitz * (pts[k + 1] - pts[k]) * traj.space.v_norm(v) ** 2)
     return worst
+
+
+def reference_oracle(problem, n_steps, output_grid=None):
+    """The implicit-Euler oracle one step at a time, each step a closure call
+    that forms its own matrix: the reference for the block-formed steps.
+
+    On bands each step is one gtsv call (a pivot division at dim 1), else one
+    dense solve.  It checks nothing: the failure tests cover that.
+    """
+    family = problem.family
+    horizon, load, tri = family.horizon, problem.load, family.tridiagonal
+    dt = horizon / n_steps
+    if output_grid is None:
+        keep = set(range(n_steps + 1))
+    else:
+        keep = set(np.clip(np.rint(np.asarray(output_grid) / dt).astype(int),
+                           0, n_steps).tolist())
+    theta_f, g = (Linear(0.0), 0.0) if load is None else (load.theta, dt * load.pairing)
+    if tri is None:
+        gram_H = family.space.gram_H
+
+        def step(t, u, f):
+            return np.linalg.solve(gram_H + dt * family.matrix(t), gram_H @ u + f)
+    else:
+        h, base, slope = tri.h, dt * tri.a0, dt * tri.a1
+        base[1] += h
+
+        def step(t, u, f):
+            bands, rhs = base + family.terms.theta(t) * slope, h * u + f
+            if rhs.size == 1:
+                return rhs / bands[1, 0]
+            return dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs)[3]
+
+    u = problem.u0.copy()
+    times, states = [], []
+    for i in range(n_steps + 1):
+        t = min(i * dt, horizon)
+        if i > 0:
+            u = step(t, u, theta_f(t) * g)
+        if i in keep:
+            times.append(t)
+            states.append(u.copy())
+    return Trajectory(np.array(times), np.column_stack(states))
+
+
+def reference_phi1(z):
+    """phi1(z) = (e^z - 1)/z on the entries away from 0, 1 on the others."""
+    out = np.ones_like(z)
+    nz = np.abs(z) > 1e-300
+    out[nz] = np.expm1(z[nz]) / z[nz]
+    return out
+
+
+def reference_slab_states(slab, times):
+    """A slab's closed form at absolute times, by its own outer products of
+    rates and times: the reference for the dense-output kernel."""
+    taus = np.asarray(times, dtype=float) - slab.t0
+    rates = slab.propagator.rates
+    decay = np.exp(-np.outer(rates, taus))
+    drive = taus[None, :] * reference_phi1(-np.outer(rates, taus)) * slab.fhat[:, None]
+    return slab.propagator.modes @ (decay * slab.y0[:, None] + drive)
+
+
+def reference_evaluate_many(traj, times):
+    """`Trajectory.evaluate_many` slab by slab, each slab's times through
+    `reference_slab_states`."""
+    times = np.asarray(times, dtype=float)
+    idx = traj.subdivision.slab_index(times)
+    out = np.empty((traj.states.shape[0], times.size))
+    for k in np.unique(idx):
+        out[:, idx == k] = reference_slab_states(traj.slabs[k], times[idx == k])
+    return out
+
+
+def reference_sup_v(traj, samples=17):
+    """Per slab, the largest ||u||_V at `samples` uniform times across it,
+    both ends included, one slab and one v_norms call at a time."""
+    return tuple(
+        float(np.max(traj.space.v_norms(reference_slab_states(
+            slab, slab.t0 + np.linspace(0.0, slab.length, samples)))))
+        for slab in traj.slabs)
 
 
 def oracle_gap(problem, subdivision, n_steps, relative=False):

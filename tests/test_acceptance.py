@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from conftest import oracle_gap
 from evolveq.convergence import solve_ladder, trajectory_l2v_diff

@@ -1,8 +1,6 @@
 import inspect
-import os
 import sys
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +8,11 @@ import scipy.linalg as sla
 
 from evolveq import cli, fem
 from evolveq.cli import (ConfigError, ExperimentConfig, build_parser,
-                         list_presets, main, run, write_csv)
-from evolveq.forms import (AffineTerms, FormFamily, Linear, coercivity_lower_bound,
-                           estimate_constants)
+                         list_presets, main, write_csv)
+from evolveq.forms import (AffineTerms, FormFamily, Harmonic, Linear,
+                           coercivity_lower_bound, estimate_constants)
 from evolveq.invariance import check_criterion_symmetric, sample_pool
-from evolveq.mr import _slab_coefficients
+from evolveq.mr import _slab_coefficients, mr_norms
 from evolveq.presets import get_preset
 from evolveq.propagator import (ProblemData, SlabPropagator, SlabSolution,
                                 oracle_solve, solve)
@@ -262,7 +260,10 @@ class TestMain:
                    inspect.unwrap(np.linalg.solve): oracle_solve,
                    inspect.unwrap(sla.eigh): SlabPropagator.build.__func__,
                    coercivity_lower_bound: check_criterion_symmetric,
-                   AffineTerms.at: solve})
+                   AffineTerms.at: solve,
+                   GalerkinSpace.v_norms: mr_norms,
+                   Linear.__call__: oracle_solve,
+                   Harmonic.__call__: oracle_solve})
         assert status == 0
         # one solve per ladder point, shared by solve, converge and invariance
         assert counts["SlabPropagator.build"] == sum(config.slab_counts)
@@ -273,6 +274,8 @@ class TestMain:
         # per slab, one closed-form pass in mr_norms; the identity and
         # estimate audits read what it reports
         assert counts["_slab_coefficients"] == sum(config.slab_counts)
+        # the sup-V samples of all slabs take one norm call per trajectory
+        assert counts["GalerkinSpace.v_norms in mr_norms"] == len(config.slab_counts)
         # one sample pool, read by both invariance criteria; the symmetric
         # one reads alpha from the constants instead of solving for it again
         assert counts["sample_pool"] == 1
@@ -283,6 +286,11 @@ class TestMain:
         # lumped mass and tridiagonal terms (1 x 1 for the scalar preset): the
         # oracle steps through gtsv and the slabs are tridiagonal eigensolves
         assert counts["solve in oracle_solve"] == 0
+        # each oracle step calls the form coefficient once, and the load
+        # coefficient once when there is a load
+        per_step = 1 if config.load_name == "none" else 2
+        assert (counts["Linear.__call__ in oracle_solve"]
+                + counts["Harmonic.__call__ in oracle_solve"]) == per_step * config.oracle_steps
         assert counts["eigh in SlabPropagator.build"] == 0
         # each slab is its coefficient mean: the band route forms no dense A_k
         assert counts["AffineTerms.at in solve"] == 0

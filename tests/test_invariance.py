@@ -7,9 +7,8 @@ from conftest import (dense_family, pointwise_criterion,
                       pointwise_criterion_symmetric)
 from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
                            Linear, Subdivision, estimate_constants)
-from evolveq.invariance import (ConvexSet, SamplePool, ToleranceError,
-                                audit_trajectory, check_criterion,
-                                check_criterion_symmetric,
+from evolveq.invariance import (ConvexSet, SamplePool, audit_trajectory,
+                                check_criterion, check_criterion_symmetric,
                                 offdiagonal_sign_certificate, sample_pool)
 from evolveq.presets import convex_set_for, get_preset
 from evolveq.propagator import solve

@@ -1,17 +1,20 @@
+import re
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import consistent_mass_problem, dense_family
+from conftest import (consistent_mass_problem, dense_family, reference_evaluate_many,
+                      reference_oracle, reference_slab_states, reference_sup_v)
 from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
                            Linear, Subdivision)
 from evolveq.presets import get_preset
-from evolveq.mr import _slab_coefficients
-from evolveq.propagator import (ProblemData, SeparableLoad, SlabPropagator,
-                                SlabSolution, Trajectory, oracle_solve, phi1,
-                                solve)
+from evolveq.mr import _slab_coefficients, mr_norms
+from evolveq.propagator import (_STEP_BLOCK, ProblemData, SeparableLoad,
+                                SlabPropagator, SlabSolution, Trajectory,
+                                oracle_solve, phi1, solve)
 from evolveq.spaces import GalerkinSpace, StructureError
 
 
@@ -31,6 +34,48 @@ def as_dense(problem, load=None):
 
 def rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@dataclass(frozen=True)
+class Spiked(Linear):
+    """theta = c0, except at the step times listed with their values."""
+    spikes: tuple = ()
+
+    def __call__(self, t):
+        return dict(self.spikes).get(t, self.c0)
+
+
+@dataclass(frozen=True)
+class Counted(Harmonic):
+    """A harmonic coefficient that records the times it is called at."""
+    calls: list = field(default_factory=list, compare=False)
+
+    def __call__(self, t):
+        self.calls.append(t)
+        return super().__call__(t)
+
+
+def step_time(horizon, n_steps, i):
+    """The oracle's time of step i."""
+    return min(i * (horizon / n_steps), horizon)
+
+
+def with_theta(problem, theta):
+    """The problem with its form coefficient replaced, on the same route."""
+    family = problem.family
+    other = FormFamily(family.space, AffineTerms(family.terms.a0, family.terms.a1, theta),
+                       family.horizon, symmetric=True)
+    if family.tridiagonal is None:
+        other = dense_family(other)
+    return ProblemData(other, problem.u0, problem.load)
+
+
+def oracle_routes():
+    """A problem on each oracle route, each with a load: bands at dim 9,
+    the pivot division at dim 1 and the dense solve."""
+    heat = get_preset("heat-1d-lipschitz", n_cells=8).problem
+    scalar = get_preset("scalar-decay", load="forcing").problem
+    return {"bands": heat, "dim1": scalar, "dense": as_dense(heat)}
 
 
 class TestPhi1:
@@ -175,6 +220,46 @@ class TestSolve:
         residual = space.gram_H @ du + a_u - space.gram_H @ slab.fbar
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(u))
 
+    def test_evaluate_many_is_the_per_slab_closed_form(self, heat_traj_64):
+        # unsorted and repeated times, breakpoints and t = T, bit for bit
+        pts = heat_traj_64.subdivision.points
+        rng = np.random.default_rng(7)
+        times = np.concatenate([[0.73, 0.11, 0.73, 1.0, 0.0, 0.11], pts[::-5],
+                                rng.uniform(0.0, 1.0, 50)])
+        np.testing.assert_array_equal(heat_traj_64.evaluate_many(times),
+                                      reference_evaluate_many(heat_traj_64, times))
+        slab = heat_traj_64.slabs[5]
+        taus = slab.t0 + np.array([0.0, 0.3, 1.0]) * slab.length
+        np.testing.assert_array_equal(slab.states(taus), reference_slab_states(slab, taus))
+
+    def test_evaluate_many_at_dim_1_empty_and_outside(self):
+        traj = solve(scalar_problem(2.0, 1.0, a1=1.0, theta=Harmonic(b=1.0),
+                                    load=SeparableLoad(Linear(1.0), np.array([0.5]))),
+                     Subdivision.uniform(1.0, 8))
+        times = np.array([1.0, 0.5, 0.0, 0.3, 0.5, 0.125])
+        np.testing.assert_array_equal(traj.evaluate_many(times),
+                                      reference_evaluate_many(traj, times))
+        assert traj.evaluate_many(np.array([])).shape == (1, 0)
+        for t in (-1e-12, 1.0 + 1e-12):
+            with pytest.raises(ValueError):
+                traj.evaluate_many(np.array([0.5, t]))
+
+    def test_right_ends_stay_in_their_slabs(self, heat_traj_64):
+        # addressed by slab index, the right end of slab k is slab k's state
+        # there, the one the march handed on; slab_index would take slab k + 1
+        pts = heat_traj_64.subdivision.points
+        idx = np.arange(pts.size - 1)
+        np.testing.assert_array_equal(heat_traj_64.evaluate_in_slabs(idx, pts[1:]),
+                                      heat_traj_64.states[:, 1:])
+        with pytest.raises(ValueError):
+            heat_traj_64.evaluate_in_slabs(idx[:1], pts[2:3])
+
+    @pytest.mark.parametrize("n_cells", [16, 80])
+    def test_sup_v_samples_match_per_slab_sampling(self, n_cells):
+        problem = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem
+        traj = solve(problem, Subdivision.uniform(problem.horizon, 32))
+        assert mr_norms(traj).supV_slabs == reference_sup_v(traj)
+
     def test_evaluate_many_matches_pointwise(self, heat_traj_64):
         times = np.array([0.0, 0.11, 0.5, 0.73, 1.0])
         many = heat_traj_64.evaluate_many(times)
@@ -283,6 +368,109 @@ class TestOracle:
         assert oracle.grid[-1] == problem.horizon
         traj = solve(problem, Subdivision.uniform(problem.horizon, 8))
         assert np.all(np.isfinite(traj.evaluate_many(oracle.grid)))
+
+    @pytest.mark.parametrize("route", ["heat16", "heat64", "scalar-decay", "consistent-mass"])
+    def test_block_steps_are_the_step_by_step_oracle(self, route):
+        # bit for bit, across block boundaries, on every grid; with and
+        # without a load on the bands
+        if route == "consistent-mass":
+            problem = consistent_mass_problem(16)
+            load = SeparableLoad(Harmonic(c=1.0, a=1.0, omega=2.0),
+                                 problem.family.space.gram_H @ problem.u0)
+            problem = ProblemData(problem.family, problem.u0, load)
+        else:
+            name, n_cells, load = {"heat16": ("heat-1d-lipschitz", 16, "none"),
+                                   "heat64": ("heat-1d-lipschitz", 64, None),
+                                   "scalar-decay": ("scalar-decay", None, "forcing")}[route]
+            problem = get_preset(name, n_cells=n_cells, load=load).problem
+        assert (problem.family.tridiagonal is None) == (route == "consistent-mass")
+        n_steps = 2 * _STEP_BLOCK + 37
+        for grid in (None, np.linspace(0.0, problem.horizon, 41), np.array([0.5])):
+            got = oracle_solve(problem, n_steps, output_grid=grid)
+            ref = reference_oracle(problem, n_steps, output_grid=grid)
+            np.testing.assert_array_equal(got.grid, ref.grid)
+            np.testing.assert_array_equal(got.states, ref.states)
+
+    @pytest.mark.parametrize("route", ["bands", "dim1", "dense"])
+    def test_coefficients_called_once_per_step(self, route):
+        problem = oracle_routes()[route]
+        theta, theta_f = Counted(b=1.0), Counted(c=1.0, a=1.0, omega=2.0)
+        problem = ProblemData(with_theta(problem, theta).family, problem.u0,
+                              SeparableLoad(theta_f, problem.load.pairing))
+        n_steps = _STEP_BLOCK + 3
+        oracle_solve(problem, n_steps)
+        times = [step_time(problem.horizon, n_steps, i) for i in range(1, n_steps + 1)]
+        for coefficient in (theta, theta_f):
+            assert coefficient.calls == times
+            assert all(type(t) is float for t in coefficient.calls)
+
+    @pytest.mark.parametrize("route", ["bands", "dim1"])
+    def test_nan_theta_past_the_first_block_names_its_step(self, route):
+        problem = oracle_routes()[route]
+        n_steps = 2 * _STEP_BLOCK
+        t = step_time(problem.horizon, n_steps, _STEP_BLOCK + 5)
+        bad = with_theta(problem, Spiked(0.0, spikes=((t, np.nan),)))
+        with pytest.raises(EvaluationError,
+                           match=re.escape(f"oracle step matrix at t={t} has")):
+            oracle_solve(bad, n_steps)
+        # the dense route forms the step matrix by `AffineTerms.at`
+        with pytest.raises(EvaluationError, match="form matrix at theta=nan"):
+            oracle_solve(as_dense(bad), n_steps)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_the_first_failing_step_decides(self, dim):
+        # a singular step 300 and a NaN theta at step 310, in the same block:
+        # (1 + dt theta) vanishes at theta = -1/dt, exactly, for dt = 2^-9
+        n_steps = 512
+        space = GalerkinSpace(np.eye(dim), np.eye(dim))
+        singular, nan = (step_time(1.0, n_steps, i) for i in (300, 310))
+        assert (300 - 1) // _STEP_BLOCK == (310 - 1) // _STEP_BLOCK
+        theta = Spiked(0.0, spikes=((singular, -float(n_steps)), (nan, np.nan)))
+        family = FormFamily(space, AffineTerms(np.zeros((dim, dim)), np.eye(dim), theta),
+                            1.0, symmetric=True)
+        problem = ProblemData(family, np.ones(dim))
+        for prob in (problem, as_dense(problem)):
+            with pytest.raises(StructureError):
+                oracle_solve(prob, n_steps)
+        # without the singular step, the NaN step raises
+        late = with_theta(problem, Spiked(0.0, spikes=((nan, np.nan),)))
+        with pytest.raises(EvaluationError, match=re.escape(f"at t={nan} ")):
+            oracle_solve(late, n_steps)
+
+    @pytest.mark.parametrize("n_steps, last_finite, singular", [
+        (_STEP_BLOCK + 1, _STEP_BLOCK - 1, None), (512, 99, None), (512, 99, 120)],
+        ids=["alone_after_block_end", "mid_block", "before_singular"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_overflow_raises_at_the_next_step(self, dim, n_steps, last_finite, singular):
+        # (1 - dt 256) = 1/2 doubles u each step, exactly, for dt = 2^-9, so u
+        # is inf from step last_finite + 1, and the right-hand side of the
+        # step after is not finite: in a block of its own after a block end,
+        # within a block, and before a later singular step (theta = -256) in
+        # the same block
+        horizon = n_steps / 512.0
+        space = GalerkinSpace(np.eye(dim), np.eye(dim))
+        theta = Linear(0.0) if singular is None else Spiked(
+            0.0, spikes=((step_time(horizon, n_steps, singular), -256.0),))
+        family = FormFamily(space, AffineTerms(-256.0 * np.eye(dim), np.eye(dim), theta),
+                            horizon, symmetric=True)
+        problem = ProblemData(family, np.full(dim, 1e308 * 2.0 ** -last_finite))
+        t = step_time(horizon, n_steps, last_finite + 2)
+        for prob in (problem, as_dense(problem)):
+            with np.errstate(over="ignore"), pytest.raises(
+                    EvaluationError, match=re.escape(f"oracle right-hand side at t={t} is")):
+                oracle_solve(prob, n_steps)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("route", ["bands", "dim1", "dense"])
+    def test_nonfinite_late_load_names_its_step(self, route, value):
+        problem = oracle_routes()[route]
+        n_steps = 2 * _STEP_BLOCK + 10
+        t = step_time(problem.horizon, n_steps, n_steps - 3)
+        load = SeparableLoad(Spiked(1.0, spikes=((t, value),)), problem.load.pairing)
+        # inf times the pairing's zero entries is nan: no warning for that
+        with np.errstate(invalid="ignore"), pytest.raises(
+                EvaluationError, match=re.escape(f"oracle right-hand side at t={t} is")):
+            oracle_solve(ProblemData(problem.family, problem.u0, load), n_steps)
 
     def test_output_grid_subsampling(self):
         problem = scalar_problem(1.0, 1.0)

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -42,6 +43,19 @@ def test_traced_entry_resolves(mod, path):
             assert callable(raw)
     else:
         assert callable(getattr(module, path))
+
+
+@pytest.mark.parametrize("mod, func, position, name", [
+    ("propagator", "solve", 1, "subdivision"),
+    ("propagator", "oracle_solve", 1, "n_steps"),
+    ("cli", "write_csv", 0, "path"),
+])
+def test_traced_arguments_keep_their_positions(mod, func, position, name):
+    # the tracer reads these arguments by position when they are passed so;
+    # a moved one would count the wrong thing without an error
+    params = list(inspect.signature(
+        getattr(importlib.import_module(f"evolveq.{mod}"), func)).parameters)
+    assert params[position] == name, params
 
 
 # every module but __main__, which runs the CLI when it is imported

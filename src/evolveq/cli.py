@@ -31,6 +31,7 @@ PRODUCT_TOL = 1e-8
 MARGIN_TOL = 1e-10
 CRITERION_TOL = 1e-12
 VIOLATION_TOL = 1e-10
+_METRIC = "lumped"       # the only H-metric: every preset's space lumps its mass
 
 _EXPERIMENT_KEYS = {"preset", "n_cells", "horizon", "slab_counts", "seed",
                     "omega", "oracle_steps", "threads"}
@@ -44,7 +45,7 @@ class ConfigError(ValueError):
 
 # Typed errors by exit code: numerical ones 2, usage ones 1.
 _NUMERICAL_ERRORS = (StructureError, EvaluationError, mr.ContractError,
-                     inv.ToleranceError, FloatingPointError)
+                     FloatingPointError)
 _USAGE_ERRORS = (ConfigError, KeyError)
 
 
@@ -61,7 +62,6 @@ class ExperimentConfig:
     load_name: str | None = None
     load_amplitude: float = 1.0
     set_kind: str = "box"
-    set_metric: str = "lumped"
     set_params: dict = field(default_factory=dict)
     out_dir: Path = Path(".")
 
@@ -104,7 +104,10 @@ class ExperimentConfig:
         if parser.has_section("convex_set"):
             sec = parser["convex_set"]
             cfg.set_kind = sec.get("kind", "box")
-            cfg.set_metric = sec.get("metric", "lumped")
+            if sec.get("metric", _METRIC) != _METRIC:
+                raise ConfigError(f"convex_set metric {sec['metric']!r}: every preset's "
+                                  f"H-metric is the lumped mass, so only {_METRIC} "
+                                  "is accepted")
             for key in ("lower", "upper", "radius"):
                 if key in sec:
                     cfg.set_params[key] = sec.getfloat(key)
@@ -114,6 +117,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.slab_counts is not None:
             _check_ladder(self.slab_counts, min_points=1)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.horizon is not None and not 0 < self.horizon < np.inf:
@@ -128,10 +133,10 @@ class ExperimentConfig:
             raise ConfigError("oracle_steps must be >= 1")
         if self.set_kind not in ("box", "ball"):
             raise ConfigError(f"convex_set kind {self.set_kind!r} is not box or ball")
-        if self.set_metric not in ("lumped", "consistent"):
-            raise ConfigError(f"convex_set metric {self.set_metric!r} is not "
-                              "lumped or consistent")
         params = self.set_params
+        other_keys = {"box": ("radius",), "ball": ("lower", "upper")}[self.set_kind]
+        if any(key in params for key in other_keys):
+            raise ConfigError(f"a {self.set_kind} takes no {' or '.join(other_keys)}")
         if self.set_kind == "ball" and not params.get("radius", 0.0) > 0:
             raise ConfigError("a ball needs a radius > 0")
         # with convex_set_for's box defaults: lower = 0, no upper bound
@@ -271,8 +276,7 @@ def _run_invariance(prep: _Prepared, ladder: list[Trajectory], out: Path,
                     lines: list[str]) -> int:
     problem, config = prep.problem, prep.config
     family = problem.family
-    cset = convex_set_for(prep.preset, kind=config.set_kind,
-                          metric=config.set_metric, **config.set_params)
+    cset = convex_set_for(prep.preset, kind=config.set_kind, **config.set_params)
     pool = inv.sample_pool(np.random.default_rng(config.seed), cset, 10_000)
     crit = inv.check_criterion(family, pool, load=problem.load)
     try:
@@ -288,7 +292,7 @@ def _run_invariance(prep: _Prepared, ladder: list[Trajectory], out: Path,
     write_csv(out / "invariance.csv",
               ["preset", "set_kind", "metric", "criterion_margin",
                "symmetric_margin", "worst_violation", "witness_t", "witness_norm"],
-              [[prep.preset.name, config.set_kind, config.set_metric, crit.margin,
+              [[prep.preset.name, config.set_kind, _METRIC, crit.margin,
                 sym_margin, worst, witness_t,
                 float(np.linalg.norm(crit.witness))]])
     lines.append(f"criterion margin {crit.margin:.3e}, worst violation {worst:.3e}")

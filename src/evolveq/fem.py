@@ -41,7 +41,8 @@ def consistent_mass(n_cells: int) -> np.ndarray:
 
 
 def lumped_mass(n_cells: int) -> np.ndarray:
-    return np.diag(consistent_mass(n_cells).sum(axis=1))
+    """The diagonal of the lumped mass: the row sums of the consistent one."""
+    return consistent_mass(n_cells).sum(axis=1)
 
 
 def stiffness(n_cells: int, cell_integrals: np.ndarray | None = None) -> np.ndarray:
@@ -74,9 +75,9 @@ def robin_space(n_cells: int) -> GalerkinSpace:
     Lumping the H-metric makes nodewise clamping the exact H-projection
     onto box sets, and keeps the heat semigroup positivity-preserving.
     """
-    gram_h = lumped_mass(n_cells)
-    gram_v = stiffness(n_cells) + gram_h
-    return GalerkinSpace(gram_h, gram_v, labels=uniform_nodes(n_cells))
+    h = lumped_mass(n_cells)
+    gram_v = stiffness(n_cells) + np.diag(h)
+    return GalerkinSpace(h, gram_v, labels=uniform_nodes(n_cells))
 
 
 def heat_matrix(n_cells: int, t: float) -> np.ndarray:

@@ -5,9 +5,9 @@ coefficient theta, and a(t; u, v) = u^T A(t) v.  Slab averaging replaces
 the family on each interval of a subdivision by its integral mean,
 A0 + mean(theta) A1, one scalar per slab, and the constants M, alpha and L
 are exact: they are read at the ends of theta's range and from the largest
-|theta'|.  Only the family knows how its terms are stored: tridiagonal terms
-over a diagonal gram_H are also kept as bands, and its pencils, products,
-pool pairings and oracle steps then cost O(n).
+|theta'|.  The terms must be tridiagonal, and the H-metric is the space's
+lumped mass: only the family knows that it keeps its terms as bands, and
+its pencils, products, pool pairings and oracle steps cost O(n).
 """
 from __future__ import annotations
 
@@ -265,9 +265,8 @@ class AffineTerms:
 
 
 class TridiagonalTerms(NamedTuple):
-    """Band storage of affine terms over a diagonal gram_H."""
+    """Band storage of the affine terms."""
 
-    h: np.ndarray         # the diagonal of gram_H
     a0: np.ndarray        # bands of A0, as `tridiagonal.bands`
     a1: np.ndarray        # bands of A1
 
@@ -281,26 +280,26 @@ class FormFamily:
     """t -> A(t) = A0 + theta(t) A1 on a Galerkin space, with horizon and
     declared structure.
 
-    The terms are checked once, when the family is built.  `tridiagonal`
-    holds their bands when gram_H is diagonal and both terms are
-    tridiagonal (a lumped P1 heat family), else None; `pencil`, `apply`,
-    `pair` and `implicit_steps` choose between the bands and the dense terms.
+    The terms are checked once, when the family is built, and `tridiagonal`
+    holds their bands; terms with entries off the three bands raise
+    StructureError.  `pencil`, `apply`, `pair` and `implicit_steps` work
+    on the bands.
     """
 
     space: GalerkinSpace
     terms: AffineTerms
     horizon: float
     symmetric: bool = False
-    tridiagonal: TridiagonalTerms | None = field(default=None, init=False, repr=False)
+    tridiagonal: TridiagonalTerms = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.terms = replace(self.terms,
                              a0=self._checked(self.terms.a0, "affine term a0"),
                              a1=self._checked(self.terms.a1, "affine term a1"))
-        h = self.space.h_diagonal
         b0, b1 = (tridiagonal.bands(a) for a in (self.terms.a0, self.terms.a1))
-        if h is not None and b0 is not None and b1 is not None:
-            self.tridiagonal = TridiagonalTerms(h, b0, b1)
+        if b0 is None or b1 is None:
+            raise StructureError("form terms must be tridiagonal")
+        self.tridiagonal = TridiagonalTerms(b0, b1)
 
     def _checked(self, a, what: str) -> np.ndarray:
         a = np.asarray(a, dtype=float)
@@ -317,53 +316,42 @@ class FormFamily:
         return self.terms.at(self.terms.theta(t))
 
     def pencil(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """Rates and gram_H-orthonormal modes of the pencil (sym(A0 + s A1),
-        gram_H): from the bands by `tridiagonal.pencil_eigh`, else by a dense
-        generalized eigensolve.  A failed solve raises StructureError."""
+        """Rates and diag(h)-orthonormal modes of the pencil (sym(A0 + s A1),
+        diag(h)), by `tridiagonal.pencil_eigh`.  A failed solve raises
+        StructureError."""
         try:
-            if self.tridiagonal is None:
-                a = self.terms.at(s)
-                return sla.eigh(0.5 * (a + a.T), self.space.gram_H)
-            return tridiagonal.pencil_eigh(self.tridiagonal.at(s), self.tridiagonal.h)
+            return tridiagonal.pencil_eigh(self.tridiagonal.at(s), self.space.h)
         except sla.LinAlgError as exc:
             raise StructureError("slab eigensolve failed") from exc
 
     def apply(self, x: np.ndarray, s) -> np.ndarray:
         """(A0 + s A1) x for a vector x, or for an (n, m) block with one s per
-        column: row by row from each column's bands (`tridiagonal.matvec`),
-        else A0 x + s (A1 x)."""
-        if self.tridiagonal is None:
-            return self.terms.a0 @ x + s * (self.terms.a1 @ x)
-        a0, a1 = self.tridiagonal.a0, self.tridiagonal.a1
+        column, row by row from each column's bands (`tridiagonal.matvec`)."""
+        a0, a1 = self.tridiagonal
         if np.ndim(x) == 2:
             a0, a1 = a0[..., None], a1[..., None]
         return tridiagonal.matvec(a0 + s * a1, x)
 
     def pair(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(left_i^T A0 right_i, left_i^T A1 right_i) for the row pairs of two
-        (m, n) arrays, through the bands in O(m n) when the family keeps them."""
-        if (tri := self.tridiagonal) is not None:
-            return tuple(tridiagonal.pair_rows(b, left, right) for b in (tri.a0, tri.a1))
-        terms = self.terms
-        return tuple(np.einsum("ij,ij->i", left @ a, right) for a in (terms.a0, terms.a1))
+        (m, n) arrays, through the bands in O(m n)."""
+        return tuple(tridiagonal.pair_rows(b, left, right) for b in self.tridiagonal)
 
     def implicit_steps(self, u: np.ndarray, dt: float, times: list[float],
                        loads: np.ndarray) -> np.ndarray:
         """The (m, n) states of implicit-Euler steps from u to each of the m
         `times`, the operator taken at each step's right end: step i solves
-        (gram_H + dt A(t_i)) x = gram_H u + loads[i].
+        (diag(h) + dt A(t_i)) x = h u + loads[i].
 
-        theta is called once per step.  On bands, the m step matrices
-        h + dt (A0 + theta_i A1) are formed and checked at once, and each
-        step is one O(n) gtsv call (`tridiagonal.march`).  A block with a
-        non-finite band, load or state, or a singular step, is stepped again
-        with each step checked, so that its first failing step raises.  The
-        dense route checks and solves step by step.  A non-finite step
-        raises EvaluationError, a singular one StructureError.
+        theta is called once per step.  The m step matrices
+        h + dt (A0 + theta_i A1) are formed and checked at once as bands,
+        and each step is one O(n) gtsv call (`tridiagonal.march`).  A block
+        with a non-finite band, load or state, or a singular step, is
+        stepped again with each step checked, so that its first failing
+        step raises: a non-finite step EvaluationError, a singular one
+        StructureError.
         """
-        if self.tridiagonal is None:
-            return self._dense_steps(u, dt, times, loads)
-        h = self.tridiagonal.h
+        h = self.space.h
         thetas = np.array([self.terms.theta(t) for t in times])
         bands = self._step_bands(dt, thetas)
         if np.isfinite(u).all() and np.isfinite(loads).all() and np.isfinite(bands).all():
@@ -387,24 +375,10 @@ class FormFamily:
         """(m, 3, n) bands of h + dt (A0 + theta_i A1), one per step."""
         tri = self.tridiagonal
         base = dt * tri.a0
-        base[1] += tri.h
+        base[1] += self.space.h
         bands = thetas[:, None, None] * (dt * tri.a1)
         bands += base
         return bands
-
-    def _dense_steps(self, u: np.ndarray, dt: float, times: list[float],
-                     loads: np.ndarray) -> np.ndarray:
-        gram_H = self.space.gram_H
-        states = np.empty_like(loads)
-        for i, t in enumerate(times):
-            rhs = gram_H @ u + loads[i]
-            if not np.isfinite(rhs).all():
-                raise EvaluationError(f"oracle right-hand side at t={t} is not finite")
-            try:
-                states[i] = u = np.linalg.solve(gram_H + dt * self.matrix(t), rhs)
-            except np.linalg.LinAlgError as exc:
-                raise StructureError("oracle linear solve failed") from exc
-        return states
 
 
 def build_step_form(family: FormFamily, subdivision: Subdivision) -> np.ndarray:
@@ -422,8 +396,8 @@ def dual_operator_norm(space: GalerkinSpace, a: np.ndarray) -> float:
 
 
 def coercivity_lower_bound(space: GalerkinSpace, a: np.ndarray, shift: float = 0.0) -> float:
-    """Smallest generalized eigenvalue of (sym(A) + shift*gram_H, gram_V)."""
-    sym = 0.5 * (a + a.T) + shift * space.gram_H
+    """Smallest generalized eigenvalue of (sym(A) + shift*diag(h), gram_V)."""
+    sym = 0.5 * (a + a.T) + shift * np.diag(space.h)
     try:
         lam = sla.eigh(sym, space.gram_V, eigvals_only=True, subset_by_index=[0, 0])
     except sla.LinAlgError as exc:
@@ -445,11 +419,11 @@ def estimate_constants(family: FormFamily) -> FormConstants:
 
 
 def rescale(family: FormFamily, shift: float) -> FormFamily:
-    """Shifted family A(t) + shift * gram_H, the shift folded into A0;
+    """Shifted family A(t) + shift * diag(h), the shift folded into A0;
     symmetry is preserved."""
     if shift == 0.0:
         return family
-    terms = replace(family.terms, a0=family.terms.a0 + shift * family.space.gram_H)
+    terms = replace(family.terms, a0=family.terms.a0 + shift * np.diag(family.space.h))
     return FormFamily(family.space, terms, family.horizon, symmetric=family.symmetric)
 
 

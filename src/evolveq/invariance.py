@@ -1,14 +1,14 @@
 """Closed convex sets in H, metric projections, and the invariance criteria.
 
-Projection uses the set's own H-Gram.  Boxes with a diagonal (lumped)
-metric project by exact nodewise clamping; with a full metric a projected
-gradient iteration solves the quadratic program.  Both criterion checks
-read one structured pool of test vectors and its projections, drawn by
-`sample_pool`, and report the worst margin.
+Projection is taken in H's own metric, the lumped mass diag(h) of the
+space: the criterion's projection is the one in that metric.  Boxes
+project by exact nodewise clamping, balls by radial scaling.  Both
+criterion checks read one structured pool of test vectors and its
+projections, drawn by `sample_pool`, and report the worst margin.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -17,7 +17,6 @@ from .forms import EvaluationError, FormFamily
 from .propagator import SeparableLoad, Trajectory
 
 __all__ = [
-    "ToleranceError",
     "ConvexSet",
     "CriterionReport",
     "SamplePool",
@@ -28,19 +27,13 @@ __all__ = [
     "sample_pool",
 ]
 
-_QP_TOL = 1e-10
-_QP_MAX_ITER = 20000
 _CRITERION_TIMES = 9    # uniform sample times of both criteria
 _SPIKE_MAX = 3          # most nonzeros of a spike vector
 
 
-class ToleranceError(RuntimeError):
-    """An iterative projection failed to reach its tolerance."""
-
-
 @dataclass
 class ConvexSet:
-    """A box or a ball, with the H-Gram used for projection."""
+    """A box or a ball in the H-metric diag(h), held as `metric` = h."""
 
     kind: str
     metric: np.ndarray
@@ -48,12 +41,16 @@ class ConvexSet:
     upper: np.ndarray | None = None
     center: np.ndarray | None = None
     radius: float = 0.0
-    _step: float | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.metric = np.asarray(self.metric, dtype=float)
+        if self.metric.ndim != 1:
+            raise ValueError("a convex set's metric is the diagonal h of the lumped "
+                             f"H-Gram; got shape {self.metric.shape}")
 
     @classmethod
     def box(cls, metric, lower=None, upper=None) -> "ConvexSet":
-        metric = np.asarray(metric, dtype=float)
-        n = metric.shape[0]
+        n = len(metric)
         lo = np.full(n, -np.inf) if lower is None else np.broadcast_to(
             np.asarray(lower, dtype=float), (n,)).copy()
         hi = np.full(n, np.inf) if upper is None else np.broadcast_to(
@@ -66,36 +63,16 @@ class ConvexSet:
     def ball(cls, metric, center, radius: float) -> "ConvexSet":
         if radius <= 0:
             raise ValueError("ball radius must be positive")
-        return cls("ball", np.asarray(metric, dtype=float),
-                   center=np.asarray(center, dtype=float), radius=float(radius))
-
-    @property
-    def diagonal_metric(self) -> bool:
-        return bool(np.count_nonzero(self.metric - np.diag(np.diag(self.metric))) == 0)
+        return cls("ball", metric, center=np.asarray(center, dtype=float),
+                   radius=float(radius))
 
     def metric_norm(self, x: np.ndarray) -> float:
-        return float(np.sqrt(max(x @ self.metric @ x, 0.0)))
-
-    def _box_qp(self, x: np.ndarray) -> np.ndarray:
-        """Projected gradient for the box projection under a full metric."""
-        if self._step is None:
-            self._step = 1.0 / float(np.linalg.eigvalsh(self.metric)[-1])
-        z = np.clip(x, self.lower, self.upper)
-        for _ in range(_QP_MAX_ITER):
-            z_next = np.clip(z - self._step * (self.metric @ (z - x)),
-                             self.lower, self.upper)
-            res = float(np.linalg.norm(z_next - z))
-            z = z_next
-            if res <= _QP_TOL:
-                return z
-        raise ToleranceError(f"box projection stalled at residual {res:.3e}")
+        return float(np.sqrt(max((x * self.metric) @ x, 0.0)))
 
     def project(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "box":
-            if self.diagonal_metric:
-                return np.clip(x, self.lower, self.upper)
-            return self._box_qp(x)
+            return np.clip(x, self.lower, self.upper)
         if self.kind == "ball":
             d = x - self.center
             r = self.metric_norm(d)
@@ -106,7 +83,7 @@ class ConvexSet:
 
     def project_many(self, xs: np.ndarray) -> np.ndarray:
         """Row-wise projection of an (m, dim) sample matrix."""
-        if self.kind == "box" and self.diagonal_metric:
+        if self.kind == "box":
             return np.clip(xs, self.lower, self.upper)
         return np.vstack([self.project(row) for row in xs])
 
@@ -152,7 +129,7 @@ def _spikes(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
 def sample_pool(rng: np.random.Generator, cset: ConvexSet,
                 n_vectors: int) -> SamplePool:
     """Mixed pool: Gaussian, sparse signed spikes, boundary-adjacent vectors."""
-    dim = cset.metric.shape[0]
+    dim = cset.metric.size
     n_gauss = n_vectors // 3
     n_spike = n_vectors // 3
     n_near = n_vectors - n_gauss - n_spike
@@ -243,8 +220,8 @@ def audit_trajectory(traj: Trajectory, cset: ConvexSet) -> tuple[float, float]:
 def offdiagonal_sign_certificate(a: np.ndarray) -> bool:
     """True when all off-diagonal entries are <= 0.
 
-    For box sets under a diagonal metric this upgrades the sampled clamp
-    criterion to a certificate: every term of a(Pv, v - Pv) is then a
+    For box sets, whose projection is the nodewise clamp, this upgrades the
+    sampled criterion to a certificate: every term of a(Pv, v - Pv) is then a
     product of nonnegative factors.
     """
     off = a - np.diag(np.diag(a))

@@ -7,7 +7,8 @@ E_ij = int_0^h e^{-(mu_i + mu_j) tau} once: the L^2(V) and H^1(V') integrals
 pair it with the dense modal Grams, and the H^1(H), chain- and product-rule
 integrals, whose modal Grams are diagonal, read only its diagonal, in O(n).
 A slab with a rate at or below _MIN_RATE has no such closed form and is
-refused with ContractError.
+refused with ContractError, and an integral that overflows raises
+FloatingPointError.
 The audits take a trajectory from `solve`, on its breakpoints; the
 identity and estimate audits read the per-slab terms that `mr_norms`
 computes in its one pass over the slabs.  The product-rule and telescoping
@@ -82,7 +83,7 @@ def _eint(s: np.ndarray, length: float) -> np.ndarray:
 def _slab_coefficients(slab: SlabSolution):
     """(mu, c, p, dc) with u(tau) = W (c e^{-mu tau} + p), u'(tau) = W (dc e^{-mu tau}).
 
-    W are the slab's gram_H-orthonormal modes, so the modal H-Gram is the
+    W are the slab's diag(h)-orthonormal modes, so the modal H-Gram is the
     identity.  A rate at or below _MIN_RATE has no such closed form.
     """
     mu = slab.propagator.rates
@@ -131,30 +132,33 @@ def mr_norms(traj: Trajectory) -> MRReport:
 
     One pass per slab: the closed-form coefficients give the norm integrals
     and the chain- and product-rule terms that the identity audits read.
-    The sup-V samples of all slabs are evaluated together.
+    The sup-V samples of all slabs are evaluated together.  As in `solve`,
+    an overflow raises FloatingPointError instead of reporting inf.
     """
     slabs = _require_metadata(traj)
     space = traj.space
-    gram_dual = space.gram_H @ space.dual_gram @ space.gram_H
+    h = space.h
+    gram_dual = h[:, None] * space.dual_gram * h
     l2v = h1h = h1vp = 0.0
     l2v_slabs, chain_slabs, product_slabs = [], [], []
-    for slab in slabs:
-        mu, c, p, dc = _slab_coefficients(slab)
-        w, length = slab.propagator.modes, slab.length
-        kernel = _eint(mu[:, None] + mu[None, :], length)
-        e = _eint(mu, length)
-        gram_v = w.T @ space.gram_V @ w
-        l2v_slabs.append(float(c @ (gram_v * kernel) @ c
-                               + 2.0 * (c * e) @ gram_v @ p
-                               + length * (p @ gram_v @ p)))
-        l2v += l2v_slabs[-1]
-        h1vp += float(dc @ ((w.T @ gram_dual @ w) * kernel) @ dc)
-        diag = np.diagonal(kernel)
-        h1h += float(np.sum(dc * dc * diag))
-        moment = c * diag + p * e            # int_0^h e^{-mu tau} (modal u)
-        chain_slabs.append(2.0 * float(dc @ moment))
-        product_slabs.append(2.0 * float((mu * dc) @ moment))
-    supv_slabs = _sampled_sup_v(traj)
+    with np.errstate(over="raise"):
+        for slab in slabs:
+            mu, c, p, dc = _slab_coefficients(slab)
+            w, length = slab.propagator.modes, slab.length
+            kernel = _eint(mu[:, None] + mu[None, :], length)
+            e = _eint(mu, length)
+            gram_v = w.T @ space.gram_V @ w
+            l2v_slabs.append(float(c @ (gram_v * kernel) @ c
+                                   + 2.0 * (c * e) @ gram_v @ p
+                                   + length * (p @ gram_v @ p)))
+            l2v += l2v_slabs[-1]
+            h1vp += float(dc @ ((w.T @ gram_dual @ w) * kernel) @ dc)
+            diag = np.diagonal(kernel)
+            h1h += float(np.sum(dc * dc * diag))
+            moment = c * diag + p * e            # int_0^h e^{-mu tau} (modal u)
+            chain_slabs.append(2.0 * float(dc @ moment))
+            product_slabs.append(2.0 * float((mu * dc) @ moment))
+        supv_slabs = _sampled_sup_v(traj)
     l2v, h1h, h1vp = (float(np.sqrt(max(x, 0.0))) for x in (l2v, h1h, h1vp))
     return MRReport(l2V=l2v, h1H=h1h, h1Vp=h1vp, supV=max(supv_slabs),
                     mr_vvp=float(np.hypot(l2v, h1vp)),
@@ -231,7 +235,7 @@ def check_lemma3(report: MRReport, traj: Trajectory, problem: ProblemData,
     lhs = rhs_load = 0.0
     margin = c2 * u0_sq                                  # at t = 0
     for slab, l2v_sq in zip(slabs, report.l2V_slabs):
-        pair = space.gram_H @ slab.fbar
+        pair = space.h * slab.fbar
         lhs += l2v_sq
         rhs_load += float(pair @ space.dual_gram @ pair) * slab.length
         margin = min(margin, c2 * (rhs_load + u0_sq) - lhs)
@@ -240,16 +244,18 @@ def check_lemma3(report: MRReport, traj: Trajectory, problem: ProblemData,
 
 def load_l2h(problem: ProblemData) -> float:
     """||f||_{L^2(0,T;H)} of the true load theta(t) g, in closed form:
-    sqrt(int_0^T theta^2 dt * g^T gram_H^{-1} g).
+    sqrt(int_0^T theta^2 dt * g^T diag(h)^{-1} g).
 
     It does not depend on the trajectory: a run computes it once and
-    passes it to every check_H_estimate.
+    passes it to every check_H_estimate.  An overflow raises
+    FloatingPointError.
     """
     load = problem.load
     if load is None:
         return 0.0
     space, g = problem.family.space, load.pairing
-    total = load.theta.square_integral(problem.horizon) * float(g @ space.solve_H(g))
+    with np.errstate(over="raise"):
+        total = load.theta.square_integral(problem.horizon) * float(g @ space.solve_H(g))
     return float(np.sqrt(max(total, 0.0)))
 
 

@@ -65,7 +65,7 @@ def _nodal_load(space: GalerkinSpace, kind: str | None,
     if theta is None:
         return None
     profile = np.ones(space.dim) if kind == "constant" else np.sin(np.pi * space.labels)
-    return SeparableLoad(theta, space.gram_H @ (amplitude * profile))
+    return SeparableLoad(theta, space.h * (amplitude * profile))
 
 
 def _family(space, a0, a1, theta, horizon) -> FormFamily:
@@ -80,7 +80,7 @@ def _constant_family(space, matrix, horizon) -> FormFamily:
 @_preset("scalar-decay", "dim 1, p(t) = 1 + t/2, closed-form oracle")
 def _scalar_decay(n_cells, horizon, load, amplitude) -> PresetProblem:
     horizon = 1.0 if horizon is None else horizon
-    space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
+    space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
     family = _family(space, [[1.0]], [[0.5]], Linear(0.0, 1.0), horizon)
     problem = ProblemData(family, np.array([1.0]),
                           load=_scalar_load(load, amplitude))
@@ -90,7 +90,7 @@ def _scalar_decay(n_cells, horizon, load, amplitude) -> PresetProblem:
 @_preset("scalar-sin", "dim 1, p(t) = 2 + sin t over one period")
 def _scalar_sin(n_cells, horizon, load, amplitude) -> PresetProblem:
     horizon = 2.0 * np.pi if horizon is None else horizon
-    space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
+    space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
     family = _family(space, [[2.0]], [[1.0]], Harmonic(b=1.0), horizon)
     problem = ProblemData(family, np.array([1.0]),
                           load=_scalar_load(load, amplitude))
@@ -174,20 +174,14 @@ def resolved_constants(declared: FormConstants, computed: FormConstants) -> Form
                    else computed.lipschitz)
 
 
-def convex_set_for(preset: PresetProblem, kind: str = "box",
-                   metric: str = "lumped", **params) -> ConvexSet:
-    """Default audit set for a preset; boxes default to the nonnegativity cone."""
+def convex_set_for(preset: PresetProblem, kind: str = "box", **params) -> ConvexSet:
+    """Default audit set for a preset, in the space's lumped H-metric; boxes
+    default to the nonnegativity cone."""
     space = preset.problem.family.space
-    if metric == "lumped":
-        gram = np.diag(np.diag(space.gram_H))
-    elif metric == "consistent":
-        gram = space.gram_H
-    else:
-        raise KeyError(f"unknown metric {metric!r}")
     if kind == "box":
-        return ConvexSet.box(gram, lower=params.get("lower", 0.0),
+        return ConvexSet.box(space.h, lower=params.get("lower", 0.0),
                              upper=params.get("upper"))
     if kind == "ball":
         center = params.get("center", np.zeros(space.dim))
-        return ConvexSet.ball(gram, center, params["radius"])
+        return ConvexSet.ball(space.h, center, params["radius"])
     raise KeyError(f"unknown convex-set kind {kind!r}")

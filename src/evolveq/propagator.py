@@ -3,18 +3,18 @@
 Each slab carries an autonomous problem with the averaged operator
 A_k = A0 + mean_k(theta) A1, held as its scalar mean, and a slab-averaged
 load; its solution is the exact variation-of-constants formula
-exp(-tau B) u + tau phi1(-tau B) fbar with B = gram_H^{-1} A_k, evaluated in
-the modes of the symmetric pencil (A_k, gram_H), which `FormFamily.pencil`
-solves.  The load is separable, f(t) = theta_f(t) g, or absent, so its slab
-means are mean(theta_f) gram_H^{-1} g in closed form.
+exp(-tau B) u + tau phi1(-tau B) fbar with B = diag(h)^{-1} A_k, diag(h)
+the lumped H-Gram, evaluated in the modes of the symmetric pencil
+(A_k, diag(h)), which `FormFamily.pencil` solves.  The load is separable,
+f(t) = theta_f(t) g, or absent, so its slab means are mean(theta_f) g / h
+in closed form.
 
 Dense output is one kernel, `_modal_coefficients`: it forms the modal
 coefficients of any (slab, time) pairs at once from the slabs' stacked
 rates and modal data, and each slab only multiplies its pairs by its modes.
 The march, `Trajectory.evaluate_many` and the MR audits' sup-V samples all
 go through it.  The oracle takes its steps in blocks from
-`FormFamily.implicit_steps`.  The family chooses the band or the dense
-route for both the pencils and the oracle steps.
+`FormFamily.implicit_steps`, one O(n) tridiagonal solve per step.
 """
 from __future__ import annotations
 
@@ -71,11 +71,11 @@ def _modal_coefficients(rates: np.ndarray, y0: np.ndarray, fhat: np.ndarray,
 
 @dataclass
 class SlabPropagator:
-    """Eigendecomposition of one frozen operator B = gram_H^{-1} A_k.
+    """Eigendecomposition of one frozen operator B = diag(h)^{-1} A_k.
 
     A_k = A0 + theta A1 is held as the family and its slab mean theta.
-    B = modes @ diag(rates) @ modes^T gram_H, with gram_H-orthonormal modes
-    from the symmetric pencil (A_k, gram_H).
+    B = modes @ diag(rates) @ modes^T diag(h), with diag(h)-orthonormal
+    modes from the symmetric pencil (A_k, diag(h)).
     """
 
     family: FormFamily
@@ -89,7 +89,7 @@ class SlabPropagator:
         return cls(family, theta, *family.pencil(theta))
 
     def to_modes(self, u: np.ndarray) -> np.ndarray:
-        return self.modes.T @ (self.family.space.gram_H @ u)
+        return self.modes.T @ (self.family.space.h * u)
 
 
 @dataclass
@@ -291,11 +291,11 @@ def oracle_solve(problem: ProblemData, n_steps: int,
     """Implicit-Euler reference with the operator taken at step right endpoints.
 
     Independent of the exponential machinery: step i solves
-    (gram_H + dt A(t_i)) u_new = gram_H u + theta_f(t_i) dt g.  The steps
-    go in blocks of _STEP_BLOCK through `FormFamily.implicit_steps`, one
-    O(n) gtsv call per step on bands or one dense solve; each block's load
-    rows are formed at once, and memory stays O(_STEP_BLOCK n).  The
-    output grid is rounded to step indices.
+    (diag(h) + dt A(t_i)) u_new = h u + theta_f(t_i) dt g.  The steps go
+    in blocks of _STEP_BLOCK through `FormFamily.implicit_steps`, one O(n)
+    gtsv call per step; each block's load rows are formed at once, and
+    memory stays O(_STEP_BLOCK n).  The output grid is rounded to step
+    indices.
     """
     if n_steps < 1:
         raise ValueError("oracle needs at least one step")

@@ -1,8 +1,9 @@
-"""Finite-dimensional model of a Gelfand triple built from two Gram matrices.
+"""Finite-dimensional model of a Gelfand triple: a lumped H-metric and a V-Gram.
 
-The pivot space H and the form domain V are represented by their Gram
-matrices on a shared coefficient basis.  Dual-space quantities are carried
-as vectors of pairings against that basis.
+The pivot space H carries a lumped (diagonal) mass, held as its diagonal
+h, and the form domain V an SPD Gram matrix on the same coefficient
+basis.  Dual-space quantities are carried as vectors of pairings against
+that basis.
 """
 from __future__ import annotations
 
@@ -40,40 +41,42 @@ def _checked_spd(name: str, mat) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class GalerkinSpace:
-    """Two SPD Gram matrices on one basis: the H-metric and the V-metric.
+    """The H-metric diag(h), a lumped mass, and the SPD V-Gram on one basis.
 
-    `h_diagonal` is the diagonal of gram_H when gram_H is diagonal (a
-    lumped mass), else None; it is found once, when the space is built.
+    h is the diagonal of the H-Gram; a matrix in its place, such as a
+    consistent mass, raises StructureError.
     """
 
-    gram_H: np.ndarray
+    h: np.ndarray
     gram_V: np.ndarray
     labels: np.ndarray | None = None
-    h_diagonal: np.ndarray | None = field(default=None, init=False)
 
-    _chol_H: np.ndarray = field(init=False, repr=False)
+    _root_h: np.ndarray = field(init=False, repr=False)
     _chol_V: np.ndarray = field(init=False, repr=False)
     _c_H: float | None = field(default=None, init=False, repr=False)
     _dual_gram: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.gram_H, self._chol_H = _checked_spd("gram_H", self.gram_H)
+        self.h = np.array(self.h, dtype=float)
+        if self.h.ndim != 1:
+            raise StructureError("the H-Gram must be a lumped mass, given as its "
+                                 f"diagonal h; got shape {self.h.shape}")
+        if not np.all((self.h > 0) & (self.h < np.inf)):
+            raise StructureError("h is not positive and finite")
         self.gram_V, self._chol_V = _checked_spd("gram_V", self.gram_V)
-        if self.gram_H.shape != self.gram_V.shape:
-            raise StructureError("gram_H and gram_V must have matching shapes")
-        diag = np.diag(self.gram_H)
-        if np.count_nonzero(self.gram_H) == np.count_nonzero(diag):
-            self.h_diagonal = diag.copy()
+        if self.gram_V.shape != (self.h.size, self.h.size):
+            raise StructureError("h and gram_V must have matching shapes")
+        # sqrt(h) is the Cholesky factor of diag(h), entry for entry
+        self._root_h = np.sqrt(self.h)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=float)
 
     @property
     def dim(self) -> int:
-        return self.gram_H.shape[0]
+        return self.h.size
 
     def h_norm(self, u) -> float:
-        w = self._chol_H.T @ np.asarray(u, dtype=float)
-        return float(np.linalg.norm(w))
+        return float(np.linalg.norm(self._root_h * np.asarray(u, dtype=float)))
 
     def v_norm(self, u) -> float:
         w = self._chol_V.T @ np.asarray(u, dtype=float)
@@ -85,7 +88,7 @@ class GalerkinSpace:
         return np.linalg.norm(self._chol_V.T @ states, axis=-2)
 
     def h_norms(self, states: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self._chol_H.T @ states, axis=0)
+        return np.linalg.norm(self._root_h[:, None] * states, axis=0)
 
     def solve_V(self, rhs):
         try:
@@ -94,10 +97,14 @@ class GalerkinSpace:
             raise StructureError("V-Gram solve failed") from exc
 
     def solve_H(self, rhs):
-        try:
-            return sla.cho_solve((self._chol_H, True), np.asarray(rhs, dtype=float))
-        except (sla.LinAlgError, ValueError) as exc:
-            raise StructureError("H-Gram solve failed") from exc
+        """diag(h)^{-1} rhs for a vector or a (dim, m) block.
+
+        Each entry is multiplied twice by 1/sqrt(h), as a Cholesky solve
+        multiplies by its pivots' reciprocals: rhs / h would move the last
+        bit of the loads and of every result computed from them.
+        """
+        r = 1.0 / self._root_h
+        return (np.asarray(rhs, dtype=float).T * r * r).T
 
     @property
     def dual_gram(self) -> np.ndarray:
@@ -112,7 +119,7 @@ class GalerkinSpace:
         if self._c_H is None:
             try:
                 lam = sla.eigh(
-                    self.gram_H, self.gram_V, eigvals_only=True,
+                    np.diag(self.h), self.gram_V, eigvals_only=True,
                     subset_by_index=[self.dim - 1, self.dim - 1],
                 )
             except sla.LinAlgError as exc:

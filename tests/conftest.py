@@ -1,12 +1,12 @@
-import copy
-
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.linalg.lapack import dgtsv
 
 from evolveq.convergence import (oracle_reference, oracle_suph_gap, refine,
                                  solve_ladder)
-from evolveq.fem import consistent_mass, heat_terms, stiffness, uniform_nodes
+from evolveq.fem import (consistent_mass, heat_terms, lumped_mass, stiffness,
+                         uniform_nodes)
 from evolveq.forms import (AffineTerms, FormConstants, FormFamily, Harmonic,
                            Linear, Subdivision, coercivity_lower_bound,
                            dual_operator_norm, estimate_constants, gauss_nodes)
@@ -18,17 +18,16 @@ from evolveq.spaces import GalerkinSpace
 
 
 def dirichlet_space(n_cells):
-    """Interior-node space with consistent mass and stiffness-plus-mass V-Gram.
-
-    Its gram_H is not diagonal, so families on it take the dense paths.
-    """
+    """Interior-node space: lumped mass H-Gram, stiffness plus consistent
+    mass V-Gram."""
     mass = consistent_mass(n_cells)[1:-1, 1:-1]
     stiff = stiffness(n_cells)[1:-1, 1:-1]
-    return GalerkinSpace(mass, stiff + mass, labels=uniform_nodes(n_cells)[1:-1])
+    return GalerkinSpace(lumped_mass(n_cells)[1:-1], stiff + mass,
+                         labels=uniform_nodes(n_cells)[1:-1])
 
 
-def consistent_mass_problem(n_cells, horizon=1.0):
-    """Tridiagonal affine terms over a consistent (non-diagonal) gram_H."""
+def dirichlet_problem(n_cells, horizon=1.0):
+    """The heat preset's affine terms on the interior-node space."""
     space = dirichlet_space(n_cells)
     a0, a1 = (a[1:-1, 1:-1] for a in heat_terms(n_cells))
     family = FormFamily(space, AffineTerms(a0, a1, Harmonic(b=1.0)), horizon,
@@ -36,11 +35,24 @@ def consistent_mass_problem(n_cells, horizon=1.0):
     return ProblemData(family, np.sin(np.pi * space.labels))
 
 
-def dense_family(family):
-    """The same terms without band storage: the reference for the band routes."""
-    dense = copy.copy(family)
-    dense.tridiagonal = None
-    return dense
+# References for the band routes of a family: dense algebra on its terms
+# and on the H-Gram diag(h).
+
+def reference_pencil(family, s):
+    """Eigenpairs of (sym(A0 + s A1), diag(h)) by a dense generalized eigensolve."""
+    a = family.terms.at(s)
+    return sla.eigh(0.5 * (a + a.T), np.diag(family.space.h))
+
+
+def reference_apply(family, x, s):
+    """(A0 + s A1) x as A0 x + s (A1 x) with the dense terms."""
+    return family.terms.a0 @ x + s * (family.terms.a1 @ x)
+
+
+def reference_pair(family, left, right):
+    """The row-wise forms of the dense A0 and A1 over two (m, n) arrays."""
+    return tuple(np.einsum("ij,ij->i", left @ a, right)
+                 for a in (family.terms.a0, family.terms.a1))
 
 
 # References for the closed forms: quadrature and sampling of t -> A(t) and
@@ -108,7 +120,7 @@ def _rowwise(x, y):
     return np.einsum("ij,ij->i", x, y)
 
 
-def _pointwise_worst(values, vs, horizon):
+def pointwise_worst(values, vs, horizon):
     """The least of values(t) over the criteria's 9 uniform times; the first
     time attaining it wins."""
     best = CriterionReport(np.inf, 0.0, np.zeros(vs.shape[1]))
@@ -129,7 +141,7 @@ def pointwise_criterion(matrix_at, horizon, pool, load_at=None):
         vals = _rowwise(pvs @ matrix_at(t), vs - pvs)
         return vals if load_at is None else vals - (vs - pvs) @ load_at(t)
 
-    return _pointwise_worst(values, vs, horizon)
+    return pointwise_worst(values, vs, horizon)
 
 
 def pointwise_criterion_symmetric(matrix_at, horizon, pool):
@@ -140,7 +152,7 @@ def pointwise_criterion_symmetric(matrix_at, horizon, pool):
         a = matrix_at(t)
         return _rowwise(vs @ a, vs) - _rowwise(pvs @ a, pvs)
 
-    return _pointwise_worst(values, vs, horizon)
+    return pointwise_worst(values, vs, horizon)
 
 
 def _bilinear_exp_integral(mu, c, p, d, q, gram, length):
@@ -158,7 +170,8 @@ def reference_mr_terms(traj):
     one with its own kernel and a dense modal Gram: the reference for the
     one-kernel pass."""
     space = traj.space
-    gram_dual = space.gram_H @ space.dual_gram @ space.gram_H
+    gram_h = np.diag(space.h)
+    gram_dual = gram_h @ space.dual_gram @ gram_h
     terms = {"l2V_slabs": [], "chain_slabs": [], "product_slabs": [],
              "h1H": 0.0, "h1Vp": 0.0}
     for slab in traj.slabs:
@@ -205,15 +218,16 @@ def reference_telescoping(traj, lipschitz):
     return worst
 
 
-def reference_oracle(problem, n_steps, output_grid=None):
+def reference_oracle(problem, n_steps, output_grid=None, dense=False):
     """The implicit-Euler oracle one step at a time, each step a closure call
     that forms its own matrix: the reference for the block-formed steps.
 
-    On bands each step is one gtsv call (a pivot division at dim 1), else one
-    dense solve.  It checks nothing: the failure tests cover that.
+    Each step is one gtsv call on the family's bands (a pivot division at
+    dim 1), or with `dense` one dense solve with diag(h) + dt A(t).  It
+    checks nothing: the failure tests cover that.
     """
     family = problem.family
-    horizon, load, tri = family.horizon, problem.load, family.tridiagonal
+    horizon, load, h = family.horizon, problem.load, family.space.h
     dt = horizon / n_steps
     if output_grid is None:
         keep = set(range(n_steps + 1))
@@ -221,13 +235,13 @@ def reference_oracle(problem, n_steps, output_grid=None):
         keep = set(np.clip(np.rint(np.asarray(output_grid) / dt).astype(int),
                            0, n_steps).tolist())
     theta_f, g = (Linear(0.0), 0.0) if load is None else (load.theta, dt * load.pairing)
-    if tri is None:
-        gram_H = family.space.gram_H
+    if dense:
+        gram_h = np.diag(h)
 
         def step(t, u, f):
-            return np.linalg.solve(gram_H + dt * family.matrix(t), gram_H @ u + f)
+            return np.linalg.solve(gram_h + dt * family.matrix(t), h * u + f)
     else:
-        h, base, slope = tri.h, dt * tri.a0, dt * tri.a1
+        base, slope = dt * family.tridiagonal.a0, dt * family.tridiagonal.a1
         base[1] += h
 
         def step(t, u, f):

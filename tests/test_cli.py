@@ -113,6 +113,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(write_cfg(tmp_path, bad))
 
+    def test_consistent_metric_refused_with_its_reason(self, tmp_path):
+        text = BROKEN_CFG.replace("metric = lumped", "metric = consistent")
+        with pytest.raises(ConfigError, match="every preset's H-metric is the lumped mass"):
+            ExperimentConfig.from_file(write_cfg(tmp_path, text))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(tmp_path / "nope.cfg")
@@ -227,10 +232,19 @@ class TestMain:
         (HEAT_CFG + "[load]\namplitude = nan\n", 1),
         (HEAT_CFG + "omega = nan\n", 1),
         (HEAT_CFG + "[convex_set]\nlower = inf\n", 1),
+        (HEAT_CFG + "seed = -3\n", 1),
+        (HEAT_CFG.replace("n_cells = 4", "n_cells = 8")
+         + "[load]\namplitude = 1e160\n", 2),               # the MR norms overflow
+        (HEAT_CFG + "[convex_set]\nkind = ball\nradius = 1.0\nlower = 5.0\n"
+         "upper = -7.0\n", 1),
+        (HEAT_CFG + "[convex_set]\nkind = box\nradius = 1.0\n", 1),
+        (HEAT_CFG + "[convex_set]\nmetric = consistent\n", 1),
     ], ids=["omega", "horizon", "n_cells", "n_cells_text", "oracle_steps",
             "duplicate", "set_halfspace", "set_metric", "set_ball_no_radius",
             "set_negative_radius", "set_inverted_box", "horizon_inf",
-            "amplitude_nan", "omega_nan", "set_lower_inf"])
+            "amplitude_nan", "omega_nan", "set_lower_inf", "seed_negative",
+            "mr_overflow", "set_ball_with_box_keys", "set_box_with_radius",
+            "set_metric_consistent"])
     def test_typed_errors_map_to_exit_codes(self, tmp_path, capsys, text, status):
         path = write_cfg(tmp_path, text)
         out = tmp_path / "results"
@@ -244,7 +258,9 @@ class TestMain:
         else:
             # the account of the failed run is kept, ending with the error line
             summary = (out / "summary.txt").read_text()
-            assert "WARNING: family not coercive" in summary
+            assert "\nexact (affine endpoints): M=" in summary
+            # only the family shifted by omega = -50 is not coercive
+            assert ("WARNING: family not coercive" in summary) == ("omega = -50" in text)
             assert summary.splitlines()[-1] == err.strip()
             assert captured.out == summary
 
@@ -331,6 +347,15 @@ class TestMain:
         assert main(["invariance", "--config", str(path), "--out", str(out),
                      "--seed", "99"]) == 0
         assert "seed: 99" in (out / "summary.txt").read_text()
+
+    def test_negative_seed_override_is_usage_error(self, tmp_path, capsys):
+        # the overridden config is validated again, before any work
+        path = write_cfg(tmp_path, BROKEN_CFG)
+        out = tmp_path / "results"
+        assert main(["invariance", "--config", str(path), "--out", str(out),
+                     "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
 
 
 class TestParser:

@@ -74,7 +74,7 @@ class TestOracleGap:
         from evolveq.forms import AffineTerms, FormFamily, Linear
         from evolveq.propagator import ProblemData
         from evolveq.spaces import GalerkinSpace
-        space = GalerkinSpace(np.eye(1), np.eye(1))
+        space = GalerkinSpace(np.ones(1), np.eye(1))
         family = FormFamily(space, AffineTerms(np.eye(1), np.zeros((1, 1)), Linear(0.0)),
                             1.0, symmetric=True)
         problem = ProblemData(family, np.array([1.0]))

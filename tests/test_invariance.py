@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_family, pointwise_criterion,
-                      pointwise_criterion_symmetric)
+from conftest import (pointwise_criterion, pointwise_criterion_symmetric,
+                      pointwise_worst, reference_pair)
 from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
                            Linear, Subdivision, estimate_constants)
 from evolveq.invariance import (ConvexSet, SamplePool, audit_trajectory,
@@ -25,7 +25,7 @@ def assert_same_report(got, ref):
 def spike_rows(dim, n_vectors, seed=0):
     """The middle third of a pool over a box in R^dim: its sparse spikes."""
     pool = sample_pool(np.random.default_rng(seed),
-                       ConvexSet.box(np.eye(dim), lower=0.0), n_vectors)
+                       ConvexSet.box(np.ones(dim), lower=0.0), n_vectors)
     third = n_vectors // 3
     return pool.vectors[third:2 * third]
 
@@ -47,48 +47,54 @@ class CountingGenerator:
         return counted
 
 
-def spd_metric(rng, n, offdiag=0.3):
-    m = offdiag * rng.standard_normal((n, n))
-    return m @ m.T + np.eye(n)
+def lumped_metric(rng, n):
+    """The diagonal h of a random lumped H-Gram."""
+    return rng.uniform(0.5, 2.0, n)
 
 
 class TestProjection:
     def test_box_clamp_diagonal_metric(self):
-        cset = ConvexSet.box(np.diag([1.0, 2.0, 3.0]), lower=0.0, upper=1.0)
+        cset = ConvexSet.box([1.0, 2.0, 3.0], lower=0.0, upper=1.0)
         np.testing.assert_array_equal(cset.project([-1.0, 0.5, 7.0]),
                                       [0.0, 0.5, 1.0])
 
     def test_box_qp_matches_bound_constrained_oracle(self, rng):
+        # the box QP in the metric diag(h) is solved by the clamp
         from scipy.optimize import minimize
         n = 6
-        metric = spd_metric(rng, n)
+        metric = lumped_metric(rng, n)
         cset = ConvexSet.box(metric, lower=-0.5, upper=0.5)
         for _ in range(5):
             x = 2.0 * rng.standard_normal(n)
             got = cset.project(x)
-            ref = minimize(lambda z: 0.5 * (z - x) @ metric @ (z - x),
-                           np.zeros(n), jac=lambda z: metric @ (z - x),
+            ref = minimize(lambda z: 0.5 * (z - x) @ (metric * (z - x)),
+                           np.zeros(n), jac=lambda z: metric * (z - x),
                            method="L-BFGS-B", bounds=[(-0.5, 0.5)] * n,
                            options={"ftol": 1e-15, "gtol": 1e-12}).x
             np.testing.assert_allclose(got, ref, atol=1e-6)
 
     def test_ball_projection(self):
-        cset = ConvexSet.ball(np.eye(2), np.zeros(2), 1.0)
+        cset = ConvexSet.ball(np.ones(2), np.zeros(2), 1.0)
         np.testing.assert_allclose(cset.project([3.0, 4.0]), [0.6, 0.8])
         assert cset.distance([3.0, 4.0]) == pytest.approx(4.0)
 
     def test_bad_constructions(self):
         with pytest.raises(ValueError):
-            ConvexSet.box(np.eye(2), lower=1.0, upper=0.0)
+            ConvexSet.box(np.ones(2), lower=1.0, upper=0.0)
         with pytest.raises(ValueError):
-            ConvexSet.ball(np.eye(2), np.zeros(2), 0.0)
+            ConvexSet.ball(np.ones(2), np.zeros(2), 0.0)
+        # the metric is the diagonal h of the lumped H-Gram, not a matrix
+        with pytest.raises(ValueError, match="lumped"):
+            ConvexSet.box(np.eye(2), lower=0.0)
+        with pytest.raises(ValueError, match="lumped"):
+            ConvexSet.ball(np.eye(2), np.zeros(2), 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_projection_idempotent_and_variational(self, seed):
         rng = np.random.default_rng(seed)
         n = 4
-        metric = spd_metric(rng, n)
+        metric = lumped_metric(rng, n)
         if rng.choice(["box", "ball"]) == "box":
             cset = ConvexSet.box(metric, lower=-1.0, upper=1.0)
         else:
@@ -99,19 +105,19 @@ class TestProjection:
         # variational inequality (x - Px, v - Px)_metric <= 0 for feasible v
         for _ in range(10):
             v = cset.project(rng.standard_normal(n))
-            assert (x - px) @ metric @ (v - px) <= 1e-7
+            assert (x - px) @ (metric * (v - px)) <= 1e-7
 
 
 class TestSamplePool:
     def test_pool_size_and_finiteness(self, rng):
-        cset = ConvexSet.box(np.eye(5), lower=0.0)
+        cset = ConvexSet.box(np.ones(5), lower=0.0)
         vs, pvs = sample_pool(rng, cset, 100)
         assert vs.shape == pvs.shape == (100, 5)
         assert np.all(np.isfinite(vs))
         np.testing.assert_array_equal(pvs, cset.project_many(vs))
 
     def test_pool_is_seed_deterministic(self):
-        cset = ConvexSet.box(np.eye(5), lower=0.0)
+        cset = ConvexSet.box(np.ones(5), lower=0.0)
         p1 = sample_pool(np.random.default_rng(7), cset, 60)
         p2 = sample_pool(np.random.default_rng(7), cset, 60)
         np.testing.assert_array_equal(p1.vectors, p2.vectors)
@@ -141,7 +147,7 @@ class TestSamplePool:
         assert np.mean(spikes[hit] > 0.0) == pytest.approx(0.5, abs=0.03)
 
     def test_generator_calls_do_not_grow_with_the_pool(self):
-        cset = ConvexSet.box(np.eye(5), lower=0.0)
+        cset = ConvexSet.box(np.ones(5), lower=0.0)
         calls = []
         for n_vectors in (100, 1000, 10_000):
             rng = CountingGenerator(0)
@@ -181,11 +187,16 @@ class TestCriterion:
         assert_same_report(got, pointwise_criterion(family.matrix, horizon, pool))
         assert got.witness_t not in (0.0, np.pi, 2.0 * np.pi)   # theta != 0 there
         # the pool paired through the bands against A0 and A1 paired densely
-        assert family.tridiagonal is not None
-        dense = dense_family(family)
-        assert_same_report(got, check_criterion(dense, pool))
+        theta, (vs, pvs) = family.terms.theta, pool
+
+        def affine(left, right):
+            q0, q1 = reference_pair(family, left, right)
+            return lambda t: q0 + theta(t) * q1
+
+        assert_same_report(got, pointwise_worst(affine(pvs, vs - pvs), vs, horizon))
+        outer, inner = affine(vs, vs), affine(pvs, pvs)
         assert_same_report(check_criterion_symmetric(family, pool, alpha),
-                           check_criterion_symmetric(dense, pool, alpha))
+                           pointwise_worst(lambda t: outer(t) - inner(t), vs, horizon))
         # the forcing load, paired with the pool once
         expected = pointwise_criterion(family.matrix, horizon, pool,
                                        load_at=lambda t: load.theta(t) * load.pairing)
@@ -219,20 +230,20 @@ class TestCriterion:
     def test_symmetric_variant_rejects_non_accretive(self):
         # 0.97 + sin t dips below 0 only near 3 pi / 2 = 4.71, between the
         # sample times 4.375 and 5.0: the ends of theta's range catch it
-        space = GalerkinSpace(np.eye(1), np.eye(1))
+        space = GalerkinSpace(np.ones(1), np.eye(1))
         family = FormFamily(space, AffineTerms([[0.97]], [[1.0]], Harmonic(b=1.0)), 5.0,
                             symmetric=True)
-        pool = sample_pool(np.random.default_rng(0), ConvexSet.box(np.eye(1), 0.0), 30)
+        pool = sample_pool(np.random.default_rng(0), ConvexSet.box(np.ones(1), 0.0), 30)
         alpha = estimate_constants(family).coercivity
         assert alpha < 0.0
         with pytest.raises(ValueError):
             check_criterion_symmetric(family, pool, alpha)
 
     def test_nonfinite_coefficient_raises(self):
-        space = GalerkinSpace(np.eye(1), np.eye(1))
+        space = GalerkinSpace(np.ones(1), np.eye(1))
         family = FormFamily(space, AffineTerms([[1.0]], [[1.0]], Linear(np.nan)), 1.0,
                             symmetric=True)
-        pool = sample_pool(np.random.default_rng(0), ConvexSet.box(np.eye(1), 0.0), 30)
+        pool = sample_pool(np.random.default_rng(0), ConvexSet.box(np.ones(1), 0.0), 30)
         with pytest.raises(EvaluationError):
             check_criterion(family, pool)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import (consistent_mass_problem, quadrature_load_l2h,
+from conftest import (dirichlet_problem, quadrature_load_l2h,
                       quadrature_load_means, reference_mr_terms,
                       reference_product_rule, reference_telescoping)
 from evolveq.fem import robin_space, stiffness
@@ -21,24 +21,23 @@ from evolveq.spaces import GalerkinSpace
 SCALAR_ENERGY_SQ = (1.0 - np.exp(-2.0)) / 2.0
 
 
-def consistent_mass_heat(n_cells):
-    """`consistent_mass_problem` with a constant load: the dense pencil route."""
-    problem = consistent_mass_problem(n_cells)
-    pairing = problem.family.space.gram_H @ np.ones(problem.family.space.dim)
+def dirichlet_heat(n_cells):
+    """`dirichlet_problem` with a constant load."""
+    problem = dirichlet_problem(n_cells)
     return ProblemData(problem.family, problem.u0,
-                       load=SeparableLoad(Linear(1.0), pairing))
+                       load=SeparableLoad(Linear(1.0), problem.family.space.h))
 
 
 MR_PROBLEMS = {
     "heat-16": lambda: get_preset("heat-1d-lipschitz", n_cells=16).problem,
     "heat-80": lambda: get_preset("heat-1d-lipschitz", n_cells=80).problem,
-    "consistent-mass-16": lambda: consistent_mass_heat(16),
+    "dirichlet-16": lambda: dirichlet_heat(16),
 }
 
 
 @pytest.fixture(scope="module")
 def decay_traj():
-    space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
+    space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
     family = FormFamily(space, AffineTerms([[1.0]], [[0.0]], Linear(0.0)), 1.0,
                         symmetric=True)
     problem = ProblemData(family, np.array([1.0]))
@@ -105,6 +104,17 @@ class TestMRNorms:
         with pytest.raises(ContractError, match="mr_norms"):
             check_product_rule(other, traj)
 
+    def test_overflow_raises(self, decay_traj):
+        # the states are finite, their squared norms are not
+        problem, _ = decay_traj
+        huge = ProblemData(problem.family, np.array([1e160]),
+                           load=SeparableLoad(Linear(1.0), np.array([1e160])))
+        traj = solve(huge, Subdivision.uniform(1.0, 4))
+        with pytest.raises(FloatingPointError):
+            mr_norms(traj)
+        with pytest.raises(FloatingPointError):
+            load_l2h(huge)
+
     def test_zero_rate_slab_refused(self, rng):
         # pure-Neumann heat (stiffness only) has a zero rate: no closed form,
         # so the audits refuse it instead of returning an inexact value
@@ -136,7 +146,7 @@ class TestIdentities:
     @pytest.mark.parametrize("name", sorted(MR_PROBLEMS))
     def test_vectorised_audits_match_slab_by_slab(self, name):
         # A_k v for every breakpoint at once, from the slab means, against
-        # one dense A_k per slab; the band and the dense route
+        # one dense A_k per slab
         problem = MR_PROBLEMS[name]()
         traj = solve(problem, Subdivision.uniform(problem.horizon, 16))
         report = mr_norms(traj)

@@ -1,13 +1,12 @@
 import re
 from dataclasses import dataclass, field
-from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
-from conftest import (consistent_mass_problem, dense_family, reference_evaluate_many,
-                      reference_oracle, reference_slab_states, reference_sup_v)
+from conftest import (dirichlet_problem, reference_evaluate_many, reference_oracle,
+                      reference_pencil, reference_slab_states, reference_sup_v)
+from evolveq.fem import consistent_mass, stiffness
 from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
                            Linear, Subdivision)
 from evolveq.presets import get_preset
@@ -20,16 +19,10 @@ from evolveq.spaces import GalerkinSpace, StructureError
 
 def scalar_problem(a0, horizon, a1=0.0, theta=Linear(0.0), u0=1.0, load=None):
     """dim 1, A(t) = a0 + theta(t) a1."""
-    space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
+    space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
     family = FormFamily(space, AffineTerms([[a0]], [[a1]], theta), horizon,
                         symmetric=True)
     return ProblemData(family, np.array([u0]), load=load)
-
-
-def as_dense(problem, load=None):
-    """The problem without band storage: the dense routes' reference."""
-    return ProblemData(dense_family(problem.family), problem.u0,
-                       load=problem.load if load is None else load)
 
 
 def rel_diff(a, b):
@@ -61,21 +54,19 @@ def step_time(horizon, n_steps, i):
 
 
 def with_theta(problem, theta):
-    """The problem with its form coefficient replaced, on the same route."""
+    """The problem with its form coefficient replaced."""
     family = problem.family
     other = FormFamily(family.space, AffineTerms(family.terms.a0, family.terms.a1, theta),
                        family.horizon, symmetric=True)
-    if family.tridiagonal is None:
-        other = dense_family(other)
     return ProblemData(other, problem.u0, problem.load)
 
 
 def oracle_routes():
-    """A problem on each oracle route, each with a load: bands at dim 9,
-    the pivot division at dim 1 and the dense solve."""
+    """A problem on each oracle route, each with a load: gtsv at dim 9 and
+    the pivot division at dim 1."""
     heat = get_preset("heat-1d-lipschitz", n_cells=8).problem
     scalar = get_preset("scalar-decay", load="forcing").problem
-    return {"bands": heat, "dim1": scalar, "dense": as_dense(heat)}
+    return {"bands": heat, "dim1": scalar}
 
 
 class TestPhi1:
@@ -92,7 +83,7 @@ class TestPhi1:
 
 
 def heat_family(n_cells):
-    """The heat preset's family: tridiagonal terms over a lumped gram_H."""
+    """The heat preset's family: tridiagonal terms over a lumped mass."""
     return get_preset("heat-1d-lipschitz", n_cells=n_cells).problem.family
 
 
@@ -114,33 +105,24 @@ class TestSlabStep:
             slab.state(-0.1)
 
     def test_generator_action(self):
-        # B = gram_H^{-1} A = modes @ diag(rates) @ modes^T gram_H, at theta = 0,
-        # on the dense and the tridiagonal route
+        # B = diag(h)^{-1} A = modes @ diag(rates) @ modes^T diag(h), at theta = 0,
+        # for the tridiagonal pencil and its dense reference
         family = heat_family(8)
         space, a = family.space, family.terms.at(0.0)
-        for fam in (dense_family(family), family):
-            rates, modes = fam.pencil(0.0)
-            generator = modes @ np.diag(rates) @ modes.T @ space.gram_H
+        for rates, modes in (reference_pencil(family, 0.0), family.pencil(0.0)):
+            generator = modes @ np.diag(rates) @ modes.T @ np.diag(space.h)
             np.testing.assert_allclose(generator, space.solve_H(a),
                                        rtol=1e-10, atol=1e-12)
 
     def test_modes_are_gram_h_orthonormal(self):
-        # the MR integrals take the modal H-Gram W^T gram_H W to be the identity;
-        # on the lumped space both the dense and the tridiagonal route
+        # the MR integrals take the modal H-Gram W^T diag(h) W to be the
+        # identity; for the tridiagonal pencil and its dense reference
         s = np.sin(0.7)
         family = heat_family(80)
-        gram_H = family.space.gram_H
-        for fam in (family, dense_family(family)):
-            _, modes = fam.pencil(s)
-            np.testing.assert_allclose(modes.T @ gram_H @ modes,
-                                       np.eye(gram_H.shape[0]), rtol=0.0, atol=1e-13)
-        # a consistent mass has no diagonal gram_H: the dense route only
-        family = consistent_mass_problem(80).family
-        assert family.space.h_diagonal is None and family.tridiagonal is None
-        _, modes = family.pencil(s)
-        gram_H = family.space.gram_H
-        np.testing.assert_allclose(modes.T @ gram_H @ modes,
-                                   np.eye(gram_H.shape[0]), rtol=0.0, atol=1e-13)
+        h = family.space.h
+        for _, modes in (family.pencil(s), reference_pencil(family, s)):
+            np.testing.assert_allclose(modes.T @ (h[:, None] * modes),
+                                       np.eye(h.size), rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("n_cells", [16, 80, 512])
     def test_tridiagonal_pencil_matches_dense(self, n_cells):
@@ -148,22 +130,20 @@ class TestSlabStep:
         # ~1e-11 relative accuracy on the smallest rate at 512 cells
         s = np.sin(0.7)
         family = heat_family(n_cells)
-        assert family.tridiagonal is not None
         rates, modes = family.pencil(s)
-        dense_rates, _ = dense_family(family).pencil(s)
+        dense_rates, _ = reference_pencil(family, s)
         top = dense_rates[-1]
         assert np.max(np.abs(rates - dense_rates)) <= 1e-12 * top
-        # the modes solve the pencil: A W = gram_H W diag(rates)
-        residual = family.terms.at(s) @ modes - family.space.gram_H @ modes * rates
+        # the modes solve the pencil: A W = diag(h) W diag(rates)
+        residual = family.terms.at(s) @ modes - family.space.h[:, None] * modes * rates
         assert np.max(np.abs(residual)) <= 1e-12 * top * np.max(np.abs(modes))
 
 
 class TestSolve:
     def test_scalar_decay_closed_form(self):
-        problem = as_dense(scalar_problem(1.0, 1.0, a1=0.5, theta=Linear(0.0, 1.0)))
-        # the preset's 1 x 1 affine terms take the tridiagonal route
+        problem = scalar_problem(1.0, 1.0, a1=0.5, theta=Linear(0.0, 1.0))
+        # the preset's 1 x 1 affine terms as well
         preset = get_preset("scalar-decay", load="none").problem
-        assert preset.family.tridiagonal is not None
         for n in (1, 3, 16):
             for prob in (problem, preset):
                 traj = solve(prob, Subdivision.uniform(1.0, n))
@@ -192,7 +172,7 @@ class TestSolve:
         np.testing.assert_array_equal(heat_traj_64.states[:, -1], last.state(last.t1))
 
     def test_non_symmetric_family_rejected(self):
-        space = GalerkinSpace(np.array([[1.0]]), np.array([[1.0]]))
+        space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
         family = FormFamily(space, AffineTerms([[1.0]], [[0.0]], Linear(0.0)), 1.0)
         with pytest.raises(StructureError):
             solve(ProblemData(family, np.array([1.0])), Subdivision.uniform(1.0, 4))
@@ -217,7 +197,7 @@ class TestSolve:
         u = slab.state(t)
         du = slab.propagator.modes @ (dc * np.exp(-mu * (t - slab.t0)))
         a_u = heat_preset.problem.family.apply(u, slab.propagator.theta)
-        residual = space.gram_H @ du + a_u - space.gram_H @ slab.fbar
+        residual = space.h * du + a_u - space.h * slab.fbar
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(u))
 
     def test_evaluate_many_is_the_per_slab_closed_form(self, heat_traj_64):
@@ -295,50 +275,37 @@ class TestOracle:
                                                    rel=1e-13)
 
     def test_first_order_consistency(self):
-        problem = as_dense(scalar_problem(1.0, 1.0, a1=0.5, theta=Linear(0.0, 1.0)))
+        problem = scalar_problem(1.0, 1.0, a1=0.5, theta=Linear(0.0, 1.0))
         errs = [abs(oracle_solve(problem, n).states[0, -1] - np.exp(-1.25))
                 for n in (100, 200)]
         assert errs[1] == pytest.approx(errs[0] / 2.0, rel=0.05)
-        # the preset's 1 x 1 affine terms: the tridiagonal route at dim 1
+        # the preset's 1 x 1 affine terms against the dense reference steps
         preset = get_preset("scalar-decay", load="none").problem
         for n in (100, 200):
             assert rel_diff(oracle_solve(preset, n).states,
-                            oracle_solve(problem, n).states) <= 1e-14
+                            reference_oracle(problem, n, dense=True).states) <= 1e-14
 
     @pytest.mark.parametrize("n_cells", [16, 64])
     def test_tridiagonal_oracle_matches_dense(self, n_cells):
         problem = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem
-        reference = as_dense(problem)
-        assert problem.family.tridiagonal is not None
-        assert reference.family.tridiagonal is None
-        dense = oracle_solve(reference, 500).states
+        dense = reference_oracle(problem, 500, dense=True).states
         assert rel_diff(oracle_solve(problem, 500).states, dense) <= 1e-12
 
-    def test_consistent_mass_takes_the_dense_routes(self):
-        problem = consistent_mass_problem(16)
-        assert problem.family.tridiagonal is None
-        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as dense_solve, \
-                mock.patch.object(sla, "eigh", wraps=sla.eigh) as dense_eigh:
-            oracle = oracle_solve(problem, 2000)
-            traj = solve(problem, Subdivision.uniform(1.0, 32))
-        assert dense_solve.call_count == 2000
-        assert dense_eigh.call_count == 32
-        # the two schemes agree to their first-order errors (7e-4 relative here)
-        gap = np.max(problem.family.space.h_norms(traj.evaluate_many(oracle.grid)
-                                                  - oracle.states))
-        assert gap <= 2e-3 * np.max(problem.family.space.h_norms(oracle.states))
+    def test_consistent_mass_is_refused(self):
+        # every preset's H-Gram is a lumped mass; a consistent one has no
+        # route and is refused when the space is built
+        mass, stiff = consistent_mass(16)[1:-1, 1:-1], stiffness(16)[1:-1, 1:-1]
+        with pytest.raises(StructureError, match="lumped"):
+            GalerkinSpace(mass, stiff + mass)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_singular_step_raises(self, dim):
-        # gram_H + dt A0 = 0 at the first step, on both routes
-        space = GalerkinSpace(np.eye(dim), np.eye(dim))
+        # diag(h) + dt A0 = 0 at the first step, through gtsv and at dim 1
+        space = GalerkinSpace(np.ones(dim), np.eye(dim))
         terms = AffineTerms(-4.0 * np.eye(dim), np.zeros((dim, dim)), Linear(0.0))
         family = FormFamily(space, terms, 1.0, symmetric=True)
-        problem = ProblemData(family, np.ones(dim))
-        assert family.tridiagonal is not None
-        for prob in (problem, as_dense(problem)):
-            with pytest.raises(StructureError):
-                oracle_solve(prob, 4)
+        with pytest.raises(StructureError):
+            oracle_solve(ProblemData(family, np.ones(dim)), 4)
 
     def test_nonfinite_coefficient_or_load_raises(self):
         problem = get_preset("heat-1d-lipschitz", n_cells=8).problem
@@ -347,11 +314,9 @@ class TestOracle:
                                AffineTerms(family.terms.a0, family.terms.a1,
                                            Linear(np.nan)),
                                family.horizon, symmetric=True)
-        assert bad_theta.tridiagonal is not None
         nan_load = SeparableLoad(Linear(np.nan), problem.load.pairing)
         for prob in (ProblemData(bad_theta, problem.u0),
-                     ProblemData(family, problem.u0, load=nan_load),
-                     as_dense(problem, load=nan_load)):
+                     ProblemData(family, problem.u0, load=nan_load)):
             with pytest.raises(EvaluationError):
                 oracle_solve(prob, 10)
             # the slab means are checked as well: no untyped error from the march
@@ -369,21 +334,20 @@ class TestOracle:
         traj = solve(problem, Subdivision.uniform(problem.horizon, 8))
         assert np.all(np.isfinite(traj.evaluate_many(oracle.grid)))
 
-    @pytest.mark.parametrize("route", ["heat16", "heat64", "scalar-decay", "consistent-mass"])
+    @pytest.mark.parametrize("route", ["heat16", "heat64", "scalar-decay", "dirichlet"])
     def test_block_steps_are_the_step_by_step_oracle(self, route):
         # bit for bit, across block boundaries, on every grid; with and
-        # without a load on the bands
-        if route == "consistent-mass":
-            problem = consistent_mass_problem(16)
+        # without a load
+        if route == "dirichlet":
+            problem = dirichlet_problem(16)
             load = SeparableLoad(Harmonic(c=1.0, a=1.0, omega=2.0),
-                                 problem.family.space.gram_H @ problem.u0)
+                                 problem.family.space.h * problem.u0)
             problem = ProblemData(problem.family, problem.u0, load)
         else:
             name, n_cells, load = {"heat16": ("heat-1d-lipschitz", 16, "none"),
                                    "heat64": ("heat-1d-lipschitz", 64, None),
                                    "scalar-decay": ("scalar-decay", None, "forcing")}[route]
             problem = get_preset(name, n_cells=n_cells, load=load).problem
-        assert (problem.family.tridiagonal is None) == (route == "consistent-mass")
         n_steps = 2 * _STEP_BLOCK + 37
         for grid in (None, np.linspace(0.0, problem.horizon, 41), np.array([0.5])):
             got = oracle_solve(problem, n_steps, output_grid=grid)
@@ -391,7 +355,7 @@ class TestOracle:
             np.testing.assert_array_equal(got.grid, ref.grid)
             np.testing.assert_array_equal(got.states, ref.states)
 
-    @pytest.mark.parametrize("route", ["bands", "dim1", "dense"])
+    @pytest.mark.parametrize("route", ["bands", "dim1"])
     def test_coefficients_called_once_per_step(self, route):
         problem = oracle_routes()[route]
         theta, theta_f = Counted(b=1.0), Counted(c=1.0, a=1.0, omega=2.0)
@@ -413,25 +377,21 @@ class TestOracle:
         with pytest.raises(EvaluationError,
                            match=re.escape(f"oracle step matrix at t={t} has")):
             oracle_solve(bad, n_steps)
-        # the dense route forms the step matrix by `AffineTerms.at`
-        with pytest.raises(EvaluationError, match="form matrix at theta=nan"):
-            oracle_solve(as_dense(bad), n_steps)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_the_first_failing_step_decides(self, dim):
         # a singular step 300 and a NaN theta at step 310, in the same block:
         # (1 + dt theta) vanishes at theta = -1/dt, exactly, for dt = 2^-9
         n_steps = 512
-        space = GalerkinSpace(np.eye(dim), np.eye(dim))
+        space = GalerkinSpace(np.ones(dim), np.eye(dim))
         singular, nan = (step_time(1.0, n_steps, i) for i in (300, 310))
         assert (300 - 1) // _STEP_BLOCK == (310 - 1) // _STEP_BLOCK
         theta = Spiked(0.0, spikes=((singular, -float(n_steps)), (nan, np.nan)))
         family = FormFamily(space, AffineTerms(np.zeros((dim, dim)), np.eye(dim), theta),
                             1.0, symmetric=True)
         problem = ProblemData(family, np.ones(dim))
-        for prob in (problem, as_dense(problem)):
-            with pytest.raises(StructureError):
-                oracle_solve(prob, n_steps)
+        with pytest.raises(StructureError):
+            oracle_solve(problem, n_steps)
         # without the singular step, the NaN step raises
         late = with_theta(problem, Spiked(0.0, spikes=((nan, np.nan),)))
         with pytest.raises(EvaluationError, match=re.escape(f"at t={nan} ")):
@@ -448,20 +408,19 @@ class TestOracle:
         # within a block, and before a later singular step (theta = -256) in
         # the same block
         horizon = n_steps / 512.0
-        space = GalerkinSpace(np.eye(dim), np.eye(dim))
+        space = GalerkinSpace(np.ones(dim), np.eye(dim))
         theta = Linear(0.0) if singular is None else Spiked(
             0.0, spikes=((step_time(horizon, n_steps, singular), -256.0),))
         family = FormFamily(space, AffineTerms(-256.0 * np.eye(dim), np.eye(dim), theta),
                             horizon, symmetric=True)
         problem = ProblemData(family, np.full(dim, 1e308 * 2.0 ** -last_finite))
         t = step_time(horizon, n_steps, last_finite + 2)
-        for prob in (problem, as_dense(problem)):
-            with np.errstate(over="ignore"), pytest.raises(
-                    EvaluationError, match=re.escape(f"oracle right-hand side at t={t} is")):
-                oracle_solve(prob, n_steps)
+        with np.errstate(over="ignore"), pytest.raises(
+                EvaluationError, match=re.escape(f"oracle right-hand side at t={t} is")):
+            oracle_solve(problem, n_steps)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
-    @pytest.mark.parametrize("route", ["bands", "dim1", "dense"])
+    @pytest.mark.parametrize("route", ["bands", "dim1"])
     def test_nonfinite_late_load_names_its_step(self, route, value):
         problem = oracle_routes()[route]
         n_steps = 2 * _STEP_BLOCK + 10

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dirichlet_space
+from evolveq.fem import consistent_mass
 from evolveq.spaces import GalerkinSpace, StructureError
 
 # frozen by an independent dense solve of gram_V (see test below)
@@ -18,11 +19,11 @@ def dual_norm(space, g):
 
 def h_representation(space, u):
     """The pairings of the functional (u | .)_H."""
-    return space.gram_H @ np.asarray(u, dtype=float)
+    return space.h * np.asarray(u, dtype=float)
 
 
 def scalar_space(gh, gv):
-    return GalerkinSpace(np.array([[gh]]), np.array([[gv]]))
+    return GalerkinSpace(np.array([gh]), np.array([[gv]]))
 
 
 class TestDualNorm:
@@ -36,8 +37,10 @@ class TestDualNorm:
         assert dual_norm(space, np.zeros(space.dim)) == 0.0
 
     def test_hat_sum_regression(self):
+        # the dual norm reads only gram_V and g: the pairings of the constant
+        # 1 against the consistent mass, whatever the H-Gram
         space = dirichlet_space(64)
-        g = h_representation(space, np.ones(space.dim))
+        g = consistent_mass(64)[1:-1, 1:-1] @ np.ones(space.dim)
         assert dual_norm(space, g) == pytest.approx(HAT_SUM_DUAL_NORM, abs=1e-12)
         # independent oracle: plain dense solve instead of the Cholesky path
         direct = np.sqrt(g @ np.linalg.solve(space.gram_V, g))
@@ -46,8 +49,9 @@ class TestDualNorm:
 
 class TestEmbeddingConstant:
     def test_identical_norms(self):
-        g = np.array([[2.0, 0.3], [0.3, 1.0]])
-        assert GalerkinSpace(g, g).embedding_constant == pytest.approx(1.0, abs=1e-12)
+        h = np.array([2.0, 1.0])
+        assert GalerkinSpace(h, np.diag(h)).embedding_constant == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_scalar_ratio(self):
         assert scalar_space(1.0, 4.0).embedding_constant == pytest.approx(0.5)
@@ -60,16 +64,26 @@ class TestEmbeddingConstant:
 
 class TestStructure:
     def test_rejects_nonsymmetric(self):
-        with pytest.raises(StructureError):
-            GalerkinSpace(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
+        with pytest.raises(StructureError, match="symmetric"):
+            GalerkinSpace(np.ones(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_rejects_indefinite(self):
-        with pytest.raises(StructureError):
-            GalerkinSpace(np.diag([1.0, -1.0]), np.eye(2))
+        with pytest.raises(StructureError, match="positive"):
+            GalerkinSpace(np.array([1.0, -1.0]), np.eye(2))
+        with pytest.raises(StructureError, match="positive"):
+            GalerkinSpace(np.ones(2), np.diag([1.0, -1.0]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(StructureError):
-            GalerkinSpace(np.eye(2), np.eye(3))
+            GalerkinSpace(np.ones(2), np.eye(3))
+
+    def test_rejects_a_matrix_h_gram(self):
+        # the H-Gram is a lumped mass, given as its diagonal: a consistent
+        # mass, and even a diagonal matrix, is refused when the space is built
+        mass = consistent_mass(8)[1:-1, 1:-1]
+        for gram_h in (mass, np.diag(np.diag(mass))):
+            with pytest.raises(StructureError, match="lumped"):
+                GalerkinSpace(gram_h, mass)
 
 
 class TestNormProperties:
@@ -102,5 +116,5 @@ class TestNormProperties:
 @given(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=2, max_size=6))
 def test_diagonal_space_embedding_is_max_ratio(diag):
     d = np.array(diag)
-    space = GalerkinSpace(np.diag(d), np.eye(d.size))
+    space = GalerkinSpace(d, np.eye(d.size))
     assert space.embedding_constant == pytest.approx(np.sqrt(d.max()), rel=1e-10)

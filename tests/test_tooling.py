@@ -72,8 +72,8 @@ def test_every_exported_name_resolves(name):
 
 
 def test_only_forms_knows_the_storage_route():
-    # the family chooses between its bands and its dense terms; no other
-    # module imports the band module or reads a family's band storage
+    # the family keeps its terms as bands; no other module imports the
+    # band module or reads a family's band storage
     readers = set()
     for path in sorted((REPO / "src" / "evolveq").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -219,11 +219,12 @@ class Subdivision:
     def slab_index(self, t):
         """Right-continuous slab lookup of a time or an array of times.
 
-        t = T maps to the last slab; a time outside [0, T] raises ValueError.
+        t = T maps to the last slab; a time outside [0, T], or NaN, raises
+        ValueError.
         """
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.points[0]) or np.any(t > self.points[-1]):
-            raise ValueError(f"time outside [0, {self.horizon}]")
+        if not np.all((t >= self.points[0]) & (t <= self.points[-1])):
+            raise ValueError(f"time outside [0, {self.horizon}] or not finite")
         k = np.searchsorted(self.points, t, side="right") - 1
         return np.minimum(k, self.n_slabs - 1)
 

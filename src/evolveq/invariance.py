@@ -70,22 +70,22 @@ class ConvexSet:
         return float(np.sqrt(max((x * self.metric) @ x, 0.0)))
 
     def project(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "box":
-            return np.clip(x, self.lower, self.upper)
-        if self.kind == "ball":
-            d = x - self.center
-            r = self.metric_norm(d)
-            if r <= self.radius:
-                return x.copy()
-            return self.center + (self.radius / r) * d
-        raise ValueError(f"unknown convex-set kind {self.kind!r}")
+        return self.project_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def project_many(self, xs: np.ndarray) -> np.ndarray:
-        """Row-wise projection of an (m, dim) sample matrix."""
+        """Row-wise projection of an (m, dim) sample matrix: a box clamps
+        every entry, a ball scales every row outside it onto its sphere."""
+        xs = np.asarray(xs, dtype=float)
         if self.kind == "box":
             return np.clip(xs, self.lower, self.upper)
-        return np.vstack([self.project(row) for row in xs])
+        if self.kind == "ball":
+            d = xs - self.center
+            r = np.sqrt(np.maximum(np.einsum("ij,ij->i", d * self.metric, d), 0.0))
+            out = xs.copy()
+            far = r > self.radius
+            out[far] = self.center + (self.radius / r[far])[:, None] * d[far]
+            return out
+        raise ValueError(f"unknown convex-set kind {self.kind!r}")
 
     def distance(self, x) -> float:
         x = np.asarray(x, dtype=float)

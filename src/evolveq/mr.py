@@ -9,11 +9,11 @@ integrals, whose modal Grams are diagonal, read only its diagonal, in O(n).
 A slab with a rate at or below _MIN_RATE has no such closed form and is
 refused with ContractError, and an integral that overflows raises
 FloatingPointError.
-The audits take a trajectory from `solve`, on its breakpoints; the
-identity and estimate audits read the per-slab terms that `mr_norms`
-computes in its one pass over the slabs.  The product-rule and telescoping
-audits form A_k v for all breakpoints at once by `FormFamily.apply`, from
-each slab's coefficient mean; no slab holds its matrix.
+The audits take a trajectory from `solve`, on its breakpoints, and read
+its `SlabRecord` row by row; the identity and estimate audits read the
+per-slab terms that `mr_norms` computes in its one pass over the rows.
+The product-rule and telescoping audits form A_k v for all breakpoints at
+once by `FormFamily.apply`, from the record's coefficient means.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormConstants, FormFamily
-from .propagator import ProblemData, SlabSolution, Trajectory
+from .forms import FormConstants
+from .propagator import ProblemData, SlabRecord, Trajectory
 
 __all__ = [
     "ContractError",
@@ -80,35 +80,34 @@ def _eint(s: np.ndarray, length: float) -> np.ndarray:
                     -np.expm1(z) / safe)
 
 
-def _slab_coefficients(slab: SlabSolution):
-    """(mu, c, p, dc) with u(tau) = W (c e^{-mu tau} + p), u'(tau) = W (dc e^{-mu tau}).
+def _slab_coefficients(traj: Trajectory):
+    """(mu, c, p, dc) with u(tau) = W (c e^{-mu tau} + p), u'(tau) = W (dc e^{-mu tau}),
+    as (n_slabs, dim) arrays with row k for slab k.
 
     W are the slab's diag(h)-orthonormal modes, so the modal H-Gram is the
-    identity.  A rate at or below _MIN_RATE has no such closed form.
+    identity.  A rate at or below _MIN_RATE has no such closed form; the
+    first slab with one is named.
     """
-    mu = slab.propagator.rates
-    if not np.all(mu > _MIN_RATE):
+    rec = _require_metadata(traj)
+    mu = rec.rates
+    low = ~np.all(mu > _MIN_RATE, axis=1)
+    if low.any():
+        k, pts = np.argmax(low), traj.subdivision.points
         raise ContractError(
-            f"slab rate {mu.min():.3e} <= {_MIN_RATE:g} on "
-            f"[{slab.t0:g}, {slab.t1:g}]: shift the family (omega) so "
+            f"slab rate {mu[k].min():.3e} <= {_MIN_RATE:g} on "
+            f"[{pts[k]:g}, {pts[k + 1]:g}]: shift the family (omega) so "
             "that every slab is coercive")
-    p = slab.fhat / mu
-    c = slab.y0 - p
+    p = rec.fhat / mu
+    c = rec.y0 - p
     return mu, c, p, -mu * c
 
 
-def _require_metadata(traj: Trajectory,
-                      report: MRReport | None = None) -> list[SlabSolution]:
+def _require_metadata(traj: Trajectory, report: MRReport | None = None) -> SlabRecord:
     if traj.slabs is None:
         raise ContractError("trajectory carries no slab metadata; use solve()")
-    if report is not None and len(report.supV_slabs) != len(traj.slabs):
+    if report is not None and len(report.supV_slabs) != traj.slabs.thetas.size:
         raise ContractError("MR report is not of this trajectory; use mr_norms()")
     return traj.slabs
-
-
-def _step_form(slabs: list[SlabSolution]) -> tuple[FormFamily, np.ndarray]:
-    """The family and the (n_slabs,) coefficient means of a solve's slabs."""
-    return slabs[0].propagator.family, np.array([s.propagator.theta for s in slabs])
 
 
 def _sampled_sup_v(traj: Trajectory) -> tuple[float, ...]:
@@ -135,30 +134,33 @@ def mr_norms(traj: Trajectory) -> MRReport:
     The sup-V samples of all slabs are evaluated together.  As in `solve`,
     an overflow raises FloatingPointError instead of reporting inf.
     """
-    slabs = _require_metadata(traj)
+    modes = _require_metadata(traj).modes
     space = traj.space
     h = space.h
     gram_dual = h[:, None] * space.dual_gram * h
+    lengths = np.diff(traj.subdivision.points)
     l2v = h1h = h1vp = 0.0
     l2v_slabs, chain_slabs, product_slabs = [], [], []
     with np.errstate(over="raise"):
-        for slab in slabs:
-            mu, c, p, dc = _slab_coefficients(slab)
-            w, length = slab.propagator.modes, slab.length
-            kernel = _eint(mu[:, None] + mu[None, :], length)
-            e = _eint(mu, length)
-            gram_v = w.T @ space.gram_V @ w
-            l2v_slabs.append(float(c @ (gram_v * kernel) @ c
-                                   + 2.0 * (c * e) @ gram_v @ p
-                                   + length * (p @ gram_v @ p)))
-            l2v += l2v_slabs[-1]
-            h1vp += float(dc @ ((w.T @ gram_dual @ w) * kernel) @ dc)
-            diag = np.diagonal(kernel)
-            h1h += float(np.sum(dc * dc * diag))
-            moment = c * diag + p * e            # int_0^h e^{-mu tau} (modal u)
-            chain_slabs.append(2.0 * float(dc @ moment))
-            product_slabs.append(2.0 * float((mu * dc) @ moment))
-        supv_slabs = _sampled_sup_v(traj)
+        try:
+            for mu, c, p, dc, w, length in zip(*_slab_coefficients(traj), modes, lengths):
+                kernel = _eint(mu[:, None] + mu[None, :], length)
+                e = _eint(mu, length)
+                gram_v = w.T @ space.gram_V @ w
+                l2v_slabs.append(float(c @ (gram_v * kernel) @ c
+                                       + 2.0 * (c * e) @ gram_v @ p
+                                       + length * (p @ gram_v @ p)))
+                l2v += l2v_slabs[-1]
+                h1vp += float(dc @ ((w.T @ gram_dual @ w) * kernel) @ dc)
+                diag = np.diagonal(kernel)
+                h1h += float(np.sum(dc * dc * diag))
+                moment = c * diag + p * e            # int_0^h e^{-mu tau} (modal u)
+                chain_slabs.append(2.0 * float(dc @ moment))
+                product_slabs.append(2.0 * float((mu * dc) @ moment))
+            supv_slabs = _sampled_sup_v(traj)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"overflow in the MR integrals of the "
+                                     f"{lengths.size}-slab solve") from exc
     l2v, h1h, h1vp = (float(np.sqrt(max(x, 0.0))) for x in (l2v, h1h, h1vp))
     return MRReport(l2V=l2v, h1H=h1h, h1Vp=h1vp, supV=max(supv_slabs),
                     mr_vvp=float(np.hypot(l2v, h1vp)),
@@ -175,10 +177,7 @@ def check_chain_rule(report: MRReport, traj: Trajectory) -> float:
     """
     _require_metadata(traj, report)
     h_sq = traj.space.h_norms(traj.states) ** 2
-    residual = 0.0
-    for k, rhs in enumerate(report.chain_slabs):
-        residual = max(residual, abs(h_sq[k + 1] - h_sq[k] - rhs))
-    return float(residual)
+    return float(np.max(np.abs(np.diff(h_sq) - np.array(report.chain_slabs))))
 
 
 def check_product_rule(report: MRReport, traj: Trajectory) -> float:
@@ -188,10 +187,9 @@ def check_product_rule(report: MRReport, traj: Trajectory) -> float:
     symmetric A_k, over all slabs at once; the right side is the report's
     `product_slabs`.
     """
-    slabs = _require_metadata(traj, report)
-    family, thetas = _step_form(slabs)
+    rec = _require_metadata(traj, report)
     u0, u1 = traj.states[:, :-1], traj.states[:, 1:]
-    lhs = np.einsum("ij,ij->j", u1 - u0, family.apply(u1 + u0, thetas))
+    lhs = np.einsum("ij,ij->j", u1 - u0, rec.family.apply(u1 + u0, rec.thetas))
     return float(np.max(np.abs(lhs - np.array(report.product_slabs))))
 
 
@@ -202,17 +200,19 @@ def check_lemma_indepmax(report: MRReport, traj: Trajectory,
     The sups are the report's `supV_slabs`.  Returns the minimum margin
     (RHS - LHS) over slabs; nonnegative means verified.
     """
-    slabs = _require_metadata(traj, report)
+    fbar = _require_metadata(traj, report).fbar
     if constants is None or constants.bound is None or constants.coercivity is None:
         raise ContractError("sup-bound check needs certified M and alpha")
     if constants.coercivity <= 0:
         raise ContractError("sup-bound check requires coercivity at shift 0")
     space = traj.space
     big_m, alpha = constants.bound, constants.coercivity
+    lengths = np.diff(traj.subdivision.points)
+    starts = traj.states[:, :-1].T.copy()        # contiguous, one row per slab
     margin = np.inf
-    for slab, sup_v in zip(slabs, report.supV_slabs):
-        load_sq = slab.length * space.h_norm(slab.fbar) ** 2
-        rhs = (big_m * space.v_norm(slab.u_start) ** 2 + load_sq) / alpha
+    for f, u, length, sup_v in zip(fbar, starts, lengths, report.supV_slabs):
+        load_sq = length * space.h_norm(f) ** 2
+        rhs = (big_m * space.v_norm(u) ** 2 + load_sq) / alpha
         margin = min(margin, rhs - sup_v ** 2)
     return float(margin)
 
@@ -226,7 +226,7 @@ def check_lemma3(report: MRReport, traj: Trajectory, problem: ProblemData,
     f is the slab-averaged load the trajectory actually solves with.
     Returns the minimum margin.
     """
-    slabs = _require_metadata(traj, report)
+    fbar = _require_metadata(traj, report).fbar
     if alpha <= 0:
         raise ContractError("energy bound requires coercivity at shift 0")
     space = problem.family.space
@@ -234,10 +234,11 @@ def check_lemma3(report: MRReport, traj: Trajectory, problem: ProblemData,
     u0_sq = space.h_norm(problem.u0) ** 2
     lhs = rhs_load = 0.0
     margin = c2 * u0_sq                                  # at t = 0
-    for slab, l2v_sq in zip(slabs, report.l2V_slabs):
-        pair = space.h * slab.fbar
+    for f, length, l2v_sq in zip(fbar, np.diff(traj.subdivision.points),
+                                 report.l2V_slabs):
+        pair = space.h * f
         lhs += l2v_sq
-        rhs_load += float(pair @ space.dual_gram @ pair) * slab.length
+        rhs_load += float(pair @ space.dual_gram @ pair) * length
         margin = min(margin, c2 * (rhs_load + u0_sq) - lhs)
     return float(margin)
 
@@ -255,7 +256,10 @@ def load_l2h(problem: ProblemData) -> float:
         return 0.0
     space, g = problem.family.space, load.pairing
     with np.errstate(over="raise"):
-        total = load.theta.square_integral(problem.horizon) * float(g @ space.solve_H(g))
+        try:
+            total = load.theta.square_integral(problem.horizon) * float(g @ space.solve_H(g))
+        except FloatingPointError as exc:
+            raise FloatingPointError("overflow in the load norm ||f||_{L^2(0,T;H)}") from exc
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -278,14 +282,13 @@ def check_form_telescoping(traj: Trajectory,
     v is the computed state at the junction.  Nonpositive (up to slack)
     means the telescoping inequality holds.
     """
-    slabs = _require_metadata(traj)
+    rec = _require_metadata(traj)
     if lipschitz is None:
         raise ContractError("telescoping check needs a Lipschitz constant")
     if not traj.subdivision.is_uniform:
         raise ContractError("telescoping check assumes a uniform subdivision")
-    family, thetas = _step_form(slabs)
-    v = traj.states[:, 1:-1]
-    jump = family.apply(v, thetas[:-1]) - family.apply(v, thetas[1:])
+    v, thetas = traj.states[:, 1:-1], rec.thetas
+    jump = rec.family.apply(v, thetas[:-1]) - rec.family.apply(v, thetas[1:])
     gap = np.abs(np.einsum("ij,ij->j", v, jump))
     lengths = np.diff(traj.subdivision.points)[:-1]
     allowance = lipschitz * lengths * traj.space.v_norms(v) ** 2

@@ -9,17 +9,19 @@ the lumped H-Gram, evaluated in the modes of the symmetric pencil
 f(t) = theta_f(t) g, or absent, so its slab means are mean(theta_f) g / h
 in closed form.
 
+A solve's slabs are one `SlabRecord` of whole arrays, row k for slab k;
+its start states are the trajectory's breakpoint states, held once.
 Dense output is one kernel, `_modal_coefficients`: it forms the modal
-coefficients of any (slab, time) pairs at once from the slabs' stacked
-rates and modal data, and each slab only multiplies its pairs by its modes.
+coefficients of any (slab, time) pairs at once from the record's rates
+and modal data, and each slab only multiplies its pairs by its modes.
 The march, `Trajectory.evaluate_many` and the MR audits' sup-V samples all
 go through it.  The oracle takes its steps in blocks from
 `FormFamily.implicit_steps`, one O(n) tridiagonal solve per step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .spaces import GalerkinSpace, StructureError
 
 __all__ = [
     "SlabPropagator",
-    "SlabSolution",
+    "SlabRecord",
     "Trajectory",
     "ProblemData",
     "SeparableLoad",
@@ -71,76 +73,51 @@ def _modal_coefficients(rates: np.ndarray, y0: np.ndarray, fhat: np.ndarray,
 
 @dataclass
 class SlabPropagator:
-    """Eigendecomposition of one frozen operator B = diag(h)^{-1} A_k.
-
-    A_k = A0 + theta A1 is held as the family and its slab mean theta.
-    B = modes @ diag(rates) @ modes^T diag(h), with diag(h)-orthonormal
-    modes from the symmetric pencil (A_k, diag(h)).
+    """Eigendecomposition of one frozen operator B = diag(h)^{-1} A_k,
+    A_k = A0 + theta A1 for a slab mean theta: B = modes @ diag(rates) @
+    modes^T diag(h), with diag(h)-orthonormal modes from the symmetric
+    pencil (A_k, diag(h)).
     """
 
-    family: FormFamily
-    theta: float                  # the slab mean of the form coefficient
     rates: np.ndarray
     modes: np.ndarray
 
     @classmethod
     def build(cls, family: FormFamily, theta: float) -> "SlabPropagator":
         """Solve the pencil of A0 + theta A1 by `FormFamily.pencil`."""
-        return cls(family, theta, *family.pencil(theta))
-
-    def to_modes(self, u: np.ndarray) -> np.ndarray:
-        return self.modes.T @ (self.family.space.h * u)
+        return cls(*family.pencil(theta))
 
 
-@dataclass
-class SlabSolution:
-    """Exact autonomous solution on one slab, held by its modal coefficients.
+class SlabRecord(NamedTuple):
+    """A solve's slabs as whole arrays, row k for slab k.
 
-    `states` evaluates the slab alone through the dense-output kernel; a
-    trajectory evaluates many slabs at once through the same kernel.
+    Slab k solves the autonomous problem with A_k = A0 + thetas[k] A1 and
+    the load fbar[k]; its exact solution a time tau after the slab's left
+    end is modes[k] (e^{-rates[k] tau} y0[k] + tau phi1(-rates[k] tau) fhat[k]),
+    with y0[k] and fhat[k] the modal data of the slab's start state and load.
     """
 
-    t0: float
-    t1: float
-    propagator: SlabPropagator
-    u_start: np.ndarray
-    fbar: np.ndarray              # slab-averaged load, H-coordinates
-    y0: np.ndarray = field(init=False, repr=False)     # modes of u_start
-    fhat: np.ndarray = field(init=False, repr=False)   # modes of fbar
-
-    def __post_init__(self) -> None:
-        self.y0 = self.propagator.to_modes(self.u_start)
-        self.fhat = self.propagator.to_modes(self.fbar)
-
-    @property
-    def length(self) -> float:
-        return self.t1 - self.t0
-
-    def state(self, t: float) -> np.ndarray:
-        return self.states(np.array([t]))[:, 0]
-
-    def states(self, times: np.ndarray) -> np.ndarray:
-        """(dim, m) array of states at the given absolute times in the slab."""
-        taus = np.asarray(times, dtype=float) - self.t0
-        if np.any(taus < 0) or np.any(taus > self.length * (1 + 1e-12)):
-            raise ValueError(f"times outside the slab [{self.t0}, {self.t1}]")
-        prop = self.propagator
-        return prop.modes @ _modal_coefficients(
-            prop.rates[:, None], self.y0[:, None], self.fhat[:, None],
-            np.zeros(taus.size, dtype=int), taus)
+    family: FormFamily
+    thetas: np.ndarray            # (K,) slab means of the form coefficient
+    rates: np.ndarray             # (K, n) pencil eigenvalues
+    modes: np.ndarray             # (K, n, n) diag(h)-orthonormal modes
+    y0: np.ndarray                # (K, n) modes of the slab start states
+    fhat: np.ndarray              # (K, n) modes of the slab-averaged loads
+    fbar: np.ndarray              # (K, n) slab-averaged loads, H-coordinates
 
 
 @dataclass
 class Trajectory:
-    """States on a time grid, with per-slab metadata for a solve.
+    """States on a time grid, with the slab record of a solve.
 
-    A solve's grid is its subdivision's breakpoints, one slab per interval;
-    the oracle keeps the steps it is asked for and carries no slabs.
+    A solve's grid is its subdivision's breakpoints, one slab per interval,
+    and slab k starts from states[:, k]; the oracle keeps the steps it is
+    asked for and carries no slabs.
     """
 
     grid: np.ndarray
     states: np.ndarray                 # (dim, n_times)
-    slabs: list[SlabSolution] | None = None
+    slabs: SlabRecord | None = None
     subdivision: Subdivision | None = None
 
     def __post_init__(self) -> None:
@@ -153,27 +130,21 @@ class Trajectory:
         if (self.slabs is None) != (self.subdivision is None):
             raise ValueError("slabs and their subdivision come together")
         if self.slabs is not None:
-            edges = [slab.t0 for slab in self.slabs] + [self.slabs[-1].t1]
-            if not (np.array_equal(self.grid, self.subdivision.points)
-                    and np.array_equal(self.grid, edges)):
+            if not np.array_equal(self.grid, self.subdivision.points):
                 raise ValueError("trajectory grid is not its slabs' breakpoints")
+            k, n = self.subdivision.n_slabs, self.slabs.family.space.dim
+            if ([np.shape(a) for a in self.slabs[1:]] + [self.states.shape[0]]
+                    != [(k,), (k, n), (k, n, n), (k, n), (k, n), (k, n), n]):
+                raise ValueError(f"slab record rows are not the {k} slabs of dim {n}")
 
-    def _require_slabs(self) -> list[SlabSolution]:
+    def _require_slabs(self) -> SlabRecord:
         if self.slabs is None:
             raise ValueError("trajectory carries no slab metadata")
         return self.slabs
 
     @property
     def space(self) -> GalerkinSpace:
-        return self._require_slabs()[0].propagator.family.space
-
-    @cached_property
-    def _stacked(self) -> tuple[np.ndarray, ...]:
-        """Slab left ends and lengths, and the (dim, n_slabs) rates, y0 and
-        fhat, one column per slab."""
-        pts = self.subdivision.points
-        columns = zip(*((s.propagator.rates, s.y0, s.fhat) for s in self._require_slabs()))
-        return (pts[:-1], np.diff(pts), *map(np.column_stack, columns))
+        return self._require_slabs().family.space
 
     def evaluate_many(self, times: np.ndarray) -> np.ndarray:
         """Exact within-slab evaluation at any times in [0, T], each in the
@@ -185,20 +156,20 @@ class Trajectory:
         """The (dim, m) states of slab slab_idx[j] at times[j].
 
         One `_modal_coefficients` call serves every time; per slab, only the
-        product with its modes is left.  A time outside its slab raises
-        ValueError.
+        product with its modes is left.  A time outside its slab, or not
+        finite, raises ValueError.
         """
-        slabs = self._require_slabs()
-        t0, lengths, rates, y0, fhat = self._stacked
+        rec = self._require_slabs()
+        pts = self.subdivision.points
         slab_idx, times = np.asarray(slab_idx), np.asarray(times, dtype=float)
-        taus = times - t0[slab_idx]
-        if np.any(taus < 0) or np.any(taus > lengths[slab_idx] * (1 + 1e-12)):
+        taus = times - pts[slab_idx]
+        if not np.all((taus >= 0) & (taus <= np.diff(pts)[slab_idx] * (1 + 1e-12))):
             raise ValueError("times outside their slabs")
-        coef = _modal_coefficients(rates, y0, fhat, slab_idx, taus)
+        coef = _modal_coefficients(rec.rates.T, rec.y0.T, rec.fhat.T, slab_idx, taus)
         out = np.empty(coef.shape)
         for k in np.unique(slab_idx):
             sel = slab_idx == k
-            out[:, sel] = slabs[k].propagator.modes @ coef[:, sel]
+            out[:, sel] = rec.modes[k] @ coef[:, sel]
         return out
 
 
@@ -246,14 +217,17 @@ class ProblemData:
         return self.family.horizon
 
 
-def _averaged_loads(problem: ProblemData, subdivision: Subdivision) -> list[np.ndarray]:
-    """Slab means of the load in H-coordinates: mean(theta_f) times one
-    H-solve of its pairing."""
+def _averaged_loads(problem: ProblemData, subdivision: Subdivision) -> np.ndarray:
+    """The (n_slabs, dim) slab means of the load in H-coordinates: mean(theta_f)
+    times one H-solve of its pairing.  An overflow raises FloatingPointError."""
     space, load = problem.family.space, problem.load
     if load is None:
-        return [np.zeros(space.dim) for _ in range(subdivision.n_slabs)]
-    g = space.solve_H(load.pairing)
-    return [m * g for m in subdivision.means(load.theta)]
+        return np.zeros((subdivision.n_slabs, space.dim))
+    with np.errstate(over="raise"):
+        try:
+            return subdivision.means(load.theta)[:, None] * space.solve_H(load.pairing)
+        except FloatingPointError as exc:
+            raise FloatingPointError("overflow in the slab-averaged loads") from exc
 
 
 def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
@@ -264,7 +238,7 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
     are exact through `Trajectory.evaluate_many`, which steps from the
     slab's left breakpoint, never by interpolation.  The family must be
     declared symmetric; an overflowing exponential raises
-    FloatingPointError instead of returning non-finite states.
+    FloatingPointError, naming the slab, instead of returning inf states.
     """
     family = problem.family
     if not family.symmetric:
@@ -272,18 +246,34 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
     if abs(subdivision.horizon - family.horizon) > 1e-12 * max(family.horizon, 1.0):
         raise ValueError("subdivision horizon does not match the family")
     thetas = build_step_form(family, subdivision)
-    loads = _averaged_loads(problem, subdivision)
+    fbar = _averaged_loads(problem, subdivision)
 
-    slabs: list[SlabSolution] = []
-    states = [problem.u0.copy()]
+    n_slabs, h = subdivision.n_slabs, family.space.h
     pts = subdivision.points
+    taus = np.diff(pts)
+    # eigh_tridiagonal returns F-ordered modes, and each slab keeps that
+    # layout in the stack: C-ordered modes send the products with them (the
+    # MR Grams w.T @ gram_V @ w, dense output) to other GEMM kernels, which
+    # moves the last bits of every result read from them
+    modes = np.empty((n_slabs, h.size, h.size)).transpose(0, 2, 1)
+    rec = SlabRecord(family, thetas, np.empty(fbar.shape), modes,
+                     np.empty(fbar.shape), np.empty(fbar.shape), fbar)
+    states = np.empty((h.size, n_slabs + 1))
+    states[:, 0] = u = problem.u0
     with np.errstate(over="raise"):
-        for k in range(subdivision.n_slabs):
-            t0, t1 = pts[k], pts[k + 1]
-            prop = SlabPropagator.build(family, thetas[k])
-            slabs.append(SlabSolution(t0, t1, prop, states[-1], loads[k]))
-            states.append(slabs[-1].state(t1))
-    return Trajectory(pts, np.column_stack(states), slabs, subdivision)
+        try:
+            for k in range(n_slabs):
+                prop = SlabPropagator.build(family, thetas[k])
+                rec.rates[k], rec.modes[k] = prop.rates, prop.modes
+                rec.y0[k] = prop.modes.T @ (h * u)
+                rec.fhat[k] = prop.modes.T @ (h * fbar[k])
+                u = (prop.modes @ _modal_coefficients(
+                    rec.rates.T, rec.y0.T, rec.fhat.T, np.array([k]), taus[k:k + 1]))[:, 0]
+                states[:, k + 1] = u
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"overflow in the slab state on "
+                                     f"[{pts[k]:g}, {pts[k + 1]:g}]") from exc
+    return Trajectory(pts, states, rec, subdivision)
 
 
 def oracle_solve(problem: ProblemData, n_steps: int,

@@ -116,6 +116,17 @@ def sampled_constants(space, matrix_at, horizon):
                          lipschitz=lipschitz, source=f"sampled on {t_grid.size} times")
 
 
+def reference_ball_projection(cset, xs):
+    """A ball's projection row by row: each row outside the ball is scaled
+    onto the sphere by its own metric norm, each row inside is copied."""
+    rows = []
+    for x in np.asarray(xs, dtype=float):
+        d = x - cset.center
+        r = float(np.sqrt(max((d * cset.metric) @ d, 0.0)))
+        rows.append(x.copy() if r <= cset.radius else cset.center + (cset.radius / r) * d)
+    return np.vstack(rows)
+
+
 def _rowwise(x, y):
     return np.einsum("ij,ij->i", x, y)
 
@@ -174,9 +185,9 @@ def reference_mr_terms(traj):
     gram_dual = gram_h @ space.dual_gram @ gram_h
     terms = {"l2V_slabs": [], "chain_slabs": [], "product_slabs": [],
              "h1H": 0.0, "h1Vp": 0.0}
-    for slab in traj.slabs:
-        mu, c, p, dc = _slab_coefficients(slab)
-        w, length = slab.propagator.modes, slab.length
+    lengths = np.diff(traj.subdivision.points)
+    for mu, c, p, dc, w, length in zip(*_slab_coefficients(traj), traj.slabs.modes,
+                                       lengths):
         zero, eye = np.zeros_like(mu), np.eye(mu.size)
         terms["l2V_slabs"].append(_bilinear_exp_integral(
             mu, c, p, c, p, w.T @ space.gram_V @ w, length))
@@ -193,8 +204,8 @@ def reference_mr_terms(traj):
 
 def _slab_matrices(traj):
     """Each slab's dense A_k = A0 + mean_k(theta) A1."""
-    terms = traj.slabs[0].propagator.family.terms
-    return [terms.at(slab.propagator.theta) for slab in traj.slabs]
+    terms = traj.slabs.family.terms
+    return [terms.at(theta) for theta in traj.slabs.thetas]
 
 
 def reference_product_rule(report, traj):
@@ -270,14 +281,16 @@ def reference_phi1(z):
     return out
 
 
-def reference_slab_states(slab, times):
-    """A slab's closed form at absolute times, by its own outer products of
-    rates and times: the reference for the dense-output kernel."""
-    taus = np.asarray(times, dtype=float) - slab.t0
-    rates = slab.propagator.rates
+def reference_slab_states(traj, k, times):
+    """Slab k's closed form at absolute times, from row k of the slab record
+    by its own outer products of rates and times: the reference for the
+    dense-output kernel."""
+    rec = traj.slabs
+    taus = np.asarray(times, dtype=float) - traj.subdivision.points[k]
+    rates = rec.rates[k]
     decay = np.exp(-np.outer(rates, taus))
-    drive = taus[None, :] * reference_phi1(-np.outer(rates, taus)) * slab.fhat[:, None]
-    return slab.propagator.modes @ (decay * slab.y0[:, None] + drive)
+    drive = taus[None, :] * reference_phi1(-np.outer(rates, taus)) * rec.fhat[k][:, None]
+    return rec.modes[k] @ (decay * rec.y0[k][:, None] + drive)
 
 
 def reference_evaluate_many(traj, times):
@@ -287,17 +300,18 @@ def reference_evaluate_many(traj, times):
     idx = traj.subdivision.slab_index(times)
     out = np.empty((traj.states.shape[0], times.size))
     for k in np.unique(idx):
-        out[:, idx == k] = reference_slab_states(traj.slabs[k], times[idx == k])
+        out[:, idx == k] = reference_slab_states(traj, k, times[idx == k])
     return out
 
 
 def reference_sup_v(traj, samples=17):
     """Per slab, the largest ||u||_V at `samples` uniform times across it,
     both ends included, one slab and one v_norms call at a time."""
+    pts = traj.subdivision.points
     return tuple(
         float(np.max(traj.space.v_norms(reference_slab_states(
-            slab, slab.t0 + np.linspace(0.0, slab.length, samples)))))
-        for slab in traj.slabs)
+            traj, k, pts[k] + np.linspace(0.0, pts[k + 1] - pts[k], samples)))))
+        for k in range(pts.size - 1))
 
 
 def oracle_gap(problem, subdivision, n_steps, relative=False):

@@ -14,7 +14,7 @@ from evolveq.forms import (AffineTerms, FormFamily, Harmonic, Linear,
 from evolveq.invariance import check_criterion_symmetric, sample_pool
 from evolveq.mr import _slab_coefficients, mr_norms
 from evolveq.presets import get_preset
-from evolveq.propagator import (ProblemData, SlabPropagator, SlabSolution,
+from evolveq.propagator import (ProblemData, SlabPropagator, _modal_coefficients,
                                 oracle_solve, solve)
 from evolveq.spaces import GalerkinSpace
 
@@ -234,7 +234,9 @@ class TestMain:
         (HEAT_CFG + "[convex_set]\nlower = inf\n", 1),
         (HEAT_CFG + "seed = -3\n", 1),
         (HEAT_CFG.replace("n_cells = 4", "n_cells = 8")
-         + "[load]\namplitude = 1e160\n", 2),               # the MR norms overflow
+         + "[load]\namplitude = 1e160\n", 2),               # the load norm overflows
+        (HEAT_CFG.replace("n_cells = 4", "n_cells = 8")
+         + "[load]\namplitude = 1.7e308\n", 2),             # so do the slab means
         (HEAT_CFG + "[convex_set]\nkind = ball\nradius = 1.0\nlower = 5.0\n"
          "upper = -7.0\n", 1),
         (HEAT_CFG + "[convex_set]\nkind = box\nradius = 1.0\n", 1),
@@ -243,8 +245,8 @@ class TestMain:
             "duplicate", "set_halfspace", "set_metric", "set_ball_no_radius",
             "set_negative_radius", "set_inverted_box", "horizon_inf",
             "amplitude_nan", "omega_nan", "set_lower_inf", "seed_negative",
-            "mr_overflow", "set_ball_with_box_keys", "set_box_with_radius",
-            "set_metric_consistent"])
+            "mr_overflow", "load_mean_overflow", "set_ball_with_box_keys",
+            "set_box_with_radius", "set_metric_consistent"])
     def test_typed_errors_map_to_exit_codes(self, tmp_path, capsys, text, status):
         path = write_cfg(tmp_path, text)
         out = tmp_path / "results"
@@ -252,6 +254,11 @@ class TestMain:
         captured = capsys.readouterr()
         err = captured.err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        for amplitude, quantity in (("1e160", "the load norm ||f||_{L^2(0,T;H)}"),
+                                    ("1.7e308", "the slab-averaged loads")):
+            if f"amplitude = {amplitude}\n" in text:
+                # an overflow names the quantity that overflowed
+                assert err == f"error: overflow in {quantity}\n"
         if status == 1:
             # config errors are caught when the config is read, before any work
             assert not list(out.glob("*.csv"))
@@ -272,7 +279,7 @@ class TestMain:
             [SlabPropagator.build.__func__, estimate_constants,
              _slab_coefficients, sample_pool, fem.heat_matrix],
             lambda: main(["all", "--config", str(path), "--out", str(tmp_path / "o")]),
-            under={SlabSolution.states: solve,
+            under={_modal_coefficients: solve,
                    inspect.unwrap(np.linalg.solve): oracle_solve,
                    inspect.unwrap(sla.eigh): SlabPropagator.build.__func__,
                    coercivity_lower_bound: check_criterion_symmetric,
@@ -286,10 +293,10 @@ class TestMain:
         assert counts["estimate_constants"] == 1
         # the march evaluates each slab once, at its right end; the trajectory
         # keeps those states instead of evaluating the breakpoints again
-        assert counts["SlabSolution.states in solve"] == sum(config.slab_counts)
-        # per slab, one closed-form pass in mr_norms; the identity and
-        # estimate audits read what it reports
-        assert counts["_slab_coefficients"] == sum(config.slab_counts)
+        assert counts["_modal_coefficients in solve"] == sum(config.slab_counts)
+        # per trajectory, one closed-form pass in mr_norms over all slabs; the
+        # identity and estimate audits read what it reports
+        assert counts["_slab_coefficients"] == len(config.slab_counts)
         # the sup-V samples of all slabs take one norm call per trajectory
         assert counts["GalerkinSpace.v_norms in mr_norms"] == len(config.slab_counts)
         # one sample pool, read by both invariance criteria; the symmetric

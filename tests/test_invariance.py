@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (pointwise_criterion, pointwise_criterion_symmetric,
-                      pointwise_worst, reference_pair)
+                      pointwise_worst, reference_ball_projection, reference_pair)
 from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
                            Linear, Subdivision, estimate_constants)
 from evolveq.invariance import (ConvexSet, SamplePool, audit_trajectory,
@@ -77,6 +77,23 @@ class TestProjection:
         cset = ConvexSet.ball(np.ones(2), np.zeros(2), 1.0)
         np.testing.assert_allclose(cset.project([3.0, 4.0]), [0.6, 0.8])
         assert cset.distance([3.0, 4.0]) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("dim", [1, 3, 81])
+    def test_ball_rows_match_row_by_row(self, rng, dim):
+        # all rows scaled at once against one row at a time; rows inside the
+        # ball come back unchanged, bit for bit
+        metric = lumped_metric(rng, dim)
+        cset = ConvexSet.ball(metric, rng.standard_normal(dim), 1.5 * np.sqrt(dim))
+        xs = cset.center + rng.standard_normal((200, dim)) * rng.uniform(0.1, 3.0, (200, 1))
+        got, ref = cset.project_many(xs), reference_ball_projection(cset, xs)
+        inside = np.array([cset.metric_norm(x - cset.center) <= cset.radius for x in xs])
+        assert 0 < inside.sum() < xs.shape[0]
+        np.testing.assert_array_equal(got[inside], xs[inside])
+        # relative to the operands center + s (x - center): an entry that
+        # cancels carries the roundoff of its row's scale factor s
+        scale = np.abs(cset.center) + np.abs(xs - cset.center)
+        assert np.all(np.abs(got - ref) <= 1e-15 * scale)
+        np.testing.assert_array_equal(cset.project(xs[0]), got[0])
 
     def test_bad_constructions(self):
         with pytest.raises(ValueError):

@@ -91,8 +91,12 @@ class TestMRNorms:
         grid = np.linspace(0.0, 1.0, 9)
         with pytest.raises(ValueError, match="breakpoints"):
             Trajectory(grid, traj.evaluate_many(grid), traj.slabs, traj.subdivision)
-        with pytest.raises(ValueError, match="breakpoints"):
-            Trajectory(traj.grid, traj.states, traj.slabs[:-1], traj.subdivision)
+        # and a record without one row per slab of the subdivision
+        rec = traj.slabs
+        for short in (rec._replace(thetas=rec.thetas[:-1]), rec._replace(y0=rec.y0[:-1]),
+                      rec._replace(modes=rec.modes[:, :-1])):
+            with pytest.raises(ValueError, match="rows"):
+                Trajectory(traj.grid, traj.states, short, traj.subdivision)
 
     def test_report_must_match_trajectory(self, decay_traj):
         problem, traj = decay_traj
@@ -110,9 +114,9 @@ class TestMRNorms:
         huge = ProblemData(problem.family, np.array([1e160]),
                            load=SeparableLoad(Linear(1.0), np.array([1e160])))
         traj = solve(huge, Subdivision.uniform(1.0, 4))
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError, match="MR integrals of the 4-slab solve"):
             mr_norms(traj)
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError, match="load norm"):
             load_l2h(huge)
 
     def test_zero_rate_slab_refused(self, rng):
@@ -125,6 +129,16 @@ class TestMRNorms:
         traj = solve(ProblemData(family, rng.standard_normal(space.dim)),
                      Subdivision.uniform(1.0, 8))
         with pytest.raises(ContractError, match="shift"):
+            mr_norms(traj)
+
+    def test_first_slab_below_the_rate_floor_is_named(self):
+        # A(t) = 1 - 2t has slab means 0.75, 0.25, -0.25, -0.75: slabs 2 and
+        # 3 are not coercive, and the error names the interval of slab 2
+        space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
+        family = FormFamily(space, AffineTerms([[1.0]], [[-1.0]], Linear(0.0, 2.0)),
+                            1.0, symmetric=True)
+        traj = solve(ProblemData(family, np.array([1.0])), Subdivision.uniform(1.0, 4))
+        with pytest.raises(ContractError, match=r"-2\.500e-01 <= 1e-12 on \[0\.5, 0\.75\]"):
             mr_norms(traj)
 
 

@@ -12,8 +12,7 @@ from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
 from evolveq.presets import get_preset
 from evolveq.mr import _slab_coefficients, mr_norms
 from evolveq.propagator import (_STEP_BLOCK, ProblemData, SeparableLoad,
-                                SlabPropagator, SlabSolution, Trajectory,
-                                oracle_solve, phi1, solve)
+                                Trajectory, oracle_solve, phi1, solve)
 from evolveq.spaces import GalerkinSpace, StructureError
 
 
@@ -89,20 +88,20 @@ def heat_family(n_cells):
 
 class TestSlabStep:
     def test_scalar_variation_of_constants(self):
-        family = scalar_problem(2.0, 1.0).family
-        prop = SlabPropagator.build(family, 0.0)
+        # one slab of length h from u0 with the constant load f
         h, u0, f = 0.5, 1.3, 0.7
-        slab = SlabSolution(0.0, h, prop, np.array([u0]), np.array([f]))
+        problem = scalar_problem(2.0, h, u0=u0,
+                                 load=SeparableLoad(Linear(1.0), np.array([f])))
+        traj = solve(problem, Subdivision.uniform(h, 1))
         expected = np.exp(-2.0 * h) * u0 + h * phi1(np.array([-2.0 * h]))[0] * f
-        assert slab.state(h)[0] == pytest.approx(expected, rel=1e-14)
+        assert traj.evaluate_in_slabs([0], [h])[0, 0] == pytest.approx(expected, rel=1e-14)
+        assert traj.states[0, -1] == pytest.approx(expected, rel=1e-14)
 
     def test_step_duration_validated(self):
-        prop = SlabPropagator.build(scalar_problem(1.0, 1.0).family, 0.0)
-        slab = SlabSolution(0.0, 0.5, prop, np.ones(1), np.zeros(1))
-        with pytest.raises(ValueError):
-            slab.state(0.6)
-        with pytest.raises(ValueError):
-            slab.state(-0.1)
+        traj = solve(scalar_problem(1.0, 0.5), Subdivision.uniform(0.5, 1))
+        for t in (0.6, -0.1, np.nan):
+            with pytest.raises(ValueError):
+                traj.evaluate_in_slabs([0], [t])
 
     def test_generator_action(self):
         # B = diag(h)^{-1} A = modes @ diag(rates) @ modes^T diag(h), at theta = 0,
@@ -165,11 +164,15 @@ class TestSolve:
                                                    rel=1e-12)
 
     def test_breakpoint_states_are_the_marched_states(self, heat_traj_64):
-        # each slab starts from the state the march handed it, bit for bit
-        starts = np.column_stack([slab.u_start for slab in heat_traj_64.slabs])
-        np.testing.assert_array_equal(heat_traj_64.states[:, :-1], starts)
-        last = heat_traj_64.slabs[-1]
-        np.testing.assert_array_equal(heat_traj_64.states[:, -1], last.state(last.t1))
+        # each slab's modal start data is the state the march handed it, bit
+        # for bit, and the last state is the last slab's right end
+        rec, states = heat_traj_64.slabs, heat_traj_64.states
+        h = heat_traj_64.space.h
+        for k in range(rec.thetas.size):
+            np.testing.assert_array_equal(rec.y0[k], rec.modes[k].T @ (h * states[:, k]))
+        last = rec.thetas.size - 1
+        np.testing.assert_array_equal(
+            states[:, -1], heat_traj_64.evaluate_in_slabs([last], [1.0])[:, 0])
 
     def test_non_symmetric_family_rejected(self):
         space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
@@ -178,9 +181,9 @@ class TestSolve:
             solve(ProblemData(family, np.array([1.0])), Subdivision.uniform(1.0, 4))
 
     def test_overflow_raises_instead_of_inf_states(self):
-        # A = -1000 grows by e^250 per slab: the fourth slab overflows
+        # A = -1000 grows by e^250 per slab: e^750 overflows in the third slab
         problem = scalar_problem(-1000.0, 1.0)
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError, match=r"slab state on \[0\.5, 0\.75\]"):
             solve(problem, Subdivision.uniform(1.0, 4))
 
     def test_horizon_mismatch_rejected(self):
@@ -191,13 +194,14 @@ class TestSolve:
     def test_derivative_satisfies_slab_ode(self, heat_traj_64, heat_preset):
         # the modal derivative u' = W (dc e^{-mu tau}) that the MR integrals use
         space = heat_preset.problem.family.space
-        t = 0.37
-        slab = heat_traj_64.slabs[heat_traj_64.subdivision.slab_index(t)]
-        mu, _, _, dc = _slab_coefficients(slab)
-        u = slab.state(t)
-        du = slab.propagator.modes @ (dc * np.exp(-mu * (t - slab.t0)))
-        a_u = heat_preset.problem.family.apply(u, slab.propagator.theta)
-        residual = space.h * du + a_u - space.h * slab.fbar
+        t, rec = 0.37, heat_traj_64.slabs
+        k = heat_traj_64.subdivision.slab_index(t)
+        mu, _, _, dc = (a[k] for a in _slab_coefficients(heat_traj_64))
+        u = heat_traj_64.evaluate_in_slabs([k], [t])[:, 0]
+        t0 = heat_traj_64.subdivision.points[k]
+        du = rec.modes[k] @ (dc * np.exp(-mu * (t - t0)))
+        a_u = heat_preset.problem.family.apply(u, rec.thetas[k])
+        residual = space.h * du + a_u - space.h * rec.fbar[k]
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(u))
 
     def test_evaluate_many_is_the_per_slab_closed_form(self, heat_traj_64):
@@ -208,9 +212,10 @@ class TestSolve:
                                 rng.uniform(0.0, 1.0, 50)])
         np.testing.assert_array_equal(heat_traj_64.evaluate_many(times),
                                       reference_evaluate_many(heat_traj_64, times))
-        slab = heat_traj_64.slabs[5]
-        taus = slab.t0 + np.array([0.0, 0.3, 1.0]) * slab.length
-        np.testing.assert_array_equal(slab.states(taus), reference_slab_states(slab, taus))
+        t0, t1 = pts[5], pts[6]
+        taus = t0 + np.array([0.0, 0.3, 1.0]) * (t1 - t0)
+        np.testing.assert_array_equal(heat_traj_64.evaluate_in_slabs([5, 5, 5], taus),
+                                      reference_slab_states(heat_traj_64, 5, taus))
 
     def test_evaluate_many_at_dim_1_empty_and_outside(self):
         traj = solve(scalar_problem(2.0, 1.0, a1=1.0, theta=Harmonic(b=1.0),
@@ -220,7 +225,7 @@ class TestSolve:
         np.testing.assert_array_equal(traj.evaluate_many(times),
                                       reference_evaluate_many(traj, times))
         assert traj.evaluate_many(np.array([])).shape == (1, 0)
-        for t in (-1e-12, 1.0 + 1e-12):
+        for t in (-1e-12, 1.0 + 1e-12, np.nan):
             with pytest.raises(ValueError):
                 traj.evaluate_many(np.array([0.5, t]))
 
@@ -245,9 +250,8 @@ class TestSolve:
         many = heat_traj_64.evaluate_many(times)
         sub = heat_traj_64.subdivision
         for i, t in enumerate(times):
-            slab = heat_traj_64.slabs[sub.slab_index(t)]
-            np.testing.assert_allclose(many[:, i], slab.state(t),
-                                       rtol=1e-12, atol=1e-14)
+            one = heat_traj_64.evaluate_in_slabs([sub.slab_index(t)], [t])[:, 0]
+            np.testing.assert_allclose(many[:, i], one, rtol=1e-12, atol=1e-14)
 
 
 class TestTrajectoryValidation:

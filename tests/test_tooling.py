@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import evolveq
+from evolveq import cli
 
 REPO = Path(__file__).resolve().parents[1]
-TRACER = REPO / "perfbench" / "tracer.py"
+PERFBENCH = REPO / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 COMPARE = REPO / "scripts" / "compare_results.py"
 RATE_TABLE = REPO / "scripts" / "rate_table.py"
 
@@ -22,6 +24,8 @@ RATE_TABLE = REPO / "scripts" / "rate_table.py"
 def load_script(path, name):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    # registered first: a dataclass resolves its annotations in its module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -56,6 +60,19 @@ def test_traced_arguments_keep_their_positions(mod, func, position, name):
     params = list(inspect.signature(
         getattr(importlib.import_module(f"evolveq.{mod}"), func)).parameters)
     assert params[position] == name, params
+
+
+@pytest.mark.parametrize("workload", sorted(
+    load_script(PERFBENCH / "workloads.py", "perfbench_workloads").WORKLOADS))
+def test_workload_outputs_pass_the_benchmark_check(tmp_path, capsys, workload):
+    # each benchmark workload at seed 1, checked against its stored references
+    workloads = load_script(PERFBENCH / "workloads.py", "perfbench_workloads")
+    check = load_script(PERFBENCH / "check.py", "perfbench_check")
+    spec = workloads.WORKLOADS[workload]
+    cfg = workloads.write_config(spec, 1, tmp_path / "bench.cfg")
+    out = tmp_path / "out"
+    status = cli.main([spec.command, "--config", str(cfg), "--out", str(out)])
+    assert check.check_run(status, out, workload) == []
 
 
 # every module but __main__, which runs the CLI when it is imported

@@ -8,6 +8,14 @@ are exact: they are read at the ends of theta's range and from the largest
 |theta'|.  The terms must be tridiagonal, and the H-metric is the space's
 lumped mass: only the family knows that it keeps its terms as bands, and
 its pencils, products, pool pairings and oracle steps cost O(n).
+
+The constants, and the embedding constant c_H of the space, are extreme
+eigenvalues of tridiagonal pencils against the V-Gram's bands.  Each is an
+inertia bisection (`tridiagonal.pencil_bracket`): A - lam gram_V factors
+exactly when lam lies below every eigenvalue, so each factorization
+decides one side.  Each constant is reported on its certified side, up
+to the factorization's roundoff: M, L and c_H from above, alpha from
+below, within 4 ulps of the eigenvalue.
 """
 from __future__ import annotations
 
@@ -38,6 +46,7 @@ __all__ = [
     "certify_shift",
     "dual_operator_norm",
     "coercivity_lower_bound",
+    "embedding_constant",
     "gauss_nodes",
 ]
 
@@ -255,15 +264,6 @@ class AffineTerms:
         """a0 + s a1; a non-finite result raises EvaluationError."""
         return _finite(self.a0 + s * self.a1, f"form matrix at theta={s}")
 
-    def extremes(self, horizon: float) -> list[np.ndarray]:
-        """The matrices at the ends of theta's range on [0, horizon].
-
-        ||a0 + s a1||_{V->V'} is convex in s and the coercivity lambda_min
-        is concave in s, so both take their extremes over the family here.
-        """
-        lo, hi = self.theta.bounds(horizon)
-        return [self.at(s) for s in sorted({lo, hi})]
-
 
 class TridiagonalTerms(NamedTuple):
     """Band storage of the affine terms."""
@@ -388,33 +388,70 @@ def build_step_form(family: FormFamily, subdivision: Subdivision) -> np.ndarray:
     return subdivision.means(family.terms.theta)
 
 
+def _pencil_extremes(space: GalerkinSpace, a: np.ndarray) -> tuple[float, float]:
+    """Certified (lower bound of the least, upper bound of the greatest)
+    eigenvalue of the pencil (A, gram_V) for the bands a of a symmetric A.
+
+    Bands that are not symmetric to 1e-12 raise StructureError: the
+    V -> V' norm of a non-symmetric A is not an eigenvalue of such a pencil.
+    """
+    scale = max(np.linalg.norm(a), np.finfo(float).tiny)
+    if np.linalg.norm(a[0, 1:] - a[2, :-1]) > 1e-12 * scale:
+        raise StructureError("the V -> V' norm needs a symmetric form matrix")
+    sym, g = tridiagonal.symmetric_part(a), space.gram_V
+    return (tridiagonal.pencil_bracket(sym, g)[0],
+            tridiagonal.pencil_bracket(sym, g, largest=True)[1])
+
+
 def dual_operator_norm(space: GalerkinSpace, a: np.ndarray) -> float:
-    """Operator norm of A as a map V -> V', via the V-Cholesky factor."""
-    low = space._chol_V
-    x = sla.solve_triangular(low, a, lower=True)
-    x = sla.solve_triangular(low, x.T, lower=True).T
-    return float(np.linalg.norm(x, 2))
+    """Upper bound of ||A||_{V->V'} for the bands a of a symmetric A: the
+    largest |lambda| of the pencil (A, gram_V), by inertia bisection."""
+    least, greatest = _pencil_extremes(space, a)
+    return max(greatest, -least)
 
 
 def coercivity_lower_bound(space: GalerkinSpace, a: np.ndarray, shift: float = 0.0) -> float:
-    """Smallest generalized eigenvalue of (sym(A) + shift*diag(h), gram_V)."""
-    sym = 0.5 * (a + a.T) + shift * np.diag(space.h)
-    try:
-        lam = sla.eigh(sym, space.gram_V, eigvals_only=True, subset_by_index=[0, 0])
-    except sla.LinAlgError as exc:
-        raise StructureError("coercivity eigensolve failed") from exc
-    return float(lam[0])
+    """Lower bound of the least eigenvalue of the pencil (sym(A) +
+    shift*diag(h), gram_V) for the bands a of A, by inertia bisection:
+    sym(A) + shift*diag(h) - alpha*gram_V factors."""
+    shifted = a.copy()
+    shifted[1] += shift * space.h
+    return tridiagonal.pencil_bracket(tridiagonal.symmetric_part(shifted), space.gram_V)[0]
+
+
+def embedding_constant(space: GalerkinSpace) -> float:
+    """Upper bound of the smallest c with ||u||_H <= c ||u||_V for every
+    coefficient vector u: the square root of the greatest eigenvalue of the
+    pencil (diag(h), gram_V), by inertia bisection."""
+    h = np.zeros((3, space.dim))
+    h[1] = space.h
+    return float(np.sqrt(tridiagonal.pencil_bracket(h, space.gram_V, largest=True)[1]))
+
+
+def _extreme_bands(family: FormFamily) -> list[np.ndarray]:
+    """The bands of A0 + s A1 at the ends s of theta's range on the horizon.
+
+    ||A0 + s A1||_{V->V'} is convex in s and the coercivity lambda_min is
+    concave in s, so both take their extremes over the family here.
+    """
+    lo, hi = family.terms.theta.bounds(family.horizon)
+    return [_finite(family.tridiagonal.at(s), f"form matrix at theta={s}")
+            for s in sorted({lo, hi})]
 
 
 def estimate_constants(family: FormFamily) -> FormConstants:
     """Continuity, coercivity and Lipschitz constants of the family, exactly:
     M and alpha at the ends of theta's range and L = ||A1||_{V->V'} max|theta'|.
+
+    Each is an inertia bisection on the bands of the family and of gram_V,
+    reported on its certified side: M and L from above, alpha from below.
     """
-    space, terms = family.space, family.terms
-    mats = terms.extremes(family.horizon)
-    bound = max(dual_operator_norm(space, a) for a in mats)
-    coercivity = min(coercivity_lower_bound(space, a) for a in mats)
-    lipschitz = dual_operator_norm(space, terms.a1) * terms.theta.max_slope(family.horizon)
+    space = family.space
+    extremes = [_pencil_extremes(space, a) for a in _extreme_bands(family)]
+    bound = max(max(greatest, -least) for least, greatest in extremes)
+    coercivity = min(least for least, _ in extremes)
+    lipschitz = (dual_operator_norm(space, family.tridiagonal.a1)
+                 * family.terms.theta.max_slope(family.horizon))
     return FormConstants(bound=bound, coercivity=coercivity,
                          lipschitz=lipschitz, source=EXACT)
 
@@ -433,23 +470,30 @@ def certify_shift(family: FormFamily) -> float:
     matrices as `estimate_constants`: the two ends of theta's range.
 
     Returns 0 when the family already certifies; otherwise bisects upward
-    within [0, 10*M/c_H^2] for a shifted coercivity above 1e-10.
+    within [0, 10*M/c_H^2] for a shifted coercivity above 1e-10.  A shift
+    s certifies when sym(A) + s diag(h) - 1e-10 gram_V factors for both
+    matrices: one banded factorization each per bisection step.
     """
-    mats = family.terms.extremes(family.horizon)
+    space = family.space
+    mats = [tridiagonal.symmetric_part(a) for a in _extreme_bands(family)]
+    margin = _SHIFT_TOL * space.gram_V
 
-    def alpha_at(shift: float) -> float:
-        return min(coercivity_lower_bound(family.space, a, shift) for a in mats)
+    def certifies(shift: float) -> bool:
+        shifted = [a - margin for a in mats]
+        for a in shifted:
+            a[1] += shift * space.h
+        return all(tridiagonal.definite(a) for a in shifted)
 
-    if alpha_at(0.0) > _SHIFT_TOL:
+    if certifies(0.0):
         return 0.0
-    bound = max(dual_operator_norm(family.space, a) for a in mats)
-    hi = 10.0 * bound / family.space.embedding_constant ** 2
-    if alpha_at(hi) <= _SHIFT_TOL:
+    bound = max(dual_operator_norm(space, a) for a in mats)
+    hi = 10.0 * bound / embedding_constant(space) ** 2
+    if not certifies(hi):
         raise StructureError("no certifying shift found in [0, 10*M/c_H^2]")
     lo = 0.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if alpha_at(mid) > _SHIFT_TOL:
+        if certifies(mid):
             hi = mid
         else:
             lo = mid

@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forms import Coefficient, FormFamily, Subdivision, build_step_form
+from .forms import (Coefficient, EvaluationError, FormFamily, Subdivision,
+                    build_step_form)
 from .spaces import GalerkinSpace, StructureError
 
 __all__ = [
@@ -126,7 +127,7 @@ class Trajectory:
             raise ValueError("output grid must be strictly increasing")
         self.states = np.asarray(self.states, dtype=float)
         if not np.all(np.isfinite(self.states)):
-            raise ValueError("trajectory states must be finite")
+            raise EvaluationError("trajectory states are not finite")
         if (self.slabs is None) != (self.subdivision is None):
             raise ValueError("slabs and their subdivision come together")
         if self.slabs is not None:

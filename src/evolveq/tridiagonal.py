@@ -1,28 +1,24 @@
-"""Tridiagonal band storage, its two O(n) solvers, products and row-wise pairing.
+"""Tridiagonal band storage, its O(n) solvers, products, row-wise pairing
+and the inertia bisection of symmetric tridiagonal pencils.
 
 Bands are held in LAPACK's (1, 1) banded layout, a (3, n) array: row 0 is
 the superdiagonal shifted right by one, row 1 the diagonal, row 2 the
-subdiagonal; the two unused corners hold zeros.  Linear combinations of
+subdiagonal; the two unused corners hold zeros.  `spaces.bands` builds
+them, and the V-Gram is kept in the same layout.  Linear combinations of
 band arrays are the bands of the same combinations of the matrices.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpttrf
 
-from .spaces import StructureError
+from .spaces import StructureError, bands
 
-__all__ = ["bands", "matvec", "pair_rows", "march", "pencil_eigh"]
+__all__ = ["bands", "matvec", "pair_rows", "march", "pencil_eigh",
+           "symmetric_part", "definite", "pencil_bracket"]
 
-
-def bands(a: np.ndarray) -> np.ndarray | None:
-    """The bands of a square matrix, or None when it has entries off them."""
-    out = np.zeros((3, a.shape[0]))
-    out[0, 1:] = np.diagonal(a, 1)
-    out[1] = np.diagonal(a)
-    out[2, :-1] = np.diagonal(a, -1)
-    return out if np.count_nonzero(a) == np.count_nonzero(out) else None
+_EXPANSIONS = 2100     # doublings that take any finite start past the overflow threshold
 
 
 def matvec(b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -82,3 +78,76 @@ def pencil_eigh(b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     off = 0.5 * (b[0, 1:] + b[2, :-1]) * s[:-1] * s[1:]
     rates, q = sla.eigh_tridiagonal(b[1] / h, off)
     return rates, s[:, None] * q
+
+
+def symmetric_part(b: np.ndarray) -> np.ndarray:
+    """The bands of (A + A^T) / 2 for the bands b of A."""
+    out = b.copy()
+    out[0, 1:] = out[2, :-1] = 0.5 * (b[0, 1:] + b[2, :-1])
+    return out
+
+
+def definite(b: np.ndarray) -> bool:
+    """Whether the symmetric tridiagonal matrix with bands b is positive
+    definite: its LDL^T factorization (LAPACK pttrf) succeeds.
+
+    By Sylvester's law of inertia this holds exactly when every pivot is
+    positive; b holds a non-finite entry only for a matrix that is not.
+    """
+    if not np.isfinite(b[:2]).all():
+        return False
+    if b.shape[1] == 1:
+        return bool(b[1, 0] > 0.0)
+    return dpttrf(b[1], b[0, 1:])[2] == 0
+
+
+def pencil_bracket(a: np.ndarray, g: np.ndarray, largest: bool = False
+                   ) -> tuple[float, float]:
+    """A bracket lo <= lam <= hi of the least (or, with `largest`, the
+    greatest) eigenvalue lam of the pencil (A, G), for the bands a of a
+    symmetric tridiagonal A and g of a symmetric positive definite
+    tridiagonal G, by inertia bisection: one LDL^T factorization per step.
+
+    For the least eigenvalue A - lo G is positive definite and A - hi G is
+    not, so lo is certified from below; for the greatest, hi G - A is
+    positive definite and lo G - A is not, so hi is certified from above.
+    The bisection stops when hi - lo is at most 4 ulps of the eigenvalue,
+    or, for an eigenvalue at 0, 2^-104 of the starting bracket.  At dim 1
+    the one eigenvalue is a / g, and both ends are that quotient.
+    Non-finite bands raise StructureError.
+    """
+    if not (np.isfinite(a[:2]).all() and np.isfinite(g[:2]).all()):
+        raise StructureError("pencil bands are not finite")
+    if a.shape[1] == 1:
+        lam = float(a[1, 0] / g[1, 0])
+        return lam, lam
+    sign = -1.0 if largest else 1.0
+    ad, ae, gd, ge = sign * a[1], sign * a[0, 1:], g[1], g[0, 1:]
+
+    def definite_at(lam: float) -> bool:
+        return dpttrf(ad - lam * gd, ae - lam * ge)[2] == 0
+
+    # a coordinate vector's Rayleigh quotient: A - hi G has a diagonal entry <= 0
+    hi = float(np.min(ad / gd))
+    width = abs(hi) if hi != 0.0 else 1.0
+    for _ in range(_EXPANSIONS):
+        if not definite_at(hi):
+            break
+        hi += width          # rounding left that diagonal entry positive
+    for _ in range(_EXPANSIONS):
+        lo = hi - width
+        if definite_at(lo):
+            break
+        width *= 2.0
+    else:
+        raise StructureError("no certified bound found for the pencil's eigenvalue")
+    floor = 2.0 ** -104 * (hi - lo)
+    while hi - lo > max(4.0 * np.spacing(max(abs(lo), abs(hi))), floor):
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
+        if definite_at(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (-hi, -lo) if largest else (lo, hi)

@@ -113,9 +113,9 @@ def test_criterion_07_identity_residuals():
             traj = solve(preset.problem,
                          Subdivision.uniform(preset.problem.horizon, n))
             rep = mr_norms(traj)
-            worst = max(worst, check_chain_rule(rep, traj))
+            worst = max(worst, check_chain_rule(rep, traj).value)
             if preset.problem.family.symmetric:
-                worst = max(worst, check_product_rule(rep, traj))
+                worst = max(worst, check_product_rule(rep, traj).value)
     report(7, "chain/product residuals", worst <= 1e-8,
            f"max residual {worst:.3e} <= 1e-8")
 

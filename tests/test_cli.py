@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from evolveq import cli, fem
+from evolveq import cli, fem, mr
 from evolveq.cli import (ConfigError, ExperimentConfig, build_parser,
                          list_presets, main, write_csv)
 from evolveq.forms import (AffineTerms, FormFamily, Harmonic, Linear,
                            coercivity_lower_bound, estimate_constants)
 from evolveq.invariance import check_criterion_symmetric, sample_pool
-from evolveq.mr import _slab_coefficients, mr_norms
+from evolveq.mr import _kernel_factor, _slab_coefficients, check_lemma3, mr_norms
 from evolveq.presets import get_preset
-from evolveq.propagator import (ProblemData, SlabPropagator, _modal_coefficients,
-                                oracle_solve, solve)
+from evolveq.propagator import (ProblemData, SlabPropagator, Trajectory,
+                                _modal_coefficients, oracle_solve, solve)
 from evolveq.spaces import GalerkinSpace
 
 SCALAR_CFG = """\
@@ -34,6 +34,15 @@ preset = heat-1d-lipschitz
 n_cells = 4
 slab_counts = 2 4
 oracle_steps = 100
+"""
+
+IDENTITY_CFG = """\
+[experiment]
+preset = heat-1d-lipschitz
+n_cells = 8
+slab_counts = 4 8
+
+[load]
 """
 
 BROKEN_CFG = """\
@@ -58,18 +67,19 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     return path
 
 
-def count_calls(funcs, thunk, under=None):
+def count_calls(funcs, thunk, under=()):
     """Run thunk; count calls into each function's code, whatever name it is called by.
 
-    `under` maps a function to a caller: its calls count only while that
-    caller runs, under the name "<function> in <caller>".
+    `under` lists (function, caller) pairs: such a function's calls count
+    only while that caller runs, under the name "<function> in <caller>".
     """
     codes = {f.__code__: f.__qualname__ for f in funcs}
-    callers = {}
-    for f, caller in (under or {}).items():
-        codes[f.__code__] = f"{f.__qualname__} in {caller.__qualname__}"
-        callers[f.__code__] = caller.__code__
+    watched = {}
+    for f, caller in under:
+        watched.setdefault(f.__code__, []).append(
+            (caller.__code__, f"{f.__qualname__} in {caller.__qualname__}"))
     counts = dict.fromkeys(codes.values(), 0)
+    counts.update((name, 0) for pairs in watched.values() for _, name in pairs)
 
     def runs_under(frame, code):
         while frame is not None and frame.f_code is not code:
@@ -78,9 +88,13 @@ def count_calls(funcs, thunk, under=None):
 
     def hook(frame, event, _arg):
         code = frame.f_code
-        if event == "call" and code in codes:
-            if code not in callers or runs_under(frame, callers[code]):
-                counts[codes[code]] += 1
+        if event != "call":
+            return
+        if code in codes:
+            counts[codes[code]] += 1
+        for caller, name in watched.get(code, ()):
+            if runs_under(frame, caller):
+                counts[name] += 1
 
     sys.setprofile(hook)
     try:
@@ -88,6 +102,12 @@ def count_calls(funcs, thunk, under=None):
     finally:
         sys.setprofile(None)
     return result, counts
+
+
+# the dense LAPACK routes that the banded V-side replaced
+DENSE_ROUTINES = [inspect.unwrap(f) for f in (sla.eigh, np.linalg.svd, sla.cholesky)]
+V_SIDE = [estimate_constants, mr_norms] + [
+    f for f in vars(GalerkinSpace).values() if inspect.isfunction(f)]
 
 
 class TestConfig:
@@ -237,6 +257,10 @@ class TestMain:
          + "[load]\namplitude = 1e160\n", 2),               # the load norm overflows
         (HEAT_CFG.replace("n_cells = 4", "n_cells = 8")
          + "[load]\namplitude = 1.7e308\n", 2),             # so do the slab means
+        (HEAT_CFG.replace("n_cells = 4", "n_cells = 8")
+         + "[load]\namplitude = 1.2e154\n", 2),             # the MR integrals overflow
+        (HEAT_CFG.replace("n_cells = 4", "n_cells = 8")
+         + "[load]\namplitude = 1e154\n", 2),               # so does an audit's scale
         (HEAT_CFG + "[convex_set]\nkind = ball\nradius = 1.0\nlower = 5.0\n"
          "upper = -7.0\n", 1),
         (HEAT_CFG + "[convex_set]\nkind = box\nradius = 1.0\n", 1),
@@ -245,7 +269,8 @@ class TestMain:
             "duplicate", "set_halfspace", "set_metric", "set_ball_no_radius",
             "set_negative_radius", "set_inverted_box", "horizon_inf",
             "amplitude_nan", "omega_nan", "set_lower_inf", "seed_negative",
-            "mr_overflow", "load_mean_overflow", "set_ball_with_box_keys",
+            "mr_overflow", "load_mean_overflow", "mr_integrals_overflow",
+            "audit_overflow", "set_ball_with_box_keys",
             "set_box_with_radius", "set_metric_consistent"])
     def test_typed_errors_map_to_exit_codes(self, tmp_path, capsys, text, status):
         path = write_cfg(tmp_path, text)
@@ -255,7 +280,9 @@ class TestMain:
         err = captured.err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         for amplitude, quantity in (("1e160", "the load norm ||f||_{L^2(0,T;H)}"),
-                                    ("1.7e308", "the slab-averaged loads")):
+                                    ("1.7e308", "the slab-averaged loads"),
+                                    ("1.2e154", "the MR integrals of the 2-slab solve"),
+                                    ("1e154", "the product-rule audit")):
             if f"amplitude = {amplitude}\n" in text:
                 # an overflow names the quantity that overflowed
                 assert err == f"error: overflow in {quantity}\n"
@@ -277,16 +304,19 @@ class TestMain:
         config = ExperimentConfig.from_file(path)
         status, counts = count_calls(
             [SlabPropagator.build.__func__, estimate_constants,
-             _slab_coefficients, sample_pool, fem.heat_matrix],
+             _slab_coefficients, _kernel_factor, sample_pool, fem.heat_matrix],
             lambda: main(["all", "--config", str(path), "--out", str(tmp_path / "o")]),
-            under={_modal_coefficients: solve,
-                   inspect.unwrap(np.linalg.solve): oracle_solve,
-                   inspect.unwrap(sla.eigh): SlabPropagator.build.__func__,
-                   coercivity_lower_bound: check_criterion_symmetric,
-                   AffineTerms.at: solve,
-                   GalerkinSpace.v_norms: mr_norms,
-                   Linear.__call__: oracle_solve,
-                   Harmonic.__call__: oracle_solve})
+            under=[(_modal_coefficients, solve),
+                   (inspect.unwrap(np.linalg.solve), oracle_solve),
+                   (inspect.unwrap(sla.eigh), SlabPropagator.build.__func__),
+                   (coercivity_lower_bound, check_criterion_symmetric),
+                   (AffineTerms.at, solve),
+                   (GalerkinSpace.v_norms, mr_norms),
+                   (GalerkinSpace.solve_V, mr_norms),
+                   (GalerkinSpace.solve_V, check_lemma3),
+                   (Linear.__call__, oracle_solve),
+                   (Harmonic.__call__, oracle_solve)]
+            + [(dense, caller) for dense in DENSE_ROUTINES for caller in V_SIDE])
         assert status == 0
         # one solve per ladder point, shared by solve, converge and invariance
         assert counts["SlabPropagator.build"] == sum(config.slab_counts)
@@ -297,8 +327,22 @@ class TestMain:
         # per trajectory, one closed-form pass in mr_norms over all slabs; the
         # identity and estimate audits read what it reports
         assert counts["_slab_coefficients"] == len(config.slab_counts)
-        # the sup-V samples of all slabs take one norm call per trajectory
-        assert counts["GalerkinSpace.v_norms in mr_norms"] == len(config.slab_counts)
+        # per trajectory, one lockstep factorization of all slabs' kernels
+        assert counts["_kernel_factor"] == len(config.slab_counts)
+        # per trajectory, whose modes fit in one chunk here, one norm call
+        # each for the modes, the steady parts, the low-rank states and the
+        # sup-V samples of all slabs
+        assert counts["GalerkinSpace.v_norms in mr_norms"] == 4 * len(config.slab_counts)
+        # and one banded solve each for the modes' V'-norms and for the
+        # low-rank H^1(V') states of all slabs
+        assert counts["GalerkinSpace.solve_V in mr_norms"] == 2 * len(config.slab_counts)
+        # the V'-norms of all slab loads of a trajectory are one banded solve
+        assert counts["GalerkinSpace.solve_V in check_lemma3"] == len(config.slab_counts)
+        # the constants, the MR integrals and the space form no dense V-side
+        # product: no dense eigensolve, SVD or Cholesky runs under them
+        for dense in DENSE_ROUTINES:
+            for caller in V_SIDE:
+                assert counts[f"{dense.__qualname__} in {caller.__qualname__}"] == 0
         # one sample pool, read by both invariance criteria; the symmetric
         # one reads alpha from the constants instead of solving for it again
         assert counts["sample_pool"] == 1
@@ -317,6 +361,56 @@ class TestMain:
         assert counts["eigh in SlabPropagator.build"] == 0
         # each slab is its coefficient mean: the band route forms no dense A_k
         assert counts["AffineTerms.at in solve"] == 0
+
+    @pytest.mark.parametrize("amplitude", ["1e4", "1e6"])
+    def test_identity_residuals_judged_relative_to_their_terms(self, tmp_path, capsys,
+                                                               amplitude):
+        # the residuals are roundoff of terms that scale with amplitude^2:
+        # they pass relative to those terms, and mr.csv keeps them absolute
+        path = write_cfg(tmp_path, IDENTITY_CFG + f"amplitude = {amplitude}\n")
+        out = tmp_path / "results"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        assert "FAIL" not in (out / "summary.txt").read_text()
+        rows = [line.split(",") for line in (out / "mr.csv").read_text().splitlines()]
+        chain = rows[0].index("residual_chain")
+        assert max(float(row[chain]) for row in rows[1:]) > 1e-10
+
+    @pytest.mark.parametrize("amplitude", ["1", "1e6"])
+    def test_perturbed_product_term_fails(self, tmp_path, capsys, monkeypatch, amplitude):
+        # one product-rule term off by 1e-6 of itself is not roundoff
+        norms = mr.mr_norms
+
+        def perturbed(traj):
+            report = norms(traj)
+            terms = list(report.product_slabs)
+            k = int(np.argmax(np.abs(terms)))
+            terms[k] *= 1.0 + 1e-6
+            return replace(report, product_slabs=tuple(terms))
+
+        monkeypatch.setattr(mr, "mr_norms", perturbed)
+        path = write_cfg(tmp_path, IDENTITY_CFG + f"amplitude = {amplitude}\n")
+        out = tmp_path / "results"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert "FAIL identity residual at n=4" in (out / "summary.txt").read_text()
+
+    def test_nonfinite_states_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a trajectory with a NaN state is a typed numerical error
+        def nan_ladder(problem, slab_counts, threads=1):
+            return [Trajectory(np.array([0.0, 1.0]), np.full((1, 2), np.nan))]
+
+        monkeypatch.setattr(cli.conv, "solve_ladder", nan_ladder)
+        path = write_cfg(tmp_path, SCALAR_CFG)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: trajectory states are not finite\n"
+
+    def test_uncertified_remainder_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a kernel factor stopped early is refused with ToleranceError
+        monkeypatch.setattr(mr, "_STOP_TOL", 1e-6)
+        path = write_cfg(tmp_path, HEAT_CFG.replace("n_cells = 4", "n_cells = 16"))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the low-rank L^2(V) integral on [0, ")
+        assert "certified remainder" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("failure", ["singular_step", "nonfinite_theta"])
     def test_oracle_failures_exit_2(self, tmp_path, capsys, monkeypatch, failure):

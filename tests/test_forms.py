@@ -1,16 +1,18 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (gauss_panels, quadrature_slab_means, reference_apply,
-                      sampled_constants)
+from conftest import (dense_gram_V, gauss_panels, quadrature_slab_means,
+                      reference_apply, sampled_constants)
 from evolveq import fem, tridiagonal
 from evolveq.forms import (EXACT, AffineTerms, EvaluationError, FormFamily,
-                           Harmonic, Linear, Subdivision, build_step_form,
-                           certify_shift,
+                           Harmonic, Linear, Subdivision, _extreme_bands,
+                           build_step_form, certify_shift,
                            coercivity_lower_bound, dual_operator_norm,
-                           estimate_constants, gauss_nodes, rescale)
+                           embedding_constant, estimate_constants, gauss_nodes,
+                           rescale)
 from evolveq.presets import get_preset
 from evolveq.spaces import GalerkinSpace, StructureError
 
@@ -133,11 +135,11 @@ class TestConstants:
 
     def test_dual_operator_norm_scalar(self):
         space = GalerkinSpace(np.array([1.0]), np.array([[4.0]]))
-        assert dual_operator_norm(space, np.array([[2.0]])) == pytest.approx(0.5)
+        assert dual_operator_norm(space, tridiagonal.bands(np.array([[2.0]]))) == 0.5
 
     def test_coercivity_with_shift(self):
         space = GalerkinSpace(np.array([2.0]), np.array([[1.0]]))
-        val = coercivity_lower_bound(space, np.array([[-1.0]]), shift=1.0)
+        val = coercivity_lower_bound(space, tridiagonal.bands(np.array([[-1.0]])), shift=1.0)
         assert val == pytest.approx(1.0, abs=1e-13)
 
     def test_heat_bound_matches_independent_eig(self, heat_preset):
@@ -148,9 +150,82 @@ class TestConstants:
         import scipy.linalg as sla
         worst = max(
             np.max(np.abs(sla.eigvals(
-                np.linalg.solve(fam.space.gram_V, fam.matrix(t)))))
+                np.linalg.solve(dense_gram_V(fam.space), fam.matrix(t)))))
             for t in np.linspace(0, 1, 33))
         assert c.bound == pytest.approx(float(worst.real), rel=1e-8)
+
+
+def mp_pencil_extreme(a, g, largest, steps=96):
+    """The least (or greatest) eigenvalue of the symmetric tridiagonal pencil
+    (A, G) for bands a and g, by Sturm counts in 40-digit arithmetic: the
+    count of negative LDL^T pivots of A - lam G is the number of eigenvalues
+    below lam.  The float64 bands are taken exactly."""
+    mpmath.mp.dps = 40
+    ad, ae, gd, ge = ([mpmath.mpf(float(x)) for x in row]
+                      for row in (a[1], a[0, 1:], g[1], g[0, 1:]))
+    n = len(ad)
+
+    def below(lam):
+        count, pivot = 0, None
+        for i in range(n):
+            t = ad[i] - lam * gd[i]
+            if i:
+                off = ae[i - 1] - lam * ge[i - 1]
+                t -= off * off / pivot
+            pivot = t if t != 0 else mpmath.mpf("1e-60")
+            count += pivot < 0
+        return count
+
+    radius = mpmath.mpf(1)
+    while below(-radius) > 0 or below(radius) < n:
+        radius *= 2
+    lo, hi, target = -radius, radius, n - 1 if largest else 0
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if below(mid) > target else (mid, hi)
+    return (lo + hi) / 2
+
+
+class TestBisectedConstants:
+    """M, alpha, L and c_H by inertia bisection on the bands, against a
+    40-digit Sturm-count reference of the same float64 matrices."""
+
+    @pytest.mark.parametrize("n_cells", [16, 64, 80])
+    def test_against_high_precision(self, n_cells):
+        fam = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem.family
+        g = fam.space.gram_V
+        mats = [tridiagonal.symmetric_part(a) for a in _extreme_bands(fam)]
+        bound = max(max(mp_pencil_extreme(a, g, True), -mp_pencil_extreme(a, g, False))
+                    for a in mats)
+        alpha = min(mp_pencil_extreme(a, g, False) for a in mats)
+        lipschitz = (mp_pencil_extreme(fam.tridiagonal.a1, g, True)
+                     * fam.terms.theta.max_slope(fam.horizon))
+        h = np.zeros((3, fam.space.dim))
+        h[1] = fam.space.h
+        c_h = mpmath.sqrt(mp_pencil_extreme(h, g, True))
+        # the factorizations' componentwise backward error moves an
+        # eigenvalue by about n^2 eps relative for these stiffness pencils
+        rel = 8.0 * fam.space.dim ** 2 * np.finfo(float).eps
+        got = estimate_constants(fam)
+        assert got.bound == pytest.approx(float(bound), rel=rel)
+        assert got.coercivity == pytest.approx(float(alpha), rel=rel)
+        assert got.lipschitz == pytest.approx(float(lipschitz), rel=rel)
+        assert embedding_constant(fam.space) == pytest.approx(float(c_h), rel=rel)
+
+    @pytest.mark.parametrize("n_cells", [16, 64, 80])
+    def test_alpha_is_certified_to_four_ulps(self, n_cells):
+        # sym(A) - alpha G factors for every extreme matrix, and for the one
+        # attaining alpha, sym(A) - (alpha + 4 ulp) G does not
+        fam = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem.family
+        g = fam.space.gram_V
+        alpha = estimate_constants(fam).coercivity
+        mats = [tridiagonal.symmetric_part(a) for a in _extreme_bands(fam)]
+        assert all(tridiagonal.definite(a - alpha * g) for a in mats)
+        above = alpha + 4.0 * np.spacing(alpha)
+        assert not all(tridiagonal.definite(a - above * g) for a in mats)
+        # the greatest eigenvalues from above: M G - sym(A) factors
+        bound = estimate_constants(fam).bound
+        assert all(tridiagonal.definite(bound * g - a) for a in mats)
 
 
 class TestRescale:
@@ -175,7 +250,8 @@ class TestCertifyShift:
         fam = scalar_family(0.0, 2.0 * np.pi, a1=1.0, theta=Harmonic(b=1.0))
         shift = certify_shift(fam)
         assert shift == pytest.approx(1.0, abs=1e-6)
-        assert coercivity_lower_bound(fam.space, fam.matrix(1.5 * np.pi), shift) > 0
+        assert coercivity_lower_bound(fam.space, tridiagonal.bands(fam.matrix(1.5 * np.pi)),
+                                      shift) > 0
 
     def test_hopeless_family_raises(self):
         # the negative direction is nearly invisible to gram_H, so no shift

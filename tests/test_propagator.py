@@ -260,7 +260,8 @@ class TestTrajectoryValidation:
             Trajectory(np.array([0.0, 0.5, 0.5]), np.zeros((1, 3)))
 
     def test_states_must_be_finite(self):
-        with pytest.raises(ValueError):
+        # a typed numerical error, which the CLI maps to exit code 2
+        with pytest.raises(EvaluationError, match="trajectory states are not finite"):
             Trajectory(np.array([0.0, 1.0]), np.array([[0.0, np.nan]]))
 
     def test_metadata_required_for_evaluate(self):

@@ -5,7 +5,7 @@ import argparse
 import numpy as np
 
 from evolveq.convergence import check_ladder, refine, solve_ladder
-from evolveq.presets import get_preset, preset_names
+from evolveq.presets import LOAD_NAMES, get_preset, preset_names
 
 
 def main() -> None:
@@ -13,7 +13,7 @@ def main() -> None:
     parser.add_argument("preset", choices=preset_names())
     parser.add_argument("--ladder", default="8,16,32,64,128,256",
                         help="comma-separated nested slab counts")
-    parser.add_argument("--load", choices=["none", "constant", "forcing"],
+    parser.add_argument("--load", choices=LOAD_NAMES,
                         help="load preset (default: the preset's own)")
     args = parser.parse_args()
 

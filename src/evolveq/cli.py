@@ -19,8 +19,8 @@ from . import invariance as inv
 from . import mr
 from .forms import (EvaluationError, FormConstants, certify_shift,
                     estimate_constants, rescale)
-from .presets import (PresetProblem, convex_set_for, get_preset,
-                      preset_descriptions, resolved_constants)
+from .presets import (LOAD_NAMES, PresetProblem, convex_set_for, get_preset,
+                      preset_descriptions, preset_names, resolved_constants)
 from .propagator import ProblemData, Trajectory
 from .spaces import StructureError
 
@@ -116,6 +116,12 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        if self.preset not in preset_names():
+            raise ConfigError(f"unknown preset {self.preset!r}; "
+                              f"choose from {preset_names()}")
+        if self.load_name is not None and self.load_name not in LOAD_NAMES:
+            raise ConfigError(f"unknown [load] name {self.load_name!r}; "
+                              f"choose from {list(LOAD_NAMES)}")
         if self.slab_counts is not None:
             _check_ladder(self.slab_counts, min_points=1)
         if self.seed < 0:

@@ -5,9 +5,10 @@ coefficient theta, and a(t; u, v) = u^T A(t) v.  Slab averaging replaces
 the family on each interval of a subdivision by its integral mean,
 A0 + mean(theta) A1, one scalar per slab, and the constants M, alpha and L
 are exact: they are read at the ends of theta's range and from the largest
-|theta'|.  The terms must be tridiagonal, and the H-metric is the space's
-lumped mass: only the family knows that it keeps its terms as bands, and
-its pencils, products, pool pairings and oracle steps cost O(n).
+|theta'|.  The terms are symmetric tridiagonal, given and held as their
+(3, n) bands (`spaces.symmetric_bands`), and the H-metric is the space's
+lumped mass, so the family's pencils, products, pool pairings and oracle
+steps cost O(n) and no n x n matrix is formed.
 
 The constants, and the embedding constant c_H of the space, are extreme
 eigenvalues of tridiagonal pencils against the V-Gram's bands.  Each is an
@@ -20,14 +21,14 @@ below, within 4 ulps of the eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Union
+from dataclasses import dataclass, replace
+from typing import Union
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import tridiagonal
-from .spaces import GalerkinSpace, StructureError
+from .spaces import GalerkinSpace, StructureError, symmetric_bands
 
 __all__ = [
     "AffineTerms",
@@ -39,13 +40,11 @@ __all__ = [
     "Linear",
     "FormFamily",
     "Subdivision",
-    "TridiagonalTerms",
     "build_step_form",
     "estimate_constants",
     "rescale",
     "certify_shift",
     "dual_operator_norm",
-    "coercivity_lower_bound",
     "embedding_constant",
     "gauss_nodes",
 ]
@@ -55,7 +54,7 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
 class EvaluationError(ValueError):
-    """A form evaluation produced non-finite entries or broke a declared flag."""
+    """A form evaluation produced non-finite entries."""
 
 
 def gauss_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,89 +245,61 @@ class Subdivision:
         return means
 
 
-def _finite(a: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise EvaluationError(f"{what} has non-finite entries")
-    return a
-
-
 @dataclass(frozen=True)
 class AffineTerms:
-    """A(t) = a0 + theta(t) a1: two fixed matrices and a scalar coefficient."""
+    """A(t) = a0 + theta(t) a1: the (3, n) bands of two fixed symmetric
+    tridiagonal matrices and a scalar coefficient."""
 
     a0: np.ndarray
     a1: np.ndarray
     theta: Coefficient
 
     def at(self, s: float) -> np.ndarray:
-        """a0 + s a1; a non-finite result raises EvaluationError."""
-        return _finite(self.a0 + s * self.a1, f"form matrix at theta={s}")
-
-
-class TridiagonalTerms(NamedTuple):
-    """Band storage of the affine terms."""
-
-    a0: np.ndarray        # bands of A0, as `tridiagonal.bands`
-    a1: np.ndarray        # bands of A1
-
-    def at(self, s: float) -> np.ndarray:
-        """Bands of a0 + s a1, entry for entry the bands of `AffineTerms.at(s)`."""
-        return self.a0 + s * self.a1
+        """Bands of a0 + s a1; a non-finite result raises EvaluationError."""
+        b = self.a0 + s * self.a1
+        if not np.all(np.isfinite(b)):
+            raise EvaluationError(f"form matrix at theta={s} has non-finite entries")
+        return b
 
 
 @dataclass
 class FormFamily:
-    """t -> A(t) = A0 + theta(t) A1 on a Galerkin space, with horizon and
-    declared structure.
+    """t -> A(t) = A0 + theta(t) A1 on a Galerkin space, with horizon.
 
-    The terms are checked once, when the family is built, and `tridiagonal`
-    holds their bands; terms with entries off the three bands raise
-    StructureError.  `pencil`, `apply`, `pair` and `implicit_steps` work
-    on the bands.
+    The terms are bands, checked once by `spaces.symmetric_bands` when the
+    family is built, so every family is symmetric.  `pencil`, `apply`,
+    `pair` and `implicit_steps` work on the bands.
     """
 
     space: GalerkinSpace
     terms: AffineTerms
     horizon: float
-    symmetric: bool = False
-    tridiagonal: TridiagonalTerms = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        dim = self.space.dim
         self.terms = replace(self.terms,
-                             a0=self._checked(self.terms.a0, "affine term a0"),
-                             a1=self._checked(self.terms.a1, "affine term a1"))
-        b0, b1 = (tridiagonal.bands(a) for a in (self.terms.a0, self.terms.a1))
-        if b0 is None or b1 is None:
-            raise StructureError("form terms must be tridiagonal")
-        self.tridiagonal = TridiagonalTerms(b0, b1)
-
-    def _checked(self, a, what: str) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        if a.shape != (self.space.dim, self.space.dim):
-            raise EvaluationError(f"{what} has shape {a.shape}")
-        _finite(a, what)
-        if self.symmetric:
-            scale = max(np.linalg.norm(a), np.finfo(float).tiny)
-            if np.linalg.norm(a - a.T) > 1e-12 * scale:
-                raise EvaluationError(f"family declared symmetric but {what} is not")
-        return a
+                             a0=symmetric_bands(self.terms.a0, dim, "affine term a0"),
+                             a1=symmetric_bands(self.terms.a1, dim, "affine term a1"))
 
     def matrix(self, t: float) -> np.ndarray:
+        """Bands of A(t).  No route of the package reads it: it stays as the
+        one per-time evaluation of the family that the benchmark harness
+        traces (`perfbench/tracer.py`)."""
         return self.terms.at(self.terms.theta(t))
 
     def pencil(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """Rates and diag(h)-orthonormal modes of the pencil (sym(A0 + s A1),
+        """Rates and diag(h)-orthonormal modes of the pencil (A0 + s A1,
         diag(h)), by `tridiagonal.pencil_eigh`.  A failed solve raises
         StructureError."""
         try:
-            return tridiagonal.pencil_eigh(self.tridiagonal.at(s), self.space.h)
+            return tridiagonal.pencil_eigh(self.terms.at(s), self.space.h)
         except sla.LinAlgError as exc:
             raise StructureError("slab eigensolve failed") from exc
 
     def apply(self, x: np.ndarray, s) -> np.ndarray:
         """(A0 + s A1) x for a vector x, or for an (n, m) block with one s per
         column, row by row from each column's bands (`tridiagonal.matvec`)."""
-        a0, a1 = self.tridiagonal
+        a0, a1 = self.terms.a0, self.terms.a1
         if np.ndim(x) == 2:
             a0, a1 = a0[..., None], a1[..., None]
         return tridiagonal.matvec(a0 + s * a1, x)
@@ -336,7 +307,8 @@ class FormFamily:
     def pair(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(left_i^T A0 right_i, left_i^T A1 right_i) for the row pairs of two
         (m, n) arrays, through the bands in O(m n)."""
-        return tuple(tridiagonal.pair_rows(b, left, right) for b in self.tridiagonal)
+        return tuple(tridiagonal.pair_rows(b, left, right)
+                     for b in (self.terms.a0, self.terms.a1))
 
     def implicit_steps(self, u: np.ndarray, dt: float, times: list[float],
                        loads: np.ndarray) -> np.ndarray:
@@ -374,10 +346,9 @@ class FormFamily:
 
     def _step_bands(self, dt: float, thetas: np.ndarray) -> np.ndarray:
         """(m, 3, n) bands of h + dt (A0 + theta_i A1), one per step."""
-        tri = self.tridiagonal
-        base = dt * tri.a0
+        base = dt * self.terms.a0
         base[1] += self.space.h
-        bands = thetas[:, None, None] * (dt * tri.a1)
+        bands = thetas[:, None, None] * (dt * self.terms.a1)
         bands += base
         return bands
 
@@ -390,17 +361,10 @@ def build_step_form(family: FormFamily, subdivision: Subdivision) -> np.ndarray:
 
 def _pencil_extremes(space: GalerkinSpace, a: np.ndarray) -> tuple[float, float]:
     """Certified (lower bound of the least, upper bound of the greatest)
-    eigenvalue of the pencil (A, gram_V) for the bands a of a symmetric A.
-
-    Bands that are not symmetric to 1e-12 raise StructureError: the
-    V -> V' norm of a non-symmetric A is not an eigenvalue of such a pencil.
-    """
-    scale = max(np.linalg.norm(a), np.finfo(float).tiny)
-    if np.linalg.norm(a[0, 1:] - a[2, :-1]) > 1e-12 * scale:
-        raise StructureError("the V -> V' norm needs a symmetric form matrix")
-    sym, g = tridiagonal.symmetric_part(a), space.gram_V
-    return (tridiagonal.pencil_bracket(sym, g)[0],
-            tridiagonal.pencil_bracket(sym, g, largest=True)[1])
+    eigenvalue of the pencil (A, gram_V) for the bands a of a symmetric A."""
+    g = space.gram_V
+    return (tridiagonal.pencil_bracket(a, g)[0],
+            tridiagonal.pencil_bracket(a, g, largest=True)[1])
 
 
 def dual_operator_norm(space: GalerkinSpace, a: np.ndarray) -> float:
@@ -408,15 +372,6 @@ def dual_operator_norm(space: GalerkinSpace, a: np.ndarray) -> float:
     largest |lambda| of the pencil (A, gram_V), by inertia bisection."""
     least, greatest = _pencil_extremes(space, a)
     return max(greatest, -least)
-
-
-def coercivity_lower_bound(space: GalerkinSpace, a: np.ndarray, shift: float = 0.0) -> float:
-    """Lower bound of the least eigenvalue of the pencil (sym(A) +
-    shift*diag(h), gram_V) for the bands a of A, by inertia bisection:
-    sym(A) + shift*diag(h) - alpha*gram_V factors."""
-    shifted = a.copy()
-    shifted[1] += shift * space.h
-    return tridiagonal.pencil_bracket(tridiagonal.symmetric_part(shifted), space.gram_V)[0]
 
 
 def embedding_constant(space: GalerkinSpace) -> float:
@@ -435,8 +390,7 @@ def _extreme_bands(family: FormFamily) -> list[np.ndarray]:
     concave in s, so both take their extremes over the family here.
     """
     lo, hi = family.terms.theta.bounds(family.horizon)
-    return [_finite(family.tridiagonal.at(s), f"form matrix at theta={s}")
-            for s in sorted({lo, hi})]
+    return [family.terms.at(s) for s in sorted({lo, hi})]
 
 
 def estimate_constants(family: FormFamily) -> FormConstants:
@@ -450,19 +404,20 @@ def estimate_constants(family: FormFamily) -> FormConstants:
     extremes = [_pencil_extremes(space, a) for a in _extreme_bands(family)]
     bound = max(max(greatest, -least) for least, greatest in extremes)
     coercivity = min(least for least, _ in extremes)
-    lipschitz = (dual_operator_norm(space, family.tridiagonal.a1)
+    lipschitz = (dual_operator_norm(space, family.terms.a1)
                  * family.terms.theta.max_slope(family.horizon))
     return FormConstants(bound=bound, coercivity=coercivity,
                          lipschitz=lipschitz, source=EXACT)
 
 
 def rescale(family: FormFamily, shift: float) -> FormFamily:
-    """Shifted family A(t) + shift * diag(h), the shift folded into A0;
-    symmetry is preserved."""
+    """Shifted family A(t) + shift * diag(h), the shift folded into the
+    diagonal of A0."""
     if shift == 0.0:
         return family
-    terms = replace(family.terms, a0=family.terms.a0 + shift * np.diag(family.space.h))
-    return FormFamily(family.space, terms, family.horizon, symmetric=family.symmetric)
+    a0 = family.terms.a0.copy()
+    a0[1] += shift * family.space.h
+    return FormFamily(family.space, replace(family.terms, a0=a0), family.horizon)
 
 
 def certify_shift(family: FormFamily) -> float:
@@ -471,11 +426,11 @@ def certify_shift(family: FormFamily) -> float:
 
     Returns 0 when the family already certifies; otherwise bisects upward
     within [0, 10*M/c_H^2] for a shifted coercivity above 1e-10.  A shift
-    s certifies when sym(A) + s diag(h) - 1e-10 gram_V factors for both
+    s certifies when A + s diag(h) - 1e-10 gram_V factors for both
     matrices: one banded factorization each per bisection step.
     """
     space = family.space
-    mats = [tridiagonal.symmetric_part(a) for a in _extreme_bands(family)]
+    mats = _extreme_bands(family)
     margin = _SHIFT_TOL * space.gram_V
 
     def certifies(shift: float) -> bool:

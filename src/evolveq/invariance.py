@@ -194,13 +194,11 @@ def check_criterion(family: FormFamily, pool: SamplePool,
 def check_criterion_symmetric(family: FormFamily, pool: SamplePool,
                               alpha: float) -> CriterionReport:
     """Worst value of a(t; v, v) - a(t; Pv, Pv) over the same 9 sample times,
-    for symmetric accretive forms.
+    for accretive forms; every family is symmetric.
 
     `alpha` is the family's coercivity constant, as `estimate_constants`
     gives it; the family is accretive when it is positive.
     """
-    if not family.symmetric:
-        raise ValueError("symmetric criterion requires a symmetric family")
     if alpha <= 0:
         raise ValueError("symmetric criterion requires an accretive (coercive) family")
     t_samples = np.linspace(0.0, family.horizon, _CRITERION_TIMES)
@@ -217,12 +215,11 @@ def audit_trajectory(traj: Trajectory, cset: ConvexSet) -> tuple[float, float]:
     return dists[k], float(traj.grid[k])
 
 
-def offdiagonal_sign_certificate(a: np.ndarray) -> bool:
-    """True when all off-diagonal entries are <= 0.
+def offdiagonal_sign_certificate(b: np.ndarray) -> bool:
+    """True when all off-diagonal entries of the matrix with bands b are <= 0.
 
     For box sets, whose projection is the nodewise clamp, this upgrades the
     sampled criterion to a certificate: every term of a(Pv, v - Pv) is then a
     product of nonnegative factors.
     """
-    off = a - np.diag(np.diag(a))
-    return bool(np.all(off <= 0.0))
+    return bool(np.all(b[[0, 2]] <= 0.0))

@@ -359,7 +359,7 @@ def check_product_rule(report: MRReport, traj: Trajectory) -> Residual:
 
 
 def check_lemma_indepmax(report: MRReport, traj: Trajectory,
-                         constants: FormConstants | None = None) -> float:
+                         constants: FormConstants) -> float:
     """Per-slab sup bound: sup ||u||_V^2 <= (M ||u(a)||_V^2 + ||f||^2_{L^2(H)}) / alpha.
 
     The sups are the report's `supV_slabs`.  Returns the minimum margin
@@ -367,7 +367,7 @@ def check_lemma_indepmax(report: MRReport, traj: Trajectory,
     """
     with _overflow_named("the sup-bound audit"):
         fbar = _require_metadata(traj, report).fbar
-        if constants is None or constants.bound is None or constants.coercivity is None:
+        if constants.bound is None or constants.coercivity is None:
             raise ContractError("sup-bound check needs certified M and alpha")
         if constants.coercivity <= 0:
             raise ContractError("sup-bound check requires coercivity at shift 0")
@@ -433,8 +433,7 @@ def check_H_estimate(report: MRReport, problem: ProblemData,
         return float(report.mr_vh / denom)
 
 
-def check_form_telescoping(traj: Trajectory,
-                           lipschitz: float | None = None) -> float:
+def check_form_telescoping(traj: Trajectory, lipschitz: float) -> float:
     """Worst excess of |a_k(v) - a_{k+1}(v)| over L h ||v||_V^2 at slab junctions.
 
     v is the computed state at the junction.  Nonpositive (up to slack)
@@ -442,8 +441,6 @@ def check_form_telescoping(traj: Trajectory,
     """
     with _overflow_named("the telescoping audit"):
         rec = _require_metadata(traj)
-        if lipschitz is None:
-            raise ContractError("telescoping check needs a Lipschitz constant")
         if not traj.subdivision.is_uniform:
             raise ContractError("telescoping check assumes a uniform subdivision")
         v, thetas = traj.states[:, 1:-1], rec.thetas

@@ -1,7 +1,8 @@
 """Problem presets: scalar closed-form cases, 1D heat flows, and a broken one.
 
 Coefficient functions live only here; experiment configs select presets
-by name so no runtime expression parsing is needed.
+and loads by name so no runtime expression parsing is needed.  Every form
+term and V-Gram is given as its (3, n) bands.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from .invariance import ConvexSet
 from .propagator import ProblemData, SeparableLoad
 from .spaces import GalerkinSpace
 
-__all__ = ["PresetProblem", "get_preset", "preset_names", "preset_descriptions",
-           "resolved_constants", "convex_set_for"]
+__all__ = ["LOAD_NAMES", "PresetProblem", "get_preset", "preset_names",
+           "preset_descriptions", "resolved_constants", "convex_set_for"]
 
 
 @dataclass
@@ -43,15 +44,16 @@ def _preset(name: str, description: str):
     return register
 
 
+# theta_f of each load preset: 1 for constant, 1 + cos 2t for forcing
+_LOADS = {"none": None, "constant": Linear(1.0), "forcing": Harmonic(c=1.0, a=1.0, omega=2.0)}
+LOAD_NAMES = tuple(_LOADS)
+
+
 def _load_coefficient(kind: str | None) -> Coefficient | None:
-    """theta_f of a load preset: 1 for constant, 1 + cos 2t for forcing."""
-    if kind in (None, "none"):
-        return None
-    if kind == "constant":
-        return Linear(1.0)
-    if kind == "forcing":
-        return Harmonic(c=1.0, a=1.0, omega=2.0)
-    raise KeyError(f"unknown load preset {kind!r}")
+    """theta_f of a load preset; None is no load."""
+    if kind is not None and kind not in _LOADS:
+        raise KeyError(f"unknown load preset {kind!r}; choose from {list(LOAD_NAMES)}")
+    return _LOADS.get(kind)
 
 
 def _scalar_load(kind: str | None, amplitude: float) -> SeparableLoad | None:
@@ -68,20 +70,25 @@ def _nodal_load(space: GalerkinSpace, kind: str | None,
     return SeparableLoad(theta, space.h * (amplitude * profile))
 
 
+def _scalar(x: float) -> np.ndarray:
+    """The (3, 1) bands of the 1 x 1 matrix [[x]]."""
+    return np.array([[0.0], [x], [0.0]])
+
+
 def _family(space, a0, a1, theta, horizon) -> FormFamily:
-    return FormFamily(space, AffineTerms(a0, a1, theta), horizon, symmetric=True)
+    return FormFamily(space, AffineTerms(a0, a1, theta), horizon)
 
 
-def _constant_family(space, matrix, horizon) -> FormFamily:
+def _constant_family(space, a0, horizon) -> FormFamily:
     """An autonomous family: affine with theta = 0."""
-    return _family(space, matrix, np.zeros_like(matrix), Linear(0.0), horizon)
+    return _family(space, a0, np.zeros_like(a0), Linear(0.0), horizon)
 
 
 @_preset("scalar-decay", "dim 1, p(t) = 1 + t/2, closed-form oracle")
 def _scalar_decay(n_cells, horizon, load, amplitude) -> PresetProblem:
     horizon = 1.0 if horizon is None else horizon
-    space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
-    family = _family(space, [[1.0]], [[0.5]], Linear(0.0, 1.0), horizon)
+    space = GalerkinSpace(np.array([1.0]), _scalar(1.0))
+    family = _family(space, _scalar(1.0), _scalar(0.5), Linear(0.0, 1.0), horizon)
     problem = ProblemData(family, np.array([1.0]),
                           load=_scalar_load(load, amplitude))
     return PresetProblem(problem, (8, 16, 32, 64, 128, 256))
@@ -90,8 +97,8 @@ def _scalar_decay(n_cells, horizon, load, amplitude) -> PresetProblem:
 @_preset("scalar-sin", "dim 1, p(t) = 2 + sin t over one period")
 def _scalar_sin(n_cells, horizon, load, amplitude) -> PresetProblem:
     horizon = 2.0 * np.pi if horizon is None else horizon
-    space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
-    family = _family(space, [[2.0]], [[1.0]], Harmonic(b=1.0), horizon)
+    space = GalerkinSpace(np.array([1.0]), _scalar(1.0))
+    family = _family(space, _scalar(2.0), _scalar(1.0), Harmonic(b=1.0), horizon)
     problem = ProblemData(family, np.array([1.0]),
                           load=_scalar_load(load, amplitude))
     return PresetProblem(problem, (8, 16, 32, 64, 128, 256))
@@ -127,14 +134,15 @@ def _broken_coupling(n_cells, horizon, load, amplitude) -> PresetProblem:
     n_cells = 16 if n_cells is None else n_cells
     horizon = 0.5 if horizon is None else horizon
     space = fem.robin_space(n_cells)
-    matrix = fem.heat_matrix(n_cells, 0.0)
-    # Flipping the sign of one coupling pair is a similarity by a diagonal
-    # sign matrix: the spectrum (hence the form constants) is unchanged,
-    # but the off-diagonal sign condition for positivity fails.
+    b = fem.heat_matrix(n_cells, 0.0)
+    # Flipping the sign of one coupling pair, A[m, m+1] and A[m+1, m], is a
+    # similarity by a diagonal sign matrix: the spectrum (hence the form
+    # constants) is unchanged, but the off-diagonal sign condition for
+    # positivity fails.
     m = n_cells // 2
-    matrix[m, m + 1] = abs(matrix[m, m + 1])
-    matrix[m + 1, m] = abs(matrix[m + 1, m])
-    family = _constant_family(space, matrix, horizon)
+    b[0, m + 1] = abs(b[0, m + 1])
+    b[2, m] = abs(b[2, m])
+    family = _constant_family(space, b, horizon)
     u0 = np.zeros(space.dim)
     u0[m] = 1.0
     u0[m + 1] = 1.0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .forms import (Coefficient, EvaluationError, FormFamily, Subdivision,
                     build_step_form)
-from .spaces import GalerkinSpace, StructureError
+from .spaces import GalerkinSpace
 
 __all__ = [
     "SlabPropagator",
@@ -237,13 +237,11 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
     The trajectory's grid is the subdivision's breakpoints, and its states
     there are the ones the march hands from slab to slab.  Other times
     are exact through `Trajectory.evaluate_many`, which steps from the
-    slab's left breakpoint, never by interpolation.  The family must be
-    declared symmetric; an overflowing exponential raises
-    FloatingPointError, naming the slab, instead of returning inf states.
+    slab's left breakpoint, never by interpolation.  An overflowing
+    exponential raises FloatingPointError, naming the slab, instead of
+    returning inf states.
     """
     family = problem.family
-    if not family.symmetric:
-        raise StructureError("solve needs a family declared symmetric")
     if abs(subdivision.horizon - family.horizon) > 1e-12 * max(family.horizon, 1.0):
         raise ValueError("subdivision horizon does not match the family")
     thetas = build_step_form(family, subdivision)

@@ -2,16 +2,18 @@
 
 The pivot space H carries a lumped (diagonal) mass, held as its diagonal
 h, and the form domain V a symmetric positive definite tridiagonal Gram
-on the same coefficient basis, held as its bands together with their
-factor gram_V = L D L^T (LAPACK pttrf), L unit lower bidiagonal.  A
+on the same coefficient basis, given and held as its bands together with
+their factor gram_V = L D L^T (LAPACK pttrf), L unit lower bidiagonal.  A
 V-norm is ||D^{1/2} L^T u||, and a V-solve is one LAPACK pttrs call: both
 cost O(n) per column, and no n x n matrix is kept or formed.  Dual-space
 quantities are carried as vectors of pairings against the basis; the
 V'-inner product of two of them is g^T gram_V^{-1} f, one banded solve.
 
-Bands use the (3, n) layout of `bands`, which `tridiagonal` shares: row 0
-is the superdiagonal shifted right by one, row 1 the diagonal, row 2 the
-subdiagonal.
+Every symmetric tridiagonal matrix of the package, the V-Gram and the
+form terms alike, is a (3, n) array in LAPACK's (1, 1) banded layout:
+row 0 is the superdiagonal shifted right by one, row 1 the diagonal,
+row 2 the subdiagonal, and the two unused corners hold zeros.
+`symmetric_bands` checks such an array once, where it enters.
 """
 from __future__ import annotations
 
@@ -23,21 +25,37 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 __all__ = [
     "StructureError",
     "GalerkinSpace",
-    "bands",
+    "symmetric_bands",
 ]
 
 
 class StructureError(ValueError):
-    """A Gram matrix violates the symmetry/SPD/band contract, or a solve failed."""
+    """Bands of a Gram matrix or form term violate the symmetry/SPD/band
+    contract, or a solve failed."""
 
 
-def bands(a: np.ndarray) -> np.ndarray | None:
-    """The (3, n) bands of a square matrix, or None when it has entries off them."""
-    out = np.zeros((3, a.shape[0]))
-    out[0, 1:] = np.diagonal(a, 1)
-    out[1] = np.diagonal(a)
-    out[2, :-1] = np.diagonal(a, -1)
-    return out if np.count_nonzero(a) == np.count_nonzero(out) else None
+def symmetric_bands(b, dim: int, what: str) -> np.ndarray:
+    """A checked float copy of the (3, dim) bands b of a symmetric
+    tridiagonal matrix, its two off-diagonals averaged.
+
+    Bands of another shape, with a nonzero corner, with a non-finite entry
+    or not symmetric to 1e-12 relative raise StructureError.
+    """
+    b = np.array(b, dtype=float)
+    if b.shape != (3, dim):
+        raise StructureError(f"{what} must be (3, {dim}) bands, got shape {b.shape}")
+    if b[0, 0] != 0.0 or b[2, -1] != 0.0:
+        raise StructureError(f"{what} has a nonzero corner in its bands")
+    if not np.all(np.isfinite(b)):
+        raise StructureError(f"{what} has non-finite entries")
+    # the norms are taken of b / max|b|, so that they cannot overflow
+    unit = b / max(np.max(np.abs(b)), np.finfo(float).tiny)
+    scale = np.linalg.norm(unit)
+    defect = np.sqrt(2.0) * np.linalg.norm(unit[0, 1:] - unit[2, :-1])
+    if defect > 1e-12 * scale:
+        raise StructureError(f"{what} is not symmetric (relative defect {defect / scale:.3e})")
+    b[0, 1:] = b[2, :-1] = b[0, 1:] + 0.5 * (b[2, :-1] - b[0, 1:])
+    return b
 
 
 def _off_diagonal(b: np.ndarray) -> np.ndarray:
@@ -47,36 +65,13 @@ def _off_diagonal(b: np.ndarray) -> np.ndarray:
     return b[0, 1:] if b.shape[1] > 1 else np.zeros(1)
 
 
-def _checked_gram_V(mat) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Validate a tridiagonal SPD gram_V; return (its symmetric bands, the
-    diagonal of D and the subdiagonal of L in gram_V = L D L^T)."""
-    mat = np.array(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise StructureError(f"gram_V must be a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise StructureError("gram_V has non-finite entries")
-    b = bands(mat)
-    if b is None:
-        raise StructureError("gram_V must be tridiagonal")
-    scale = max(np.linalg.norm(b), np.finfo(float).tiny)
-    defect = np.sqrt(2.0) * np.linalg.norm(b[0, 1:] - b[2, :-1])
-    if defect > 1e-12 * scale:
-        raise StructureError(f"gram_V is not symmetric (relative defect {defect / scale:.3e})")
-    b[0, 1:] = b[2, :-1] = 0.5 * (b[0, 1:] + b[2, :-1])
-    d, e, info = dpttrf(b[1], _off_diagonal(b))
-    if info != 0:
-        raise StructureError("gram_V is not positive definite")
-    return b, (d, e)
-
-
 @dataclass
 class GalerkinSpace:
     """The H-metric diag(h), a lumped mass, and the tridiagonal SPD V-Gram on one basis.
 
     h is the diagonal of the H-Gram; a matrix in its place, such as a
-    consistent mass, raises StructureError.  gram_V is given as a matrix
-    and kept as its (3, n) bands; a V-Gram with entries off the three
-    bands raises StructureError.
+    consistent mass, raises StructureError.  gram_V is given as its (3, n)
+    bands and checked by `symmetric_bands`.
     """
 
     h: np.ndarray
@@ -93,9 +88,12 @@ class GalerkinSpace:
                                  f"diagonal h; got shape {self.h.shape}")
         if not np.all((self.h > 0) & (self.h < np.inf)):
             raise StructureError("h is not positive and finite")
-        if np.shape(self.gram_V) != (self.h.size, self.h.size):
-            raise StructureError("h and gram_V must have matching shapes")
-        self.gram_V, self._factor_V = _checked_gram_V(self.gram_V)
+        self.gram_V = b = symmetric_bands(self.gram_V, self.h.size, "gram_V")
+        # the diagonal of D and the subdiagonal of L in gram_V = L D L^T
+        d, e, info = dpttrf(b[1], _off_diagonal(b))
+        if info != 0:
+            raise StructureError("gram_V is not positive definite")
+        self._factor_V = d, e
         # sqrt(h) is the Cholesky factor of diag(h), entry for entry
         self._root_h = np.sqrt(self.h)
         if self.labels is not None:

@@ -1,10 +1,10 @@
-"""Tridiagonal band storage, its O(n) solvers, products, row-wise pairing
-and the inertia bisection of symmetric tridiagonal pencils.
+"""O(n) solvers, products, row-wise pairing and the inertia bisection of
+tridiagonal matrices held as their bands.
 
-Bands are held in LAPACK's (1, 1) banded layout, a (3, n) array: row 0 is
-the superdiagonal shifted right by one, row 1 the diagonal, row 2 the
-subdiagonal; the two unused corners hold zeros.  `spaces.bands` builds
-them, and the V-Gram is kept in the same layout.  Linear combinations of
+Bands are LAPACK's (1, 1) banded layout, a (3, n) array: row 0 is the
+superdiagonal shifted right by one, row 1 the diagonal, row 2 the
+subdiagonal; the two unused corners hold zeros.  The V-Gram and the form
+terms are held so (`spaces.symmetric_bands`), and linear combinations of
 band arrays are the bands of the same combinations of the matrices.
 """
 from __future__ import annotations
@@ -13,10 +13,10 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dgtsv, dpttrf
 
-from .spaces import StructureError, bands
+from .spaces import StructureError
 
-__all__ = ["bands", "matvec", "pair_rows", "march", "pencil_eigh",
-           "symmetric_part", "definite", "pencil_bracket"]
+__all__ = ["matvec", "pair_rows", "march", "pencil_eigh", "definite",
+           "pencil_bracket"]
 
 _EXPANSIONS = 2100     # doublings that take any finite start past the overflow threshold
 
@@ -68,23 +68,16 @@ def march(h: np.ndarray, bands: np.ndarray, loads: np.ndarray,
 
 
 def pencil_eigh(b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the pencil (sym(A), diag(h)) for the bands b of A.
+    """Eigenpairs of the pencil (A, diag(h)) for the bands b of a symmetric A.
 
-    The symmetric tridiagonal h^{-1/2} sym(A) h^{-1/2} = Q diag(rates) Q^T
-    is solved by MRRR (`scipy.linalg.eigh_tridiagonal`); the modes
-    h^{-1/2} Q are diag(h)-orthonormal.  A failed solve raises LinAlgError.
+    The symmetric tridiagonal h^{-1/2} A h^{-1/2} = Q diag(rates) Q^T is
+    solved by MRRR (`scipy.linalg.eigh_tridiagonal`); the modes h^{-1/2} Q
+    are diag(h)-orthonormal.  A failed solve raises LinAlgError.
     """
     s = 1.0 / np.sqrt(h)
-    off = 0.5 * (b[0, 1:] + b[2, :-1]) * s[:-1] * s[1:]
+    off = b[0, 1:] * s[:-1] * s[1:]
     rates, q = sla.eigh_tridiagonal(b[1] / h, off)
     return rates, s[:, None] * q
-
-
-def symmetric_part(b: np.ndarray) -> np.ndarray:
-    """The bands of (A + A^T) / 2 for the bands b of A."""
-    out = b.copy()
-    out[0, 1:] = out[2, :-1] = 0.5 * (b[0, 1:] + b[2, :-1])
-    return out
 
 
 def definite(b: np.ndarray) -> bool:

@@ -5,64 +5,107 @@ from scipy.linalg.lapack import dgtsv
 
 from evolveq.convergence import (oracle_reference, oracle_suph_gap, refine,
                                  solve_ladder)
-from evolveq.fem import (consistent_mass, heat_terms, lumped_mass, stiffness,
-                         uniform_nodes)
+from evolveq.fem import heat_terms, lumped_mass, uniform_nodes
 from evolveq.forms import (AffineTerms, FormConstants, FormFamily, Harmonic,
-                           Linear, Subdivision, coercivity_lower_bound,
-                           dual_operator_norm, estimate_constants, gauss_nodes)
+                           Linear, Subdivision, dual_operator_norm,
+                           estimate_constants, gauss_nodes)
 from evolveq.invariance import CriterionReport
 from evolveq.mr import _eint, _slab_coefficients
 from evolveq.presets import get_preset, resolved_constants
 from evolveq.propagator import ProblemData, Trajectory, solve
-from evolveq.spaces import GalerkinSpace, bands
+from evolveq.spaces import GalerkinSpace
+from evolveq.tridiagonal import pencil_bracket
+
+
+# Between the package's (3, n) bands and dense matrices.
+
+def bands(a):
+    """The (3, n) bands of a square matrix, the layout of
+    `spaces.symmetric_bands`: its three middle diagonals, whatever lies
+    off them."""
+    a = np.asarray(a, dtype=float)
+    out = np.zeros((3, a.shape[0]))
+    out[0, 1:] = np.diagonal(a, 1)
+    out[1] = np.diagonal(a)
+    out[2, :-1] = np.diagonal(a, -1)
+    return out
+
+
+def dense(b):
+    """The n x n matrix with the (3, n) bands b."""
+    b = np.asarray(b, dtype=float)
+    return np.diag(b[1]) + np.diag(b[0, 1:], 1) + np.diag(b[2, :-1], -1)
+
+
+# The dense P1 assembly that `fem` replaced by band assembly, kept as its
+# bit-for-bit reference.
+
+def consistent_mass(n_cells):
+    h = 1.0 / n_cells
+    n = n_cells + 1
+    m = np.zeros((n, n))
+    idx = np.arange(n_cells)
+    np.add.at(m, (idx, idx), h / 3.0)
+    np.add.at(m, (idx + 1, idx + 1), h / 3.0)
+    np.add.at(m, (idx, idx + 1), h / 6.0)
+    np.add.at(m, (idx + 1, idx), h / 6.0)
+    return m
+
+
+def dense_stiffness(n_cells, cell_integrals=None):
+    """sum_e c_e * (local stiffness), c_e the per-cell integral of kappa."""
+    h = 1.0 / n_cells
+    if cell_integrals is None:
+        cell_integrals = np.full(n_cells, h)
+    n = n_cells + 1
+    k = np.zeros((n, n))
+    coef = np.asarray(cell_integrals, dtype=float) / h**2
+    idx = np.arange(n_cells)
+    np.add.at(k, (idx, idx), coef)
+    np.add.at(k, (idx + 1, idx + 1), coef)
+    np.add.at(k, (idx, idx + 1), -coef)
+    np.add.at(k, (idx + 1, idx), -coef)
+    return k
 
 
 def dirichlet_space(n_cells):
     """Interior-node space: lumped mass H-Gram, stiffness plus consistent
     mass V-Gram."""
     mass = consistent_mass(n_cells)[1:-1, 1:-1]
-    stiff = stiffness(n_cells)[1:-1, 1:-1]
-    return GalerkinSpace(lumped_mass(n_cells)[1:-1], stiff + mass,
+    stiff = dense_stiffness(n_cells)[1:-1, 1:-1]
+    return GalerkinSpace(lumped_mass(n_cells)[1:-1], bands(stiff + mass),
                          labels=uniform_nodes(n_cells)[1:-1])
 
 
 def dirichlet_problem(n_cells, horizon=1.0):
     """The heat preset's affine terms on the interior-node space."""
     space = dirichlet_space(n_cells)
-    a0, a1 = (a[1:-1, 1:-1] for a in heat_terms(n_cells))
-    family = FormFamily(space, AffineTerms(a0, a1, Harmonic(b=1.0)), horizon,
-                        symmetric=True)
+    a0, a1 = (bands(dense(a)[1:-1, 1:-1]) for a in heat_terms(n_cells))
+    family = FormFamily(space, AffineTerms(a0, a1, Harmonic(b=1.0)), horizon)
     return ProblemData(family, np.sin(np.pi * space.labels))
 
 
 # References for the band routes of a family and of a space: dense algebra
 # on its terms, on the H-Gram diag(h) and on the V-Gram.
 
-def dense_gram_V(space):
-    """The space's V-Gram as a dense matrix, from its bands."""
-    b = space.gram_V
-    return np.diag(b[1]) + np.diag(b[0, 1:], 1) + np.diag(b[2, :-1], -1)
-
-
 def reference_pencil(family, s):
-    """Eigenpairs of (sym(A0 + s A1), diag(h)) by a dense generalized eigensolve."""
-    a = family.terms.at(s)
-    return sla.eigh(0.5 * (a + a.T), np.diag(family.space.h))
+    """Eigenpairs of (A0 + s A1, diag(h)) by a dense generalized eigensolve."""
+    return sla.eigh(dense(family.terms.at(s)), np.diag(family.space.h))
 
 
 def reference_apply(family, x, s):
     """(A0 + s A1) x as A0 x + s (A1 x) with the dense terms."""
-    return family.terms.a0 @ x + s * (family.terms.a1 @ x)
+    return dense(family.terms.a0) @ x + s * (dense(family.terms.a1) @ x)
 
 
 def reference_pair(family, left, right):
     """The row-wise forms of the dense A0 and A1 over two (m, n) arrays."""
-    return tuple(np.einsum("ij,ij->i", left @ a, right)
+    return tuple(np.einsum("ij,ij->i", left @ dense(a), right)
                  for a in (family.terms.a0, family.terms.a1))
 
 
-# References for the closed forms: quadrature and sampling of t -> A(t) and
-# t -> f(t), given as plain callables.
+# References for the closed forms: quadrature and sampling of t -> A(t),
+# as the bands of A(t), and of t -> f(t), given as plain callables.
 
 GAUSS_PANELS = 4
 SAMPLE_TIMES = 129
@@ -85,9 +128,9 @@ def _slab_quadrature(func, sub, zero):
 
 
 def quadrature_slab_means(matrix_at, dim, sub):
-    """Gauss-panel slab means of t -> A(t) on each slab of `sub`."""
+    """Gauss-panel slab means of t -> A(t) on each slab of `sub`, as bands."""
     return [acc / (t1 - t0)
-            for t0, t1, acc in _slab_quadrature(matrix_at, sub, np.zeros((dim, dim)))]
+            for t0, t1, acc in _slab_quadrature(matrix_at, sub, np.zeros((3, dim)))]
 
 
 def quadrature_load_means(space, load_at, sub):
@@ -116,9 +159,9 @@ def sampled_constants(space, matrix_at, horizon):
     mats = [matrix_at(t) for t in t_grid]
     lipschitz = 0.0
     for (ta, aa), (tb, ab) in zip(zip(t_grid[:-1], mats[:-1]), zip(t_grid[1:], mats[1:])):
-        lipschitz = max(lipschitz, dual_operator_norm(space, bands(ab - aa)) / (tb - ta))
-    return FormConstants(bound=max(dual_operator_norm(space, bands(a)) for a in mats),
-                         coercivity=min(coercivity_lower_bound(space, bands(a))
+        lipschitz = max(lipschitz, dual_operator_norm(space, ab - aa) / (tb - ta))
+    return FormConstants(bound=max(dual_operator_norm(space, a) for a in mats),
+                         coercivity=min(pencil_bracket(a, space.gram_V)[0]
                                         for a in mats),
                          lipschitz=lipschitz, source=f"sampled on {t_grid.size} times")
 
@@ -156,7 +199,7 @@ def pointwise_criterion(matrix_at, horizon, pool, load_at=None):
     vs, pvs = pool
 
     def values(t):
-        vals = _rowwise(pvs @ matrix_at(t), vs - pvs)
+        vals = _rowwise(pvs @ dense(matrix_at(t)), vs - pvs)
         return vals if load_at is None else vals - (vs - pvs) @ load_at(t)
 
     return pointwise_worst(values, vs, horizon)
@@ -167,7 +210,7 @@ def pointwise_criterion_symmetric(matrix_at, horizon, pool):
     vs, pvs = pool
 
     def values(t):
-        a = matrix_at(t)
+        a = dense(matrix_at(t))
         return _rowwise(vs @ a, vs) - _rowwise(pvs @ a, pvs)
 
     return pointwise_worst(values, vs, horizon)
@@ -194,7 +237,7 @@ def reference_mr_terms(traj):
     in every entry, 2.4e-12 of a slab's L^2(V) integral at 512 cells.
     """
     space = traj.space
-    low = sla.cholesky(dense_gram_V(space), lower=True)
+    low = sla.cholesky(dense(space.gram_V), lower=True)
     terms = {"l2V_slabs": [], "chain_slabs": [], "product_slabs": [],
              "h1H": 0.0, "h1Vp": 0.0}
     lengths = np.diff(traj.subdivision.points)
@@ -219,7 +262,7 @@ def reference_mr_terms(traj):
 def _slab_matrices(traj):
     """Each slab's dense A_k = A0 + mean_k(theta) A1."""
     terms = traj.slabs.family.terms
-    return [terms.at(theta) for theta in traj.slabs.thetas]
+    return [dense(terms.at(theta)) for theta in traj.slabs.thetas]
 
 
 def reference_product_rule(report, traj):
@@ -243,12 +286,12 @@ def reference_telescoping(traj, lipschitz):
     return worst
 
 
-def reference_oracle(problem, n_steps, output_grid=None, dense=False):
+def reference_oracle(problem, n_steps, output_grid=None, dense_steps=False):
     """The implicit-Euler oracle one step at a time, each step a closure call
     that forms its own matrix: the reference for the block-formed steps.
 
     Each step is one gtsv call on the family's bands (a pivot division at
-    dim 1), or with `dense` one dense solve with diag(h) + dt A(t).  It
+    dim 1), or with `dense_steps` one dense solve with diag(h) + dt A(t).  It
     checks nothing: the failure tests cover that.
     """
     family = problem.family
@@ -260,13 +303,13 @@ def reference_oracle(problem, n_steps, output_grid=None, dense=False):
         keep = set(np.clip(np.rint(np.asarray(output_grid) / dt).astype(int),
                            0, n_steps).tolist())
     theta_f, g = (Linear(0.0), 0.0) if load is None else (load.theta, dt * load.pairing)
-    if dense:
+    if dense_steps:
         gram_h = np.diag(h)
 
         def step(t, u, f):
-            return np.linalg.solve(gram_h + dt * family.matrix(t), h * u + f)
+            return np.linalg.solve(gram_h + dt * dense(family.matrix(t)), h * u + f)
     else:
-        base, slope = dt * family.tridiagonal.a0, dt * family.tridiagonal.a1
+        base, slope = dt * family.terms.a0, dt * family.terms.a1
         base[1] += h
 
         def step(t, u, f):

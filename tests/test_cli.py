@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from conftest import bands
 from evolveq import cli, fem, mr
 from evolveq.cli import (ConfigError, ExperimentConfig, build_parser,
                          list_presets, main, write_csv)
 from evolveq.forms import (AffineTerms, FormFamily, Harmonic, Linear,
-                           coercivity_lower_bound, estimate_constants)
+                           estimate_constants)
 from evolveq.invariance import check_criterion_symmetric, sample_pool
 from evolveq.mr import _kernel_factor, _slab_coefficients, check_lemma3, mr_norms
 from evolveq.presets import get_preset
 from evolveq.propagator import (ProblemData, SlabPropagator, Trajectory,
                                 _modal_coefficients, oracle_solve, solve)
 from evolveq.spaces import GalerkinSpace
+from evolveq.tridiagonal import pencil_bracket
 
 SCALAR_CFG = """\
 [experiment]
@@ -265,13 +267,16 @@ class TestMain:
          "upper = -7.0\n", 1),
         (HEAT_CFG + "[convex_set]\nkind = box\nradius = 1.0\n", 1),
         (HEAT_CFG + "[convex_set]\nmetric = consistent\n", 1),
+        (HEAT_CFG.replace("heat-1d-lipschitz", "nope"), 1),
+        (HEAT_CFG + "[load]\nname = bogus\n", 1),
     ], ids=["omega", "horizon", "n_cells", "n_cells_text", "oracle_steps",
             "duplicate", "set_halfspace", "set_metric", "set_ball_no_radius",
             "set_negative_radius", "set_inverted_box", "horizon_inf",
             "amplitude_nan", "omega_nan", "set_lower_inf", "seed_negative",
             "mr_overflow", "load_mean_overflow", "mr_integrals_overflow",
             "audit_overflow", "set_ball_with_box_keys",
-            "set_box_with_radius", "set_metric_consistent"])
+            "set_box_with_radius", "set_metric_consistent", "preset_unknown",
+            "load_unknown"])
     def test_typed_errors_map_to_exit_codes(self, tmp_path, capsys, text, status):
         path = write_cfg(tmp_path, text)
         out = tmp_path / "results"
@@ -286,6 +291,14 @@ class TestMain:
             if f"amplitude = {amplitude}\n" in text:
                 # an overflow names the quantity that overflowed
                 assert err == f"error: overflow in {quantity}\n"
+        # an unknown name is refused when the config is read, its line unquoted
+        if "nope" in text:
+            assert err == ("error: unknown preset 'nope'; choose from ['scalar-decay', "
+                           "'scalar-sin', 'constant-heat', 'heat-1d-lipschitz', "
+                           "'broken-coupling']\n")
+        if "bogus" in text:
+            assert err == ("error: unknown [load] name 'bogus'; choose from "
+                           "['none', 'constant', 'forcing']\n")
         if status == 1:
             # config errors are caught when the config is read, before any work
             assert not list(out.glob("*.csv"))
@@ -309,7 +322,7 @@ class TestMain:
             under=[(_modal_coefficients, solve),
                    (inspect.unwrap(np.linalg.solve), oracle_solve),
                    (inspect.unwrap(sla.eigh), SlabPropagator.build.__func__),
-                   (coercivity_lower_bound, check_criterion_symmetric),
+                   (pencil_bracket, check_criterion_symmetric),
                    (AffineTerms.at, solve),
                    (GalerkinSpace.v_norms, mr_norms),
                    (GalerkinSpace.solve_V, mr_norms),
@@ -346,7 +359,7 @@ class TestMain:
         # one sample pool, read by both invariance criteria; the symmetric
         # one reads alpha from the constants instead of solving for it again
         assert counts["sample_pool"] == 1
-        assert counts["coercivity_lower_bound in check_criterion_symmetric"] == 0
+        assert counts["pencil_bracket in check_criterion_symmetric"] == 0
         # the heat family is assembled once, as its affine terms; slab means,
         # constants and oracle steps never assemble it again
         assert counts["heat_matrix"] == (1 if "heat" in config.preset else 0)
@@ -359,8 +372,8 @@ class TestMain:
         assert (counts["Linear.__call__ in oracle_solve"]
                 + counts["Harmonic.__call__ in oracle_solve"]) == per_step * config.oracle_steps
         assert counts["eigh in SlabPropagator.build"] == 0
-        # each slab is its coefficient mean: the band route forms no dense A_k
-        assert counts["AffineTerms.at in solve"] == 0
+        # each slab is its coefficient mean: one band combination A0 + s A1 per slab
+        assert counts["AffineTerms.at in solve"] == sum(config.slab_counts)
 
     @pytest.mark.parametrize("amplitude", ["1e4", "1e6"])
     def test_identity_residuals_judged_relative_to_their_terms(self, tmp_path, capsys,
@@ -429,8 +442,8 @@ class TestMain:
         def failing(*args, **kwargs):
             preset = get_preset(*args, **kwargs)
             fam = preset.problem.family
-            family = FormFamily(fam.space, AffineTerms([[a0]], [[1.0]], theta),
-                                fam.horizon, symmetric=True)
+            family = FormFamily(fam.space, AffineTerms(bands([[a0]]), bands([[1.0]]), theta),
+                                fam.horizon)
             return replace(preset, problem=ProblemData(family, preset.problem.u0))
 
         monkeypatch.setattr(cli, "get_preset", failing)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_gap
+from conftest import bands, oracle_gap
 from evolveq.convergence import (check_ladder, refine, solve_ladder,
                                  trajectory_l2v_diff, trajectory_suph_diff)
 from evolveq.forms import Subdivision
@@ -31,8 +31,8 @@ class TestDifferences:
         from evolveq.forms import AffineTerms, FormFamily, Linear
         from evolveq.propagator import ProblemData
         space = problem.family.space
-        fam1, fam2 = (FormFamily(space, AffineTerms([[p]], [[0.0]], Linear(0.0)), 1.0,
-                                 symmetric=True) for p in (1.0, 2.0))
+        fam1, fam2 = (FormFamily(space, AffineTerms(bands([[p]]), np.zeros((3, 1)), Linear(0.0)),
+                                 1.0) for p in (1.0, 2.0))
         t1 = solve(ProblemData(fam1, np.array([1.0])), Subdivision.uniform(1.0, 1))
         t2 = solve(ProblemData(fam2, np.array([1.0])), Subdivision.uniform(1.0, 1))
         grid = np.linspace(0.0, 1.0, 65)
@@ -74,9 +74,9 @@ class TestOracleGap:
         from evolveq.forms import AffineTerms, FormFamily, Linear
         from evolveq.propagator import ProblemData
         from evolveq.spaces import GalerkinSpace
-        space = GalerkinSpace(np.ones(1), np.eye(1))
-        family = FormFamily(space, AffineTerms(np.eye(1), np.zeros((1, 1)), Linear(0.0)),
-                            1.0, symmetric=True)
+        space = GalerkinSpace(np.ones(1), bands([[1.0]]))
+        family = FormFamily(space, AffineTerms(bands([[1.0]]), np.zeros((3, 1)), Linear(0.0)),
+                            1.0)
         problem = ProblemData(family, np.array([1.0]))
         sub = Subdivision.uniform(1.0, 8)
         gaps = [oracle_gap(problem, sub, n) for n in (500, 2000)]

@@ -4,24 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_gram_V, gauss_panels, quadrature_slab_means,
-                      reference_apply, sampled_constants)
+from conftest import (bands, consistent_mass, dense, dense_stiffness, gauss_panels,
+                      quadrature_slab_means, reference_apply, sampled_constants)
 from evolveq import fem, tridiagonal
 from evolveq.forms import (EXACT, AffineTerms, EvaluationError, FormFamily,
                            Harmonic, Linear, Subdivision, _extreme_bands,
-                           build_step_form, certify_shift,
-                           coercivity_lower_bound, dual_operator_norm,
+                           build_step_form, certify_shift, dual_operator_norm,
                            embedding_constant, estimate_constants, gauss_nodes,
                            rescale)
 from evolveq.presets import get_preset
 from evolveq.spaces import GalerkinSpace, StructureError
 
 
-def scalar_family(a0, horizon, a1=0.0, theta=Linear(0.0)):
-    """dim 1, A(t) = a0 + theta(t) a1."""
-    space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
-    return FormFamily(space, AffineTerms([[a0]], [[a1]], theta), horizon,
-                      symmetric=True)
+def scalar_family(a0, horizon, a1=0.0, theta=Linear(0.0), h=1.0):
+    """dim 1, A(t) = a0 + theta(t) a1 over H-metric h and V-Gram 1."""
+    space = GalerkinSpace(np.array([h]), bands([[1.0]]))
+    return FormFamily(space, AffineTerms(bands([[a0]]), bands([[a1]]), theta), horizon)
 
 
 class TestSubdivision:
@@ -105,23 +103,73 @@ class TestStepForm:
             build_step_form(bad, sub)
 
 
+# the bands of the dim-4 matrix tridiag(-1, 2, -1), and their refusals
+GOOD_BANDS = bands(2.0 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1))
+
+
+def bad_bands(case):
+    """GOOD_BANDS broken in one way, with the refusal it draws."""
+    b = GOOD_BANDS.copy()
+    if case == "shape":
+        return dense(b), r"must be \(3, 4\) bands, got shape \(4, 4\)"
+    if case == "corner":
+        b[0, 0] = 1.0
+        return b, "nonzero corner"
+    if case == "nonfinite":
+        b[1, 2] = np.nan
+        return b, "non-finite"
+    if case == "huge_asymmetric":
+        # squares of these entries overflow; the check's norms must not
+        b *= 1e200
+        b[0, 2] = -b[0, 2]
+        return b, "not symmetric"
+    b[0, 2] += 0.5
+    return b, "not symmetric"
+
+
+def assert_refused_everywhere(case):
+    """The space and both terms of a family take their bands through one
+    validator, and each refuses the broken bands with StructureError."""
+    b, message = bad_bands(case)
+    with pytest.raises(StructureError, match=f"gram_V .*{message}"):
+        GalerkinSpace(np.ones(4), b)
+    space = GalerkinSpace(np.ones(4), GOOD_BANDS)
+    zero = np.zeros((3, 4))
+    for terms, what in ((AffineTerms(b, zero, Linear(0.0)), "a0"),
+                        (AffineTerms(zero, b, Linear(0.0)), "a1")):
+        with pytest.raises(StructureError, match=f"affine term {what} .*{message}"):
+            FormFamily(space, terms, 1.0)
+
+
 class TestFamilyValidation:
-    # the terms are checked once, when the family is built
+    # the terms are checked once, when the family is built, by the validator
+    # of the space's V-Gram
     def test_symmetry_enforced(self):
-        space = GalerkinSpace(np.ones(2), np.eye(2))
-        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(EvaluationError):
-            FormFamily(space, AffineTerms(asym, np.zeros((2, 2)), Linear(0.0)), 1.0,
-                       symmetric=True)
+        assert_refused_everywhere("asymmetric")
+        assert_refused_everywhere("huge_asymmetric")
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(EvaluationError):
-            scalar_family(1.0, 1.0, a1=np.inf)
+        assert_refused_everywhere("nonfinite")
 
     def test_shape_rejected(self):
-        space = GalerkinSpace(np.ones(2), np.eye(2))
-        with pytest.raises(EvaluationError):
-            FormFamily(space, AffineTerms(np.eye(3), np.eye(3), Linear(0.0)), 1.0)
+        # a dense matrix in place of the bands, too
+        assert_refused_everywhere("shape")
+
+    def test_nonzero_corner_rejected(self):
+        assert_refused_everywhere("corner")
+
+    def test_off_diagonals_averaged(self):
+        # within the 1e-12 tolerance, the two off-diagonals become their mean
+        b = GOOD_BANDS.copy()
+        b[0, 2] += 1e-13
+        got = FormFamily(GalerkinSpace(np.ones(4), b), AffineTerms(b, b, Linear(0.0)), 1.0)
+        for kept in (got.space.gram_V, got.terms.a0, got.terms.a1):
+            np.testing.assert_array_equal(kept[0, 1:], kept[2, :-1])
+            assert kept[0, 2] == pytest.approx(-1.0 + 0.5e-13, rel=0.0, abs=1e-16)
+        # symmetric bands keep their bits, also where a + b would overflow
+        huge = np.where(GOOD_BANDS != 0.0, 1e308, 0.0)
+        got = FormFamily(got.space, AffineTerms(huge, huge, Linear(0.0)), 1.0)
+        np.testing.assert_array_equal(got.terms.a0, huge)
 
 
 class TestConstants:
@@ -134,13 +182,13 @@ class TestConstants:
         assert 0.95 <= c.lipschitz <= 1.0
 
     def test_dual_operator_norm_scalar(self):
-        space = GalerkinSpace(np.array([1.0]), np.array([[4.0]]))
-        assert dual_operator_norm(space, tridiagonal.bands(np.array([[2.0]]))) == 0.5
+        space = GalerkinSpace(np.array([1.0]), bands([[4.0]]))
+        assert dual_operator_norm(space, bands([[2.0]])) == 0.5
 
     def test_coercivity_with_shift(self):
-        space = GalerkinSpace(np.array([2.0]), np.array([[1.0]]))
-        val = coercivity_lower_bound(space, tridiagonal.bands(np.array([[-1.0]])), shift=1.0)
-        assert val == pytest.approx(1.0, abs=1e-13)
+        # A = -1 shifted by 1 * diag(h) with h = 2, against gram_V = 1
+        fam = rescale(scalar_family(-1.0, 1.0, h=2.0), 1.0)
+        assert estimate_constants(fam).coercivity == pytest.approx(1.0, abs=1e-13)
 
     def test_heat_bound_matches_independent_eig(self, heat_preset):
         # the exact M of the affine family against a dense generalized
@@ -150,7 +198,7 @@ class TestConstants:
         import scipy.linalg as sla
         worst = max(
             np.max(np.abs(sla.eigvals(
-                np.linalg.solve(dense_gram_V(fam.space), fam.matrix(t)))))
+                np.linalg.solve(dense(fam.space.gram_V), dense(fam.matrix(t))))))
             for t in np.linspace(0, 1, 33))
         assert c.bound == pytest.approx(float(worst.real), rel=1e-8)
 
@@ -194,11 +242,11 @@ class TestBisectedConstants:
     def test_against_high_precision(self, n_cells):
         fam = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem.family
         g = fam.space.gram_V
-        mats = [tridiagonal.symmetric_part(a) for a in _extreme_bands(fam)]
+        mats = _extreme_bands(fam)
         bound = max(max(mp_pencil_extreme(a, g, True), -mp_pencil_extreme(a, g, False))
                     for a in mats)
         alpha = min(mp_pencil_extreme(a, g, False) for a in mats)
-        lipschitz = (mp_pencil_extreme(fam.tridiagonal.a1, g, True)
+        lipschitz = (mp_pencil_extreme(fam.terms.a1, g, True)
                      * fam.terms.theta.max_slope(fam.horizon))
         h = np.zeros((3, fam.space.dim))
         h[1] = fam.space.h
@@ -214,16 +262,16 @@ class TestBisectedConstants:
 
     @pytest.mark.parametrize("n_cells", [16, 64, 80])
     def test_alpha_is_certified_to_four_ulps(self, n_cells):
-        # sym(A) - alpha G factors for every extreme matrix, and for the one
-        # attaining alpha, sym(A) - (alpha + 4 ulp) G does not
+        # A - alpha G factors for every extreme matrix, and for the one
+        # attaining alpha, A - (alpha + 4 ulp) G does not
         fam = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem.family
         g = fam.space.gram_V
         alpha = estimate_constants(fam).coercivity
-        mats = [tridiagonal.symmetric_part(a) for a in _extreme_bands(fam)]
+        mats = _extreme_bands(fam)
         assert all(tridiagonal.definite(a - alpha * g) for a in mats)
         above = alpha + 4.0 * np.spacing(alpha)
         assert not all(tridiagonal.definite(a - above * g) for a in mats)
-        # the greatest eigenvalues from above: M G - sym(A) factors
+        # the greatest eigenvalues from above: M G - A factors
         bound = estimate_constants(fam).bound
         assert all(tridiagonal.definite(bound * g - a) for a in mats)
 
@@ -232,8 +280,7 @@ class TestRescale:
     def test_shifted_matrix(self):
         fam = scalar_family(-1.0, 1.0)
         shifted = rescale(fam, 2.0)
-        assert shifted.matrix(0.3)[0, 0] == pytest.approx(1.0)
-        assert shifted.symmetric
+        assert shifted.matrix(0.3)[1, 0] == pytest.approx(1.0)
 
     def test_zero_shift_is_identity(self):
         fam = scalar_family(1.0, 1.0)
@@ -250,17 +297,44 @@ class TestCertifyShift:
         fam = scalar_family(0.0, 2.0 * np.pi, a1=1.0, theta=Harmonic(b=1.0))
         shift = certify_shift(fam)
         assert shift == pytest.approx(1.0, abs=1e-6)
-        assert coercivity_lower_bound(fam.space, tridiagonal.bands(fam.matrix(1.5 * np.pi)),
-                                      shift) > 0
+        at_dip = rescale(fam, shift).matrix(1.5 * np.pi)
+        assert tridiagonal.pencil_bracket(at_dip, fam.space.gram_V)[0] > 0
 
     def test_hopeless_family_raises(self):
         # the negative direction is nearly invisible to gram_H, so no shift
         # within the searched bracket can certify coercivity
-        space = GalerkinSpace(np.array([1.0, 1e-3]), np.eye(2))
-        fam = FormFamily(space, AffineTerms(np.diag([1.0, -1.0]), np.zeros((2, 2)),
+        space = GalerkinSpace(np.array([1.0, 1e-3]), bands(np.eye(2)))
+        fam = FormFamily(space, AffineTerms(bands(np.diag([1.0, -1.0])), np.zeros((3, 2)),
                                             Linear(0.0)), 1.0)
         with pytest.raises(StructureError):
             certify_shift(fam)
+
+
+def dense_heat_matrix(n_cells, t):
+    """The dense assembly of `fem.heat_matrix`: stiffness of kappa's cell
+    integrals plus the Robin terms at both ends."""
+    x = fem.uniform_nodes(n_cells)
+    cell = 1.0 / n_cells + 0.25 * np.sin(t) * (x[1:] ** 2 - x[:-1] ** 2)
+    a = dense_stiffness(n_cells, cell)
+    a[0, 0] += 1.0
+    a[-1, -1] += 1.0
+    return a
+
+
+def test_band_assembly_matches_dense_assembly():
+    # bit for bit at every mesh size the band assembly replaced
+    rng = np.random.default_rng(3)
+    for n in range(1, 1025):
+        lumped = consistent_mass(n).sum(axis=1)
+        stiff = bands(dense_stiffness(n))
+        cells = rng.uniform(0.1, 2.0, n) / n
+        assert np.array_equal(fem.lumped_mass(n), lumped), n
+        assert np.array_equal(fem.stiffness(n), stiff), n
+        assert np.array_equal(fem.stiffness(n, cells), bands(dense_stiffness(n, cells))), n
+        assert np.array_equal(fem.heat_matrix(n, 0.7), bands(dense_heat_matrix(n, 0.7))), n
+        # the V-Gram is stiffness + diag(lumped): the lumped mass moves only the diagonal
+        stiff[1] += lumped
+        assert np.array_equal(fem.robin_space(n).gram_V, stiff), n
 
 
 def rel_err(a, b):
@@ -268,14 +342,15 @@ def rel_err(a, b):
 
 
 def heat_pair(n_cells):
-    """The heat preset's affine family and the callable assembling fem.heat_matrix."""
+    """The heat preset's affine family and the callable assembling the bands
+    of fem.heat_matrix."""
     fam = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem.family
     return fam, lambda t: fem.heat_matrix(n_cells, t)
 
 
 def scalar_sin_pair():
     fam = get_preset("scalar-sin").problem.family
-    return fam, lambda t: np.array([[2.0 + np.sin(t)]])
+    return fam, lambda t: bands([[2.0 + np.sin(t)]])
 
 
 AFFINE_PAIRS = {"heat-16": lambda: heat_pair(16), "heat-80": lambda: heat_pair(80),
@@ -321,33 +396,25 @@ class TestAffineTerms:
         assert heat.lipschitz == pytest.approx(0.496035, abs=1e-6)
         assert heat.lipschitz <= 0.5
 
-    def test_tridiagonal_storage_detected(self):
-        # every preset: tridiagonal terms (1 x 1 for scalars) over a lumped mass
+    def test_band_products_match_dense(self):
         for name in ("scalar-decay", "scalar-sin", "constant-heat",
                      "heat-1d-lipschitz", "broken-coupling"):
             fam = get_preset(name).problem.family
-            tri = fam.tridiagonal
-            # the bands of A0 + s A1, bit for bit
-            np.testing.assert_array_equal(tri.at(0.3), tridiagonal.bands(fam.terms.at(0.3)))
-            np.testing.assert_array_equal(rescale(fam, 2.0).tridiagonal.at(0.3),
-                                          tridiagonal.bands(fam.terms.at(0.3)
-                                                            + 2.0 * np.diag(fam.space.h)))
+            # the shift lands on the diagonal, bit for bit as a dense sum
+            np.testing.assert_array_equal(
+                rescale(fam, 2.0).terms.at(0.3),
+                bands(dense(fam.terms.at(0.3)) + 2.0 * np.diag(fam.space.h)))
             # products through the bands against the dense matrices, for a
             # vector and for a block with one theta per column
             x = np.random.default_rng(1).standard_normal((fam.space.dim, 3))
             thetas = np.array([-0.4, 0.3, 1.7])
-            dense = np.column_stack([reference_apply(fam, col, s)
-                                     for s, col in zip(thetas, x.T)])
-            np.testing.assert_allclose(fam.apply(x, thetas), dense, rtol=1e-14, atol=1e-14)
+            reference = np.column_stack([reference_apply(fam, col, s)
+                                         for s, col in zip(thetas, x.T)])
+            np.testing.assert_allclose(fam.apply(x, thetas), reference,
+                                       rtol=1e-14, atol=1e-14)
             np.testing.assert_allclose(fam.apply(x[:, 0], 0.3),
                                        reference_apply(fam, x[:, 0], 0.3),
                                        rtol=1e-14, atol=1e-14)
-        a = fem.heat_matrix(8, 0.4)
-        bands = tridiagonal.bands(a)
-        np.testing.assert_array_equal(bands[1], np.diag(a))
-        np.testing.assert_array_equal(bands[0, 1:], np.diag(a, 1))
-        np.testing.assert_array_equal(bands[2, :-1], np.diag(a, -1))
-        assert bands[0, 0] == bands[2, -1] == 0.0
         # matvec reads the bands row by row, as a @ x does
         rng = np.random.default_rng(2)
         for n in (1, 2, 81):
@@ -355,21 +422,13 @@ class TestAffineTerms:
                     + np.diag(rng.standard_normal(n - 1), -1) for _ in range(3)]
             x = rng.standard_normal((n, 3))
             for m, col in zip(mats, x.T):
-                np.testing.assert_allclose(tridiagonal.matvec(tridiagonal.bands(m), col),
+                np.testing.assert_allclose(tridiagonal.matvec(bands(m), col),
                                            m @ col, rtol=1e-14, atol=1e-14)
-            block = np.stack([tridiagonal.bands(m) for m in mats], axis=-1)
+            block = np.stack([bands(m) for m in mats], axis=-1)
             np.testing.assert_allclose(
                 tridiagonal.matvec(block, x),
                 np.column_stack([m @ col for m, col in zip(mats, x.T)]),
                 rtol=1e-14, atol=1e-14)
-        a[0, 2] = 1e-300
-        assert tridiagonal.bands(a) is None
-        # a term with an entry off the bands is refused when the family is built
-        heat = get_preset("heat-1d-lipschitz", n_cells=8).problem.family
-        for terms in (AffineTerms(heat.terms.a0, a, Linear(0.0)),
-                      AffineTerms(a, heat.terms.a1, Linear(0.0))):
-            with pytest.raises(StructureError, match="tridiagonal"):
-                FormFamily(heat.space, terms, 1.0)
 
     def test_coefficient_closed_forms(self):
         sine = Harmonic(b=1.0)
@@ -401,25 +460,23 @@ class TestAffineTerms:
         assert sine.mean(1.0, 1.0 + 1e-9) == pytest.approx(np.sin(1.0 + 5e-10), rel=1e-15)
 
     def test_terms_checked_when_built(self):
-        space = GalerkinSpace(np.ones(2), np.eye(2))
-        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(EvaluationError):
-            FormFamily(space, AffineTerms(np.eye(2), asym, Harmonic(b=1.0)), 1.0,
-                       symmetric=True)
-        with pytest.raises(EvaluationError):
-            FormFamily(space, AffineTerms(np.full((2, 2), np.inf), np.eye(2), Linear(0.0)),
-                       1.0)
-        fam = FormFamily(space, AffineTerms(np.eye(2), np.eye(2), Linear(np.nan)), 1.0,
-                         symmetric=True)
+        eye = bands(np.eye(2))
+        space = GalerkinSpace(np.ones(2), eye)
+        asym = bands([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(StructureError, match="not symmetric"):
+            FormFamily(space, AffineTerms(eye, asym, Harmonic(b=1.0)), 1.0)
+        with pytest.raises(StructureError, match="non-finite"):
+            FormFamily(space, AffineTerms(bands(np.diag([np.inf, np.inf])), eye,
+                                          Linear(0.0)), 1.0)
+        # a non-finite coefficient is found where the form is evaluated
+        fam = FormFamily(space, AffineTerms(eye, eye, Linear(np.nan)), 1.0)
         with pytest.raises(EvaluationError):
             fam.matrix(0.5)
 
     def test_rescale_and_certify_shift_on_terms(self):
-        space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
-        fam = FormFamily(space, AffineTerms([[0.0]], [[1.0]], Harmonic(b=1.0)),
-                         2.0 * np.pi, symmetric=True)
+        fam = scalar_family(0.0, 2.0 * np.pi, a1=1.0, theta=Harmonic(b=1.0))
         # theta = sin t dips to -1, so the smallest certifying shift is 1
         assert certify_shift(fam) == pytest.approx(1.0, abs=1e-6)
         shifted = rescale(fam, 2.0)
-        assert shifted.terms.a0[0, 0] == 2.0
-        assert shifted.matrix(0.5)[0, 0] == pytest.approx(2.0 + np.sin(0.5), rel=1e-15)
+        assert shifted.terms.a0[1, 0] == 2.0
+        assert shifted.matrix(0.5)[1, 0] == pytest.approx(2.0 + np.sin(0.5), rel=1e-15)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (pointwise_criterion, pointwise_criterion_symmetric,
+from conftest import (bands, pointwise_criterion, pointwise_criterion_symmetric,
                       pointwise_worst, reference_ball_projection, reference_pair)
 from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
                            Linear, Subdivision, estimate_constants)
@@ -222,15 +222,6 @@ class TestCriterion:
         assert_same_report(got, pointwise_criterion_symmetric(family.matrix, horizon, pool))
         assert got.witness_t not in (0.0, np.pi, 2.0 * np.pi)
 
-    def test_symmetric_variant_rejects_nonsymmetric(self, heat_homogeneous):
-        from evolveq.forms import FormFamily
-        base = heat_homogeneous.problem.family
-        asym = FormFamily(base.space, base.terms, base.horizon, symmetric=False)
-        cset = convex_set_for(heat_homogeneous, "box", lower=0.0)
-        with pytest.raises(ValueError):
-            check_criterion_symmetric(
-                asym, sample_pool(np.random.default_rng(0), cset, 1000), 1.0)
-
     def test_broken_coupling_detected_both_ways(self):
         preset = get_preset("broken-coupling")
         family = preset.problem.family
@@ -247,9 +238,9 @@ class TestCriterion:
     def test_symmetric_variant_rejects_non_accretive(self):
         # 0.97 + sin t dips below 0 only near 3 pi / 2 = 4.71, between the
         # sample times 4.375 and 5.0: the ends of theta's range catch it
-        space = GalerkinSpace(np.ones(1), np.eye(1))
-        family = FormFamily(space, AffineTerms([[0.97]], [[1.0]], Harmonic(b=1.0)), 5.0,
-                            symmetric=True)
+        space = GalerkinSpace(np.ones(1), bands([[1.0]]))
+        family = FormFamily(space, AffineTerms(bands([[0.97]]), bands([[1.0]]),
+                                               Harmonic(b=1.0)), 5.0)
         pool = sample_pool(np.random.default_rng(0), ConvexSet.box(np.ones(1), 0.0), 30)
         alpha = estimate_constants(family).coercivity
         assert alpha < 0.0
@@ -257,9 +248,9 @@ class TestCriterion:
             check_criterion_symmetric(family, pool, alpha)
 
     def test_nonfinite_coefficient_raises(self):
-        space = GalerkinSpace(np.ones(1), np.eye(1))
-        family = FormFamily(space, AffineTerms([[1.0]], [[1.0]], Linear(np.nan)), 1.0,
-                            symmetric=True)
+        space = GalerkinSpace(np.ones(1), bands([[1.0]]))
+        family = FormFamily(space, AffineTerms(bands([[1.0]]), bands([[1.0]]), Linear(np.nan)),
+                            1.0)
         pool = sample_pool(np.random.default_rng(0), ConvexSet.box(np.ones(1), 0.0), 30)
         with pytest.raises(EvaluationError):
             check_criterion(family, pool)

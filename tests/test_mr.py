@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import (dirichlet_problem, quadrature_load_l2h,
+from conftest import (bands, dirichlet_problem, quadrature_load_l2h,
                       quadrature_load_means, reference_mr_terms,
                       reference_product_rule, reference_telescoping)
 from evolveq.fem import robin_space, stiffness
@@ -40,9 +40,8 @@ MR_PROBLEMS = {
 
 @pytest.fixture(scope="module")
 def decay_traj():
-    space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
-    family = FormFamily(space, AffineTerms([[1.0]], [[0.0]], Linear(0.0)), 1.0,
-                        symmetric=True)
+    space = GalerkinSpace(np.array([1.0]), bands([[1.0]]))
+    family = FormFamily(space, AffineTerms(bands([[1.0]]), np.zeros((3, 1)), Linear(0.0)), 1.0)
     problem = ProblemData(family, np.array([1.0]))
     return problem, solve(problem, Subdivision.uniform(1.0, 4))
 
@@ -161,8 +160,7 @@ class TestMRNorms:
         # so the audits refuse it instead of returning an inexact value
         space = robin_space(32)
         a = stiffness(32)
-        family = FormFamily(space, AffineTerms(a, np.zeros_like(a), Linear(0.0)), 1.0,
-                            symmetric=True)
+        family = FormFamily(space, AffineTerms(a, np.zeros_like(a), Linear(0.0)), 1.0)
         traj = solve(ProblemData(family, rng.standard_normal(space.dim)),
                      Subdivision.uniform(1.0, 8))
         with pytest.raises(ContractError, match="shift"):
@@ -171,9 +169,9 @@ class TestMRNorms:
     def test_first_slab_below_the_rate_floor_is_named(self):
         # A(t) = 1 - 2t has slab means 0.75, 0.25, -0.25, -0.75: slabs 2 and
         # 3 are not coercive, and the error names the interval of slab 2
-        space = GalerkinSpace(np.array([1.0]), np.array([[1.0]]))
-        family = FormFamily(space, AffineTerms([[1.0]], [[-1.0]], Linear(0.0, 2.0)),
-                            1.0, symmetric=True)
+        space = GalerkinSpace(np.array([1.0]), bands([[1.0]]))
+        family = FormFamily(space, AffineTerms(bands([[1.0]]), bands([[-1.0]]),
+                                               Linear(0.0, 2.0)), 1.0)
         traj = solve(ProblemData(family, np.array([1.0])), Subdivision.uniform(1.0, 4))
         with pytest.raises(ContractError, match=r"-2\.500e-01 <= 1e-12 on \[0\.5, 0\.75\]"):
             mr_norms(traj)
@@ -241,8 +239,8 @@ class TestEstimates:
     def test_indepmax_needs_constants(self, decay_traj):
         _, traj = decay_traj
         report = mr_norms(traj)
-        with pytest.raises(ContractError):
-            check_lemma_indepmax(report, traj)
+        with pytest.raises(ContractError, match="certified M and alpha"):
+            check_lemma_indepmax(report, traj, FormConstants())
 
     def test_heat_margins_nonnegative(self, heat_traj_64, heat_preset,
                                       heat_constants):
@@ -273,10 +271,6 @@ class TestTelescoping:
         worst = check_form_telescoping(heat_traj_64,
                                        lipschitz=heat_constants.lipschitz)
         assert worst <= 1e-9
-
-    def test_needs_lipschitz(self, heat_traj_64):
-        with pytest.raises(ContractError):
-            check_form_telescoping(heat_traj_64)
 
     def test_needs_uniform_subdivision(self, heat_preset):
         sub = Subdivision(np.array([0.0, 0.3, 1.0]))

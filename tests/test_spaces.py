@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_gram_V, dirichlet_space
-from evolveq.fem import consistent_mass
+from conftest import bands, consistent_mass, dense, dirichlet_space
 from evolveq.forms import embedding_constant
 from evolveq.spaces import GalerkinSpace, StructureError
 
@@ -24,7 +23,7 @@ def h_representation(space, u):
 
 
 def scalar_space(gh, gv):
-    return GalerkinSpace(np.array([gh]), np.array([[gv]]))
+    return GalerkinSpace(np.array([gh]), bands([[gv]]))
 
 
 class TestDualNorm:
@@ -44,14 +43,14 @@ class TestDualNorm:
         g = consistent_mass(64)[1:-1, 1:-1] @ np.ones(space.dim)
         assert dual_norm(space, g) == pytest.approx(HAT_SUM_DUAL_NORM, abs=1e-12)
         # independent oracle: plain dense solve instead of the banded Cholesky path
-        direct = np.sqrt(g @ np.linalg.solve(dense_gram_V(space), g))
+        direct = np.sqrt(g @ np.linalg.solve(dense(space.gram_V), g))
         assert dual_norm(space, g) == pytest.approx(direct, rel=1e-12)
 
 
 class TestEmbeddingConstant:
     def test_identical_norms(self):
         h = np.array([2.0, 1.0])
-        assert embedding_constant(GalerkinSpace(h, np.diag(h))) == pytest.approx(
+        assert embedding_constant(GalerkinSpace(h, bands(np.diag(h)))) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_scalar_ratio(self):
@@ -66,17 +65,17 @@ class TestEmbeddingConstant:
 class TestStructure:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(StructureError, match="symmetric"):
-            GalerkinSpace(np.ones(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+            GalerkinSpace(np.ones(2), bands([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_rejects_indefinite(self):
         with pytest.raises(StructureError, match="positive"):
-            GalerkinSpace(np.array([1.0, -1.0]), np.eye(2))
+            GalerkinSpace(np.array([1.0, -1.0]), bands(np.eye(2)))
         with pytest.raises(StructureError, match="positive"):
-            GalerkinSpace(np.ones(2), np.diag([1.0, -1.0]))
+            GalerkinSpace(np.ones(2), bands(np.diag([1.0, -1.0])))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(StructureError):
-            GalerkinSpace(np.ones(2), np.eye(3))
+        with pytest.raises(StructureError, match="must be"):
+            GalerkinSpace(np.ones(2), bands(np.eye(3)))
 
     def test_rejects_a_matrix_h_gram(self):
         # the H-Gram is a lumped mass, given as its diagonal: a consistent
@@ -84,7 +83,7 @@ class TestStructure:
         mass = consistent_mass(8)[1:-1, 1:-1]
         for gram_h in (mass, np.diag(np.diag(mass))):
             with pytest.raises(StructureError, match="lumped"):
-                GalerkinSpace(gram_h, mass)
+                GalerkinSpace(gram_h, bands(mass))
 
 
 class TestNormProperties:
@@ -117,5 +116,5 @@ class TestNormProperties:
 @given(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=2, max_size=6))
 def test_diagonal_space_embedding_is_max_ratio(diag):
     d = np.array(diag)
-    space = GalerkinSpace(d, np.eye(d.size))
+    space = GalerkinSpace(d, bands(np.eye(d.size)))
     assert embedding_constant(space) == pytest.approx(np.sqrt(d.max()), rel=1e-10)

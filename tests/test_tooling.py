@@ -7,12 +7,15 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import evolveq
 from evolveq import cli
+from evolveq.forms import estimate_constants, rescale
+from evolveq.presets import get_preset
 
 REPO = Path(__file__).resolve().parents[1]
 PERFBENCH = REPO / "perfbench"
@@ -88,9 +91,24 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names what it does not define: {missing}"
 
 
+@pytest.mark.parametrize("name", ["heat-1d-lipschitz", "constant-heat", "broken-coupling"])
+def test_assembly_and_constants_build_no_square_array(name):
+    # at 2048 cells one dense 2049 x 2049 term is 32 MB, and all the bands
+    # of the space and the family are about 0.2 MB
+    tracemalloc.start()
+    try:
+        family = get_preset(name, n_cells=2048).problem.family
+        estimate_constants(family)
+        rescale(family, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
 def test_only_forms_knows_the_storage_route():
-    # the family keeps its terms as bands; no other module imports the
-    # band module or reads a family's band storage
+    # the family's terms are bands; no other module imports the band module
+    # or reads a family's band storage
     readers = set()
     for path in sorted((REPO / "src" / "evolveq").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

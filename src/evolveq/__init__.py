@@ -9,7 +9,7 @@ from .mr import (MRReport, check_chain_rule, check_H_estimate, check_lemma3,
                  check_lemma_indepmax, check_product_rule, load_l2h, mr_norms)
 from .convergence import RefinementStudy, refine, solve_ladder
 from .invariance import (ConvexSet, audit_trajectory, check_criterion,
-                         check_criterion_symmetric, sample_pool)
+                         check_criterion_symmetric)
 from .presets import get_preset, preset_names
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -56,7 +56,7 @@ class ExperimentConfig:
     n_cells: int | None = None
     horizon: float | None = None
     slab_counts: tuple[int, ...] | None = None
-    seed: int = 0
+    seed: int = 0                 # accepted and range-checked; drives nothing
     omega: float | None = None
     oracle_steps: int = 10_000
     threads: int = 1
@@ -186,13 +186,21 @@ class _Prepared:
     constants: FormConstants      # declared values over the computed ones
     slab_counts: tuple[int, ...]
     shift: float
+    cset: inv.ConvexSet | None    # the invariance stage's set, None without it
 
 
-def _prepare(config: ExperimentConfig) -> _Prepared:
+def _prepare(config: ExperimentConfig, command: str) -> _Prepared:
+    """The problem, its constants and shift, and the invariance set when the
+    command runs that stage; a set that does not contain u0 is refused."""
     preset = get_preset(config.preset, n_cells=config.n_cells,
                         horizon=config.horizon, load=config.load_name,
                         amplitude=config.load_amplitude)
     problem = preset.problem
+    cset = (convex_set_for(preset, kind=config.set_kind, **config.set_params)
+            if command in ("invariance", "all") else None)
+    if cset is not None and (distance := cset.distance(problem.u0)) > VIOLATION_TOL:
+        raise ConfigError(f"the convex set does not contain u0: its distance "
+                          f"from the set is {distance:.3e}")
     shift = config.omega or 0.0
     if shift == 0.0:
         computed = estimate_constants(problem.family)
@@ -204,7 +212,7 @@ def _prepare(config: ExperimentConfig) -> _Prepared:
         computed = estimate_constants(problem.family)
     constants = resolved_constants(preset.constants, computed)
     counts = config.slab_counts or preset.default_slab_counts
-    return _Prepared(config, preset, problem, computed, constants, counts, shift)
+    return _Prepared(config, preset, problem, computed, constants, counts, shift, cset)
 
 
 def _run_constants(prep: _Prepared, lines: list[str]) -> int:
@@ -283,16 +291,17 @@ def _run_converge(prep: _Prepared, ladder: list[Trajectory], out: Path,
 
 def _run_invariance(prep: _Prepared, ladder: list[Trajectory], out: Path,
                     lines: list[str]) -> int:
-    problem, config = prep.problem, prep.config
+    problem, config, cset = prep.problem, prep.config, prep.cset
     family = problem.family
-    cset = convex_set_for(prep.preset, kind=config.set_kind, **config.set_params)
-    pool = inv.sample_pool(np.random.default_rng(config.seed), cset, 10_000)
-    crit = inv.check_criterion(family, pool, load=problem.load)
-    try:
-        sym_margin = inv.check_criterion_symmetric(family, pool,
-                                                   prep.computed.coercivity).margin
-    except ValueError:      # not accretive
-        sym_margin = float("nan")
+    crit = inv.check_criterion(family, cset, load=problem.load)
+    # judged relative to its terms: a corner bound above -tol proves a pass,
+    # a real value below it a failure; otherwise the bound is reported
+    tol = CRITERION_TOL * crit.scale
+    holds, fails = crit.bound >= -tol, crit.margin < -tol
+    margin = crit.margin if holds or fails else crit.bound
+    alpha = prep.computed.coercivity
+    sym_margin = (inv.check_criterion_symmetric(family, cset, alpha).margin
+                  if alpha > 0 else float("nan"))     # NaN: not accretive
     worst = witness_t = 0.0
     for traj in ladder:
         violation, t = inv.audit_trajectory(traj, cset)
@@ -301,16 +310,20 @@ def _run_invariance(prep: _Prepared, ladder: list[Trajectory], out: Path,
     write_csv(out / "invariance.csv",
               ["preset", "set_kind", "metric", "criterion_margin",
                "symmetric_margin", "worst_violation", "witness_t", "witness_norm"],
-              [[prep.preset.name, config.set_kind, _METRIC, crit.margin,
+              [[prep.preset.name, config.set_kind, _METRIC, margin,
                 sym_margin, worst, witness_t,
                 float(np.linalg.norm(crit.witness))]])
-    lines.append(f"criterion margin {crit.margin:.3e}, worst violation {worst:.3e}")
+    lines.append(f"criterion margin {margin:.3e}, worst violation {worst:.3e}")
+    if not (holds or fails):
+        lines.append(f"NOT CERTIFIED: the criterion fails at a corner of the coefficients' "
+                     f"ranges (bound {crit.bound:.3e}) but at none of the real times checked")
+        return 2
     if prep.preset.expect_invariant:
-        if crit.margin < -CRITERION_TOL or worst > VIOLATION_TOL:
+        if fails or worst > VIOLATION_TOL:
             lines.append("FAIL: invariant preset shows a violation")
             return 2
     else:
-        if crit.margin >= -CRITERION_TOL or worst <= VIOLATION_TOL:
+        if not fails or worst <= VIOLATION_TOL:
             lines.append("FAIL: counterexample preset was not detected")
             return 2
         lines.append("counterexample detected as expected")
@@ -319,12 +332,12 @@ def _run_invariance(prep: _Prepared, ladder: list[Trajectory], out: Path,
 
 def run(command: str, config: ExperimentConfig) -> int:
     """Run one pipeline; summary.txt is written even when a typed error ends it."""
-    prep = _prepare(config)
+    prep = _prepare(config, command)
     if command in ("converge", "all"):
         _check_ladder(prep.slab_counts, min_points=2)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    lines = [f"preset: {prep.preset.name}", f"seed: {config.seed}"]
+    lines = [f"preset: {prep.preset.name}"]
     status = 0
     try:
         if command in ("constants", "all"):
@@ -361,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "all", "list-presets"])
     parser.add_argument("--config", type=Path, help="experiment config file")
     parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--threads", type=int, help="worker threads for ladder solves")
     return parser
 
@@ -379,8 +391,6 @@ def main(argv=None) -> int:
     except (KeyError, ValueError) as exc:    # ConfigError or a malformed number
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        config.seed = args.seed
     if args.threads is not None:
         config.threads = args.threads
     out = args.out or os.environ.get("EVOLVEQ_OUT")

@@ -7,8 +7,8 @@ A0 + mean(theta) A1, one scalar per slab, and the constants M, alpha and L
 are exact: they are read at the ends of theta's range and from the largest
 |theta'|.  The terms are symmetric tridiagonal, given and held as their
 (3, n) bands (`spaces.symmetric_bands`), and the H-metric is the space's
-lumped mass, so the family's pencils, products, pool pairings and oracle
-steps cost O(n) and no n x n matrix is formed.
+lumped mass, so the family's products and oracle steps cost O(n), its
+pencils one tridiagonal eigensolve, and no n x n matrix is formed.
 
 The constants, and the embedding constant c_H of the space, are extreme
 eigenvalues of tridiagonal pencils against the V-Gram's bands.  Each is an
@@ -83,10 +83,10 @@ class Linear:
         """Mean of theta over [a, b]."""
         return self.c0 + self.c1 * (0.5 * (a + b))
 
-    def bounds(self, horizon: float) -> tuple[float, float]:
-        """Least and greatest value of theta on [0, horizon]."""
-        ends = (self.c0, self(horizon))
-        return min(ends), max(ends)
+    def extremes(self, horizon: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(time, value) of theta's least and of its greatest value on [0, horizon]."""
+        ends = ((0.0, self.c0), (horizon, self(horizon)))
+        return min(ends, key=lambda p: p[1]), max(ends, key=lambda p: p[1])
 
     def max_slope(self, horizon: float) -> float:
         """Greatest |theta'| on [0, horizon]."""
@@ -140,16 +140,17 @@ class Harmonic:
         included), so that theta takes every value of c + R cos there."""
         return self.omega * horizon >= 2.0 * math.pi
 
-    def bounds(self, horizon: float) -> tuple[float, float]:
-        """Least and greatest value of theta on [0, horizon], interior extremes included."""
-        r = math.hypot(self.a, self.b)
-        if self._full_period(horizon):
-            return self.c - r, self.c + r
-        values = [self(0.0), self(horizon)]
-        # within one period: at most two turns, even k at the maximum c + r
-        # and odd k at the minimum c - r
-        values += [self.c + (r if k % 2 == 0 else -r) for k in self._turns(horizon, 0.0)]
-        return min(values), max(values)
+    def extremes(self, horizon: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(time, value) of theta's least and of its greatest value on
+        [0, horizon]: among the turns of the first period, even k at c + R
+        and odd k at c - R, and both ends when the horizon is shorter."""
+        r, phase = math.hypot(self.a, self.b), math.atan2(self.b, self.a)
+        full = self._full_period(horizon)
+        pairs = [] if full else [(0.0, self(0.0)), (horizon, self(horizon))]
+        pairs += [(min(max((phase + k * math.pi) / self.omega, 0.0), horizon),
+                   self.c + (r if k % 2 == 0 else -r))
+                  for k in self._turns(2.0 * math.pi / self.omega if full else horizon, 0.0)]
+        return min(pairs, key=lambda p: p[1]), max(pairs, key=lambda p: p[1])
 
     def max_slope(self, horizon: float) -> float:
         """Greatest |theta'| on [0, horizon]."""
@@ -267,8 +268,8 @@ class FormFamily:
     """t -> A(t) = A0 + theta(t) A1 on a Galerkin space, with horizon.
 
     The terms are bands, checked once by `spaces.symmetric_bands` when the
-    family is built, so every family is symmetric.  `pencil`, `apply`,
-    `pair` and `implicit_steps` work on the bands.
+    family is built, so every family is symmetric.  `pencil`, `apply` and
+    `implicit_steps` work on the bands.
     """
 
     space: GalerkinSpace
@@ -303,12 +304,6 @@ class FormFamily:
         if np.ndim(x) == 2:
             a0, a1 = a0[..., None], a1[..., None]
         return tridiagonal.matvec(a0 + s * a1, x)
-
-    def pair(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(left_i^T A0 right_i, left_i^T A1 right_i) for the row pairs of two
-        (m, n) arrays, through the bands in O(m n)."""
-        return tuple(tridiagonal.pair_rows(b, left, right)
-                     for b in (self.terms.a0, self.terms.a1))
 
     def implicit_steps(self, u: np.ndarray, dt: float, times: list[float],
                        loads: np.ndarray) -> np.ndarray:
@@ -389,7 +384,7 @@ def _extreme_bands(family: FormFamily) -> list[np.ndarray]:
     ||A0 + s A1||_{V->V'} is convex in s and the coercivity lambda_min is
     concave in s, so both take their extremes over the family here.
     """
-    lo, hi = family.terms.theta.bounds(family.horizon)
+    (_, lo), (_, hi) = family.terms.theta.extremes(family.horizon)
     return [family.terms.at(s) for s in sorted({lo, hi})]
 
 

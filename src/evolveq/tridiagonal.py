@@ -1,5 +1,5 @@
-"""O(n) solvers, products, row-wise pairing and the inertia bisection of
-tridiagonal matrices held as their bands.
+"""O(n) solvers and products, the pencil eigensolve and the inertia
+bisection of tridiagonal matrices held as their bands.
 
 Bands are LAPACK's (1, 1) banded layout, a (3, n) array: row 0 is the
 superdiagonal shifted right by one, row 1 the diagonal, row 2 the
@@ -15,8 +15,7 @@ from scipy.linalg.lapack import dgtsv, dpttrf
 
 from .spaces import StructureError
 
-__all__ = ["matvec", "pair_rows", "march", "pencil_eigh", "definite",
-           "pencil_bracket"]
+__all__ = ["matvec", "march", "pencil_eigh", "definite", "pencil_bracket"]
 
 _EXPANSIONS = 2100     # doublings that take any finite start past the overflow threshold
 
@@ -28,17 +27,6 @@ def matvec(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     y[:-1] += b[0, 1:] * x[1:]
     y[1:] += b[2, :-1] * x[:-1]
     return y
-
-
-def pair_rows(b: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left_i^T A right_i for each row pair of two (m, n) arrays, in O(m n).
-
-    b are the bands of A: row 0 pairs left_{j-1} with right_j, row 1
-    left_j with right_j and row 2 left_{j+1} with right_j.
-    """
-    return (np.einsum("ij,ij,j->i", left, right, b[1])
-            + np.einsum("ij,ij,j->i", left[:, :-1], right[:, 1:], b[0, 1:])
-            + np.einsum("ij,ij,j->i", left[:, 1:], right[:, :-1], b[2, :-1]))
 
 
 def march(h: np.ndarray, bands: np.ndarray, loads: np.ndarray,
@@ -71,12 +59,13 @@ def pencil_eigh(b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the pencil (A, diag(h)) for the bands b of a symmetric A.
 
     The symmetric tridiagonal h^{-1/2} A h^{-1/2} = Q diag(rates) Q^T is
-    solved by MRRR (`scipy.linalg.eigh_tridiagonal`); the modes h^{-1/2} Q
-    are diag(h)-orthonormal.  A failed solve raises LinAlgError.
+    solved by divide and conquer (`scipy.linalg.eigh_tridiagonal` with the
+    LAPACK routine stevd named, so SciPy's default cannot move the bits);
+    the modes h^{-1/2} Q are diag(h)-orthonormal.  A failed solve raises LinAlgError.
     """
     s = 1.0 / np.sqrt(h)
     off = b[0, 1:] * s[:-1] * s[1:]
-    rates, q = sla.eigh_tridiagonal(b[1] / h, off)
+    rates, q = sla.eigh_tridiagonal(b[1] / h, off, lapack_driver="stevd")
     return rates, s[:, None] * q
 
 

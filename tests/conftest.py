@@ -9,7 +9,6 @@ from evolveq.fem import heat_terms, lumped_mass, uniform_nodes
 from evolveq.forms import (AffineTerms, FormConstants, FormFamily, Harmonic,
                            Linear, Subdivision, dual_operator_norm,
                            estimate_constants, gauss_nodes)
-from evolveq.invariance import CriterionReport
 from evolveq.mr import _eint, _slab_coefficients
 from evolveq.presets import get_preset, resolved_constants
 from evolveq.propagator import ProblemData, Trajectory, solve
@@ -98,18 +97,11 @@ def reference_apply(family, x, s):
     return dense(family.terms.a0) @ x + s * (dense(family.terms.a1) @ x)
 
 
-def reference_pair(family, left, right):
-    """The row-wise forms of the dense A0 and A1 over two (m, n) arrays."""
-    return tuple(np.einsum("ij,ij->i", left @ dense(a), right)
-                 for a in (family.terms.a0, family.terms.a1))
-
-
 # References for the closed forms: quadrature and sampling of t -> A(t),
 # as the bands of A(t), and of t -> f(t), given as plain callables.
 
 GAUSS_PANELS = 4
 SAMPLE_TIMES = 129
-CRITERION_TIMES = 9
 
 
 def gauss_panels(a, b):
@@ -177,43 +169,61 @@ def reference_ball_projection(cset, xs):
     return np.vstack(rows)
 
 
-def _rowwise(x, y):
-    return np.einsum("ij,ij->i", x, y)
+# The random pool that the invariance criterion was once sampled with, kept
+# as the brute-force reference of its exact decision.
+
+POOL_TIMES = 9
+SPIKE_MAX = 3
 
 
-def pointwise_worst(values, vs, horizon):
-    """The least of values(t) over the criteria's 9 uniform times; the first
-    time attaining it wins."""
-    best = CriterionReport(np.inf, 0.0, np.zeros(vs.shape[1]))
-    for t in np.linspace(0.0, horizon, CRITERION_TIMES):
-        vals = values(t)
-        k = int(np.argmin(vals))
-        if vals[k] < best.margin:
-            best = CriterionReport(float(vals[k]), float(t), vs[k].copy())
-    return best
+def spikes(rng, rows, dim):
+    """Sparse signed spikes: each row has k ~ U{1..min(3, dim)} nonzeros at a
+    uniform k-subset of positions, with +-1 signs and U(0.5, 3) magnitudes.
+
+    Positions come from sequential sampling without replacement: column j
+    is uniform over the dim - j indices still free, shifted past the row's
+    earlier picks taken in ascending order.  Entries past the k-th are zero.
+    """
+    width = min(SPIKE_MAX, dim)
+    k = rng.integers(1, width + 1, size=rows)
+    picks = rng.integers(0, dim - np.arange(width), size=(rows, width))
+    for j in range(1, width):
+        for earlier in np.sort(picks[:, :j], axis=1).T:
+            picks[:, j] += picks[:, j] >= earlier
+    values = (rng.choice([-1.0, 1.0], size=(rows, width))
+              * rng.uniform(0.5, 3.0, size=(rows, width)))
+    out = np.zeros((rows, dim))
+    out[np.arange(rows)[:, None], picks] = np.where(
+        np.arange(width) < k[:, None], values, 0.0)
+    return out
 
 
-def pointwise_criterion(matrix_at, horizon, pool, load_at=None):
-    """`check_criterion` by a dense pairing of the pool with A(t), and with
-    the pairings f(t), at each sample time."""
+def sample_pool(rng, cset, n_vectors):
+    """Mixed pool (vectors, projections): Gaussian vectors, sparse signed
+    spikes and vectors near the set, a third each."""
+    dim = cset.metric.size
+    n_gauss = n_vectors // 3
+    n_spike = n_vectors // 3
+    n_near = n_vectors - n_gauss - n_spike
+    gauss = rng.standard_normal((n_gauss, dim))
+    spiked = spikes(rng, n_spike, dim)
+    near = cset.project(rng.standard_normal((n_near, dim)))
+    near += 0.1 * rng.standard_normal((n_near, dim))
+    vs = np.vstack([gauss, spiked, near])
+    return vs, cset.project(vs)
+
+
+def criterion_values(family, load, pool, t, metric):
+    """The criterion's value (A(t) Pv - f(t)) . (v - Pv) of each pool row with
+    v != Pv, scaled to ||v - Pv||_h = 1, by a dense A(t)."""
     vs, pvs = pool
-
-    def values(t):
-        vals = _rowwise(pvs @ dense(matrix_at(t)), vs - pvs)
-        return vals if load_at is None else vals - (vs - pvs) @ load_at(t)
-
-    return pointwise_worst(values, vs, horizon)
-
-
-def pointwise_criterion_symmetric(matrix_at, horizon, pool):
-    """`check_criterion_symmetric` by a dense pairing with A(t) at each sample time."""
-    vs, pvs = pool
-
-    def values(t):
-        a = dense(matrix_at(t))
-        return _rowwise(vs @ a, vs) - _rowwise(pvs @ a, pvs)
-
-    return pointwise_worst(values, vs, horizon)
+    diffs = vs - pvs
+    norms = np.sqrt(np.einsum("ij,ij,j->i", diffs, diffs, metric))
+    keep = norms > 0.0
+    a = dense(family.terms.at(family.terms.theta(t)))
+    f = 0.0 if load is None else load.theta(t) * load.pairing
+    values = np.einsum("ij,ij->i", pvs @ a - f, diffs)
+    return values[keep] / norms[keep]
 
 
 def _bilinear_exp_integral(mu, c, p, d, q, gram, length):

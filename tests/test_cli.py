@@ -12,7 +12,7 @@ from evolveq.cli import (ConfigError, ExperimentConfig, build_parser,
                          list_presets, main, write_csv)
 from evolveq.forms import (AffineTerms, FormFamily, Harmonic, Linear,
                            estimate_constants)
-from evolveq.invariance import check_criterion_symmetric, sample_pool
+from evolveq.invariance import check_criterion, check_criterion_symmetric
 from evolveq.mr import _kernel_factor, _slab_coefficients, check_lemma3, mr_norms
 from evolveq.presets import get_preset
 from evolveq.propagator import (ProblemData, SlabPropagator, Trajectory,
@@ -217,7 +217,8 @@ class TestMain:
         summary = (out / "summary.txt").read_text()
         assert "counterexample detected as expected" in summary
         row = (out / "invariance.csv").read_text().splitlines()[1].split(",")
-        assert float(row[3]) < 0.0     # criterion margin
+        # criterion margin: the flipped coupling 16 at B = 1, over sqrt(h) = 1/4
+        assert float(row[3]) == pytest.approx(-64.0, rel=1e-12)
         assert float(row[5]) > 0.0     # worst trajectory violation
 
     def test_env_output_fallback(self, tmp_path, capsys, monkeypatch):
@@ -249,6 +250,7 @@ class TestMain:
         (HEAT_CFG + "[convex_set]\nmetric = euclid\n", 1),
         (HEAT_CFG + "[convex_set]\nkind = ball\n", 1),
         (HEAT_CFG + "[convex_set]\nkind = ball\nradius = -1.0\n", 1),
+        (HEAT_CFG + "[convex_set]\nkind = ball\nradius = 0.5\n", 1),   # u0 is outside
         (HEAT_CFG + "[convex_set]\nlower = 1.0\nupper = 0.0\n", 1),
         (HEAT_CFG + "horizon = inf\n", 1),
         (HEAT_CFG + "[load]\namplitude = nan\n", 1),
@@ -271,7 +273,7 @@ class TestMain:
         (HEAT_CFG + "[load]\nname = bogus\n", 1),
     ], ids=["omega", "horizon", "n_cells", "n_cells_text", "oracle_steps",
             "duplicate", "set_halfspace", "set_metric", "set_ball_no_radius",
-            "set_negative_radius", "set_inverted_box", "horizon_inf",
+            "set_negative_radius", "set_excludes_u0", "set_inverted_box", "horizon_inf",
             "amplitude_nan", "omega_nan", "set_lower_inf", "seed_negative",
             "mr_overflow", "load_mean_overflow", "mr_integrals_overflow",
             "audit_overflow", "set_ball_with_box_keys",
@@ -291,6 +293,10 @@ class TestMain:
             if f"amplitude = {amplitude}\n" in text:
                 # an overflow names the quantity that overflowed
                 assert err == f"error: overflow in {quantity}\n"
+        if "radius = 0.5" in text:
+            # ||u0||_h = 0.7071 at 4 cells: the ball of radius 0.5 misses it
+            assert err == ("error: the convex set does not contain u0: its distance "
+                           "from the set is 2.071e-01\n")
         # an unknown name is refused when the config is read, its line unquoted
         if "nope" in text:
             assert err == ("error: unknown preset 'nope'; choose from ['scalar-decay', "
@@ -317,12 +323,13 @@ class TestMain:
         config = ExperimentConfig.from_file(path)
         status, counts = count_calls(
             [SlabPropagator.build.__func__, estimate_constants,
-             _slab_coefficients, _kernel_factor, sample_pool, fem.heat_matrix],
+             _slab_coefficients, _kernel_factor, fem.heat_matrix],
             lambda: main(["all", "--config", str(path), "--out", str(tmp_path / "o")]),
             under=[(_modal_coefficients, solve),
                    (inspect.unwrap(np.linalg.solve), oracle_solve),
                    (inspect.unwrap(sla.eigh), SlabPropagator.build.__func__),
                    (pencil_bracket, check_criterion_symmetric),
+                   (FormFamily.pencil, check_criterion),
                    (AffineTerms.at, solve),
                    (GalerkinSpace.v_norms, mr_norms),
                    (GalerkinSpace.solve_V, mr_norms),
@@ -356,9 +363,10 @@ class TestMain:
         for dense in DENSE_ROUTINES:
             for caller in V_SIDE:
                 assert counts[f"{dense.__qualname__} in {caller.__qualname__}"] == 0
-        # one sample pool, read by both invariance criteria; the symmetric
-        # one reads alpha from the constants instead of solving for it again
-        assert counts["sample_pool"] == 1
+        # a box's criterion is decided from the bands: no eigensolve; the
+        # symmetric one reads alpha from the constants instead of solving
+        # for it again
+        assert counts["FormFamily.pencil in check_criterion"] == 0
         assert counts["pencil_bracket in check_criterion_symmetric"] == 0
         # the heat family is assembled once, as its affine terms; slab means,
         # constants and oracle steps never assemble it again
@@ -455,21 +463,57 @@ class TestMain:
         assert err.startswith("error: " + message) and len(err.splitlines()) == 1
         assert (out / "summary.txt").read_text().splitlines()[-1] == err.strip()
 
-    def test_seed_override(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, BROKEN_CFG)
-        out = tmp_path / "results"
-        assert main(["invariance", "--config", str(path), "--out", str(out),
-                     "--seed", "99"]) == 0
-        assert "seed: 99" in (out / "summary.txt").read_text()
+    def test_seed_drives_nothing(self, tmp_path, capsys):
+        # the seed is accepted and range-checked, and every output is the same
+        outputs = []
+        for seed in (1, 2):
+            path = write_cfg(tmp_path, BROKEN_CFG.replace("seed = 5", f"seed = {seed}"))
+            out = tmp_path / f"seed{seed}"
+            assert main(["invariance", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append((out / "invariance.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
-    def test_negative_seed_override_is_usage_error(self, tmp_path, capsys):
-        # the overridden config is validated again, before any work
-        path = write_cfg(tmp_path, BROKEN_CFG)
+    @pytest.mark.parametrize("lower, upper, load, status, margin", [
+        (0.0, 1.0, "forcing", 2, -2.0 / np.sqrt(80.0)),
+        (-1.0, 1.0, "none", 0, None),
+    ], ids=["forcing_pushes_the_upper_face", "row_sums_at_roundoff"])
+    def test_box_criterion_at_80_cells(self, tmp_path, capsys, lower, upper, load,
+                                       status, margin):
+        # [0, 1] with the forcing load: at node 40 and t = 0 the load pushes
+        # the upper face outward, -theta_f(0) g_i / sqrt(h_i) = -2 / sqrt(80).
+        # [-1, 1] without a load is invariant: its values are zero row sums,
+        # at roundoff of their terms
+        path = write_cfg(tmp_path, "[experiment]\npreset = heat-1d-lipschitz\n"
+                         "n_cells = 80\nslab_counts = 8 16 32\n\n"
+                         f"[load]\nname = {load}\n\n"
+                         f"[convex_set]\nkind = box\nlower = {lower}\nupper = {upper}\n")
         out = tmp_path / "results"
-        assert main(["invariance", "--config", str(path), "--out", str(out),
-                     "--seed", "-1"]) == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0\n"
-        assert not out.exists()
+        assert main(["invariance", "--config", str(path), "--out", str(out)]) == status
+        header, row = (line.split(",") for line in
+                       (out / "invariance.csv").read_text().splitlines())
+        got = float(row[header.index("criterion_margin")])
+        if margin is None:
+            assert -1e-12 < got <= 0.0
+        else:
+            assert got == pytest.approx(margin, rel=1e-12)
+            summary = (out / "summary.txt").read_text()
+            assert "FAIL: invariant preset shows a violation" in summary
+
+    def test_uncertified_criterion_exits_2(self, tmp_path, capsys):
+        # theta = sin t and theta_f = 1 + cos 2t over one period: the ball's
+        # corner bound fails at (theta, theta_f) = (-1, 2), which no time
+        # attains, and every real time checked passes
+        path = write_cfg(tmp_path, HEAT_CFG.replace("n_cells = 4", "n_cells = 16")
+                         + f"horizon = {2.0 * np.pi!r}\n"
+                         "[convex_set]\nkind = ball\nradius = 0.8\n")
+        out = tmp_path / "results"
+        assert main(["invariance", "--config", str(path), "--out", str(out)]) == 2
+        summary = (out / "summary.txt").read_text()
+        assert "NOT CERTIFIED" in summary and "FAIL" not in summary
+        header, row = (line.split(",") for line in
+                       (out / "invariance.csv").read_text().splitlines())
+        # the corner bound is reported, never a passing 0
+        assert float(row[header.index("criterion_margin")]) < 0.0
 
 
 class TestParser:

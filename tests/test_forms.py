@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -380,7 +381,7 @@ class TestAffineTerms:
     def test_scalar_sin_range_over_one_period(self):
         fam, _ = scalar_sin_pair()
         assert fam.horizon == 2.0 * np.pi
-        assert fam.terms.theta.bounds(fam.horizon) == (-1.0, 1.0)
+        assert fam.terms.theta.extremes(fam.horizon) == ((1.5 * np.pi, -1.0), (0.5 * np.pi, 1.0))
         c = estimate_constants(fam)
         assert (c.bound, c.coercivity, c.lipschitz) == (3.0, 1.0, 1.0)
 
@@ -430,24 +431,47 @@ class TestAffineTerms:
                 np.column_stack([m @ col for m, col in zip(mats, x.T)]),
                 rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("name, n_cells", [("scalar-sin", None),
+                                               ("heat-1d-lipschitz", 80),
+                                               ("broken-coupling", 16)])
+    def test_pencil_eigh_is_divide_and_conquer(self, name, n_cells):
+        # the LAPACK routine is named, stevd, not left to SciPy's default: bit for bit
+        fam = get_preset(name, n_cells=n_cells).problem.family
+        b, h = fam.terms.at(0.4), fam.space.h
+        s = 1.0 / np.sqrt(h)
+        rates, q = sla.eigh_tridiagonal(b[1] / h, b[0, 1:] * s[:-1] * s[1:],
+                                        lapack_driver="stevd")
+        got_rates, got_modes = tridiagonal.pencil_eigh(b, h)
+        np.testing.assert_array_equal(got_rates, rates)
+        np.testing.assert_array_equal(got_modes, s[:, None] * q)
+
     def test_coefficient_closed_forms(self):
         sine = Harmonic(b=1.0)
-        assert sine.bounds(1.0) == (0.0, np.sin(1.0))
-        assert sine.bounds(2.0) == (0.0, 1.0)          # interior maximum at pi/2
-        assert sine.bounds(4.0) == (np.sin(4.0), 1.0)  # one turn only, k = 0
+        assert sine.extremes(1.0) == ((0.0, 0.0), (1.0, np.sin(1.0)))
+        # an interior maximum at pi/2
+        assert sine.extremes(2.0) == ((0.0, 0.0), (np.pi / 2, 1.0))
+        # one turn only, k = 0
+        assert sine.extremes(4.0) == ((4.0, np.sin(4.0)), (np.pi / 2, 1.0))
         # O(1) in the horizon: ~3e8 turns are not listed one by one
-        assert sine.bounds(1e9) == (-1.0, 1.0)
-        assert Harmonic(c=1.0, a=1.0, omega=2.0).bounds(1e9) == (0.0, 2.0)
+        assert sine.extremes(1e9) == ((pytest.approx(1.5 * np.pi, rel=1e-15), -1.0),
+                                      (np.pi / 2, 1.0))
         forcing = Harmonic(c=1.0, a=1.0, omega=2.0)
+        assert forcing.extremes(1e9) == ((np.pi / 2, 0.0), (0.0, 2.0))
+        assert forcing.extremes(1.0) == ((1.0, 1.0 + np.cos(2.0)), (0.0, 2.0))
         assert forcing.max_slope(0.2) == pytest.approx(2.0 * np.sin(0.4), rel=1e-15)
         assert forcing.max_slope(1.0) == 2.0
         # more turns than a range can count with len()
-        assert sine.bounds(1e308) == (-1.0, 1.0)
+        assert sine.extremes(1e308) == sine.extremes(1e9)
         assert sine.max_slope(1e308) == 1.0
         # omega * horizon overflows to inf: still one full period or more
-        assert forcing.bounds(1e308) == (0.0, 2.0)
+        assert forcing.extremes(1e308) == ((np.pi / 2, 0.0), (0.0, 2.0))
         assert forcing.max_slope(1e308) == 2.0
-        assert Linear(1.0, -0.5).bounds(4.0) == (-1.0, 1.0)
+        assert Linear(1.0, -0.5).extremes(4.0) == ((4.0, -1.0), (0.0, 1.0))
+        assert Linear(2.0).extremes(4.0) == ((0.0, 2.0), (0.0, 2.0))
+        # each extreme is theta's value at its time
+        for theta, horizon in ((sine, 4.0), (sine, 1e9), (forcing, 1.0), (forcing, 1e308)):
+            for t, value in theta.extremes(horizon):
+                assert theta(t) == pytest.approx(value, abs=1e-15)
         for theta in (sine, forcing, Linear(1.0, 0.5)):
             nodes, weights = gauss_nodes(np.linspace(0.3, 2.9, 129))
             values = np.array([theta(t) for t in nodes])

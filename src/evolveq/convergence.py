@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import Subdivision, gauss_nodes
-from .propagator import ProblemData, Trajectory, oracle_solve, solve
+from .propagator import OracleSamples, ProblemData, Trajectory, oracle_solve, solve
 
 __all__ = ["RefinementStudy", "check_ladder", "solve_ladder", "refine",
            "oracle_reference", "oracle_suph_gap",
@@ -58,7 +58,7 @@ def solve_ladder(problem: ProblemData, slab_counts,
     does not depend on execution order.
     """
     def one(n: int) -> Trajectory:
-        return solve(problem, Subdivision.uniform(problem.horizon, n))
+        return solve(problem, Subdivision(problem.horizon, n))
 
     if threads == 1:
         return [one(n) for n in slab_counts]
@@ -100,29 +100,27 @@ def refine(trajectories: list[Trajectory]) -> RefinementStudy:
     Differences are taken on the finest trajectory's breakpoints, where
     every coarser trajectory is evaluated exactly.
     """
-    finest = trajectories[-1].subdivision
     counts = check_ladder(t.subdivision.n_slabs for t in trajectories)
-    horizon = finest.horizon
-    common = finest.points
+    common = trajectories[-1].grid
 
     diffs_l2v, diffs_suph = [], []
     for coarse, finer in zip(trajectories[:-1], trajectories[1:]):
         diffs_l2v.append(trajectory_l2v_diff(coarse, finer, common))
         diffs_suph.append(trajectory_suph_diff(coarse, finer, common))
-    meshes = np.array([horizon / n for n in counts])
+    meshes = np.array([t.subdivision.mesh for t in trajectories])
     rate = _fit_rate(meshes[:-1], np.array(diffs_l2v))
     return RefinementStudy(counts, meshes, np.array(diffs_l2v),
                            np.array(diffs_suph), rate)
 
 
-def oracle_reference(problem: ProblemData, n_steps: int) -> Trajectory:
+def oracle_reference(problem: ProblemData, n_steps: int) -> OracleSamples:
     """Implicit-Euler oracle kept at its own step times, at most ~1000 of them."""
     stride = max(1, n_steps // 1000)
     grid = np.arange(0, n_steps + 1, stride) * (problem.horizon / n_steps)
     return oracle_solve(problem, n_steps, output_grid=grid)
 
 
-def oracle_suph_gap(traj: Trajectory, oracle: Trajectory) -> float:
+def oracle_suph_gap(traj: Trajectory, oracle: OracleSamples) -> float:
     """sup-H gap to the oracle on its grid; the scheme is evaluated there exactly."""
     return float(np.max(traj.space.h_norms(traj.evaluate_many(oracle.grid)
                                            - oracle.states)))

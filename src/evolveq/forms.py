@@ -21,7 +21,7 @@ below, within 4 ulps of the eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -188,42 +188,24 @@ class FormConstants:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """Strictly increasing breakpoints 0 = lambda_0 < ... < lambda_{n+1} = T."""
+    """The uniform subdivision of [0, horizon] into n_slabs slabs, with
+    breakpoints 0 = lambda_0 < ... < lambda_{n_slabs} = horizon."""
 
-    points: np.ndarray
+    horizon: float
+    n_slabs: int
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("subdivision needs at least two points")
-        if pts[0] != 0.0:
-            raise ValueError("subdivision must start at 0")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("subdivision points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def uniform(cls, horizon: float, n_slabs: int) -> "Subdivision":
-        if n_slabs < 1:
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError("subdivision horizon must be finite and > 0")
+        if self.n_slabs < 1:
             raise ValueError("need at least one slab")
-        return cls(np.linspace(0.0, horizon, n_slabs + 1))
-
-    @property
-    def horizon(self) -> float:
-        return float(self.points[-1])
-
-    @property
-    def n_slabs(self) -> int:
-        return self.points.size - 1
+        object.__setattr__(self, "points",
+                           np.linspace(0.0, self.horizon, self.n_slabs + 1))
 
     @property
     def mesh(self) -> float:
-        return float(np.max(np.diff(self.points)))
-
-    @property
-    def is_uniform(self) -> bool:
-        gaps = np.diff(self.points)
-        return bool(np.allclose(gaps, gaps[0], rtol=1e-12, atol=0.0))
+        return self.horizon / self.n_slabs
 
     def slab_index(self, t):
         """Right-continuous slab lookup of a time or an array of times.

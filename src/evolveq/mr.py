@@ -24,13 +24,14 @@ refused with ContractError, and an integral that overflows raises
 FloatingPointError.
 
 The audits take a trajectory from `solve`, on its breakpoints, and read
-its `SlabRecord`; the identity and estimate audits read the per-slab
-terms that `mr_norms` computes, and an overflow in any of them raises
-FloatingPointError naming its audit.  The identity audits return their
-residual with the scale of the identity's terms, so that a caller can
-judge it relative to them.  The product-rule and telescoping audits form
-A_k v for all breakpoints at once by `FormFamily.apply`, from the
-record's coefficient means.
+its per-slab arrays; the oracle's samples have none, so they never reach
+an audit.  The identity and estimate audits read the per-slab terms that
+`mr_norms` computes for the same trajectory, and an overflow in any of
+them raises FloatingPointError naming its audit.  The identity audits
+return their residual with the scale of the identity's terms, so that a
+caller can judge it relative to them.  The product-rule and telescoping
+audits form A_k v for all breakpoints at once by `FormFamily.apply`, from
+the trajectory's coefficient means.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forms import FormConstants
-from .propagator import ProblemData, SlabRecord, Trajectory
+from .propagator import ProblemData, Trajectory
 from .spaces import GalerkinSpace
 
 __all__ = [
@@ -96,21 +97,25 @@ class MRReport:
     h1H: float          # ||u'||_{L^2(0,T;H)}
     h1Vp: float         # ||u'||_{L^2(0,T;V')}
     supV: float         # sup_t ||u(t)||_V (sampled)
-    mr_vvp: float       # sqrt(l2V^2 + h1Vp^2)
-    mr_vh: float        # sqrt(l2V^2 + h1H^2)
     l2V_slabs: tuple[float, ...] = ()      # slab k's summand of l2V^2
     supV_slabs: tuple[float, ...] = ()     # sampled sup of ||u||_V on slab k
     chain_slabs: tuple[float, ...] = ()    # 2 int_k (u' | u)_H
     product_slabs: tuple[float, ...] = ()  # 2 int_k (A_k u | u')_H
 
     def __post_init__(self) -> None:
-        vals = (self.l2V, self.h1H, self.h1Vp, self.supV, self.mr_vvp, self.mr_vh)
+        vals = (self.l2V, self.h1H, self.h1Vp, self.supV)
         if not all(np.isfinite(v) and v >= 0 for v in vals):
             raise ValueError("MR norms must be finite and nonnegative")
-        if abs(self.mr_vvp - float(np.hypot(self.l2V, self.h1Vp))) > 1e-12 * (1 + self.mr_vvp):
-            raise ValueError("mr_vvp is not the root-sum-square of its parts")
-        if abs(self.mr_vh - float(np.hypot(self.l2V, self.h1H))) > 1e-12 * (1 + self.mr_vh):
-            raise ValueError("mr_vh is not the root-sum-square of its parts")
+
+    @property
+    def mr_vvp(self) -> float:
+        """sqrt(l2V^2 + h1Vp^2)"""
+        return float(np.hypot(self.l2V, self.h1Vp))
+
+    @property
+    def mr_vh(self) -> float:
+        """sqrt(l2V^2 + h1H^2)"""
+        return float(np.hypot(self.l2V, self.h1H))
 
 
 def _eint(s: np.ndarray, length) -> np.ndarray:
@@ -131,8 +136,7 @@ def _slab_coefficients(traj: Trajectory):
     identity.  A rate at or below _MIN_RATE has no such closed form; the
     first slab with one is named.
     """
-    rec = _require_metadata(traj)
-    mu = rec.rates
+    mu = traj.rates
     low = ~np.all(mu > _MIN_RATE, axis=1)
     if low.any():
         k, pts = np.argmax(low), traj.subdivision.points
@@ -140,17 +144,14 @@ def _slab_coefficients(traj: Trajectory):
             f"slab rate {mu[k].min():.3e} <= {_MIN_RATE:g} on "
             f"[{pts[k]:g}, {pts[k + 1]:g}]: shift the family (omega) so "
             "that every slab is coercive")
-    p = rec.fhat / mu
-    c = rec.y0 - p
+    p = traj.fhat / mu
+    c = traj.y0 - p
     return mu, c, p, -mu * c
 
 
-def _require_metadata(traj: Trajectory, report: MRReport | None = None) -> SlabRecord:
-    if traj.slabs is None:
-        raise ContractError("trajectory carries no slab metadata; use solve()")
-    if report is not None and len(report.supV_slabs) != traj.slabs.thetas.size:
+def _require_report(traj: Trajectory, report: MRReport) -> None:
+    if len(report.supV_slabs) != traj.subdivision.n_slabs:
         raise ContractError("MR report is not of this trajectory; use mr_norms()")
-    return traj.slabs
 
 
 def _sampled_sup_v(traj: Trajectory) -> tuple[float, ...]:
@@ -274,8 +275,7 @@ def mr_norms(traj: Trajectory) -> MRReport:
     remainder raises ToleranceError.  As in `solve`, an overflow raises
     FloatingPointError instead of reporting inf.
     """
-    modes = _require_metadata(traj).modes
-    space = traj.space
+    modes, space = traj.modes, traj.space
     h = space.h[:, None]
     pts = traj.subdivision.points
     lengths = np.diff(pts)
@@ -315,8 +315,6 @@ def mr_norms(traj: Trajectory) -> MRReport:
     l2v_norm, h1h, h1vp_norm = (float(np.sqrt(max(x, 0.0)))
                                 for x in (l2v_total, h1h, h1vp_total))
     return MRReport(l2V=l2v_norm, h1H=h1h, h1Vp=h1vp_norm, supV=max(supv_slabs),
-                    mr_vvp=float(np.hypot(l2v_norm, h1vp_norm)),
-                    mr_vh=float(np.hypot(l2v_norm, h1h)),
                     l2V_slabs=tuple(float(x) for x in l2v),
                     supV_slabs=tuple(supv_slabs),
                     chain_slabs=tuple(float(x) for x in chain_slabs),
@@ -330,7 +328,7 @@ def check_chain_rule(report: MRReport, traj: Trajectory) -> Residual:
     ||u||_H^2 at a breakpoint or |chain_slabs|.
     """
     with _overflow_named("the chain-rule audit"):
-        _require_metadata(traj, report)
+        _require_report(traj, report)
         h_sq = traj.space.h_norms(traj.states) ** 2
         chain = np.array(report.chain_slabs)
         return Residual(float(np.max(np.abs(np.diff(h_sq) - chain))),
@@ -348,12 +346,12 @@ def check_product_rule(report: MRReport, traj: Trajectory) -> Residual:
     |product_slabs|.
     """
     with _overflow_named("the product-rule audit"):
-        rec = _require_metadata(traj, report)
+        _require_report(traj, report)
         u0, u1 = traj.states[:, :-1], traj.states[:, 1:]
         product = np.array(report.product_slabs)
-        lhs = np.einsum("ij,ij->j", u1 - u0, rec.family.apply(u1 + u0, rec.thetas))
+        lhs = np.einsum("ij,ij->j", u1 - u0, traj.family.apply(u1 + u0, traj.thetas))
         h_sq = traj.space.h_norms(traj.states) ** 2
-        ends = np.abs(rec.rates).max(axis=1) * np.maximum(h_sq[:-1], h_sq[1:])
+        ends = np.abs(traj.rates).max(axis=1) * np.maximum(h_sq[:-1], h_sq[1:])
         return Residual(float(np.max(np.abs(lhs - product))),
                         float(max(np.max(ends), np.max(np.abs(product)))))
 
@@ -366,14 +364,14 @@ def check_lemma_indepmax(report: MRReport, traj: Trajectory,
     (RHS - LHS) over slabs; nonnegative means verified.
     """
     with _overflow_named("the sup-bound audit"):
-        fbar = _require_metadata(traj, report).fbar
+        _require_report(traj, report)
         if constants.bound is None or constants.coercivity is None:
             raise ContractError("sup-bound check needs certified M and alpha")
         if constants.coercivity <= 0:
             raise ContractError("sup-bound check requires coercivity at shift 0")
         space = traj.space
         big_m, alpha = np.float64(constants.bound), np.float64(constants.coercivity)
-        load_sq = np.diff(traj.subdivision.points) * space.h_norms(fbar.T) ** 2
+        load_sq = np.diff(traj.subdivision.points) * space.h_norms(traj.fbar.T) ** 2
         rhs = (big_m * space.v_norms(traj.states[:, :-1]) ** 2 + load_sq) / alpha
         return float(np.min(rhs - np.array(report.supV_slabs) ** 2))
 
@@ -389,14 +387,14 @@ def check_lemma3(report: MRReport, traj: Trajectory, problem: ProblemData,
     margin.
     """
     with _overflow_named("the energy-bound audit (Lemma 3)"):
-        fbar = _require_metadata(traj, report).fbar
+        _require_report(traj, report)
         if alpha <= 0:
             raise ContractError("energy bound requires coercivity at shift 0")
         space = problem.family.space
         inverse = np.float64(1.0) / alpha
         c2 = max(inverse * inverse, inverse)
         u0_sq = space.h_norms(problem.u0[:, None])[0] ** 2
-        pairs = space.h[:, None] * fbar.T
+        pairs = space.h[:, None] * traj.fbar.T
         load_sq = np.sum(pairs * space.solve_V(pairs), axis=0) * np.diff(traj.subdivision.points)
         lhs = np.cumsum(report.l2V_slabs)
         margins = c2 * (np.cumsum(load_sq) + u0_sq) - lhs
@@ -440,11 +438,8 @@ def check_form_telescoping(traj: Trajectory, lipschitz: float) -> float:
     means the telescoping inequality holds.
     """
     with _overflow_named("the telescoping audit"):
-        rec = _require_metadata(traj)
-        if not traj.subdivision.is_uniform:
-            raise ContractError("telescoping check assumes a uniform subdivision")
-        v, thetas = traj.states[:, 1:-1], rec.thetas
-        jump = rec.family.apply(v, thetas[:-1]) - rec.family.apply(v, thetas[1:])
+        v, thetas = traj.states[:, 1:-1], traj.thetas
+        jump = traj.family.apply(v, thetas[:-1]) - traj.family.apply(v, thetas[1:])
         gap = np.abs(np.einsum("ij,ij->j", v, jump))
         lengths = np.diff(traj.subdivision.points)[:-1]
         allowance = lipschitz * lengths * traj.space.v_norms(v) ** 2

@@ -9,14 +9,16 @@ the lumped H-Gram, evaluated in the modes of the symmetric pencil
 f(t) = theta_f(t) g, or absent, so its slab means are mean(theta_f) g / h
 in closed form.
 
-A solve's slabs are one `SlabRecord` of whole arrays, row k for slab k;
-its start states are the trajectory's breakpoint states, held once.
-Dense output is one kernel, `_modal_coefficients`: it forms the modal
-coefficients of any (slab, time) pairs at once from the record's rates
-and modal data, and each slab only multiplies its pairs by its modes.
-The march, `Trajectory.evaluate_many` and the MR audits' sup-V samples all
-go through it.  The oracle takes its steps in blocks from
-`FormFamily.implicit_steps`, one O(n) tridiagonal solve per step.
+A solve returns one `Trajectory`: its uniform subdivision and the slabs
+as whole arrays, row k for slab k, with the breakpoint states held once;
+its grid is the subdivision's breakpoints.  Dense output is one kernel,
+`_modal_coefficients`: it forms the modal coefficients of any (slab,
+time) pairs at once from the rates and modal data, and each slab only
+multiplies its pairs by its modes.  The march, `Trajectory.evaluate_many`
+and the MR audits' sup-V samples all go through it.  The oracle takes its
+steps in blocks from `FormFamily.implicit_steps`, one O(n) tridiagonal
+solve per step, and returns only the `OracleSamples` it keeps: it has no
+slabs, so it cannot reach an MR audit.
 """
 from __future__ import annotations
 
@@ -31,8 +33,8 @@ from .spaces import GalerkinSpace
 
 __all__ = [
     "SlabPropagator",
-    "SlabRecord",
     "Trajectory",
+    "OracleSamples",
     "ProblemData",
     "SeparableLoad",
     "solve",
@@ -89,15 +91,19 @@ class SlabPropagator:
         return cls(*family.pencil(theta))
 
 
-class SlabRecord(NamedTuple):
-    """A solve's slabs as whole arrays, row k for slab k.
+@dataclass
+class Trajectory:
+    """A solve: its subdivision and one row per slab of whole arrays.
 
     Slab k solves the autonomous problem with A_k = A0 + thetas[k] A1 and
     the load fbar[k]; its exact solution a time tau after the slab's left
     end is modes[k] (e^{-rates[k] tau} y0[k] + tau phi1(-rates[k] tau) fhat[k]),
-    with y0[k] and fhat[k] the modal data of the slab's start state and load.
+    with y0[k] and fhat[k] the modal data of its start state states[:, k]
+    and of its load.  The states are those at the subdivision's
+    breakpoints, the trajectory's grid.
     """
 
+    subdivision: Subdivision
     family: FormFamily
     thetas: np.ndarray            # (K,) slab means of the form coefficient
     rates: np.ndarray             # (K, n) pencil eigenvalues
@@ -105,52 +111,28 @@ class SlabRecord(NamedTuple):
     y0: np.ndarray                # (K, n) modes of the slab start states
     fhat: np.ndarray              # (K, n) modes of the slab-averaged loads
     fbar: np.ndarray              # (K, n) slab-averaged loads, H-coordinates
-
-
-@dataclass
-class Trajectory:
-    """States on a time grid, with the slab record of a solve.
-
-    A solve's grid is its subdivision's breakpoints, one slab per interval,
-    and slab k starts from states[:, k]; the oracle keeps the steps it is
-    asked for and carries no slabs.
-    """
-
-    grid: np.ndarray
-    states: np.ndarray                 # (dim, n_times)
-    slabs: SlabRecord | None = None
-    subdivision: Subdivision | None = None
+    states: np.ndarray            # (n, K + 1) states at the breakpoints
 
     def __post_init__(self) -> None:
-        self.grid = np.asarray(self.grid, dtype=float)
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("output grid must be strictly increasing")
-        self.states = np.asarray(self.states, dtype=float)
         if not np.all(np.isfinite(self.states)):
             raise EvaluationError("trajectory states are not finite")
-        if (self.slabs is None) != (self.subdivision is None):
-            raise ValueError("slabs and their subdivision come together")
-        if self.slabs is not None:
-            if not np.array_equal(self.grid, self.subdivision.points):
-                raise ValueError("trajectory grid is not its slabs' breakpoints")
-            k, n = self.subdivision.n_slabs, self.slabs.family.space.dim
-            if ([np.shape(a) for a in self.slabs[1:]] + [self.states.shape[0]]
-                    != [(k,), (k, n), (k, n, n), (k, n), (k, n), (k, n), n]):
-                raise ValueError(f"slab record rows are not the {k} slabs of dim {n}")
+        k, n = self.subdivision.n_slabs, self.family.space.dim
+        shapes = [np.shape(a) for a in (self.thetas, self.rates, self.modes, self.y0,
+                                        self.fhat, self.fbar, self.states)]
+        if shapes != [(k,), (k, n), (k, n, n), (k, n), (k, n), (k, n), (n, k + 1)]:
+            raise ValueError(f"slab rows are not the {k} slabs of dim {n}")
 
-    def _require_slabs(self) -> SlabRecord:
-        if self.slabs is None:
-            raise ValueError("trajectory carries no slab metadata")
-        return self.slabs
+    @property
+    def grid(self) -> np.ndarray:
+        return self.subdivision.points
 
     @property
     def space(self) -> GalerkinSpace:
-        return self._require_slabs().family.space
+        return self.family.space
 
     def evaluate_many(self, times: np.ndarray) -> np.ndarray:
         """Exact within-slab evaluation at any times in [0, T], each in the
         slab that `Subdivision.slab_index` finds for it."""
-        self._require_slabs()
         return self.evaluate_in_slabs(self.subdivision.slab_index(times), times)
 
     def evaluate_in_slabs(self, slab_idx: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -160,18 +142,24 @@ class Trajectory:
         product with its modes is left.  A time outside its slab, or not
         finite, raises ValueError.
         """
-        rec = self._require_slabs()
         pts = self.subdivision.points
         slab_idx, times = np.asarray(slab_idx), np.asarray(times, dtype=float)
         taus = times - pts[slab_idx]
         if not np.all((taus >= 0) & (taus <= np.diff(pts)[slab_idx] * (1 + 1e-12))):
             raise ValueError("times outside their slabs")
-        coef = _modal_coefficients(rec.rates.T, rec.y0.T, rec.fhat.T, slab_idx, taus)
+        coef = _modal_coefficients(self.rates.T, self.y0.T, self.fhat.T, slab_idx, taus)
         out = np.empty(coef.shape)
         for k in np.unique(slab_idx):
             sel = slab_idx == k
-            out[:, sel] = rec.modes[k] @ coef[:, sel]
+            out[:, sel] = self.modes[k] @ coef[:, sel]
         return out
+
+
+class OracleSamples(NamedTuple):
+    """The oracle's states at the step times it keeps, one column per time."""
+
+    grid: np.ndarray              # (m,) increasing step times
+    states: np.ndarray            # (dim, m)
 
 
 @dataclass(frozen=True)
@@ -204,6 +192,8 @@ class ProblemData:
         self.u0 = np.asarray(self.u0, dtype=float)
         if self.u0.shape != (dim,):
             raise ValueError("initial state dimension mismatch")
+        if not np.all(np.isfinite(self.u0)):
+            raise ValueError("initial state has non-finite entries")
         match self.load:
             case None:
                 pass
@@ -255,28 +245,27 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
     # MR Grams w.T @ gram_V @ w, dense output) to other GEMM kernels, which
     # moves the last bits of every result read from them
     modes = np.empty((n_slabs, h.size, h.size)).transpose(0, 2, 1)
-    rec = SlabRecord(family, thetas, np.empty(fbar.shape), modes,
-                     np.empty(fbar.shape), np.empty(fbar.shape), fbar)
+    rates, y0, fhat = (np.empty(fbar.shape) for _ in range(3))
     states = np.empty((h.size, n_slabs + 1))
     states[:, 0] = u = problem.u0
     with np.errstate(over="raise"):
         try:
             for k in range(n_slabs):
                 prop = SlabPropagator.build(family, thetas[k])
-                rec.rates[k], rec.modes[k] = prop.rates, prop.modes
-                rec.y0[k] = prop.modes.T @ (h * u)
-                rec.fhat[k] = prop.modes.T @ (h * fbar[k])
+                rates[k], modes[k] = prop.rates, prop.modes
+                y0[k] = prop.modes.T @ (h * u)
+                fhat[k] = prop.modes.T @ (h * fbar[k])
                 u = (prop.modes @ _modal_coefficients(
-                    rec.rates.T, rec.y0.T, rec.fhat.T, np.array([k]), taus[k:k + 1]))[:, 0]
+                    rates.T, y0.T, fhat.T, np.array([k]), taus[k:k + 1]))[:, 0]
                 states[:, k + 1] = u
         except FloatingPointError as exc:
             raise FloatingPointError(f"overflow in the slab state on "
                                      f"[{pts[k]:g}, {pts[k + 1]:g}]") from exc
-    return Trajectory(pts, states, rec, subdivision)
+    return Trajectory(subdivision, family, thetas, rates, modes, y0, fhat, fbar, states)
 
 
 def oracle_solve(problem: ProblemData, n_steps: int,
-                 output_grid: np.ndarray | None = None) -> Trajectory:
+                 output_grid: np.ndarray | None = None) -> OracleSamples:
     """Implicit-Euler reference with the operator taken at step right endpoints.
 
     Independent of the exponential machinery: step i solves
@@ -313,4 +302,4 @@ def oracle_solve(problem: ProblemData, n_steps: int,
         rows = keep[(keep >= first) & (keep < stop)] - first
         times += [step_times[r] for r in rows]
         states.append(block[rows])
-    return Trajectory(np.array(times), np.concatenate(states).T.copy())
+    return OracleSamples(np.array(times), np.concatenate(states).T.copy())

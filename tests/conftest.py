@@ -11,7 +11,7 @@ from evolveq.forms import (AffineTerms, FormConstants, FormFamily, Harmonic,
                            estimate_constants, gauss_nodes)
 from evolveq.mr import _eint, _slab_coefficients
 from evolveq.presets import get_preset, resolved_constants
-from evolveq.propagator import ProblemData, Trajectory, solve
+from evolveq.propagator import OracleSamples, ProblemData, solve
 from evolveq.spaces import GalerkinSpace
 from evolveq.tridiagonal import pencil_bracket
 
@@ -251,7 +251,7 @@ def reference_mr_terms(traj):
     terms = {"l2V_slabs": [], "chain_slabs": [], "product_slabs": [],
              "h1H": 0.0, "h1Vp": 0.0}
     lengths = np.diff(traj.subdivision.points)
-    for mu, c, p, dc, w, length in zip(*_slab_coefficients(traj), traj.slabs.modes,
+    for mu, c, p, dc, w, length in zip(*_slab_coefficients(traj), traj.modes,
                                        lengths):
         zero, eye = np.zeros_like(mu), np.eye(mu.size)
         v_coords = low.T @ w
@@ -271,8 +271,8 @@ def reference_mr_terms(traj):
 
 def _slab_matrices(traj):
     """Each slab's dense A_k = A0 + mean_k(theta) A1."""
-    terms = traj.slabs.family.terms
-    return [dense(terms.at(theta)) for theta in traj.slabs.thetas]
+    terms = traj.family.terms
+    return [dense(terms.at(theta)) for theta in traj.thetas]
 
 
 def reference_product_rule(report, traj):
@@ -337,7 +337,7 @@ def reference_oracle(problem, n_steps, output_grid=None, dense_steps=False):
         if i in keep:
             times.append(t)
             states.append(u.copy())
-    return Trajectory(np.array(times), np.column_stack(states))
+    return OracleSamples(np.array(times), np.column_stack(states))
 
 
 def reference_phi1(z):
@@ -349,15 +349,14 @@ def reference_phi1(z):
 
 
 def reference_slab_states(traj, k, times):
-    """Slab k's closed form at absolute times, from row k of the slab record
-    by its own outer products of rates and times: the reference for the
-    dense-output kernel."""
-    rec = traj.slabs
+    """Slab k's closed form at absolute times, from row k of the trajectory's
+    arrays by its own outer products of rates and times: the reference for
+    the dense-output kernel."""
     taus = np.asarray(times, dtype=float) - traj.subdivision.points[k]
-    rates = rec.rates[k]
+    rates = traj.rates[k]
     decay = np.exp(-np.outer(rates, taus))
-    drive = taus[None, :] * reference_phi1(-np.outer(rates, taus)) * rec.fhat[k][:, None]
-    return rec.modes[k] @ (decay * rec.y0[k][:, None] + drive)
+    drive = taus[None, :] * reference_phi1(-np.outer(rates, taus)) * traj.fhat[k][:, None]
+    return traj.modes[k] @ (decay * traj.y0[k][:, None] + drive)
 
 
 def reference_evaluate_many(traj, times):
@@ -412,7 +411,7 @@ def heat_homogeneous():
 
 @pytest.fixture(scope="session")
 def heat_traj_64(heat_preset):
-    sub = Subdivision.uniform(heat_preset.problem.horizon, 64)
+    sub = Subdivision(heat_preset.problem.horizon, 64)
     return solve(heat_preset.problem, sub)
 
 

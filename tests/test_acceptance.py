@@ -54,7 +54,7 @@ def test_criterion_02_scalar_exactness():
     for name, exact in cases.items():
         problem = get_preset(name, load="none").problem
         for n in (8, 16, 64, 256):
-            traj = solve(problem, Subdivision.uniform(problem.horizon, n))
+            traj = solve(problem, Subdivision(problem.horizon, n))
             worst = max(worst, abs(traj.states[0, -1] - exact))
     report(2, "scalar exactness", worst <= 1e-12,
            f"max endpoint error {worst:.3e} <= 1e-12")
@@ -62,7 +62,7 @@ def test_criterion_02_scalar_exactness():
 
 def test_criterion_03_oracle_equivalence(heat_preset):
     problem = heat_preset.problem
-    sub = Subdivision.uniform(problem.horizon, 256)
+    sub = Subdivision(problem.horizon, 256)
     gap = oracle_gap(problem, sub, 100_000, relative=True)
     report(3, "oracle equivalence", gap <= 1e-3,
            f"relative sup-H gap {gap:.3e} <= 1e-3")
@@ -83,7 +83,7 @@ def test_criterion_05_energy_bound():
         assert constants.coercivity > 0
         for n in SMALL_LADDER:
             traj = solve(preset.problem,
-                         Subdivision.uniform(preset.problem.horizon, n))
+                         Subdivision(preset.problem.horizon, n))
             worst = min(worst, check_lemma3(mr_norms(traj), traj,
                                             preset.problem,
                                             constants.coercivity))
@@ -98,7 +98,7 @@ def test_criterion_06_per_slab_sup_bound():
         constants = preset_constants(preset)
         for n in SMALL_LADDER:
             traj = solve(preset.problem,
-                         Subdivision.uniform(preset.problem.horizon, n))
+                         Subdivision(preset.problem.horizon, n))
             worst = min(worst, check_lemma_indepmax(mr_norms(traj), traj,
                                                     constants=constants))
     report(6, "per-slab sup bound", worst >= -1e-10,
@@ -111,7 +111,7 @@ def test_criterion_07_identity_residuals():
         preset = get_preset(name)
         for n in SMALL_LADDER:
             traj = solve(preset.problem,
-                         Subdivision.uniform(preset.problem.horizon, n))
+                         Subdivision(preset.problem.horizon, n))
             rep = mr_norms(traj)
             worst = max(worst, check_chain_rule(rep, traj).value)
             worst = max(worst, check_product_rule(rep, traj).value)
@@ -140,7 +140,7 @@ def test_criterion_09_invariance_both_ways(heat_homogeneous):
     crit = check_criterion(family, cset, load=heat_homogeneous.problem.load)
     worst_violation = max(
         audit_trajectory(solve(heat_homogeneous.problem,
-                               Subdivision.uniform(family.horizon, n)), cset)[0]
+                               Subdivision(family.horizon, n)), cset)[0]
         for n in (8, 16, 32, 64, 128, 256))
 
     broken = get_preset("broken-coupling", load="none")
@@ -148,7 +148,7 @@ def test_criterion_09_invariance_both_ways(heat_homogeneous):
     bcrit = check_criterion(broken.problem.family, bset)
     bviol = max(
         audit_trajectory(solve(broken.problem,
-                               Subdivision.uniform(broken.problem.horizon, n)),
+                               Subdivision(broken.problem.horizon, n)),
                          bset)[0]
         for n in (8, 16, 32, 64))
 
@@ -163,7 +163,7 @@ def test_criterion_09_invariance_both_ways(heat_homogeneous):
 def test_criterion_10_rescaling_equivariance(heat_homogeneous):
     problem = heat_homogeneous.problem
     space = problem.family.space
-    sub = Subdivision.uniform(problem.horizon, 64)
+    sub = Subdivision(problem.horizon, 64)
     base = solve(problem, sub)
     scale = np.max(space.h_norms(base.states))
     worst = 0.0

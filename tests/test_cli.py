@@ -11,12 +11,12 @@ from evolveq import cli, fem, mr
 from evolveq.cli import (ConfigError, ExperimentConfig, build_parser,
                          list_presets, main, write_csv)
 from evolveq.forms import (AffineTerms, FormFamily, Harmonic, Linear,
-                           estimate_constants)
+                           Subdivision, estimate_constants)
 from evolveq.invariance import check_criterion, check_criterion_symmetric
 from evolveq.mr import _kernel_factor, _slab_coefficients, check_lemma3, mr_norms
 from evolveq.presets import get_preset
-from evolveq.propagator import (ProblemData, SlabPropagator, Trajectory,
-                                _modal_coefficients, oracle_solve, solve)
+from evolveq.propagator import (ProblemData, SlabPropagator, _modal_coefficients,
+                                oracle_solve, solve)
 from evolveq.spaces import GalerkinSpace
 from evolveq.tridiagonal import pencil_bracket
 
@@ -194,6 +194,21 @@ class TestMain:
         body = (out / "convergence.csv").read_text().splitlines()
         assert body[0] == "n_slabs,mesh,diff_l2V,diff_supH,rate_estimate,oracle_gap"
         assert len(body) == 4
+
+    def test_both_tables_print_one_mesh(self, tmp_path, capsys):
+        # at T = 2 pi the widest gap of the breakpoints is not T / n in its
+        # last bits: both tables print the subdivision's one mesh
+        path = write_cfg(tmp_path, "[experiment]\npreset = scalar-sin\n"
+                                   "slab_counts = 8 16 32\noracle_steps = 400\n")
+        out = tmp_path / "results"
+        for command in ("solve", "converge"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+
+        def meshes(name):
+            return [row.split(",")[:2] for row in (out / name).read_text().splitlines()[1:]]
+
+        assert meshes("mr.csv") == meshes("convergence.csv")
+        assert meshes("mr.csv")[1] == ["16", f"{2.0 * np.pi / 16:.16e}"]
 
     def test_constants_pipeline(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SCALAR_CFG)
@@ -417,7 +432,8 @@ class TestMain:
     def test_nonfinite_states_exit_2(self, tmp_path, capsys, monkeypatch):
         # a trajectory with a NaN state is a typed numerical error
         def nan_ladder(problem, slab_counts, threads=1):
-            return [Trajectory(np.array([0.0, 1.0]), np.full((1, 2), np.nan))]
+            traj = solve(problem, Subdivision(problem.horizon, 1))
+            return [replace(traj, states=np.full(traj.states.shape, np.nan))]
 
         monkeypatch.setattr(cli.conv, "solve_ladder", nan_ladder)
         path = write_cfg(tmp_path, SCALAR_CFG)

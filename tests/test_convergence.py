@@ -33,8 +33,8 @@ class TestDifferences:
         space = problem.family.space
         fam1, fam2 = (FormFamily(space, AffineTerms(bands([[p]]), np.zeros((3, 1)), Linear(0.0)),
                                  1.0) for p in (1.0, 2.0))
-        t1 = solve(ProblemData(fam1, np.array([1.0])), Subdivision.uniform(1.0, 1))
-        t2 = solve(ProblemData(fam2, np.array([1.0])), Subdivision.uniform(1.0, 1))
+        t1 = solve(ProblemData(fam1, np.array([1.0])), Subdivision(1.0, 1))
+        t2 = solve(ProblemData(fam2, np.array([1.0])), Subdivision(1.0, 1))
         grid = np.linspace(0.0, 1.0, 65)
         got = trajectory_l2v_diff(t1, t2, grid)
         # int_0^1 (e^{-t} - e^{-2t})^2 dt
@@ -78,13 +78,13 @@ class TestOracleGap:
         family = FormFamily(space, AffineTerms(bands([[1.0]]), np.zeros((3, 1)), Linear(0.0)),
                             1.0)
         problem = ProblemData(family, np.array([1.0]))
-        sub = Subdivision.uniform(1.0, 8)
+        sub = Subdivision(1.0, 8)
         gaps = [oracle_gap(problem, sub, n) for n in (500, 2000)]
         assert gaps[1] == pytest.approx(gaps[0] / 4.0, rel=0.05)
 
     def test_relative_flag(self):
         preset = get_preset("scalar-decay", load="none")
-        sub = Subdivision.uniform(1.0, 8)
+        sub = Subdivision(1.0, 8)
         absolute = oracle_gap(preset.problem, sub, 1000)
         relative = oracle_gap(preset.problem, sub, 1000, relative=True)
         assert relative == pytest.approx(absolute / 1.0, rel=1e-12)

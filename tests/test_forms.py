@@ -25,29 +25,29 @@ def scalar_family(a0, horizon, a1=0.0, theta=Linear(0.0), h=1.0):
 
 class TestSubdivision:
     def test_uniform(self):
-        sub = Subdivision.uniform(2.0, 4)
+        sub = Subdivision(2.0, 4)
         assert sub.n_slabs == 4
-        assert sub.mesh == pytest.approx(0.5)
-        assert sub.is_uniform
+        assert sub.mesh == 0.5
+        np.testing.assert_array_equal(sub.points, [0.0, 0.5, 1.0, 1.5, 2.0])
+        # the mesh is horizon / n_slabs, not the widest gap of the breakpoints
+        odd = Subdivision(2.0 * np.pi, 16)
+        assert odd.mesh == 2.0 * np.pi / 16 != np.max(np.diff(odd.points))
 
     def test_rejects_bad_points(self):
-        with pytest.raises(ValueError):
-            Subdivision(np.array([0.0, 0.5, 0.5, 1.0]))
-        with pytest.raises(ValueError):
-            Subdivision(np.array([0.1, 0.5, 1.0]))
-        with pytest.raises(ValueError):
-            Subdivision.uniform(1.0, 0)
+        for horizon, n_slabs in ((1.0, 0), (0.0, 2), (-1.0, 2), (np.inf, 2), (np.nan, 2)):
+            with pytest.raises(ValueError):
+                Subdivision(horizon, n_slabs)
 
     def test_slab_index_right_continuous(self):
-        sub = Subdivision(np.array([0.0, 0.25, 1.0]))
+        sub = Subdivision(1.0, 4)
         assert sub.slab_index(0.0) == 0
         assert sub.slab_index(0.25) == 1    # right-continuous at breakpoints
-        assert sub.slab_index(1.0) == 1     # horizon maps to the last slab
+        assert sub.slab_index(1.0) == 3     # horizon maps to the last slab
         with pytest.raises(ValueError):
             sub.slab_index(1.5)
         # the array form that Trajectory.evaluate_many uses
         times = np.array([0.0, 0.1, 0.25, 0.6, 1.0])
-        np.testing.assert_array_equal(sub.slab_index(times), [0, 0, 1, 1, 1])
+        np.testing.assert_array_equal(sub.slab_index(times), [0, 0, 1, 2, 3])
         with pytest.raises(ValueError):
             sub.slab_index(np.array([0.5, -0.1]))
 
@@ -55,7 +55,7 @@ class TestSubdivision:
     @given(st.integers(min_value=1, max_value=40),
            st.floats(min_value=0.0, max_value=1.0))
     def test_slab_index_brackets_time(self, n, frac):
-        sub = Subdivision.uniform(3.0, n)
+        sub = Subdivision(3.0, n)
         t = frac * sub.horizon
         k = sub.slab_index(t)
         assert sub.points[k] <= t
@@ -77,21 +77,21 @@ class TestQuadrature:
 
     def test_average_of_linear_coefficient(self):
         fam = scalar_family(1.0, 1.0, a1=0.5, theta=Linear(0.0, 1.0))
-        (mean,) = build_step_form(fam, Subdivision.uniform(1.0, 1))
+        (mean,) = build_step_form(fam, Subdivision(1.0, 1))
         assert mean == 0.5
         assert fam.apply(np.ones(1), mean)[0] == pytest.approx(1.25, abs=1e-15)
 
     def test_average_rejects_empty_slab(self):
         # an empty slab never reaches the averaging: the subdivision refuses it
         fam = scalar_family(1.0, 1.0)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            build_step_form(fam, Subdivision(np.array([0.0, 0.5, 0.5, 1.0])))
+        with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+            build_step_form(fam, Subdivision(0.0, 2))
 
 
 class TestStepForm:
     def test_build_and_lookup(self):
         fam = scalar_family(1.0, 1.0, a1=1.0, theta=Linear(0.0, 1.0))
-        sub = Subdivision.uniform(1.0, 2)
+        sub = Subdivision(1.0, 2)
         means = build_step_form(fam, sub)
         assert means.shape == (sub.n_slabs,)
         assert fam.apply(np.ones(1), means[0])[0] == pytest.approx(1.25, abs=1e-14)
@@ -366,7 +366,7 @@ class TestAffineTerms:
         fam, ref = AFFINE_PAIRS[case]()
         for t in np.linspace(0.0, fam.horizon, 9):
             assert rel_err(fam.matrix(t), ref(t)) <= 1e-12
-        sub = Subdivision.uniform(fam.horizon, 16)
+        sub = Subdivision(fam.horizon, 16)
         for mean, quad in zip(build_step_form(fam, sub),
                               quadrature_slab_means(ref, fam.space.dim, sub)):
             assert rel_err(fam.terms.at(mean), quad) <= 1e-12

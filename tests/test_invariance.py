@@ -237,7 +237,7 @@ class TestCriterion:
         # over sqrt(h) = 1/4
         assert report.margin == pytest.approx(-64.0, rel=1e-12)
         assert np.isfinite(report.witness).all()
-        traj = solve(preset.problem, Subdivision.uniform(preset.problem.horizon, 8))
+        traj = solve(preset.problem, Subdivision(preset.problem.horizon, 8))
         violation, witness_t = audit_trajectory(traj, cset)
         assert violation > 0.0
         assert witness_t in traj.grid
@@ -268,7 +268,7 @@ class TestCriterion:
     def test_audit_heat_trajectory_zero(self, heat_homogeneous):
         cset = convex_set_for(heat_homogeneous, "box", lower=0.0)
         traj = solve(heat_homogeneous.problem,
-                     Subdivision.uniform(heat_homogeneous.problem.horizon, 32))
+                     Subdivision(heat_homogeneous.problem.horizon, 32))
         assert audit_trajectory(traj, cset)[0] <= 1e-12
 
 

@@ -1,5 +1,5 @@
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from evolveq.forms import (AffineTerms, EvaluationError, FormFamily, Harmonic,
                            Linear, Subdivision)
 from evolveq.presets import get_preset
 from evolveq.mr import _slab_coefficients, mr_norms
-from evolveq.propagator import (_STEP_BLOCK, ProblemData, SeparableLoad,
-                                Trajectory, oracle_solve, phi1, solve)
+from evolveq.propagator import (_STEP_BLOCK, OracleSamples, ProblemData,
+                                SeparableLoad, oracle_solve, phi1, solve)
 from evolveq.spaces import GalerkinSpace, StructureError
 
 
@@ -91,13 +91,13 @@ class TestSlabStep:
         h, u0, f = 0.5, 1.3, 0.7
         problem = scalar_problem(2.0, h, u0=u0,
                                  load=SeparableLoad(Linear(1.0), np.array([f])))
-        traj = solve(problem, Subdivision.uniform(h, 1))
+        traj = solve(problem, Subdivision(h, 1))
         expected = np.exp(-2.0 * h) * u0 + h * phi1(np.array([-2.0 * h]))[0] * f
         assert traj.evaluate_in_slabs([0], [h])[0, 0] == pytest.approx(expected, rel=1e-14)
         assert traj.states[0, -1] == pytest.approx(expected, rel=1e-14)
 
     def test_step_duration_validated(self):
-        traj = solve(scalar_problem(1.0, 0.5), Subdivision.uniform(0.5, 1))
+        traj = solve(scalar_problem(1.0, 0.5), Subdivision(0.5, 1))
         for t in (0.6, -0.1, np.nan):
             with pytest.raises(ValueError):
                 traj.evaluate_in_slabs([0], [t])
@@ -144,20 +144,20 @@ class TestSolve:
         preset = get_preset("scalar-decay", load="none").problem
         for n in (1, 3, 16):
             for prob in (problem, preset):
-                traj = solve(prob, Subdivision.uniform(1.0, n))
+                traj = solve(prob, Subdivision(1.0, n))
                 assert traj.states[0, -1] == pytest.approx(np.exp(-1.25), abs=1e-13)
 
     def test_within_slab_output_is_exact(self):
         problem = scalar_problem(2.0, 1.0)
         grid = np.linspace(0.0, 1.0, 17)
-        traj = solve(problem, Subdivision.uniform(1.0, 4))
+        traj = solve(problem, Subdivision(1.0, 4))
         np.testing.assert_allclose(traj.evaluate_many(grid)[0], np.exp(-2.0 * grid),
                                    rtol=1e-13)
 
     def test_constant_load_steady_state(self):
         load = SeparableLoad(Linear(1.0), np.array([3.0]))
         problem = scalar_problem(1.0, 8.0, u0=0.0, load=load)
-        traj = solve(problem, Subdivision.uniform(8.0, 8))
+        traj = solve(problem, Subdivision(8.0, 8))
         # u' + u = 3, u(0) = 0: u(T) = 3 (1 - e^{-T}), exact for the scheme
         assert traj.states[0, -1] == pytest.approx(3.0 * (1 - np.exp(-8.0)),
                                                    rel=1e-12)
@@ -165,11 +165,11 @@ class TestSolve:
     def test_breakpoint_states_are_the_marched_states(self, heat_traj_64):
         # each slab's modal start data is the state the march handed it, bit
         # for bit, and the last state is the last slab's right end
-        rec, states = heat_traj_64.slabs, heat_traj_64.states
-        h = heat_traj_64.space.h
-        for k in range(rec.thetas.size):
-            np.testing.assert_array_equal(rec.y0[k], rec.modes[k].T @ (h * states[:, k]))
-        last = rec.thetas.size - 1
+        traj, states = heat_traj_64, heat_traj_64.states
+        h = traj.space.h
+        for k in range(traj.thetas.size):
+            np.testing.assert_array_equal(traj.y0[k], traj.modes[k].T @ (h * states[:, k]))
+        last = traj.thetas.size - 1
         np.testing.assert_array_equal(
             states[:, -1], heat_traj_64.evaluate_in_slabs([last], [1.0])[:, 0])
 
@@ -177,24 +177,24 @@ class TestSolve:
         # A = -1000 grows by e^250 per slab: e^750 overflows in the third slab
         problem = scalar_problem(-1000.0, 1.0)
         with pytest.raises(FloatingPointError, match=r"slab state on \[0\.5, 0\.75\]"):
-            solve(problem, Subdivision.uniform(1.0, 4))
+            solve(problem, Subdivision(1.0, 4))
 
     def test_horizon_mismatch_rejected(self):
         problem = scalar_problem(1.0, 1.0)
         with pytest.raises(ValueError):
-            solve(problem, Subdivision.uniform(2.0, 4))
+            solve(problem, Subdivision(2.0, 4))
 
     def test_derivative_satisfies_slab_ode(self, heat_traj_64, heat_preset):
         # the modal derivative u' = W (dc e^{-mu tau}) that the MR integrals use
         space = heat_preset.problem.family.space
-        t, rec = 0.37, heat_traj_64.slabs
+        t, traj = 0.37, heat_traj_64
         k = heat_traj_64.subdivision.slab_index(t)
         mu, _, _, dc = (a[k] for a in _slab_coefficients(heat_traj_64))
         u = heat_traj_64.evaluate_in_slabs([k], [t])[:, 0]
         t0 = heat_traj_64.subdivision.points[k]
-        du = rec.modes[k] @ (dc * np.exp(-mu * (t - t0)))
-        a_u = heat_preset.problem.family.apply(u, rec.thetas[k])
-        residual = space.h * du + a_u - space.h * rec.fbar[k]
+        du = traj.modes[k] @ (dc * np.exp(-mu * (t - t0)))
+        a_u = heat_preset.problem.family.apply(u, traj.thetas[k])
+        residual = space.h * du + a_u - space.h * traj.fbar[k]
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(u))
 
     def test_evaluate_many_is_the_per_slab_closed_form(self, heat_traj_64):
@@ -213,7 +213,7 @@ class TestSolve:
     def test_evaluate_many_at_dim_1_empty_and_outside(self):
         traj = solve(scalar_problem(2.0, 1.0, a1=1.0, theta=Harmonic(b=1.0),
                                     load=SeparableLoad(Linear(1.0), np.array([0.5]))),
-                     Subdivision.uniform(1.0, 8))
+                     Subdivision(1.0, 8))
         times = np.array([1.0, 0.5, 0.0, 0.3, 0.5, 0.125])
         np.testing.assert_array_equal(traj.evaluate_many(times),
                                       reference_evaluate_many(traj, times))
@@ -235,7 +235,7 @@ class TestSolve:
     @pytest.mark.parametrize("n_cells", [16, 80])
     def test_sup_v_samples_match_per_slab_sampling(self, n_cells):
         problem = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem
-        traj = solve(problem, Subdivision.uniform(problem.horizon, 32))
+        traj = solve(problem, Subdivision(problem.horizon, 32))
         assert mr_norms(traj).supV_slabs == reference_sup_v(traj)
 
     def test_evaluate_many_matches_pointwise(self, heat_traj_64):
@@ -248,19 +248,11 @@ class TestSolve:
 
 
 class TestTrajectoryValidation:
-    def test_grid_must_increase(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.5, 0.5]), np.zeros((1, 3)))
-
     def test_states_must_be_finite(self):
         # a typed numerical error, which the CLI maps to exit code 2
+        traj = solve(scalar_problem(1.0, 1.0), Subdivision(1.0, 1))
         with pytest.raises(EvaluationError, match="trajectory states are not finite"):
-            Trajectory(np.array([0.0, 1.0]), np.array([[0.0, np.nan]]))
-
-    def test_metadata_required_for_evaluate(self):
-        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            traj.evaluate_many(np.array([0.5]))
+            replace(traj, states=np.array([[0.0, np.nan]]))
 
 
 class TestOracle:
@@ -319,7 +311,7 @@ class TestOracle:
                 oracle_solve(prob, 10)
             # the slab means are checked as well: no untyped error from the march
             with pytest.raises(EvaluationError):
-                solve(prob, Subdivision.uniform(prob.horizon, 4))
+                solve(prob, Subdivision(prob.horizon, 4))
 
     def test_last_time_is_the_horizon(self):
         # 25 * (2 pi / 25) overshoots 2 pi by an ulp; the scheme is evaluated
@@ -329,7 +321,7 @@ class TestOracle:
         assert n * (problem.horizon / n) > problem.horizon
         oracle = oracle_solve(problem, n)
         assert oracle.grid[-1] == problem.horizon
-        traj = solve(problem, Subdivision.uniform(problem.horizon, 8))
+        traj = solve(problem, Subdivision(problem.horizon, 8))
         assert np.all(np.isfinite(traj.evaluate_many(oracle.grid)))
 
     @pytest.mark.parametrize("route", ["heat16", "heat64", "scalar-decay", "dirichlet"])
@@ -431,8 +423,11 @@ class TestOracle:
 
     def test_output_grid_subsampling(self):
         problem = scalar_problem(1.0, 1.0)
-        traj = oracle_solve(problem, 100, output_grid=np.array([0.0, 0.5, 1.0]))
-        np.testing.assert_allclose(traj.grid, [0.0, 0.5, 1.0], atol=1e-12)
+        samples = oracle_solve(problem, 100, output_grid=np.array([0.0, 0.5, 1.0]))
+        # the oracle keeps samples only: no slabs, so no MR audit takes it
+        assert isinstance(samples, OracleSamples)
+        np.testing.assert_allclose(samples.grid, [0.0, 0.5, 1.0], atol=1e-12)
+        assert samples.states.shape == (1, 3)
 
 
 class TestProblemData:
@@ -447,3 +442,12 @@ class TestProblemData:
         assert family.space.dim == 5
         with pytest.raises(ValueError, match="SeparableLoad"):
             ProblemData(family, np.zeros(5), load=load)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_initial_state_is_refused(self, value):
+        # refused when built, before any slab is marched or oracle step taken
+        family = get_preset("heat-1d-lipschitz", n_cells=4).problem.family
+        u0 = np.zeros(5)
+        u0[2] = value
+        with pytest.raises(ValueError, match="initial state has non-finite entries"):
+            ProblemData(family, u0)

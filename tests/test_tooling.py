@@ -22,6 +22,7 @@ PERFBENCH = REPO / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 COMPARE = REPO / "scripts" / "compare_results.py"
 RATE_TABLE = REPO / "scripts" / "rate_table.py"
+RUN_ALL = REPO / "scripts" / "run_all.py"
 
 
 def load_script(path, name):
@@ -128,6 +129,28 @@ def write_tree(root, files):
         path = root / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
+
+
+# the CSVs each command writes, besides one traj_<n>.csv per row of mr.csv
+COMMAND_CSVS = {"constants": set(), "solve": {"mr.csv"},
+                "converge": {"convergence.csv"}, "invariance": {"invariance.csv"}}
+COMMAND_CSVS["all"] = set().union(*COMMAND_CSVS.values())
+
+
+@pytest.mark.parametrize("cfg", sorted((REPO / "configs").glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_shipped_config_runs(tmp_path, capsys, cfg):
+    # each config with the command that scripts/run_all.py runs it with
+    command = load_script(RUN_ALL, "run_all").command_for(cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 0
+    expected = set(COMMAND_CSVS[command])
+    if "mr.csv" in expected:
+        rows = (out / "mr.csv").read_text().splitlines()[1:]
+        expected |= {f"traj_{row.split(',')[0]}.csv" for row in rows}
+    assert {path.name for path in out.glob("*.csv")} == expected
+    assert (out / "summary.txt").is_file()
 
 
 def test_compare_results_reports_each_changed_column(tmp_path, capsys):

@@ -18,7 +18,7 @@ from . import convergence as conv
 from . import invariance as inv
 from . import mr
 from .forms import (EvaluationError, FormConstants, certify_shift,
-                    estimate_constants, rescale)
+                    estimate_constants, overflow_named, rescale)
 from .presets import (LOAD_NAMES, PresetProblem, convex_set_for, get_preset,
                       preset_descriptions, preset_names, resolved_constants)
 from .propagator import ProblemData, Trajectory
@@ -144,8 +144,8 @@ class ExperimentConfig:
         other_keys = {"box": ("radius",), "ball": ("lower", "upper")}[self.set_kind]
         if any(key in params for key in other_keys):
             raise ConfigError(f"a {self.set_kind} takes no {' or '.join(other_keys)}")
-        if self.set_kind == "ball" and not params.get("radius", 0.0) > 0:
-            raise ConfigError("a ball needs a radius > 0")
+        if self.set_kind == "ball" and not 0 < params.get("radius", 0.0) < np.inf:
+            raise ConfigError("a ball needs a finite radius > 0")
         # with convex_set_for's box defaults: lower = 0, no upper bound
         if self.set_kind == "box":
             lower, upper = params.get("lower", 0.0), params.get("upper", np.inf)
@@ -241,11 +241,11 @@ def _run_solve(prep: _Prepared, ladder: list[Trajectory], out: Path,
     load_norm = mr.load_l2h(problem)
     for n, traj in zip(prep.slab_counts, ladder):
         report = mr.mr_norms(traj)
-        res_chain = mr.check_chain_rule(report, traj)
-        res_prod = mr.check_product_rule(report, traj)
-        margin3 = mr.check_lemma3(report, traj, problem, constants.coercivity)
-        margin_sup = mr.check_lemma_indepmax(report, traj, constants)
-        ratio = mr.check_H_estimate(report, problem, load_norm)
+        res_chain = mr.check_chain_rule(report)
+        res_prod = mr.check_product_rule(report)
+        margin3 = mr.check_lemma3(report, constants.coercivity)
+        margin_sup = mr.check_lemma_indepmax(report, constants)
+        ratio = mr.check_H_estimate(report, load_norm)
         rows.append([n, traj.subdivision.mesh, report.l2V, report.h1H,
                      report.h1Vp, report.supV, report.mr_vvp, report.mr_vh,
                      res_chain.value, res_prod.value, margin3, margin_sup, ratio])
@@ -292,16 +292,17 @@ def _run_converge(prep: _Prepared, ladder: list[Trajectory], out: Path,
 def _run_invariance(prep: _Prepared, ladder: list[Trajectory], out: Path,
                     lines: list[str]) -> int:
     problem, config, cset = prep.problem, prep.config, prep.cset
-    family = problem.family
-    crit = inv.check_criterion(family, cset, load=problem.load)
+    family, alpha = problem.family, prep.computed.coercivity
+    with overflow_named("the invariance criterion"):
+        crit = inv.check_criterion(family, cset, load=problem.load)
+        witness_norm = float(np.linalg.norm(crit.witness))
+        sym_margin = (inv.check_criterion_symmetric(family, cset, alpha).margin
+                      if alpha > 0 else float("nan"))     # NaN: not accretive
     # judged relative to its terms: a corner bound above -tol proves a pass,
     # a real value below it a failure; otherwise the bound is reported
     tol = CRITERION_TOL * crit.scale
     holds, fails = crit.bound >= -tol, crit.margin < -tol
     margin = crit.margin if holds or fails else crit.bound
-    alpha = prep.computed.coercivity
-    sym_margin = (inv.check_criterion_symmetric(family, cset, alpha).margin
-                  if alpha > 0 else float("nan"))     # NaN: not accretive
     worst = witness_t = 0.0
     for traj in ladder:
         violation, t = inv.audit_trajectory(traj, cset)
@@ -310,9 +311,8 @@ def _run_invariance(prep: _Prepared, ladder: list[Trajectory], out: Path,
     write_csv(out / "invariance.csv",
               ["preset", "set_kind", "metric", "criterion_margin",
                "symmetric_margin", "worst_violation", "witness_t", "witness_norm"],
-              [[prep.preset.name, config.set_kind, _METRIC, margin,
-                sym_margin, worst, witness_t,
-                float(np.linalg.norm(crit.witness))]])
+              [[config.preset, config.set_kind, _METRIC, margin,
+                sym_margin, worst, witness_t, witness_norm]])
     lines.append(f"criterion margin {margin:.3e}, worst violation {worst:.3e}")
     if not (holds or fails):
         lines.append(f"NOT CERTIFIED: the criterion fails at a corner of the coefficients' "
@@ -337,7 +337,7 @@ def run(command: str, config: ExperimentConfig) -> int:
         _check_ladder(prep.slab_counts, min_points=2)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    lines = [f"preset: {prep.preset.name}"]
+    lines = [f"preset: {config.preset}"]
     status = 0
     try:
         if command in ("constants", "all"):

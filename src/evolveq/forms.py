@@ -20,6 +20,7 @@ below, within 4 ulps of the eigenvalue.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from typing import Union
@@ -42,6 +43,7 @@ __all__ = [
     "Subdivision",
     "build_step_form",
     "estimate_constants",
+    "overflow_named",
     "rescale",
     "certify_shift",
     "dual_operator_norm",
@@ -55,6 +57,17 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 class EvaluationError(ValueError):
     """A form evaluation produced non-finite entries."""
+
+
+@contextlib.contextmanager
+def overflow_named(what: str):
+    """Run a block under np.errstate(over="raise") and re-raise its
+    overflow as FloatingPointError naming `what`."""
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"overflow in {what}") from exc
 
 
 def gauss_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,11 +23,13 @@ A slab with a rate at or below _MIN_RATE has no such closed form and is
 refused with ContractError, and an integral that overflows raises
 FloatingPointError.
 
-The audits take a trajectory from `solve`, on its breakpoints, and read
+`mr_norms` takes a trajectory from `solve`, on its breakpoints, and reads
 its per-slab arrays; the oracle's samples have none, so they never reach
-an audit.  The identity and estimate audits read the per-slab terms that
-`mr_norms` computes for the same trajectory, and an overflow in any of
-them raises FloatingPointError naming its audit.  The identity audits
+an audit.  Its `MRReport` holds the trajectory it was computed from and
+its per-slab terms, one entry per slab, so each identity and estimate
+audit takes the report alone and reads the solve from it: a report and a
+trajectory that do not belong together cannot be passed.  An overflow in
+any audit raises FloatingPointError naming it.  The identity audits
 return their residual with the scale of the identity's terms, so that a
 caller can judge it relative to them.  The product-rule and telescoping
 audits form A_k v for all breakpoints at once by `FormFamily.apply`, from
@@ -35,13 +37,12 @@ the trajectory's coefficient means.
 """
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .forms import FormConstants
+from .forms import FormConstants, overflow_named
 from .propagator import ProblemData, Trajectory
 from .spaces import GalerkinSpace
 
@@ -91,21 +92,27 @@ class Residual(NamedTuple):
 
 @dataclass(frozen=True)
 class MRReport:
-    """Norm components of a trajectory in the two maximal-regularity spaces."""
+    """Norm components of a trajectory in the two maximal-regularity spaces,
+    with the trajectory and its per-slab terms, one entry per slab."""
 
-    l2V: float          # ||u||_{L^2(0,T;V)}
-    h1H: float          # ||u'||_{L^2(0,T;H)}
-    h1Vp: float         # ||u'||_{L^2(0,T;V')}
-    supV: float         # sup_t ||u(t)||_V (sampled)
-    l2V_slabs: tuple[float, ...] = ()      # slab k's summand of l2V^2
-    supV_slabs: tuple[float, ...] = ()     # sampled sup of ||u||_V on slab k
-    chain_slabs: tuple[float, ...] = ()    # 2 int_k (u' | u)_H
-    product_slabs: tuple[float, ...] = ()  # 2 int_k (A_k u | u')_H
+    traj: Trajectory
+    l2V: float                  # ||u||_{L^2(0,T;V)}
+    h1H: float                  # ||u'||_{L^2(0,T;H)}
+    h1Vp: float                 # ||u'||_{L^2(0,T;V')}
+    supV: float                 # sup_t ||u(t)||_V (sampled)
+    l2V_slabs: np.ndarray       # (K,) slab k's summand of l2V^2
+    supV_slabs: np.ndarray      # (K,) sampled sup of ||u||_V on slab k
+    chain_slabs: np.ndarray     # (K,) 2 int_k (u' | u)_H
+    product_slabs: np.ndarray   # (K,) 2 int_k (A_k u | u')_H
 
     def __post_init__(self) -> None:
         vals = (self.l2V, self.h1H, self.h1Vp, self.supV)
         if not all(np.isfinite(v) and v >= 0 for v in vals):
             raise ValueError("MR norms must be finite and nonnegative")
+        k = self.traj.subdivision.n_slabs
+        if any(np.shape(a) != (k,) for a in (self.l2V_slabs, self.supV_slabs,
+                                              self.chain_slabs, self.product_slabs)):
+            raise ValueError(f"per-slab terms are not the {k} slabs of the trajectory")
 
     @property
     def mr_vvp(self) -> float:
@@ -149,12 +156,7 @@ def _slab_coefficients(traj: Trajectory):
     return mu, c, p, -mu * c
 
 
-def _require_report(traj: Trajectory, report: MRReport) -> None:
-    if len(report.supV_slabs) != traj.subdivision.n_slabs:
-        raise ContractError("MR report is not of this trajectory; use mr_norms()")
-
-
-def _sampled_sup_v(traj: Trajectory) -> tuple[float, ...]:
+def _sampled_sup_v(traj: Trajectory) -> np.ndarray:
     """Per slab, the largest ||u||_V at _SUP_SAMPLES uniform times across it,
     both ends included: one evaluation and one v_norms call for all slabs.
 
@@ -167,7 +169,7 @@ def _sampled_sup_v(traj: Trajectory) -> tuple[float, ...]:
     states = traj.evaluate_in_slabs(np.repeat(np.arange(n_slabs), _SUP_SAMPLES),
                                     times.ravel())
     blocks = states.reshape(-1, n_slabs, _SUP_SAMPLES).transpose(1, 0, 2)
-    return tuple(float(v) for v in traj.space.v_norms(blocks).max(axis=1))
+    return traj.space.v_norms(blocks).max(axis=1)
 
 
 def _remainder_bound(weight: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -237,17 +239,6 @@ def _check_remainder(name: str, weight: np.ndarray, d: np.ndarray, diag: np.ndar
             f"value {value[k]:.3e}")
 
 
-@contextlib.contextmanager
-def _overflow_named(what: str):
-    """Run a block under np.errstate(over="raise") and re-raise its
-    overflow as FloatingPointError naming `what`."""
-    with np.errstate(over="raise"):
-        try:
-            yield
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"overflow in {what}") from exc
-
-
 def _mode_norms(space: GalerkinSpace, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (K, n) squared V- and V'-norms of every slab's modes w_i, the
     diagonals of its modal Grams, for slabs in chunks of at most _CHUNK
@@ -279,7 +270,7 @@ def mr_norms(traj: Trajectory) -> MRReport:
     h = space.h[:, None]
     pts = traj.subdivision.points
     lengths = np.diff(pts)
-    with _overflow_named(f"the MR integrals of the {lengths.size}-slab solve"):
+    with overflow_named(f"the MR integrals of the {lengths.size}-slab solve"):
         mu, c, p, dc = _slab_coefficients(traj)
         # the steady part p is one more exponential, of rate 0 and mode W p
         rates = np.hstack([mu, np.zeros((lengths.size, 1))])
@@ -314,28 +305,25 @@ def mr_norms(traj: Trajectory) -> MRReport:
         l2v_total, h1vp_total = float(np.sum(l2v)), float(np.sum(h1vp))
     l2v_norm, h1h, h1vp_norm = (float(np.sqrt(max(x, 0.0)))
                                 for x in (l2v_total, h1h, h1vp_total))
-    return MRReport(l2V=l2v_norm, h1H=h1h, h1Vp=h1vp_norm, supV=max(supv_slabs),
-                    l2V_slabs=tuple(float(x) for x in l2v),
-                    supV_slabs=tuple(supv_slabs),
-                    chain_slabs=tuple(float(x) for x in chain_slabs),
-                    product_slabs=tuple(float(x) for x in product_slabs))
+    return MRReport(traj, l2V=l2v_norm, h1H=h1h, h1Vp=h1vp_norm,
+                    supV=float(np.max(supv_slabs)), l2V_slabs=l2v, supV_slabs=supv_slabs,
+                    chain_slabs=chain_slabs, product_slabs=product_slabs)
 
 
-def check_chain_rule(report: MRReport, traj: Trajectory) -> Residual:
+def check_chain_rule(report: MRReport) -> Residual:
     """Per-slab residual of d/dt ||u||_H^2 = 2 (du | u)_H.
 
     The right side is the report's `chain_slabs`; the scale is the largest
     ||u||_H^2 at a breakpoint or |chain_slabs|.
     """
-    with _overflow_named("the chain-rule audit"):
-        _require_report(traj, report)
+    with overflow_named("the chain-rule audit"):
+        traj, chain = report.traj, report.chain_slabs
         h_sq = traj.space.h_norms(traj.states) ** 2
-        chain = np.array(report.chain_slabs)
         return Residual(float(np.max(np.abs(np.diff(h_sq) - chain))),
                         float(max(np.max(h_sq), np.max(np.abs(chain)))))
 
 
-def check_product_rule(report: MRReport, traj: Trajectory) -> Residual:
+def check_product_rule(report: MRReport) -> Residual:
     """Per-slab residual of d/dt a_k(u(t)) = 2 (A_k u | du)_H.
 
     The left side is a_k(u1) - a_k(u0) = (u1 - u0) . A_k (u1 + u0) for the
@@ -345,10 +333,9 @@ def check_product_rule(report: MRReport, traj: Trajectory) -> Residual:
     nonnegative diagonal (a sign similarity takes |A_k| to A_k), or
     |product_slabs|.
     """
-    with _overflow_named("the product-rule audit"):
-        _require_report(traj, report)
+    with overflow_named("the product-rule audit"):
+        traj, product = report.traj, report.product_slabs
         u0, u1 = traj.states[:, :-1], traj.states[:, 1:]
-        product = np.array(report.product_slabs)
         lhs = np.einsum("ij,ij->j", u1 - u0, traj.family.apply(u1 + u0, traj.thetas))
         h_sq = traj.space.h_norms(traj.states) ** 2
         ends = np.abs(traj.rates).max(axis=1) * np.maximum(h_sq[:-1], h_sq[1:])
@@ -356,44 +343,40 @@ def check_product_rule(report: MRReport, traj: Trajectory) -> Residual:
                         float(max(np.max(ends), np.max(np.abs(product)))))
 
 
-def check_lemma_indepmax(report: MRReport, traj: Trajectory,
-                         constants: FormConstants) -> float:
+def check_lemma_indepmax(report: MRReport, constants: FormConstants) -> float:
     """Per-slab sup bound: sup ||u||_V^2 <= (M ||u(a)||_V^2 + ||f||^2_{L^2(H)}) / alpha.
 
     The sups are the report's `supV_slabs`.  Returns the minimum margin
     (RHS - LHS) over slabs; nonnegative means verified.
     """
-    with _overflow_named("the sup-bound audit"):
-        _require_report(traj, report)
+    with overflow_named("the sup-bound audit"):
         if constants.bound is None or constants.coercivity is None:
             raise ContractError("sup-bound check needs certified M and alpha")
         if constants.coercivity <= 0:
             raise ContractError("sup-bound check requires coercivity at shift 0")
-        space = traj.space
+        traj, space = report.traj, report.traj.space
         big_m, alpha = np.float64(constants.bound), np.float64(constants.coercivity)
         load_sq = np.diff(traj.subdivision.points) * space.h_norms(traj.fbar.T) ** 2
         rhs = (big_m * space.v_norms(traj.states[:, :-1]) ** 2 + load_sq) / alpha
-        return float(np.min(rhs - np.array(report.supV_slabs) ** 2))
+        return float(np.min(rhs - report.supV_slabs ** 2))
 
 
-def check_lemma3(report: MRReport, traj: Trajectory, problem: ProblemData,
-                 alpha: float) -> float:
+def check_lemma3(report: MRReport, alpha: float) -> float:
     """Energy bound with the Young-step constant c2 = max(1/alpha^2, 1/alpha).
 
     Verifies int_0^t ||u||_V^2 <= c2 [ int_0^t ||f||_{V'}^2 + ||u0||_H^2 ]
     at every breakpoint t, by running sums of the report's `l2V_slabs`;
     f is the slab-averaged load the trajectory actually solves with, and
-    its V'-norms take one banded solve for all slabs.  Returns the minimum
-    margin.
+    its V'-norms take one banded solve for all slabs; u0 is the
+    trajectory's first state.  Returns the minimum margin.
     """
-    with _overflow_named("the energy-bound audit (Lemma 3)"):
-        _require_report(traj, report)
+    with overflow_named("the energy-bound audit (Lemma 3)"):
         if alpha <= 0:
             raise ContractError("energy bound requires coercivity at shift 0")
-        space = problem.family.space
+        traj, space = report.traj, report.traj.space
         inverse = np.float64(1.0) / alpha
         c2 = max(inverse * inverse, inverse)
-        u0_sq = space.h_norms(problem.u0[:, None])[0] ** 2
+        u0_sq = space.h_norms(traj.states[:, :1])[0] ** 2
         pairs = space.h[:, None] * traj.fbar.T
         load_sq = np.sum(pairs * space.solve_V(pairs), axis=0) * np.diff(traj.subdivision.points)
         lhs = np.cumsum(report.l2V_slabs)
@@ -413,19 +396,20 @@ def load_l2h(problem: ProblemData) -> float:
     if load is None:
         return 0.0
     space, g = problem.family.space, load.pairing
-    with _overflow_named("the load norm ||f||_{L^2(0,T;H)}"):
+    with overflow_named("the load norm ||f||_{L^2(0,T;H)}"):
         total = load.theta.square_integral(problem.horizon) * float(g @ space.solve_H(g))
     return float(np.sqrt(max(total, 0.0)))
 
 
-def check_H_estimate(report: MRReport, problem: ProblemData,
-                     load_norm: float) -> float:
+def check_H_estimate(report: MRReport, load_norm: float) -> float:
     """MR(V,H)-to-data ratio ||u||_MR(V,H) / (||u0||_V + ||f||_{L^2(H)}).
 
-    `load_norm` is ||f||_{L^2(0,T;H)}, from `load_l2h`.
+    u0 is the trajectory's first state, and `load_norm` is
+    ||f||_{L^2(0,T;H)}, from `load_l2h`.
     """
-    with _overflow_named("the MR(V,H) estimate ratio"):
-        denom = np.float64(problem.family.space.v_norm(problem.u0)) + load_norm
+    with overflow_named("the MR(V,H) estimate ratio"):
+        traj = report.traj
+        denom = np.float64(traj.space.v_norm(traj.states[:, 0])) + load_norm
         if denom < 1e-300:
             return 0.0
         return float(report.mr_vh / denom)
@@ -437,7 +421,7 @@ def check_form_telescoping(traj: Trajectory, lipschitz: float) -> float:
     v is the computed state at the junction.  Nonpositive (up to slack)
     means the telescoping inequality holds.
     """
-    with _overflow_named("the telescoping audit"):
+    with overflow_named("the telescoping audit"):
         v, thetas = traj.states[:, 1:-1], traj.thetas
         jump = traj.family.apply(v, thetas[:-1]) - traj.family.apply(v, thetas[1:])
         gap = np.abs(np.einsum("ij,ij->j", v, jump))

@@ -29,8 +29,6 @@ class PresetProblem:
     # analytic values that differ from the exact ones; None entries are estimated
     constants: FormConstants = FormConstants()
     expect_invariant: bool = True
-    name: str = ""                    # both set by get_preset from the registry
-    description: str = ""
 
 
 _PRESETS: dict[str, tuple[str, Callable[..., PresetProblem]]] = {}
@@ -157,11 +155,10 @@ def preset_names() -> list[str]:
 def get_preset(name: str, n_cells: int | None = None, horizon: float | None = None,
                load: str | None = None, amplitude: float = 1.0) -> PresetProblem:
     try:
-        description, build = _PRESETS[name]
+        _, build = _PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown preset {name!r}; choose from {preset_names()}") from None
-    return replace(build(n_cells, horizon, load, amplitude),
-                   name=name, description=description)
+    return build(n_cells, horizon, load, amplitude)
 
 
 def preset_descriptions() -> list[tuple[str, str]]:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forms import (Coefficient, EvaluationError, FormFamily, Subdivision,
-                    build_step_form)
+                    build_step_form, overflow_named)
 from .spaces import GalerkinSpace
 
 __all__ = [
@@ -214,11 +214,8 @@ def _averaged_loads(problem: ProblemData, subdivision: Subdivision) -> np.ndarra
     space, load = problem.family.space, problem.load
     if load is None:
         return np.zeros((subdivision.n_slabs, space.dim))
-    with np.errstate(over="raise"):
-        try:
-            return subdivision.means(load.theta)[:, None] * space.solve_H(load.pairing)
-        except FloatingPointError as exc:
-            raise FloatingPointError("overflow in the slab-averaged loads") from exc
+    with overflow_named("the slab-averaged loads"):
+        return subdivision.means(load.theta)[:, None] * space.solve_H(load.pairing)
 
 
 def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
@@ -273,7 +270,8 @@ def oracle_solve(problem: ProblemData, n_steps: int,
     in blocks of _STEP_BLOCK through `FormFamily.implicit_steps`, one O(n)
     gtsv call per step; each block's load rows are formed at once, and
     memory stays O(_STEP_BLOCK n).  The output grid is rounded to step
-    indices.
+    indices.  A non-finite state raises EvaluationError, at the step after
+    it or, for the last state, at t = T.
     """
     if n_steps < 1:
         raise ValueError("oracle needs at least one step")
@@ -302,4 +300,7 @@ def oracle_solve(problem: ProblemData, n_steps: int,
         rows = keep[(keep >= first) & (keep < stop)] - first
         times += [step_times[r] for r in rows]
         states.append(block[rows])
+    # a block leaves its last state to the next block's checks; the last has none
+    if not np.isfinite(u).all():
+        raise EvaluationError(f"oracle state at t={step_times[-1]} is not finite")
     return OracleSamples(np.array(times), np.concatenate(states).T.copy())

@@ -275,10 +275,10 @@ def _slab_matrices(traj):
     return [dense(terms.at(theta)) for theta in traj.thetas]
 
 
-def reference_product_rule(report, traj):
+def reference_product_rule(report):
     """`check_product_rule` slab by slab, as u1.A_k u1 - u0.A_k u0 with a
     dense A_k: the reference for the one vectorised product."""
-    residual = 0.0
+    traj, residual = report.traj, 0.0
     for k, (a, rhs) in enumerate(zip(_slab_matrices(traj), report.product_slabs)):
         u0, u1 = traj.states[:, k], traj.states[:, k + 1]
         residual = max(residual, abs(float(u1 @ a @ u1 - u0 @ a @ u0) - rhs))

@@ -84,9 +84,7 @@ def test_criterion_05_energy_bound():
         for n in SMALL_LADDER:
             traj = solve(preset.problem,
                          Subdivision(preset.problem.horizon, n))
-            worst = min(worst, check_lemma3(mr_norms(traj), traj,
-                                            preset.problem,
-                                            constants.coercivity))
+            worst = min(worst, check_lemma3(mr_norms(traj), constants.coercivity))
     report(5, "energy bound", worst >= 0.0,
            f"min margin over presets/ladders {worst:.3e} >= 0")
 
@@ -99,7 +97,7 @@ def test_criterion_06_per_slab_sup_bound():
         for n in SMALL_LADDER:
             traj = solve(preset.problem,
                          Subdivision(preset.problem.horizon, n))
-            worst = min(worst, check_lemma_indepmax(mr_norms(traj), traj,
+            worst = min(worst, check_lemma_indepmax(mr_norms(traj),
                                                     constants=constants))
     report(6, "per-slab sup bound", worst >= -1e-10,
            f"min margin {worst:.3e} >= -1e-10")
@@ -113,8 +111,8 @@ def test_criterion_07_identity_residuals():
             traj = solve(preset.problem,
                          Subdivision(preset.problem.horizon, n))
             rep = mr_norms(traj)
-            worst = max(worst, check_chain_rule(rep, traj).value)
-            worst = max(worst, check_product_rule(rep, traj).value)
+            worst = max(worst, check_chain_rule(rep).value)
+            worst = max(worst, check_product_rule(rep).value)
     report(7, "chain/product residuals", worst <= 1e-8,
            f"max residual {worst:.3e} <= 1e-8")
 
@@ -122,7 +120,7 @@ def test_criterion_07_identity_residuals():
 def test_criterion_08_boundedness_and_telescoping(heat_preset, heat_constants,
                                                   heat_ladder):
     load_norm = load_l2h(heat_preset.problem)
-    ratios = [check_H_estimate(mr_norms(traj), heat_preset.problem, load_norm)
+    ratios = [check_H_estimate(mr_norms(traj), load_norm)
               for traj in heat_ladder]
     spread = (max(ratios) - min(ratios)) / max(ratios)
     excess = max(check_form_telescoping(traj,

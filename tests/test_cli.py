@@ -1,5 +1,6 @@
 import inspect
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -286,6 +287,9 @@ class TestMain:
         (HEAT_CFG + "[convex_set]\nmetric = consistent\n", 1),
         (HEAT_CFG.replace("heat-1d-lipschitz", "nope"), 1),
         (HEAT_CFG + "[load]\nname = bogus\n", 1),
+        (HEAT_CFG + "[convex_set]\nkind = ball\nradius = inf\n", 1),
+        (HEAT_CFG + "[convex_set]\nkind = ball\nradius = 1e308\n", 2),
+        (HEAT_CFG + "[convex_set]\nlower = -1e308\nupper = 1e308\n", 2),
     ], ids=["omega", "horizon", "n_cells", "n_cells_text", "oracle_steps",
             "duplicate", "set_halfspace", "set_metric", "set_ball_no_radius",
             "set_negative_radius", "set_excludes_u0", "set_inverted_box", "horizon_inf",
@@ -293,11 +297,14 @@ class TestMain:
             "mr_overflow", "load_mean_overflow", "mr_integrals_overflow",
             "audit_overflow", "set_ball_with_box_keys",
             "set_box_with_radius", "set_metric_consistent", "preset_unknown",
-            "load_unknown"])
+            "load_unknown", "set_radius_inf", "criterion_ball_overflow",
+            "criterion_box_overflow"])
     def test_typed_errors_map_to_exit_codes(self, tmp_path, capsys, text, status):
         path = write_cfg(tmp_path, text)
         out = tmp_path / "results"
-        assert main(["all", "--config", str(path), "--out", str(out)]) == status
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # a typed error, never a warning
+            assert main(["all", "--config", str(path), "--out", str(out)]) == status
         captured = capsys.readouterr()
         err = captured.err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -320,6 +327,12 @@ class TestMain:
         if "bogus" in text:
             assert err == ("error: unknown [load] name 'bogus'; choose from "
                            "['none', 'constant', 'forcing']\n")
+        if "radius = inf" in text:
+            assert err == "error: a ball needs a finite radius > 0\n"
+        if "1e308" in text:
+            # the overflow raises before an inf or NaN reaches invariance.csv
+            assert err == "error: overflow in the invariance criterion\n"
+            assert not (out / "invariance.csv").exists()
         if status == 1:
             # config errors are caught when the config is read, before any work
             assert not list(out.glob("*.csv"))
@@ -418,10 +431,10 @@ class TestMain:
 
         def perturbed(traj):
             report = norms(traj)
-            terms = list(report.product_slabs)
+            terms = report.product_slabs.copy()
             k = int(np.argmax(np.abs(terms)))
             terms[k] *= 1.0 + 1e-6
-            return replace(report, product_slabs=tuple(terms))
+            return replace(report, product_slabs=terms)
 
         monkeypatch.setattr(mr, "mr_norms", perturbed)
         path = write_cfg(tmp_path, IDENTITY_CFG + f"amplitude = {amplitude}\n")

@@ -11,7 +11,7 @@ from evolveq.forms import (AffineTerms, FormConstants, FormFamily, Linear,
                            Subdivision, estimate_constants)
 import evolveq.mr as mr
 from evolveq.mr import _slab_coefficients
-from evolveq.mr import (ContractError, MRReport, ToleranceError, check_chain_rule,
+from evolveq.mr import (ContractError, ToleranceError, check_chain_rule,
                         check_form_telescoping, check_H_estimate, check_lemma3,
                         check_lemma_indepmax, check_product_rule, load_l2h,
                         mr_norms)
@@ -106,12 +106,12 @@ class TestMRNorms:
                                     [np.ones_like(mu)])
         assert rows.shape[0] == 8 and rows.shape[1] <= 64 and d.shape == mu.shape
 
-    def test_report_rejects_negative(self):
+    def test_report_rejects_negative(self, decay_traj):
         with pytest.raises(ValueError):
-            MRReport(l2V=-1.0, h1H=0.0, h1Vp=0.0, supV=0.0)
+            replace(mr_norms(decay_traj[1]), l2V=-1.0)
 
-    def test_report_combines_its_parts(self):
-        rep = MRReport(l2V=3.0, h1H=12.0, h1Vp=4.0, supV=1.0)
+    def test_report_combines_its_parts(self, decay_traj):
+        rep = replace(mr_norms(decay_traj[1]), l2V=3.0, h1H=12.0, h1Vp=4.0)
         assert (rep.mr_vvp, rep.mr_vh) == (5.0, float(np.hypot(3.0, 12.0)))
 
     def test_requires_breakpoint_grid(self, decay_traj):
@@ -125,14 +125,16 @@ class TestMRNorms:
                 replace(traj, **short)
 
     def test_report_must_match_trajectory(self, decay_traj):
+        # the report holds its trajectory, so the audits read the solve from
+        # it; per-slab terms of another length are refused when it is built
         problem, traj = decay_traj
-        other = mr_norms(solve(problem, Subdivision(1.0, 8)))
-        with pytest.raises(ContractError, match="mr_norms"):
-            check_lemma3(other, traj, problem, alpha=1.0)
-        with pytest.raises(ContractError, match="mr_norms"):
-            check_chain_rule(other, traj)
-        with pytest.raises(ContractError, match="mr_norms"):
-            check_product_rule(other, traj)
+        report, other = mr_norms(traj), mr_norms(solve(problem, Subdivision(1.0, 8)))
+        assert report.traj is traj
+        for key in ("l2V_slabs", "supV_slabs", "chain_slabs", "product_slabs"):
+            with pytest.raises(ValueError, match="not the 4 slabs"):
+                replace(report, **{key: getattr(other, key)})
+        with pytest.raises(ValueError, match="not the 8 slabs"):
+            replace(report, traj=other.traj)
 
     def test_overflow_raises(self, decay_traj):
         # the states are finite, their squared norms are not
@@ -170,17 +172,17 @@ class TestMRNorms:
 class TestIdentities:
     def test_chain_rule_scalar(self, decay_traj):
         _, traj = decay_traj
-        assert check_chain_rule(mr_norms(traj), traj).value <= 1e-10
+        assert check_chain_rule(mr_norms(traj)).value <= 1e-10
 
     def test_product_rule_scalar(self, decay_traj):
         _, traj = decay_traj
-        assert check_product_rule(mr_norms(traj), traj).value <= 1e-10
+        assert check_product_rule(mr_norms(traj)).value <= 1e-10
 
     def test_chain_rule_heat(self, heat_traj_64):
-        assert check_chain_rule(mr_norms(heat_traj_64), heat_traj_64).value <= 1e-8
+        assert check_chain_rule(mr_norms(heat_traj_64)).value <= 1e-8
 
     def test_product_rule_heat(self, heat_traj_64):
-        assert check_product_rule(mr_norms(heat_traj_64), heat_traj_64).value <= 1e-8
+        assert check_product_rule(mr_norms(heat_traj_64)).value <= 1e-8
 
     @pytest.mark.parametrize("name", sorted(MR_PROBLEMS))
     def test_vectorised_audits_match_slab_by_slab(self, name):
@@ -190,8 +192,8 @@ class TestIdentities:
         traj = solve(problem, Subdivision(problem.horizon, 16))
         report = mr_norms(traj)
         scale = max(abs(x) for x in report.product_slabs)
-        assert check_product_rule(report, traj).value == pytest.approx(
-            reference_product_rule(report, traj), rel=0.0, abs=1e-13 * scale)
+        assert check_product_rule(report).value == pytest.approx(
+            reference_product_rule(report), rel=0.0, abs=1e-13 * scale)
         lipschitz = estimate_constants(problem.family).lipschitz
         assert check_form_telescoping(traj, lipschitz) == pytest.approx(
             reference_telescoping(traj, lipschitz), rel=0.0, abs=1e-12)
@@ -199,53 +201,50 @@ class TestIdentities:
 
 class TestEstimates:
     def test_lemma3_scalar_margin(self, decay_traj):
-        problem, traj = decay_traj
+        _, traj = decay_traj
         # c2 = 1; tightest at t = T: 1 - (1 - e^-2)/2
-        margin = check_lemma3(mr_norms(traj), traj, problem, alpha=1.0)
+        margin = check_lemma3(mr_norms(traj), alpha=1.0)
         assert margin == pytest.approx(1.0 - SCALAR_ENERGY_SQ, abs=1e-12)
 
     def test_lemma3_requires_coercivity(self, decay_traj):
-        problem, traj = decay_traj
+        _, traj = decay_traj
         with pytest.raises(ContractError):
-            check_lemma3(mr_norms(traj), traj, problem, alpha=0.0)
+            check_lemma3(mr_norms(traj), alpha=0.0)
 
     def test_indepmax_scalar_is_tight(self, decay_traj):
         _, traj = decay_traj
         constants = FormConstants(bound=1.0, coercivity=1.0)
         # first slab: sup ||u||_V^2 = 1 = M ||u0||_V^2 / alpha exactly
-        margin = check_lemma_indepmax(mr_norms(traj), traj, constants=constants)
+        margin = check_lemma_indepmax(mr_norms(traj), constants=constants)
         assert abs(margin) <= 1e-12
 
     def test_audit_overflow_is_named(self, decay_traj):
         # the audits run under np.errstate(over="raise"): an overflow is an
         # error naming its audit, never a warning and a finite margin
-        problem, traj = decay_traj
+        _, traj = decay_traj
         report = mr_norms(traj)
         with pytest.raises(FloatingPointError, match="overflow in the sup-bound audit"):
-            check_lemma_indepmax(report, traj, FormConstants(bound=1e308, coercivity=1e-10))
+            check_lemma_indepmax(report, FormConstants(bound=1e308, coercivity=1e-10))
         with pytest.raises(FloatingPointError, match=r"overflow in the energy-bound audit"):
-            check_lemma3(report, traj, problem, alpha=1e-300)
+            check_lemma3(report, alpha=1e-300)
 
     def test_indepmax_needs_constants(self, decay_traj):
         _, traj = decay_traj
         report = mr_norms(traj)
         with pytest.raises(ContractError, match="certified M and alpha"):
-            check_lemma_indepmax(report, traj, FormConstants())
+            check_lemma_indepmax(report, FormConstants())
 
-    def test_heat_margins_nonnegative(self, heat_traj_64, heat_preset,
-                                      heat_constants):
+    def test_heat_margins_nonnegative(self, heat_traj_64, heat_constants):
         report = mr_norms(heat_traj_64)
-        margin3 = check_lemma3(report, heat_traj_64, heat_preset.problem,
-                               heat_constants.coercivity)
-        margin_sup = check_lemma_indepmax(report, heat_traj_64,
-                                          constants=heat_constants)
+        margin3 = check_lemma3(report, heat_constants.coercivity)
+        margin_sup = check_lemma_indepmax(report, constants=heat_constants)
         assert margin3 >= 0.0
         assert margin_sup >= -1e-10
 
     def test_h_estimate_scalar(self, decay_traj):
         problem, traj = decay_traj
         load_norm = load_l2h(problem)
-        assert check_H_estimate(mr_norms(traj), problem, load_norm) == pytest.approx(
+        assert check_H_estimate(mr_norms(traj), load_norm) == pytest.approx(
             np.sqrt(2.0 * SCALAR_ENERGY_SQ), abs=1e-12)
 
     def test_h_estimate_zero_data(self, decay_traj):
@@ -253,7 +252,7 @@ class TestEstimates:
         zero = ProblemData(problem.family, np.array([0.0]))
         ztraj = solve(zero, Subdivision(1.0, 4))
         load_norm = load_l2h(zero)
-        assert check_H_estimate(mr_norms(ztraj), zero, load_norm) == 0.0
+        assert check_H_estimate(mr_norms(ztraj), load_norm) == 0.0
 
 
 class TestTelescoping:

@@ -236,7 +236,7 @@ class TestSolve:
     def test_sup_v_samples_match_per_slab_sampling(self, n_cells):
         problem = get_preset("heat-1d-lipschitz", n_cells=n_cells).problem
         traj = solve(problem, Subdivision(problem.horizon, 32))
-        assert mr_norms(traj).supV_slabs == reference_sup_v(traj)
+        np.testing.assert_array_equal(mr_norms(traj).supV_slabs, reference_sup_v(traj))
 
     def test_evaluate_many_matches_pointwise(self, heat_traj_64):
         times = np.array([0.0, 0.11, 0.5, 0.73, 1.0])
@@ -388,15 +388,17 @@ class TestOracle:
             oracle_solve(late, n_steps)
 
     @pytest.mark.parametrize("n_steps, last_finite, singular", [
-        (_STEP_BLOCK + 1, _STEP_BLOCK - 1, None), (512, 99, None), (512, 99, 120)],
-        ids=["alone_after_block_end", "mid_block", "before_singular"])
+        (_STEP_BLOCK + 1, _STEP_BLOCK - 1, None), (512, 99, None), (512, 99, 120),
+        (512, 511, None)],
+        ids=["alone_after_block_end", "mid_block", "before_singular", "last_step"])
     @pytest.mark.parametrize("dim", [1, 3])
     def test_overflow_raises_at_the_next_step(self, dim, n_steps, last_finite, singular):
         # (1 - dt 256) = 1/2 doubles u each step, exactly, for dt = 2^-9, so u
         # is inf from step last_finite + 1, and the right-hand side of the
         # step after is not finite: in a block of its own after a block end,
         # within a block, and before a later singular step (theta = -256) in
-        # the same block
+        # the same block.  The last state has no step after it: it is named
+        # at t = T
         horizon = n_steps / 512.0
         space = GalerkinSpace(np.ones(dim), bands(np.eye(dim)))
         theta = Linear(0.0) if singular is None else Spiked(
@@ -404,9 +406,11 @@ class TestOracle:
         terms = AffineTerms(bands(-256.0 * np.eye(dim)), bands(np.eye(dim)), theta)
         family = FormFamily(space, terms, horizon)
         problem = ProblemData(family, np.full(dim, 1e308 * 2.0 ** -last_finite))
-        t = step_time(horizon, n_steps, last_finite + 2)
-        with np.errstate(over="ignore"), pytest.raises(
-                EvaluationError, match=re.escape(f"oracle right-hand side at t={t} is")):
+        if last_finite + 1 == n_steps:
+            message = f"oracle state at t={horizon} is not finite"
+        else:
+            message = f"oracle right-hand side at t={step_time(horizon, n_steps, last_finite + 2)} is"
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError, match=re.escape(message)):
             oracle_solve(problem, n_steps)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])

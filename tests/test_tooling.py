@@ -151,6 +151,18 @@ def test_shipped_config_runs(tmp_path, capsys, cfg):
         expected |= {f"traj_{row.split(',')[0]}.csv" for row in rows}
     assert {path.name for path in out.glob("*.csv")} == expected
     assert (out / "summary.txt").is_file()
+    # every number is finite but the documented NaNs: the first row's diffs,
+    # which have no coarser point, and symmetric_margin when alpha <= 0
+    alpha = cli._prepare(cli.ExperimentConfig.from_file(cfg), command).computed.coercivity
+    for csv in expected:
+        header, *rows = (line.split(",") for line in (out / csv).read_text().splitlines())
+        for i, row in enumerate(rows):
+            for column, cell in zip(header, row):
+                if cell in ("nan", "inf", "-inf"):
+                    documented = ((csv, i, column) in {("convergence.csv", 0, "diff_l2V"),
+                                                       ("convergence.csv", 0, "diff_supH")}
+                                  or (column == "symmetric_margin" and alpha <= 0))
+                    assert cell == "nan" and documented, (csv, i, column, cell)
 
 
 def test_compare_results_reports_each_changed_column(tmp_path, capsys):

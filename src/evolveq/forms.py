@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import tridiagonal
 from .spaces import GalerkinSpace, StructureError, symmetric_bands
@@ -251,8 +250,10 @@ class AffineTerms:
     theta: Coefficient
 
     def at(self, s: float) -> np.ndarray:
-        """Bands of a0 + s a1; a non-finite result raises EvaluationError."""
-        b = self.a0 + s * self.a1
+        """Bands of a0 + s a1; a non-finite result raises EvaluationError,
+        and no numpy warning precedes it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = self.a0 + s * self.a1
         if not np.all(np.isfinite(b)):
             raise EvaluationError(f"form matrix at theta={s} has non-finite entries")
         return b
@@ -289,7 +290,7 @@ class FormFamily:
         StructureError."""
         try:
             return tridiagonal.pencil_eigh(self.terms.at(s), self.space.h)
-        except sla.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise StructureError("slab eigensolve failed") from exc
 
     def apply(self, x: np.ndarray, s) -> np.ndarray:

@@ -65,10 +65,10 @@ class ConvexSet:
 
     @classmethod
     def ball(cls, metric, center, radius: float) -> "ConvexSet":
-        if radius <= 0:
-            raise ValueError("ball radius must be positive")
-        return cls("ball", metric, center=np.asarray(center, dtype=float),
-                   radius=float(radius))
+        radius = float(radius)
+        if not 0.0 < radius < np.inf:
+            raise ValueError(f"ball radius must be finite and positive, got {radius}")
+        return cls("ball", metric, center=np.asarray(center, dtype=float), radius=radius)
 
     def metric_norm(self, x: np.ndarray) -> float:
         return float(np.sqrt(max((x * self.metric) @ x, 0.0)))

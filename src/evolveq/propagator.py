@@ -237,7 +237,7 @@ def solve(problem: ProblemData, subdivision: Subdivision) -> Trajectory:
     n_slabs, h = subdivision.n_slabs, family.space.h
     pts = subdivision.points
     taus = np.diff(pts)
-    # eigh_tridiagonal returns F-ordered modes, and each slab keeps that
+    # LAPACK stevd returns F-ordered modes, and each slab keeps that
     # layout in the stack: C-ordered modes send the products with them (the
     # MR Grams w.T @ gram_V @ w, dense output) to other GEMM kernels, which
     # moves the last bits of every result read from them

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+
+from .lapack import dpttrf, dpttrs
 
 __all__ = [
     "StructureError",

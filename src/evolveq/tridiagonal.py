@@ -10,9 +10,8 @@ band arrays are the bands of the same combinations of the matrices.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dgtsv, dpttrf
 
+from .lapack import dgtsv, dpttrf, dstevd
 from .spaces import StructureError
 
 __all__ = ["matvec", "march", "pencil_eigh", "definite", "pencil_bracket"]
@@ -59,13 +58,21 @@ def pencil_eigh(b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the pencil (A, diag(h)) for the bands b of a symmetric A.
 
     The symmetric tridiagonal h^{-1/2} A h^{-1/2} = Q diag(rates) Q^T is
-    solved by divide and conquer (`scipy.linalg.eigh_tridiagonal` with the
-    LAPACK routine stevd named, so SciPy's default cannot move the bits);
-    the modes h^{-1/2} Q are diag(h)-orthonormal.  A failed solve raises LinAlgError.
+    solved by divide and conquer, one LAPACK stevd call: the routine and
+    the checks `scipy.linalg.eigh_tridiagonal(..., lapack_driver="stevd")`
+    makes, so the same bits.  The modes h^{-1/2} Q are diag(h)-orthonormal.
+    Non-finite input raises StructureError, a failed solve LinAlgError.
     """
     s = 1.0 / np.sqrt(h)
-    off = b[0, 1:] * s[:-1] * s[1:]
-    rates, q = sla.eigh_tridiagonal(b[1] / h, off, lapack_driver="stevd")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag, off = b[1] / h, b[0, 1:] * s[:-1] * s[1:]
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise StructureError("pencil bands are not finite")
+    if diag.size == 1:      # the wrapper refuses an empty off-diagonal
+        return diag, s[:, None]
+    rates, q, info = dstevd(diag, off)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (stevd info {info})")
     return rates, s[:, None] * q
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -445,6 +447,18 @@ class TestAffineTerms:
         np.testing.assert_array_equal(got_rates, rates)
         np.testing.assert_array_equal(got_modes, s[:, None] * q)
 
+    @pytest.mark.parametrize("entry, h", [((1, 1), 1.0), ((0, 2), 1.0), (None, 1e-310)],
+                             ids=["nan_diagonal", "nan_off_diagonal", "overflow"])
+    def test_pencil_eigh_refuses_nonfinite_input(self, entry, h):
+        # a typed error, which the CLI maps to exit 2, and no numpy warning before it
+        b = bands(np.eye(3) + np.eye(3, k=1) + np.eye(3, k=-1))
+        if entry is not None:
+            b[entry] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructureError, match="not finite"):
+                tridiagonal.pencil_eigh(b, np.full(3, h))
+
     def test_coefficient_closed_forms(self):
         sine = Harmonic(b=1.0)
         assert sine.extremes(1.0) == ((0.0, 0.0), (1.0, np.sin(1.0)))
@@ -496,6 +510,13 @@ class TestAffineTerms:
         fam = FormFamily(space, AffineTerms(eye, eye, Linear(np.nan)), 1.0)
         with pytest.raises(EvaluationError):
             fam.matrix(0.5)
+
+    def test_overflowing_terms_raise_only_the_typed_error(self):
+        fam = get_preset("heat-1d-lipschitz", n_cells=8).problem.family
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="non-finite"):
+                fam.pencil(1e308)
 
     def test_rescale_and_certify_shift_on_terms(self):
         fam = scalar_family(0.0, 2.0 * np.pi, a1=1.0, theta=Harmonic(b=1.0))

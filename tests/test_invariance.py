@@ -116,8 +116,10 @@ class TestProjection:
     def test_bad_constructions(self):
         with pytest.raises(ValueError):
             ConvexSet.box(np.ones(2), lower=1.0, upper=0.0)
-        with pytest.raises(ValueError):
-            ConvexSet.ball(np.ones(2), np.zeros(2), 0.0)
+        # an infinite radius makes the criterion margin NaN, and a NaN one fails no `<=` test
+        for radius in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                ConvexSet.ball(np.ones(2), np.zeros(2), radius)
         # the metric is the diagonal h of the lumped H-Gram, not a matrix
         with pytest.raises(ValueError, match="lumped"):
             ConvexSet.box(np.eye(2), lower=0.0)

@@ -223,3 +223,51 @@ def test_rate_table_rejects_bad_arguments_with_usage(args, status, text):
     assert done.returncode == status
     assert "Traceback" not in done.stderr
     assert text in (done.stdout if status == 0 else done.stderr.splitlines()[-1])
+
+
+def run_python(code, *args):
+    """Run `code` in a fresh interpreter that finds the package; its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_run_imports_neither_scipy_linalg_nor_f2py(tmp_path):
+    # the LAPACK extension is loaded on its own: scipy.linalg's package init,
+    # which pulls in numpy.f2py, is not deferred but never run
+    code = """if True:
+        import runpy, sys
+        sys.argv = ["evolveq", "all", "--config", sys.argv[1], "--out", sys.argv[2],
+                    "--threads", "1"]
+        try:
+            runpy.run_module("evolveq", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        print(sorted(name for name in ("scipy.linalg", "numpy.f2py") if name in sys.modules))
+    """
+    out = run_python(code, REPO / "configs" / "heat_all.cfg", tmp_path / "out")
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "convergence.csv").is_file()
+
+
+def test_one_lapack_extension_when_scipy_linalg_comes_first():
+    # conftest.py imports scipy.linalg before the package
+    import scipy.linalg.lapack
+    from evolveq import lapack
+    for name in lapack.__all__:
+        assert getattr(lapack, name) is getattr(scipy.linalg.lapack, name)
+
+
+def test_one_lapack_extension_when_evolveq_comes_first():
+    code = """if True:
+        import sys
+        from evolveq import lapack
+        assert "scipy.linalg" not in sys.modules
+        import scipy.linalg.lapack
+        print(all(getattr(lapack, name) is getattr(scipy.linalg.lapack, name)
+                  for name in lapack.__all__))
+    """
+    assert run_python(code).splitlines()[-1] == "True"
